@@ -186,9 +186,6 @@ class DecodeResult:
     def noise_stream(self):
         return self.streams[0]
 
-    def activity_table(self):
-        return {str(b): slots for b, slots in enumerate(self.activity)}
-
 
 def block_features(block_samples: np.ndarray, stft_cfg: StftConfig) -> BlockFeatures:
     s1 = stft(block_samples[0], stft_cfg)

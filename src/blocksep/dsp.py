@@ -127,23 +127,31 @@ def istft(spec: np.ndarray, cfg: StftConfig) -> np.ndarray:
     """
     if not cfg.cola_ok():
         raise ValueError("window/hop violates overlap-add")
-    spec = np.asarray(spec)
+    spec = np.asarray(spec, dtype=np.complex128)  # float64 frames below
     if spec.ndim != 2 or spec.shape[1] != cfg.n_bins:
         raise ValueError("spectrogram bins inconsistent with config")
     n_frames = spec.shape[0]
-    win = cfg.window_array()
-    frames = np.fft.irfft(spec, n=cfg.window_len, axis=1) * win
-    total = (n_frames - 1) * cfg.hop + cfg.window_len
-    out = np.zeros(total)
-    wsum = np.zeros(total)
-    for i in range(n_frames):
-        sl = slice(i * cfg.hop, i * cfg.hop + cfg.window_len)
-        out[sl] += frames[i]
-        wsum[sl] += win * win
-    good = wsum > 1e-10
-    out[good] /= wsum[good]
-    out[~good] = 0.0
-    return out
+    hop, win = cfg.hop, cfg.window_array()
+    frames = np.fft.irfft(spec, n=cfg.window_len, axis=1)
+    frames *= win
+    w2 = win * win
+    # Overlap-add as k = ceil(window_len / hop) strided adds: column slab j
+    # of every frame (up to hop samples wide) lands in out[j*hop : j*hop +
+    # n_frames*hop] viewed as (n_frames, hop).  Running j downward sums each
+    # sample's frames in increasing frame order, as a per-frame loop would.
+    k = -(-cfg.window_len // hop)
+    out = np.zeros((n_frames + k - 1) * hop)
+    wsum = np.zeros_like(out)
+    span = n_frames * hop
+    for j in range(k - 1, -1, -1):
+        cols = slice(j * hop, min((j + 1) * hop, cfg.window_len))
+        width = cols.stop - cols.start
+        dst = slice(j * hop, j * hop + span)
+        out[dst].reshape(n_frames, hop)[:, :width] += frames[:, cols]
+        wsum[dst].reshape(n_frames, hop)[:, :width] += w2[cols]
+    total = (n_frames - 1) * hop + cfg.window_len
+    out, wsum = out[:total], wsum[:total]
+    return np.divide(out, wsum, out=np.zeros(total), where=wsum > 1e-10)
 
 
 @dataclass
@@ -152,9 +160,6 @@ class IpdFeature:
 
     cos: np.ndarray
     sin: np.ndarray
-
-    def stacked(self) -> np.ndarray:
-        return np.stack([self.cos, self.sin], axis=-1)
 
 
 def ipd(spec_ch1: np.ndarray, spec_ch2: np.ndarray) -> IpdFeature:

@@ -22,6 +22,7 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import expit
 
 from . import kernels
 from .dsp import IpdFeature, StftConfig, stft
@@ -340,13 +341,18 @@ def init_params(bins: int, embed_dim=DEFAULT_EMBED_DIM, hidden=DEFAULT_HIDDEN,
     return ModelParams(arrays, f, d, h, p, stft_meta)
 
 
-def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def _joint_recurrence_weight(arrays) -> np.ndarray:
+    """(2H, 2H) block-diagonal weight that steps both directions in one call.
+
+    Rebuilt on every call: the optimizer updates ``w_hf`` and ``w_hb`` in
+    place.  Not ``scipy.linalg.block_diag``: its array-API dispatch leaves
+    cached objects behind that show up as retained memory.
+    """
+    h = arrays["w_hf"].shape[0]
+    w = np.zeros((2 * h, 2 * h), dtype=arrays["w_hf"].dtype)
+    w[:h, :h] = arrays["w_hf"]
+    w[h:, h:] = arrays["w_hb"]
+    return w
 
 
 @dataclass
@@ -364,8 +370,7 @@ class IterationCache:
     residual: np.ndarray
     z_prev: np.ndarray
     p: np.ndarray
-    hf: np.ndarray
-    hb_rev: np.ndarray
+    states: np.ndarray  # (T, 2H): forward states | time-reversed backward states
     hcat: np.ndarray
     mask: np.ndarray
     z_out: np.ndarray
@@ -419,17 +424,20 @@ class MaskNet:
         p = np.tanh(pre)
         xf = p @ a["w_xf"] + a["b_f"]
         xb = p @ a["w_xb"] + a["b_b"]
-        h0 = np.zeros(self.params.hidden, dtype=dt)
-        hf = kernels.rnn_seq_forward(np.ascontiguousarray(xf), a["w_hf"], h0)
-        hb_rev = kernels.rnn_seq_forward(np.ascontiguousarray(xb[::-1]), a["w_hb"], h0)
-        hcat = np.concatenate([hf, hb_rev[::-1]], axis=1)
-        mask = _sigmoid(hcat @ a["w_mask"] + a["b_mask"])
+        # Both directions run as one 2H-wide recurrence; the block-diagonal
+        # weight keeps them independent.
+        h = self.params.hidden
+        states = kernels.rnn_seq_forward(
+            np.concatenate([xf, xb[::-1]], axis=1),
+            _joint_recurrence_weight(a), np.zeros(2 * h, dtype=dt))
+        hcat = np.concatenate([states[:, :h], states[::-1, h:]], axis=1)
+        mask = expit(hcat @ a["w_mask"] + a["b_mask"])
         pooled = hcat.mean(axis=0)
         e = pooled @ a["w_embed"] + a["b_embed"]
         # plain-float scalar keeps float32 tensors from promoting to float64
         inv_norm = 1.0 / math.sqrt(float(np.dot(e, e)) + 1e-12)
         z_out = e * inv_norm
-        cache = IterationCache(r, z, p, hf, hb_rev, hcat, mask, z_out, inv_norm)
+        cache = IterationCache(r, z, p, states, hcat, mask, z_out, inv_norm)
         return mask, z_out, cache
 
     def backward(self, ctx: BlockContext, cache: IterationCache,
@@ -460,14 +468,13 @@ class MaskNet:
         d_hcat += d_mask_pre @ a["w_mask"].T
 
         h = self.params.hidden
-        d_hf = np.ascontiguousarray(d_hcat[:, :h])
-        d_hb_rev = np.ascontiguousarray(d_hcat[:, h:][::-1])
-        d_xf = kernels.rnn_seq_backward(cache.hf, a["w_hf"], d_hf)
-        d_xb_rev = kernels.rnn_seq_backward(cache.hb_rev, a["w_hb"], d_hb_rev)
-        prev_f = np.vstack([np.zeros((1, h), dtype=dt), cache.hf[:-1]])
-        prev_b = np.vstack([np.zeros((1, h), dtype=dt), cache.hb_rev[:-1]])
-        grads["w_hf"] += prev_f.T @ d_xf
-        grads["w_hb"] += prev_b.T @ d_xb_rev
+        d_x = kernels.rnn_seq_backward(
+            cache.states, _joint_recurrence_weight(a),
+            np.concatenate([d_hcat[:, :h], d_hcat[::-1, h:]], axis=1))
+        d_xf, d_xb_rev = d_x[:, :h], d_x[:, h:]
+        prev = np.vstack([np.zeros((1, 2 * h), dtype=dt), cache.states[:-1]])
+        grads["w_hf"] += prev[:, :h].T @ d_xf
+        grads["w_hb"] += prev[:, h:].T @ d_xb_rev
         d_xb = d_xb_rev[::-1]
         grads["w_xf"] += cache.p.T @ d_xf
         grads["b_f"] += d_xf.sum(axis=0)
@@ -547,9 +554,16 @@ def load_params(path) -> ModelParams:
         meta = json.loads(data[12 : 12 + meta_len].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValueError("corrupt checkpoint") from exc
+    try:
+        shapes = [(name, shape) for name, shape in meta["shapes"]]
+        dims = [meta[k] for k in ("bins", "embed_dim", "hidden", "proj")]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError("corrupt checkpoint") from exc
+    if [name for name, _ in shapes] != PARAM_ORDER:
+        raise ValueError("corrupt checkpoint")
     offset = 12 + meta_len
     arrays = {}
-    for name, shape in meta["shapes"]:
+    for name, shape in shapes:
         count = int(np.prod(shape)) if shape else 1
         nbytes = 4 * count
         if offset + nbytes > len(data):
@@ -560,7 +574,6 @@ def load_params(path) -> ModelParams:
         offset += nbytes
     if offset != len(data):
         raise ValueError("corrupt checkpoint")
-    params = ModelParams(arrays, meta["bins"], meta["embed_dim"], meta["hidden"],
-                         meta["proj"], meta.get("stft", {}))
+    params = ModelParams(arrays, *dims, meta.get("stft", {}))
     params.validate_finite()
     return params

@@ -2,10 +2,15 @@
 
 The tanh recurrence over time frames is the only part of the network that
 cannot be expressed as a single BLAS call, so it gets a dedicated kernel.
-By default the kernels are compiled with numba; setting the environment
-variable ``BLOCKSEP_NO_NUMBA=1`` (or running without numba installed)
-selects the pure-numpy fallbacks.  Both paths compute the same recurrence
-step by step and agree within floating-point rounding.
+numba is optional (the ``numba`` extra): the kernels are compiled with it
+only when it is installed and the environment variable
+``BLOCKSEP_NO_NUMBA`` is unset or ``0``; otherwise the pure-numpy fallbacks
+run.  Both paths compute the same recurrence step by step and agree within
+floating-point rounding.
+
+``MaskNet`` runs its forward and time-reversed backward directions as one
+2H-wide call whose (2H, 2H) weight is block-diagonal, so each step does
+the zero blocks' multiply-adds too, in exchange for half the calls.
 
 ``benchmarks/bench_kernels.py`` times the two paths against each other.
 """

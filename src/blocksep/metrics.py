@@ -176,9 +176,6 @@ class CountingReport:
     accuracy: float
     confusion: np.ndarray  # confusion[true, est] = number of blocks
 
-    def _key(self):
-        return self.accuracy, self.confusion.tolist()
-
 
 def block_speaker_counts(timeline: Timeline, block_len_s: float, n_blocks: int,
                          min_overlap_s: float = 0.0):

@@ -92,6 +92,36 @@ def test_istft_rejects_non_cola():
         istft(np.zeros((4, 129), dtype=complex), cfg)
 
 
+def _istft_per_frame_loop(spec, cfg):
+    """Reference overlap-add: one windowed frame at a time."""
+    win = cfg.window_array()
+    frames = np.fft.irfft(spec, n=cfg.window_len, axis=1) * win
+    total = (spec.shape[0] - 1) * cfg.hop + cfg.window_len
+    out = np.zeros(total)
+    wsum = np.zeros(total)
+    for i in range(spec.shape[0]):
+        sl = slice(i * cfg.hop, i * cfg.hop + cfg.window_len)
+        out[sl] += frames[i]
+        wsum[sl] += win * win
+    good = wsum > 1e-10
+    out[good] /= wsum[good]
+    out[~good] = 0.0
+    return out
+
+
+# (256, 3) and (256, 5) are COLA-valid with a hop that does not divide the
+# window, so the last overlap-add slab is partly padding.
+@pytest.mark.parametrize("cfg", [StftConfig(), StftConfig(256, 3, "hann"),
+                                 StftConfig(256, 5, "hann")])
+def test_istft_matches_per_frame_overlap_add(cfg):
+    rng = np.random.default_rng(3)
+    spec = stft(rng.normal(size=2000), cfg)
+    # also frame counts below the number of frames a sample overlaps
+    for n_frames in (spec.shape[0], 2, 1):
+        got = istft(spec[:n_frames], cfg)
+        assert np.array_equal(got, _istft_per_frame_loop(spec[:n_frames], cfg))
+
+
 def _interior_roundtrip_error(x, cfg):
     y = istft(stft(x, cfg), cfg)
     w = cfg.window_len

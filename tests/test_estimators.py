@@ -1,6 +1,10 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
+from blocksep import kernels
 from blocksep.dsp import IpdFeature, StftConfig
 from blocksep.estimators import (
     EstimatorInput,
@@ -194,6 +198,78 @@ def test_forward_backward_matches_finite_differences(seed):
             )
 
 
+def _two_call_reference(params, inp, d_mask, d_z_out):
+    """MaskNet forward and backward with one recurrence call per direction."""
+    a = params.arrays
+    h = params.hidden
+    net = MaskNet(params)
+    ctx = net.prepare_block(inp.mag, inp.ipd)
+    p = np.tanh(ctx.static_pre + inp.residual @ a["w_res"]
+                + inp.z_prev @ a["w_emb_in"])
+    xf = p @ a["w_xf"] + a["b_f"]
+    xb = p @ a["w_xb"] + a["b_b"]
+    hf = kernels.rnn_seq_forward_numpy(xf, a["w_hf"], np.zeros(h))
+    hb_rev = kernels.rnn_seq_forward_numpy(xb[::-1].copy(), a["w_hb"], np.zeros(h))
+    hcat = np.concatenate([hf, hb_rev[::-1]], axis=1)
+    mask = 1.0 / (1.0 + np.exp(-(hcat @ a["w_mask"] + a["b_mask"])))
+    e = hcat.mean(axis=0) @ a["w_embed"] + a["b_embed"]
+    inv_norm = 1.0 / np.sqrt(np.dot(e, e) + 1e-12)
+    z_out = e * inv_norm
+
+    g = params.zeros_like()
+    d_e = (d_z_out - z_out * np.dot(z_out, d_z_out)) * inv_norm
+    g["w_embed"] += np.outer(hcat.mean(axis=0), d_e)
+    g["b_embed"] += d_e
+    d_hcat = np.tile((a["w_embed"] @ d_e) / len(p), (len(p), 1))
+    d_mask_pre = d_mask * mask * (1.0 - mask)
+    g["w_mask"] += hcat.T @ d_mask_pre
+    g["b_mask"] += d_mask_pre.sum(axis=0)
+    d_hcat += d_mask_pre @ a["w_mask"].T
+    d_xf = kernels.rnn_seq_backward_numpy(hf, a["w_hf"], d_hcat[:, :h].copy())
+    d_xb_rev = kernels.rnn_seq_backward_numpy(hb_rev, a["w_hb"],
+                                              d_hcat[::-1, h:].copy())
+    d_xb = d_xb_rev[::-1]
+    g["w_hf"] += np.vstack([np.zeros((1, h)), hf[:-1]]).T @ d_xf
+    g["w_hb"] += np.vstack([np.zeros((1, h)), hb_rev[:-1]]).T @ d_xb_rev
+    g["w_xf"] += p.T @ d_xf
+    g["b_f"] += d_xf.sum(axis=0)
+    g["w_xb"] += p.T @ d_xb
+    g["b_b"] += d_xb.sum(axis=0)
+    d_pre = (d_xf @ a["w_xf"].T + d_xb @ a["w_xb"].T) * (1.0 - p * p)
+    ctx.d_static_pre = d_pre
+    g["w_res"] += inp.residual.T @ d_pre
+    g["w_emb_in"] += np.outer(inp.z_prev, d_pre.sum(axis=0))
+    net.finish_block_backward(ctx, g)
+    return hf, hb_rev, mask, g
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_joint_recurrence_matches_two_separate_directions(seed):
+    params = _tiny_params(seed=seed + 4)
+    inp = _tiny_input(seed + 5, t=7, zero_z=seed == 1)
+    rng = np.random.default_rng(seed + 6)
+    d_mask = rng.normal(size=(7, 5))
+    d_z = rng.normal(size=4)
+    net = MaskNet(params)
+    ctx = net.prepare_block(inp.mag, inp.ipd)
+    mask, _, cache = net.forward(ctx, inp.residual, inp.z_prev)
+    grads = params.zeros_like()
+    net.backward(ctx, cache, d_mask, d_z, grads)
+    net.finish_block_backward(ctx, grads)
+
+    hf, hb_rev, ref_mask, ref_grads = _two_call_reference(params, inp, d_mask, d_z)
+    h = params.hidden
+
+    def close(x, y):
+        return np.allclose(x, y, rtol=1e-12, atol=1e-14)
+
+    assert close(cache.states[:, :h], hf)
+    assert close(cache.states[:, h:], hb_rev)
+    assert close(mask, ref_mask)
+    for name in params.arrays:
+        assert close(grads[name], ref_grads[name]), name
+
+
 def test_checkpoint_roundtrip_bitexact(tmp_path):
     params = init_params(bins=9, embed_dim=4, hidden=3, proj=4, seed=5,
                          stft_cfg=StftConfig(16, 8), dtype=np.float32)
@@ -232,5 +308,38 @@ def test_checkpoint_version_mismatch(tmp_path):
 def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "e.ckpt"
     path.write_bytes(b"NOPE" + b"\x00" * 32)
+    with pytest.raises(ValueError, match="corrupt checkpoint"):
+        load_params(path)
+
+
+def _rewrite_meta(path, edit):
+    """Replace a saved checkpoint's metadata by ``edit(meta)``, payload kept."""
+    data = path.read_bytes()
+    version, meta_len = struct.unpack("<II", data[4:12])
+    meta = json.loads(data[12 : 12 + meta_len])
+    blob = json.dumps(edit(meta)).encode()
+    path.write_bytes(data[:4] + struct.pack("<II", version, len(blob)) + blob
+                     + data[12 + meta_len :])
+
+
+def _without(key):
+    return lambda meta: {k: v for k, v in meta.items() if k != key}
+
+
+def _renamed_first_param(meta):
+    meta["shapes"][0][0] = "w_other"
+    return meta
+
+
+@pytest.mark.parametrize("edit", [
+    _without("shapes"),
+    _without("bins"),
+    lambda meta: [meta],
+    _renamed_first_param,
+], ids=["missing-shapes", "missing-bins", "not-an-object", "unknown-param-name"])
+def test_checkpoint_malformed_metadata(tmp_path, edit):
+    path = tmp_path / "f.ckpt"
+    save_params(_tiny_params(), path)
+    _rewrite_meta(path, edit)
     with pytest.raises(ValueError, match="corrupt checkpoint"):
         load_params(path)

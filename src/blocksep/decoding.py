@@ -10,14 +10,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dsp import AudioSignal, IpdFeature, StftConfig, apply_mask, ipd, istft, stft
-from .estimators import EstimatorInput
+from .dsp import (AudioSignal, IpdFeature, StftConfig, apply_mask, ipd, istft,
+                  split_blocks, stft)
+from .estimators import SILENT_MASK_MEAN, EstimatorInput
 
 
 @dataclass
 class DecoderConfig:
     t_resmask: float = 0.2  # stop probing when the mean residual drops below
-    t_silent: float = 0.05  # below this mean mask a slot counts as silent
+    t_silent: float = SILENT_MASK_MEAN  # below this mean mask a slot is silent
     block_len_s: float = 10.0
     max_iterations: int = 6  # noise + up to 5 speakers
     consistency_check: bool = True
@@ -148,25 +149,17 @@ def consistency_check(state: SessionState, new_slots, pre_block_embeddings,
     speaker is not retroactively present.  The first block of a session has
     no past, so an increase there is vacuously accepted.
     """
-    current = state.n_blocks - 1
     thr = cfg.consistency_threshold
-    for b in range(current):
+    embeddings = pre_block_embeddings + [state.embeddings[s] for s in new_slots]
+    n_known = len(pre_block_embeddings)
+    for b in range(state.n_blocks - 1):
         features = state.cache[b]
         estimator.begin_block(b)
         residual = np.ones_like(features.mag)
-        iteration = 0
-        for emb in pre_block_embeddings:
+        for i, emb in enumerate(embeddings):
             inp = EstimatorInput(features.mag, features.ipd, residual, emb)
-            mask, _ = _estimate(estimator, inp, b, iteration + 1)
-            iteration += 1
-            if float(mask.mean()) >= cfg.t_silent:
-                residual = np.clip(residual - mask, 0.0, 1.0)
-        for slot in new_slots:
-            inp = EstimatorInput(features.mag, features.ipd, residual,
-                                 state.embeddings[slot])
-            mask, _ = _estimate(estimator, inp, b, iteration + 1)
-            iteration += 1
-            if float(mask.mean()) >= thr:
+            mask, _ = _estimate(estimator, inp, b, i + 1)
+            if i >= n_known and float(mask.mean()) >= thr:
                 return False
             if float(mask.mean()) >= cfg.t_silent:
                 residual = np.clip(residual - mask, 0.0, 1.0)
@@ -181,10 +174,6 @@ class DecodeResult:
     final_count: int
     consistency_log: list  # (block, accepted) for every checked increase
     state: SessionState
-
-    @property
-    def noise_stream(self):
-        return self.streams[0]
 
 
 def block_features(block_samples: np.ndarray, stft_cfg: StftConfig) -> BlockFeatures:
@@ -209,14 +198,13 @@ def decode_session(mixture: AudioSignal, estimator, cfg: DecoderConfig,
     n = mixture.n_samples
     if n < stft_cfg.window_len:
         raise ValueError("input too short")
-    n_blocks = -(-n // block_n)
-    padded = np.zeros((2, n_blocks * block_n))
-    padded[:, :n] = mixture.samples
+    blocks = split_blocks(mixture.samples, block_n)  # (2, n_blocks, block_n)
+    n_blocks = blocks.shape[1]
 
     state = new_session_state(estimator.embed_dim)
     consistency_log = []
     for b in range(n_blocks):
-        feats = block_features(padded[:, b * block_n : (b + 1) * block_n], stft_cfg)
+        feats = block_features(blocks[:, b], stft_cfg)
         pre = [e.copy() for e in state.embeddings]
         result = decode_block(feats, state, estimator, cfg)
         if result.new_slots and cfg.consistency_check and b > 0:
@@ -231,25 +219,17 @@ def decode_session(mixture: AudioSignal, estimator, cfg: DecoderConfig,
     for slot in range(len(state.embeddings)):
         parts = []
         for b in range(n_blocks):
-            mask = state.block_masks[b].get(slot)
-            if mask is None:
-                parts.append(np.zeros(block_n))
-                continue
-            rec = istft(apply_mask(mask, state.cache[b].spec), stft_cfg)
-            out = np.zeros(block_n)
-            out[: min(rec.size, block_n)] = rec[:block_n]
-            parts.append(out)
+            mask = state.block_masks[b].get(slot)  # None: the slot was absent
+            rec = (np.zeros(0) if mask is None
+                   else istft(apply_mask(mask, state.cache[b].spec), stft_cfg))
+            parts.append(split_blocks(rec, block_n)[0])
         streams[slot] = AudioSignal(fs, np.concatenate(parts)[:n])
 
-    activity = []
-    per_block_counts = []
-    for b in range(n_blocks):
-        active = sorted(
-            slot for slot, m in state.block_masks[b].items()
-            if float(m.mean()) >= cfg.t_silent
-        )
-        activity.append(active)
-        per_block_counts.append(len([s for s in active if s > 0]))
+    activity = [
+        sorted(slot for slot, m in masks.items() if float(m.mean()) >= cfg.t_silent)
+        for masks in state.block_masks
+    ]
+    per_block_counts = [sum(slot > 0 for slot in active) for active in activity]
 
     return DecodeResult(streams, activity, per_block_counts,
                         state.speaker_count, consistency_log, state)

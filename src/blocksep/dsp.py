@@ -95,6 +95,18 @@ class StftConfig:
         return (interior.max() - interior.min()) <= tol * interior.max()
 
 
+def split_blocks(samples: np.ndarray, block_n: int) -> np.ndarray:
+    """Zero-pad the last axis to whole blocks, at least one.
+
+    Returns a (..., n_blocks, block_n) view of the padded copy.
+    """
+    x = np.asarray(samples)
+    n_blocks = max(1, -(-x.shape[-1] // block_n))
+    padded = np.zeros(x.shape[:-1] + (n_blocks * block_n,))
+    padded[..., : x.shape[-1]] = x
+    return padded.reshape(x.shape[:-1] + (n_blocks, block_n))
+
+
 def frame_count(n_samples: int, cfg: StftConfig) -> int:
     return (n_samples - cfg.window_len) // cfg.hop + 1
 

@@ -19,13 +19,13 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.special import expit
 
 from . import kernels
-from .dsp import IpdFeature, StftConfig, stft
+from .dsp import IpdFeature, StftConfig, split_blocks, stft
 
 CHECKPOINT_MAGIC = b"BSPK"
 CHECKPOINT_VERSION = 1
@@ -34,9 +34,12 @@ DEFAULT_EMBED_DIM = 32
 DEFAULT_HIDDEN = 64
 DEFAULT_PROJ = 64
 
-# Mean-mask level under which the oracle treats a speaker as silent in a block.
-ORACLE_SILENT_MEAN = 0.05
-ORACLE_MASK_EPS = 1e-8
+# Mean mask under which a source counts as silent in a block: the oracle's
+# silent-speaker level, the decoder's default ``t_silent`` and the training
+# activity threshold.
+SILENT_MASK_MEAN = 0.05
+# Added to the ratio-mask denominator so all-zero bins stay finite.
+MASK_EPS = 1e-8
 _LOG_FLOOR = 1e-5
 
 
@@ -67,68 +70,70 @@ def is_zero_embedding(z: np.ndarray) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def ratio_masks(noise_mag, source_mags):
+    """Ideal ratio masks |X| / (|N| + eps + sum of source magnitudes).
+
+    Returns (noise mask, {source_id: mask}).  The denominator adds the
+    sources in sorted id order.
+    """
+    denom = noise_mag + MASK_EPS
+    for s in sorted(source_mags):
+        denom = denom + source_mags[s]
+    return noise_mag / denom, {s: m / denom for s, m in source_mags.items()}
+
+
+def reference_block_mags(rendered, stft_cfg: StftConfig, block_len_s: float):
+    """Channel-0 reference magnitudes per block of a rendered meeting.
+
+    Returns (per block {speaker_id: (T, F)}, per block noise (T, F)); the
+    signals are zero-padded to whole blocks like the decoder pads the mixture.
+    """
+    block_n = int(round(block_len_s * rendered.mixture.sample_rate))
+
+    def block_mags(sig):
+        return [np.abs(stft(x, stft_cfg)) for x in split_blocks(sig.channel(0), block_n)]
+
+    per_spk = {spk: block_mags(sig) for spk, sig in sorted(rendered.references.items())}
+    noise = block_mags(rendered.noise)
+    return [{spk: mags[b] for spk, mags in per_spk.items()}
+            for b in range(len(noise))], noise
+
+
 class OracleMaskEstimator:
     """Ideal-ratio-mask estimator backed by simulator ground truth.
 
-    Masks are |S| / (sum of all source magnitudes + |N| + eps) per bin; the
-    noise mask uses |N| in the numerator.  The first estimate call in every
+    Masks come from :func:`ratio_masks`.  The first estimate call in every
     block returns the noise mask, matching the decoder's noise-first slot
     convention.  A unit-norm ``z_prev`` selects the speaker with the closest
     fixed embedding; a zero ``z_prev`` probes the strongest source not yet
     extracted in the block.  Speakers whose mask mean falls below
-    ``silent_mean`` yield an all-zero mask.
+    ``SILENT_MASK_MEAN`` yield an all-zero mask.
     """
 
-    def __init__(self, block_mags, noise_mags, embed_dim=DEFAULT_EMBED_DIM,
-                 silent_mean=ORACLE_SILENT_MEAN, eps=ORACLE_MASK_EPS):
+    def __init__(self, block_mags, noise_mags, embed_dim=DEFAULT_EMBED_DIM):
         # block_mags: list over blocks of {speaker_id: (T, F) magnitude}
         self.block_mags = block_mags
         self.noise_mags = noise_mags
         self.speakers = sorted({s for blk in block_mags for s in blk})
         self.embed_dim = embed_dim
-        self.silent_mean = silent_mean
-        self.eps = eps
         self.embeddings = {s: speaker_embedding(s, embed_dim) for s in self.speakers}
         self.noise_embedding = speaker_embedding("__noise__", embed_dim)
         self._fallback = speaker_embedding("__none__", embed_dim)
         self._irm = []
         self._noise_irm = []
         for blk, noise in zip(block_mags, noise_mags):
-            denom = noise + eps
-            for mag in blk.values():
-                denom = denom + mag
-            self._irm.append({s: mag / denom for s, mag in blk.items()})
-            self._noise_irm.append(noise / denom)
+            noise_irm, irm = ratio_masks(noise, blk)
+            self._irm.append(irm)
+            self._noise_irm.append(noise_irm)
         self._block = 0
         self._calls = 0
         self._emitted = set()
 
     @classmethod
     def from_rendered(cls, rendered, stft_cfg: StftConfig, block_len_s: float,
-                      embed_dim=DEFAULT_EMBED_DIM, **kw):
-        fs = rendered.mixture.sample_rate
-        n = rendered.mixture.n_samples
-        block_n = int(round(block_len_s * fs))
-        n_blocks = max(1, -(-n // block_n))
-        padded = n_blocks * block_n
-
-        def block_mag(sig_samples):
-            x = np.zeros(padded)
-            x[: sig_samples.size] = sig_samples
-            return [
-                np.abs(stft(x[b * block_n : (b + 1) * block_n], stft_cfg))
-                for b in range(n_blocks)
-            ]
-
-        per_spk = {
-            spk: block_mag(sig.channel(0))
-            for spk, sig in sorted(rendered.references.items())
-        }
-        noise = block_mag(rendered.noise.channel(0))
-        block_mags = [
-            {spk: mags[b] for spk, mags in per_spk.items()} for b in range(n_blocks)
-        ]
-        return cls(block_mags, noise, embed_dim=embed_dim, **kw)
+                      embed_dim=DEFAULT_EMBED_DIM):
+        return cls(*reference_block_mags(rendered, stft_cfg, block_len_s),
+                   embed_dim=embed_dim)
 
     @property
     def n_blocks(self):
@@ -143,9 +148,6 @@ class OracleMaskEstimator:
 
     def block_irm(self, block: int, speaker: str) -> np.ndarray:
         return self._irm[block][speaker]
-
-    def noise_irm(self, block: int) -> np.ndarray:
-        return self._noise_irm[block]
 
     def match_speaker(self, z: np.ndarray):
         best, best_cos = None, -2.0
@@ -166,12 +168,12 @@ class OracleMaskEstimator:
                 return np.zeros_like(inp.mag), self._fallback.copy()
             irm = self._irm[b].get(spk)
             emb = self.embeddings[spk].copy()
-            if irm is None or float(irm.mean()) < self.silent_mean:
+            if irm is None or float(irm.mean()) < SILENT_MASK_MEAN:
                 return np.zeros_like(inp.mag), emb
             self._emitted.add(spk)
             return irm.copy(), emb
         # zero embedding: probe for the strongest source not yet extracted
-        best, best_mean = None, self.silent_mean
+        best, best_mean = None, SILENT_MASK_MEAN
         for spk in self.speakers:
             if spk in self._emitted or spk not in self._irm[b]:
                 continue
@@ -184,90 +186,21 @@ class OracleMaskEstimator:
         return self._irm[b][best].copy(), self.embeddings[best].copy()
 
 
-class FaultInjectionEstimator:
-    """Oracle wrapper that splits one speaker into two from a given block.
-
-    At ``split_block`` the victim speaker's mask is returned only partially,
-    leaving enough residual for the decoder to probe; the probe then receives
-    the remainder under a fresh embedding, creating a spurious speaker.  When
-    decoding revisits earlier blocks (indices below ``split_block``), the
-    spurious embedding maps to the victim's full mask there, so a consistency
-    check sees the "new" speaker as retroactively present and rejects it.
-    """
-
-    def __init__(self, inner: OracleMaskEstimator, split_block: int,
-                 victim: str | None = None, first_fraction: float = 0.45):
-        self.inner = inner
-        self.split_block = split_block
-        self.first_fraction = first_fraction
-        if victim is None:
-            means = {
-                s: float(inner.block_irm(split_block, s).mean())
-                for s in inner.speakers
-                if s in inner._irm[split_block]
-            }
-            victim = max(sorted(means), key=lambda s: means[s])
-        self.victim = victim
-        self.spurious_embedding = speaker_embedding(f"__split_{victim}__",
-                                                    inner.embed_dim)
-        self._block = 0
-        self._spur_emitted = set()
-
-    @property
-    def n_blocks(self):
-        return self.inner.n_blocks
-
-    @property
-    def embed_dim(self):
-        return self.inner.embed_dim
-
-    def begin_block(self, index: int):
-        self._block = index
-        self.inner.begin_block(index)
-
-    def _is_spurious(self, z):
-        return (not is_zero_embedding(z)
-                and float(np.dot(z, self.spurious_embedding)) > 0.7)
-
-    def _is_victim(self, z):
-        return (not is_zero_embedding(z)
-                and float(np.dot(z, self.inner.embeddings[self.victim])) > 0.7)
-
-    def estimate(self, inp: EstimatorInput):
-        b = self._block
-        victim_irm = self.inner._irm[b].get(self.victim)
-        if self._is_spurious(inp.z_prev):
-            self.inner._calls += 1
-            if b < self.split_block:
-                # consistency re-decode path: the spurious speaker "was there"
-                return victim_irm.copy(), self.spurious_embedding.copy()
-            return ((1.0 - self.first_fraction) * victim_irm,
-                    self.spurious_embedding.copy())
-        if b >= self.split_block and victim_irm is not None:
-            if self._is_victim(inp.z_prev):
-                self.inner._calls += 1
-                self.inner._emitted.add(self.victim)
-                return (self.first_fraction * victim_irm,
-                        self.inner.embeddings[self.victim].copy())
-            if (is_zero_embedding(inp.z_prev) and self.inner._calls > 0
-                    and self.victim in self.inner._emitted
-                    and b not in self._spur_emitted):
-                self.inner._calls += 1
-                self._spur_emitted.add(b)
-                return ((1.0 - self.first_fraction) * victim_irm,
-                        self.spurious_embedding.copy())
-        return self.inner.estimate(inp)
-
-
 # ---------------------------------------------------------------------------
 # Trainable network
 # ---------------------------------------------------------------------------
 
-PARAM_ORDER = [
-    "w_static", "b_static", "w_res", "w_emb_in",
-    "w_xf", "b_f", "w_hf", "w_xb", "b_b", "w_hb",
-    "w_mask", "b_mask", "w_embed", "b_embed",
-]
+def param_shapes(bins: int, embed_dim: int, hidden: int, proj: int) -> dict:
+    """Name -> shape of every parameter tensor, in checkpoint order."""
+    f, d, h, p = bins, embed_dim, hidden, proj
+    return {
+        "w_static": (3 * f, p), "b_static": (p,), "w_res": (f, p),
+        "w_emb_in": (d, p),
+        "w_xf": (p, h), "b_f": (h,), "w_hf": (h, h),
+        "w_xb": (p, h), "b_b": (h,), "w_hb": (h, h),
+        "w_mask": (2 * h, f), "b_mask": (f,),
+        "w_embed": (2 * h, d), "b_embed": (d,),
+    }
 
 
 @dataclass
@@ -314,31 +247,16 @@ def init_params(bins: int, embed_dim=DEFAULT_EMBED_DIM, hidden=DEFAULT_HIDDEN,
         bound = np.sqrt(6.0 / (n_in + n_out))
         return rng.uniform(-bound, bound, (n_in, n_out)).astype(dtype)
 
-    f, d, h, p = bins, embed_dim, hidden, proj
-    arrays = {
-        "w_static": glorot(3 * f, p),
-        "b_static": np.zeros(p, dtype=dtype),
-        "w_res": glorot(f, p),
-        "w_emb_in": glorot(d, p),
-        "w_xf": glorot(p, h),
-        "b_f": np.zeros(h, dtype=dtype),
-        "w_hf": (0.9 * glorot(h, h)).astype(dtype),
-        "w_xb": glorot(p, h),
-        "b_b": np.zeros(h, dtype=dtype),
-        "w_hb": (0.9 * glorot(h, h)).astype(dtype),
-        "w_mask": glorot(2 * h, f),
-        "b_mask": np.zeros(f, dtype=dtype),
-        "w_embed": glorot(2 * h, d),
-        "b_embed": np.zeros(d, dtype=dtype),
-    }
-    stft_meta = {}
-    if stft_cfg is not None:
-        stft_meta = {
-            "window_len": stft_cfg.window_len,
-            "hop": stft_cfg.hop,
-            "window": stft_cfg.window,
-        }
-    return ModelParams(arrays, f, d, h, p, stft_meta)
+    arrays = {}
+    for name, shape in param_shapes(bins, embed_dim, hidden, proj).items():
+        if len(shape) == 1:
+            arrays[name] = np.zeros(shape, dtype=dtype)
+        elif name in ("w_hf", "w_hb"):
+            arrays[name] = (0.9 * glorot(*shape)).astype(dtype)
+        else:
+            arrays[name] = glorot(*shape)
+    stft_meta = asdict(stft_cfg) if stft_cfg is not None else {}
+    return ModelParams(arrays, bins, embed_dim, hidden, proj, stft_meta)
 
 
 def _joint_recurrence_weight(arrays) -> np.ndarray:
@@ -523,20 +441,21 @@ def forward_backward(inp: EstimatorInput, params: ModelParams,
 
 def save_params(params: ModelParams, path) -> None:
     """Write a versioned checkpoint: magic, version, shape table, f32 payload."""
+    shapes = param_shapes(params.bins, params.embed_dim, params.hidden, params.proj)
     meta = {
         "bins": params.bins,
         "embed_dim": params.embed_dim,
         "hidden": params.hidden,
         "proj": params.proj,
         "stft": params.stft,
-        "shapes": [[name, list(params.arrays[name].shape)] for name in PARAM_ORDER],
+        "shapes": [[name, list(params.arrays[name].shape)] for name in shapes],
     }
     blob = json.dumps(meta, sort_keys=True).encode()
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(blob)))
         fh.write(blob)
-        for name in PARAM_ORDER:
+        for name in shapes:
             fh.write(params.arrays[name].astype("<f4").tobytes())
 
 
@@ -557,9 +476,10 @@ def load_params(path) -> ModelParams:
     try:
         shapes = [(name, shape) for name, shape in meta["shapes"]]
         dims = [meta[k] for k in ("bins", "embed_dim", "hidden", "proj")]
+        expected = [(name, list(shape)) for name, shape in param_shapes(*dims).items()]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError("corrupt checkpoint") from exc
-    if [name for name, _ in shapes] != PARAM_ORDER:
+    if shapes != expected:
         raise ValueError("corrupt checkpoint")
     offset = 12 + meta_len
     arrays = {}

@@ -8,10 +8,10 @@ to their direct inputs (masks, embeddings).  Gradients are keyed by
 slots.  The hinge subgradient at the kink is 0 (one-sided).
 """
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 DEFAULT_TRIPLET_CAP = 512
 
@@ -44,7 +44,7 @@ def _sq(err):
     return float(np.sum(err * err))
 
 
-def mmse_partial_pit(masks, mixes, targets, prev_assignment=None):
+def mmse_partial_pit(masks, mixes, targets):
     """Utterance-level masked MSE over speaker slots, permutation-invariant
     only for newly appearing sources.
 
@@ -52,59 +52,45 @@ def mmse_partial_pit(masks, mixes, targets, prev_assignment=None):
         masks: {(block, slot): (T, F)} with slot >= 1 (the noise slot is
             handled by :func:`noise_mmse`).
         mixes: per-block mixture magnitudes.
-        targets: per-block :class:`BlockTargets`.
-        prev_assignment: {slot: source_id} fixed by earlier blocks; never
-            re-permuted, matching the slot-persistence rule.
+        targets: per-block :class:`BlockTargets`.  Known slots keep their
+            targets and are never re-permuted, matching the slot-persistence
+            rule; each block's new slots and new sources must match in number.
     Returns:
         (loss, assignment, grads) where grads maps (block, slot) to the
-        gradient w.r.t. that mask.
+        gradient w.r.t. that mask.  The new-source assignment minimizes the
+        summed squared error by a linear assignment.
     """
-    assignment = dict(prev_assignment or {})
+    assignment = {}
     errors = {}
-    n_inst = 0
-    total = 0.0
     for b, (mix, tgt) in enumerate(zip(mixes, targets)):
         block_slots = sorted(slot for (bb, slot) in masks if bb == b and slot >= 1)
         new_slots = [s for s in block_slots if s not in tgt.known]
         if len(tgt.new_sources) > len(new_slots):
             raise ValueError("more new sources than free slots")
+        if len(tgt.new_sources) < len(new_slots):
+            raise ValueError("more new slots than new sources")
         for slot in block_slots:
             if slot in tgt.known:
-                err = masks[(b, slot)] * mix - tgt.known[slot]
-                errors[(b, slot)] = err
-                total += _sq(err)
-                n_inst += 1
+                errors[(b, slot)] = masks[(b, slot)] * mix - tgt.known[slot]
         if new_slots:
-            est = {s: masks[(b, s)] * mix for s in new_slots}
-            silent_cost = {s: _sq(est[s]) for s in new_slots}
-            best_perm, best_cost = None, None
-            # assign each new source to some free slot; surplus slots
-            # implicitly target silence
-            for perm in itertools.permutations(new_slots, len(tgt.new_sources)):
-                cost = sum(silent_cost[s] for s in new_slots if s not in perm)
-                for slot, (_, ref) in zip(perm, tgt.new_sources):
-                    cost += _sq(est[slot] - ref)
-                if best_cost is None or cost < best_cost - 1e-12:
-                    best_perm, best_cost = perm, cost
-            chosen = dict(zip(best_perm, range(len(tgt.new_sources))))
-            for slot in new_slots:
-                if slot in chosen:
-                    src_id, ref = tgt.new_sources[chosen[slot]]
-                    assignment[slot] = src_id
-                    err = est[slot] - ref
-                else:
-                    err = est[slot]  # surplus slot: silent target
-                errors[(b, slot)] = err
-                total += _sq(err)
-                n_inst += 1
-    if n_inst == 0:
+            est = [masks[(b, s)] * mix for s in new_slots]
+            cost = np.array([[_sq(e - ref) for _, ref in tgt.new_sources]
+                             for e in est])
+            # A non-finite cost would stop the solver; the loss stays non-finite.
+            rows, cols = linear_sum_assignment(np.where(np.isfinite(cost), cost, 0.0))
+            for i, j in zip(rows, cols):
+                src_id, ref = tgt.new_sources[j]
+                assignment[new_slots[i]] = src_id
+                errors[(b, new_slots[i])] = est[i] - ref
+    if not errors:
         return 0.0, assignment, {}
+    total = 0.0  # not sum(): it compensates from Python 3.12 on
+    for err in errors.values():
+        total += _sq(err)
+    n_inst = len(errors)
     loss = total / n_inst
-    grads = {}
-    for b, _ in enumerate(mixes):
-        for (bb, slot), err in errors.items():
-            if bb == b:
-                grads[(b, slot)] = (2.0 / n_inst) * mixes[b] * err
+    grads = {(b, slot): (2.0 / n_inst) * mixes[b] * err
+             for (b, slot), err in errors.items()}
     return loss, assignment, grads
 
 
@@ -208,30 +194,21 @@ class TotalLoss:
     mask_grads: dict
     emb_grads: dict
 
-    def components(self):
-        return {"mmse": self.mmse, "resmask": self.resmask, "triplet": self.triplet}
 
-
-def total_loss(masks, mixes, targets, embeddings, slot_labels, weights: LossWeights,
-               prev_assignment=None, rng=None):
+def total_loss(masks, mixes, targets, embeddings, weights: LossWeights, rng=None):
     """Weighted multi-task objective over one unrolled sample.
 
-    ``slot_labels`` maps speaker slots to source ids for slots fixed by
-    earlier samples/blocks; labels for slots assigned in this sample come out
-    of the permutation search.  Noise-slot embeddings are excluded from the
-    triplet term.
+    Speaker slots take their triplet labels from the permutation-invariant
+    assignment.  Noise-slot embeddings are excluded from the triplet term.
     """
     spk_masks = {k: v for k, v in masks.items() if k[1] >= 1}
-    l_spk, assignment, g_spk = mmse_partial_pit(spk_masks, mixes, targets,
-                                                prev_assignment)
+    l_spk, assignment, g_spk = mmse_partial_pit(spk_masks, mixes, targets)
     l_noise, g_noise = noise_mmse(masks, mixes, targets)
     l_res, g_res = resmask_loss(masks, len(mixes))
 
-    labels = dict(slot_labels or {})
-    labels.update(assignment)
     emb_labeled = {k: v for k, v in embeddings.items()
-                   if k[1] >= 1 and k[1] in labels}
-    key_labels = {k: labels[k[1]] for k in emb_labeled}
+                   if k[1] >= 1 and k[1] in assignment}
+    key_labels = {k: assignment[k[1]] for k in emb_labeled}
     l_trip, g_trip = triplet_loss(emb_labeled, key_labels, weights.delta, rng=rng)
 
     total = l_spk + l_noise + weights.alpha * l_res + weights.beta * l_trip

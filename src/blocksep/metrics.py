@@ -1,17 +1,17 @@
 """Evaluation: power-based VAD, overlap-aware diarization error rate with
-exhaustive speaker mapping, projection SDR, and per-block counting accuracy.
+a speaker mapping from a linear assignment, projection SDR, and per-block
+counting accuracy.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from .dsp import AudioSignal
 from .rttm import Segment, Timeline
 
 SDR_CAP_DB = 60.0
-DER_MAX_SPEAKERS = 8
 
 DEFAULT_VAD_FRAME_S = 0.025
 DEFAULT_VAD_MIN_DUR_S = 0.2
@@ -96,17 +96,16 @@ def der(reference: Timeline, hypothesis: Timeline,
     """Diarization error rate including overlapped speech.
 
     Scoring is frame-discretized at ``resolution_s`` with no collar.  The
-    reference/hypothesis speaker mapping is chosen by exhaustive search over
-    injective mappings to maximize correctly attributed time (equivalently,
-    to minimize confusion).  Overlap regions require one hypothesis speaker
-    per reference speaker.
+    reference/hypothesis speaker mapping is the one-to-one mapping that
+    maximizes correctly attributed time (equivalently, minimizes confusion),
+    found by a linear assignment over the speaker-pair overlap matrix; it is
+    empty when no hypothesis frame overlaps a reference frame.  Overlap
+    regions require one hypothesis speaker per reference speaker.
     """
     if resolution_s <= 0:
         raise ValueError("resolution must be positive")
     ref_spk = reference.speakers()
     hyp_spk = hypothesis.speakers()
-    if len(ref_spk) > DER_MAX_SPEAKERS or len(hyp_spk) > DER_MAX_SPEAKERS:
-        raise ValueError(f"at most {DER_MAX_SPEAKERS} speakers supported")
     end = max(reference.end_time(), hypothesis.end_time())
     n = int(np.ceil(end / resolution_s)) if end > 0 else 0
     mids = (np.arange(n) + 0.5) * resolution_s
@@ -120,21 +119,10 @@ def der(reference: Timeline, hypothesis: Timeline,
     falarm = float(np.maximum(n_hyp - n_ref, 0).sum()) * resolution_s
 
     co = (ref[:, None, :] & hyp[None, :, :]).sum(axis=2)  # (R, H) overlap frames
-    best_correct = 0
-    best_map = {}
-    if ref_spk and hyp_spk:
-        if len(hyp_spk) <= len(ref_spk):
-            for perm in itertools.permutations(range(len(ref_spk)), len(hyp_spk)):
-                correct = int(sum(co[r, h] for h, r in enumerate(perm)))
-                if correct > best_correct:
-                    best_correct = correct
-                    best_map = {hyp_spk[h]: ref_spk[r] for h, r in enumerate(perm)}
-        else:
-            for perm in itertools.permutations(range(len(hyp_spk)), len(ref_spk)):
-                correct = int(sum(co[r, h] for r, h in enumerate(perm)))
-                if correct > best_correct:
-                    best_correct = correct
-                    best_map = {hyp_spk[h]: ref_spk[r] for r, h in enumerate(perm)}
+    rows, cols = linear_sum_assignment(co, maximize=True)
+    best_correct = int(co[rows, cols].sum())
+    best_map = ({hyp_spk[h]: ref_spk[r] for r, h in zip(rows, cols)}
+                if best_correct else {})
     confusion = (
         float(np.minimum(n_ref, n_hyp).sum()) - best_correct
     ) * resolution_s

@@ -60,10 +60,6 @@ class Timeline:
     def speakers(self):
         return sorted({s.speaker for s in self.segments})
 
-    def total_speech(self) -> float:
-        """Reference speech time: overlapped regions count once per speaker."""
-        return sum(s.duration for s in self.segments)
-
     def end_time(self) -> float:
         return max((s.end for s in self.segments), default=0.0)
 

@@ -401,20 +401,26 @@ def shaped_noise(n, fs, rng):
     return shaped / np.sqrt(np.mean(shaped**2))
 
 
-def measure_snr(references, noise: AudioSignal, timeline: Timeline) -> float:
-    """Speech-to-noise power ratio in dB over the active (speech) samples."""
-    fs = noise.sample_rate
-    n = noise.n_samples
-    active = np.zeros(n, dtype=bool)
+def _active_powers(references, noise: np.ndarray, timeline: Timeline, fs: int):
+    """Summed speech and the speech and noise powers over the active samples.
+
+    Returns (speech, p_speech, p_noise); ``noise`` is (channels, n).
+    """
+    speech = np.zeros(noise.shape)
+    for sig in references.values():
+        speech += sig.samples
+    active = np.zeros(noise.shape[1], dtype=bool)
     for seg in timeline:
         active[int(seg.start * fs) : int(seg.end * fs)] = True
     if not active.any():
         raise ValueError("timeline has no active speech")
-    speech = np.zeros_like(noise.samples)
-    for sig in references.values():
-        speech += sig.samples
-    p_speech = np.mean(speech[:, active] ** 2)
-    p_noise = np.mean(noise.samples[:, active] ** 2)
+    return speech, np.mean(speech[:, active] ** 2), np.mean(noise[:, active] ** 2)
+
+
+def measure_snr(references, noise: AudioSignal, timeline: Timeline) -> float:
+    """Speech-to-noise power ratio in dB over the active (speech) samples."""
+    _, p_speech, p_noise = _active_powers(references, noise.samples, timeline,
+                                          noise.sample_rate)
     return 10.0 * np.log10(p_speech / p_noise)
 
 
@@ -457,14 +463,7 @@ def render(scenario: MeetingScenario, sample_rate: int = DEFAULT_SAMPLE_RATE) ->
 
     timeline = scenario.timeline
     if len(timeline) > 0:
-        speech = np.zeros((2, n))
-        for sig in references.values():
-            speech += sig.samples
-        active = np.zeros(n, dtype=bool)
-        for seg in timeline:
-            active[int(seg.start * fs) : int(seg.end * fs)] = True
-        p_speech = np.mean(speech[:, active] ** 2)
-        p_noise = np.mean(noise[:, active] ** 2)
+        speech, p_speech, p_noise = _active_powers(references, noise, timeline, fs)
         noise *= np.sqrt(p_speech / (p_noise * 10.0 ** (scenario.snr_db / 10.0)))
         mixture = speech + noise
     else:

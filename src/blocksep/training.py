@@ -14,12 +14,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dsp import StftConfig, ipd, stft
-from .estimators import EstimatorInput, MaskNet, ModelParams, init_params
+from .dsp import StftConfig, ipd, split_blocks, stft
+from .estimators import (
+    SILENT_MASK_MEAN,
+    EstimatorInput,
+    MaskNet,
+    ModelParams,
+    init_params,
+    ratio_masks,
+    reference_block_mags,
+)
 from .losses import BlockTargets, LossWeights, TotalLoss, total_loss
-
-ACTIVITY_MASK_MEAN = 0.05  # mean-IRM level above which a source counts as active
-ORACLE_EPS = 1e-8
 
 
 @dataclass
@@ -70,44 +75,20 @@ class TrainSample:
 
 def build_train_sample(rendered, stft_cfg: StftConfig, block_len_s: float,
                        sample_id: str = "") -> TrainSample:
-    fs = rendered.mixture.sample_rate
-    n = rendered.mixture.n_samples
-    block_n = int(round(block_len_s * fs))
-    n_blocks = max(1, -(-n // block_n))
-    padded_len = n_blocks * block_n
-
-    def padded(x):
-        out = np.zeros(padded_len)
-        out[: x.size] = x
-        return out
-
-    mix1 = padded(rendered.mixture.channel(0))
-    mix2 = padded(rendered.mixture.channel(1))
-    noise1 = padded(rendered.noise.channel(0))
-    refs = {spk: padded(sig.channel(0))
-            for spk, sig in sorted(rendered.references.items())}
-
-    mags, ipds, noise_mags, source_mags, irms, noise_irms, activity = (
-        [], [], [], [], [], [], []
-    )
-    for b in range(n_blocks):
-        sl = slice(b * block_n, (b + 1) * block_n)
-        s1 = stft(mix1[sl], stft_cfg)
-        s2 = stft(mix2[sl], stft_cfg)
+    block_n = int(round(block_len_s * rendered.mixture.sample_rate))
+    mix = split_blocks(rendered.mixture.samples, block_n)  # (2, n_blocks, block_n)
+    source_mags, noise_mags = reference_block_mags(rendered, stft_cfg, block_len_s)
+    mags, ipds, irms, noise_irms, activity = [], [], [], [], []
+    for b, (nmag, smags) in enumerate(zip(noise_mags, source_mags)):
+        s1 = stft(mix[0, b], stft_cfg)
+        s2 = stft(mix[1, b], stft_cfg)
         mags.append(np.abs(s1))
         ipds.append(ipd(s1, s2))
-        nmag = np.abs(stft(noise1[sl], stft_cfg))
-        smags = {spk: np.abs(stft(x[sl], stft_cfg)) for spk, x in refs.items()}
-        denom = nmag + ORACLE_EPS
-        for m in smags.values():
-            denom = denom + m
-        irm = {spk: m / denom for spk, m in smags.items()}
-        noise_mags.append(nmag)
-        source_mags.append(smags)
+        noise_irm, irm = ratio_masks(nmag, smags)
         irms.append(irm)
-        noise_irms.append(nmag / denom)
+        noise_irms.append(noise_irm)
         activity.append(sorted(
-            spk for spk, m in irm.items() if float(m.mean()) >= ACTIVITY_MASK_MEAN
+            spk for spk, m in irm.items() if float(m.mean()) >= SILENT_MASK_MEAN
         ))
     return TrainSample(sample_id, mags, ipds, noise_mags, source_mags, irms,
                        noise_irms, activity)
@@ -232,8 +213,7 @@ def unroll(sample: TrainSample, model, cfg: TrainConfig) -> UnrollResult:
         prev_z = {slot: embeddings[(b, slot)] for slot in order}
 
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x54524950]))
-    loss = total_loss(masks, sample.mags, targets, embeddings, {}, cfg.weights,
-                      rng=rng)
+    loss = total_loss(masks, sample.mags, targets, embeddings, cfg.weights, rng=rng)
     return UnrollResult(loss, masks, embeddings, loss.assignment, targets,
                         plan, cfg.teacher_forcing, records, contexts)
 
@@ -280,15 +260,6 @@ def unroll_backward(result: UnrollResult, net: MaskNet) -> dict:
                 z_chain[rec.z_src] = d_z_prev if prev is None else prev + d_z_prev
         net.finish_block_backward(ctx, grads)
     return grads
-
-
-def sample_gradients(sample: TrainSample, params: ModelParams,
-                     cfg: TrainConfig):
-    """Loss and parameter gradients for one sample."""
-    net = MaskNet(params)
-    result = unroll(sample, net, cfg)
-    grads = unroll_backward(result, net)
-    return result, grads
 
 
 class Adam:

@@ -5,15 +5,9 @@ import itertools
 import numpy as np
 
 from blocksep.dsp import IpdFeature, StftConfig
-from blocksep.estimators import MaskNet, init_params
+from blocksep.estimators import MaskNet, init_params, ratio_masks
 from blocksep.losses import LossWeights
-from blocksep.training import (
-    ORACLE_EPS,
-    TrainConfig,
-    TrainSample,
-    unroll,
-    unroll_backward,
-)
+from blocksep.training import TrainConfig, TrainSample, unroll, unroll_backward
 
 T, F = 4, 8
 
@@ -37,14 +31,13 @@ def make_synthetic_sample(seed, t=T, f=F, n_blocks=2, sources=("a", "b"),
         noise = rng.uniform(0.1, 0.5, (t, f))
         mix = noise + sum(smags.values())
         theta = rng.uniform(-np.pi, np.pi, (t, f))
-        denom = noise + ORACLE_EPS + sum(smags.values())
-        irm = {s: m / denom for s, m in smags.items()}
+        noise_irm, irm = ratio_masks(noise, smags)
         mags.append(mix)
         ipds.append(IpdFeature(np.cos(theta), np.sin(theta)))
         noise_mags.append(noise)
         source_mags.append(smags)
         irms.append(irm)
-        noise_irms.append(noise / denom)
+        noise_irms.append(noise_irm)
         activity.append(sorted(s for s, m in irm.items()
                                if float(m.mean()) >= 0.05))
     return TrainSample(f"synthetic-{seed}", mags, ipds, noise_mags,

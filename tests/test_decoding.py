@@ -12,8 +12,9 @@ from blocksep.decoding import (
 )
 from blocksep.dsp import IpdFeature, StftConfig
 from blocksep.estimators import (
-    FaultInjectionEstimator,
+    EstimatorInput,
     OracleMaskEstimator,
+    is_zero_embedding,
     speaker_embedding,
 )
 from blocksep.metrics import block_speaker_counts
@@ -256,6 +257,81 @@ def test_exact_blocks_no_extra_block():
     est = OracleMaskEstimator.from_rendered(meeting, STFT, CFG.block_len_s)
     result = decode_session(meeting.mixture, est, CFG, STFT)
     assert len(result.per_block_counts) == 3
+
+
+class FaultInjectionEstimator:
+    """Oracle wrapper that splits one speaker into two from a given block.
+
+    At ``split_block`` the victim speaker's mask is returned only partially,
+    leaving enough residual for the decoder to probe; the probe then receives
+    the remainder under a fresh embedding, creating a spurious speaker.  When
+    decoding revisits earlier blocks (indices below ``split_block``), the
+    spurious embedding maps to the victim's full mask there, so a consistency
+    check sees the "new" speaker as retroactively present and rejects it.
+    """
+
+    def __init__(self, inner: OracleMaskEstimator, split_block: int,
+                 victim: str | None = None, first_fraction: float = 0.45):
+        self.inner = inner
+        self.split_block = split_block
+        self.first_fraction = first_fraction
+        if victim is None:
+            means = {
+                s: float(inner.block_irm(split_block, s).mean())
+                for s in inner.speakers
+                if s in inner._irm[split_block]
+            }
+            victim = max(sorted(means), key=lambda s: means[s])
+        self.victim = victim
+        self.spurious_embedding = speaker_embedding(f"__split_{victim}__",
+                                                    inner.embed_dim)
+        self._block = 0
+        self._spur_emitted = set()
+
+    @property
+    def n_blocks(self):
+        return self.inner.n_blocks
+
+    @property
+    def embed_dim(self):
+        return self.inner.embed_dim
+
+    def begin_block(self, index: int):
+        self._block = index
+        self.inner.begin_block(index)
+
+    def _is_spurious(self, z):
+        return (not is_zero_embedding(z)
+                and float(np.dot(z, self.spurious_embedding)) > 0.7)
+
+    def _is_victim(self, z):
+        return (not is_zero_embedding(z)
+                and float(np.dot(z, self.inner.embeddings[self.victim])) > 0.7)
+
+    def estimate(self, inp: EstimatorInput):
+        b = self._block
+        victim_irm = self.inner._irm[b].get(self.victim)
+        if self._is_spurious(inp.z_prev):
+            self.inner._calls += 1
+            if b < self.split_block:
+                # consistency re-decode path: the spurious speaker "was there"
+                return victim_irm.copy(), self.spurious_embedding.copy()
+            return ((1.0 - self.first_fraction) * victim_irm,
+                    self.spurious_embedding.copy())
+        if b >= self.split_block and victim_irm is not None:
+            if self._is_victim(inp.z_prev):
+                self.inner._calls += 1
+                self.inner._emitted.add(self.victim)
+                return (self.first_fraction * victim_irm,
+                        self.inner.embeddings[self.victim].copy())
+            if (is_zero_embedding(inp.z_prev) and self.inner._calls > 0
+                    and self.victim in self.inner._emitted
+                    and b not in self._spur_emitted):
+                self.inner._calls += 1
+                self._spur_emitted.add(b)
+                return ((1.0 - self.first_fraction) * victim_irm,
+                        self.spurious_embedding.copy())
+        return self.inner.estimate(inp)
 
 
 def _two_speaker_constructed(seed, length=40.0):

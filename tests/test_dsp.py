@@ -11,6 +11,7 @@ from blocksep.dsp import (
     istft,
     make_window,
     read_wav,
+    split_blocks,
     stft,
     write_wav,
 )
@@ -77,6 +78,28 @@ def test_stft_random_matches_naive_dft():
     for i in (0, 3, spec.shape[0] - 1):
         ref = naive_dft(x[i * 8 : i * 8 + 32] * w)
         assert np.allclose(spec[i], ref, atol=1e-9)
+
+
+def test_split_blocks_exact_multiple():
+    x = np.arange(12.0)
+    blocks = split_blocks(x, 4)
+    assert blocks.shape == (3, 4)
+    assert np.array_equal(blocks.reshape(-1), x)
+
+
+def test_split_blocks_pads_trailing_partial_block():
+    blocks = split_blocks(np.arange(1.0, 6.0), 4)
+    assert np.array_equal(blocks, [[1, 2, 3, 4], [5, 0, 0, 0]])
+    # even an input shorter than one block yields one whole block
+    assert np.array_equal(split_blocks(np.ones(2), 4), [[1, 1, 0, 0]])
+
+
+def test_split_blocks_two_channels():
+    x = np.arange(10.0).reshape(2, 5)
+    blocks = split_blocks(x, 3)
+    assert blocks.shape == (2, 2, 3)
+    assert np.array_equal(blocks[1], [[5, 6, 7], [8, 9, 0]])
+    assert np.array_equal(blocks[0, 1], [3, 4, 0])
 
 
 def test_istft_zero():

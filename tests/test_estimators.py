@@ -331,12 +331,19 @@ def _renamed_first_param(meta):
     return meta
 
 
+def _wrong_hidden(meta):
+    meta["hidden"] = 7  # the stored recurrent weights stay 3x3
+    return meta
+
+
 @pytest.mark.parametrize("edit", [
     _without("shapes"),
     _without("bins"),
     lambda meta: [meta],
     _renamed_first_param,
-], ids=["missing-shapes", "missing-bins", "not-an-object", "unknown-param-name"])
+    _wrong_hidden,
+], ids=["missing-shapes", "missing-bins", "not-an-object", "unknown-param-name",
+        "dimension-disagrees-with-shapes"])
 def test_checkpoint_malformed_metadata(tmp_path, edit):
     path = tmp_path / "f.ckpt"
     save_params(_tiny_params(), path)

@@ -76,6 +76,13 @@ def test_mmse_too_many_new_sources():
         mmse_partial_pit({(0, 1): _mk(0.5)}, [mix], targets)
 
 
+def test_mmse_too_few_new_sources():
+    mix = _mk(1.0)
+    targets = [BlockTargets(noise=_mk(0), known={}, new_sources=[("a", mix)])]
+    with pytest.raises(ValueError, match="more new slots"):
+        mmse_partial_pit({(0, 1): _mk(0.5), (0, 2): _mk(0.3)}, [mix], targets)
+
+
 def test_mmse_slot_persistence_across_blocks():
     rng = np.random.default_rng(2)
     mix = rng.uniform(0.5, 1.0, (T, F))
@@ -244,7 +251,7 @@ def _random_instance(seed):
 def test_total_loss_weight_zero_reduces_to_mmse():
     masks, mixes, targets, embs = _random_instance(10)
     w0 = LossWeights(alpha=0.0, beta=0.0)
-    res = total_loss(masks, mixes, targets, embs, {}, w0)
+    res = total_loss(masks, mixes, targets, embs, w0)
     assert res.total == pytest.approx(res.mmse)
     spk = {k: v for k, v in masks.items() if k[1] >= 1}
     l_spk, _, _ = mmse_partial_pit(spk, mixes, targets)
@@ -260,7 +267,7 @@ def test_total_loss_all_zero_components():
     targets = [BlockTargets(noise=mix.copy(), known={},
                             new_sources=[("a", mix.copy())])]
     res = total_loss(masks, mixes=[mix], targets=targets, embeddings=embs,
-                     slot_labels={}, weights=LossWeights())
+                     weights=LossWeights())
     assert res.total == pytest.approx(0.0)
 
 
@@ -271,9 +278,9 @@ def _fd_check(seed):
     weights = LossWeights(alpha=0.37, beta=0.53, delta=0.2)
 
     def value(m, e):
-        return total_loss(m, mixes, targets, e, {}, weights).total
+        return total_loss(m, mixes, targets, e, weights).total
 
-    res = total_loss(masks, mixes, targets, embs, {}, weights)
+    res = total_loss(masks, mixes, targets, embs, weights)
     eps = 1e-6
     for key in masks:
         g = res.mask_grads[key]

@@ -197,10 +197,19 @@ def test_der_mapping_optimality_small():
         assert rep.confusion_s == conf
 
 
-def test_der_rejects_too_many_speakers():
-    segs = [Segment(f"s{i}", i, i + 1) for i in range(9)]
-    with pytest.raises(ValueError, match="at most"):
-        der(Timeline(segs), Timeline(segs))
+def test_der_many_speakers_relabelled():
+    segs = [Segment(f"s{i:02d}", i, i + 1.5) for i in range(12)]
+    ref = Timeline(segs)
+    hyp = ref.relabeled({f"s{i:02d}": f"h{i:02d}" for i in range(12)})
+    rep = der(ref, hyp)
+    assert rep.der == 0.0
+    assert rep.mapping == {f"h{i:02d}": f"s{i:02d}" for i in range(12)}
+
+
+def test_der_mapping_empty_without_overlap():
+    rep = der(Timeline([Segment("a", 0, 2)]), Timeline([Segment("x", 3, 4)]))
+    assert rep.mapping == {}
+    assert rep.confusion_s == 0.0
 
 
 # --------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import numpy as np
 
 from .dsp import (AudioSignal, IpdFeature, StftConfig, apply_mask, ipd, istft,
                   split_blocks, stft)
-from .estimators import SILENT_MASK_MEAN, EstimatorInput
+from .estimators import SILENT_MASK_MEAN
 
 
 @dataclass
@@ -22,7 +22,6 @@ class DecoderConfig:
     block_len_s: float = 10.0
     max_iterations: int = 6  # noise + up to 5 speakers
     consistency_check: bool = True
-    t_consistency: float | None = None  # defaults to t_resmask
 
     def __post_init__(self):
         if not 0.0 < self.t_silent < self.t_resmask < 1.0:
@@ -31,10 +30,6 @@ class DecoderConfig:
             raise ValueError("block length must be positive")
         if self.max_iterations < 1:
             raise ValueError("need at least one iteration per block")
-
-    @property
-    def consistency_threshold(self):
-        return self.t_resmask if self.t_consistency is None else self.t_consistency
 
 
 @dataclass
@@ -76,16 +71,19 @@ def new_session_state(embed_dim: int) -> SessionState:
 class BlockResult:
     masks: dict  # slot -> (T, F) mask
     new_slots: list
-    count_changed: bool
 
 
-def _estimate(estimator, inp, block, iteration):
+def _call_estimator(block, step, method, *args):
+    """Call an estimator method; a failure names the block and the step."""
     try:
-        mask, z = estimator.estimate(inp)
+        return method(*args)
     except Exception as exc:
-        raise RuntimeError(
-            f"estimator failed in block {block}, iteration {iteration}: {exc}"
-        ) from exc
+        raise RuntimeError(f"estimator failed in block {block}, {step}: {exc}") from exc
+
+
+def _estimate(estimator, residual, z_prev, block, iteration):
+    mask, z = _call_estimator(block, f"iteration {iteration}", estimator.estimate,
+                              residual, z_prev)
     return np.clip(np.asarray(mask, dtype=float), 0.0, 1.0), np.asarray(z, dtype=float)
 
 
@@ -93,6 +91,7 @@ def decode_block(features: BlockFeatures, state: SessionState, estimator,
                  cfg: DecoderConfig) -> BlockResult:
     """Decode one block, updating ``state`` in place.
 
+    The features go to ``begin_block`` once; each iteration calls ``estimate``.
     Iteration order: the noise slot, then known speaker slots in fixed order
     (conditioned on their stored embeddings), then zero-embedding probes for
     new speakers.  After each non-silent mask the residual is updated as
@@ -102,7 +101,8 @@ def decode_block(features: BlockFeatures, state: SessionState, estimator,
     probe that comes back silent ends the block without creating a slot.
     """
     b = state.n_blocks
-    estimator.begin_block(b)
+    _call_estimator(b, "begin_block", estimator.begin_block,
+                    b, features.mag, features.ipd)
     residual = np.ones_like(features.mag)
     masks = {}
     new_slots = []
@@ -110,9 +110,8 @@ def decode_block(features: BlockFeatures, state: SessionState, estimator,
     zero_z = np.zeros_like(state.embeddings[0])
 
     for slot in range(len(state.embeddings)):
-        inp = EstimatorInput(features.mag, features.ipd, residual,
-                             state.embeddings[slot])
-        mask, z = _estimate(estimator, inp, b, iterations + 1)
+        mask, z = _estimate(estimator, residual, state.embeddings[slot], b,
+                            iterations + 1)
         iterations += 1
         if float(mask.mean()) < cfg.t_silent:
             mask = np.zeros_like(mask)  # silent slot: residual stays unmodified
@@ -123,8 +122,7 @@ def decode_block(features: BlockFeatures, state: SessionState, estimator,
 
     while (float(residual.mean()) >= cfg.t_resmask
            and iterations < cfg.max_iterations):
-        inp = EstimatorInput(features.mag, features.ipd, residual, zero_z)
-        mask, z = _estimate(estimator, inp, b, iterations + 1)
+        mask, z = _estimate(estimator, residual, zero_z, b, iterations + 1)
         iterations += 1
         if float(mask.mean()) < cfg.t_silent:
             break  # nothing extractable remains; do not open a slot
@@ -137,29 +135,28 @@ def decode_block(features: BlockFeatures, state: SessionState, estimator,
     state.iteration_counts.append(iterations)
     state.cache.append(features)
     state.block_masks.append(masks)
-    return BlockResult(masks, new_slots, bool(new_slots))
+    return BlockResult(masks, new_slots)
 
 
 def consistency_check(state: SessionState, new_slots, pre_block_embeddings,
                       estimator, cfg: DecoderConfig) -> bool:
     """Re-decode all past blocks with the enlarged embedding set.
 
-    Accept the count increase iff every new slot's mask stays below the
-    consistency threshold (per-block mean) in every past block, i.e. the new
-    speaker is not retroactively present.  The first block of a session has
-    no past, so an increase there is vacuously accepted.
+    Accept the count increase iff every new slot's mask stays below
+    ``t_resmask`` (per-block mean) in every past block, i.e. the new speaker
+    is not retroactively present.  The first block of a session has no past,
+    so an increase there is vacuously accepted.
     """
-    thr = cfg.consistency_threshold
     embeddings = pre_block_embeddings + [state.embeddings[s] for s in new_slots]
     n_known = len(pre_block_embeddings)
     for b in range(state.n_blocks - 1):
         features = state.cache[b]
-        estimator.begin_block(b)
+        _call_estimator(b, "begin_block", estimator.begin_block,
+                        b, features.mag, features.ipd)
         residual = np.ones_like(features.mag)
         for i, emb in enumerate(embeddings):
-            inp = EstimatorInput(features.mag, features.ipd, residual, emb)
-            mask, _ = _estimate(estimator, inp, b, i + 1)
-            if i >= n_known and float(mask.mean()) >= thr:
+            mask, _ = _estimate(estimator, residual, emb, b, i + 1)
+            if i >= n_known and float(mask.mean()) >= cfg.t_resmask:
                 return False
             if float(mask.mean()) >= cfg.t_silent:
                 residual = np.clip(residual - mask, 0.0, 1.0)
@@ -190,6 +187,10 @@ def decode_session(mixture: AudioSignal, estimator, cfg: DecoderConfig,
     inverting the STFT per block; blocks are disjoint in time and their
     reconstructions concatenate to the session length.  The trailing partial
     block, if any, is zero-padded before decoding and trimmed afterwards.
+
+    A rejected count increase drops the block's new slots and restores every
+    embedding, known slots included, to its value before the block; the
+    block's iteration count keeps the rejected probes.
     """
     if mixture.n_channels != 2:
         raise ValueError("decoding expects a 2-channel mixture")

@@ -15,6 +15,7 @@ DEFAULT_SAMPLE_RATE = 8000
 # Bins with magnitude below this are treated as phaseless when computing the
 # inter-channel phase feature.
 _PHASE_EPS = 1e-12
+COLA_TOL = 1e-8  # relative spread allowed in the overlap-added squared window
 
 
 @dataclass
@@ -77,7 +78,7 @@ class StftConfig:
     def window_array(self) -> np.ndarray:
         return make_window(self.window, self.window_len)
 
-    def cola_ok(self, tol: float = 1e-8) -> bool:
+    def cola_ok(self) -> bool:
         """Check that the squared window overlap-adds to a constant at ``hop``.
 
         Synthesis divides by the overlap-added squared window, so a constant
@@ -92,7 +93,7 @@ class StftConfig:
         interior = acc[self.window_len : total - self.window_len]
         if interior.size == 0 or interior.min() <= 0:
             return False
-        return (interior.max() - interior.min()) <= tol * interior.max()
+        return (interior.max() - interior.min()) <= COLA_TOL * interior.max()
 
 
 def split_blocks(samples: np.ndarray, block_n: int) -> np.ndarray:

@@ -11,8 +11,9 @@ to (source mask, speaker embedding):
   one bidirectional tanh recurrent layer over the block's frames, a sigmoid
   mask head, and a mean-pooled, L2-normalized embedding head.
 
-Both follow the same session protocol: ``begin_block(index)`` once per block,
-then one ``estimate(EstimatorInput)`` call per extraction iteration.
+Both follow one session protocol: ``begin_block(index, mag, ipd)`` hands over
+a block's fixed features once, then each extraction iteration calls
+``estimate(residual, z_prev)``; a zero ``z_prev`` probes for a new speaker.
 """
 
 import hashlib
@@ -41,16 +42,6 @@ SILENT_MASK_MEAN = 0.05
 # Added to the ratio-mask denominator so all-zero bins stay finite.
 MASK_EPS = 1e-8
 _LOG_FLOOR = 1e-5
-
-
-@dataclass
-class EstimatorInput:
-    """Per-iteration network input: block features plus recursion state."""
-
-    mag: np.ndarray  # (T, F) mixture magnitudes
-    ipd: IpdFeature  # (T, F) cos/sin planes
-    residual: np.ndarray  # (T, F) residual mask
-    z_prev: np.ndarray  # (D,) previous embedding, or zeros for a new speaker
 
 
 def speaker_embedding(speaker_id: str, dim: int = DEFAULT_EMBED_DIM) -> np.ndarray:
@@ -107,7 +98,8 @@ class OracleMaskEstimator:
     convention.  A unit-norm ``z_prev`` selects the speaker with the closest
     fixed embedding; a zero ``z_prev`` probes the strongest source not yet
     extracted in the block.  Speakers whose mask mean falls below
-    ``SILENT_MASK_MEAN`` yield an all-zero mask.
+    ``SILENT_MASK_MEAN`` yield an all-zero mask.  The block features passed
+    to ``begin_block`` are not used.
     """
 
     def __init__(self, block_mags, noise_mags, embed_dim=DEFAULT_EMBED_DIM):
@@ -139,7 +131,7 @@ class OracleMaskEstimator:
     def n_blocks(self):
         return len(self.block_mags)
 
-    def begin_block(self, index: int):
+    def begin_block(self, index: int, mag, ipd):
         if not 0 <= index < self.n_blocks:
             raise ValueError(f"block index {index} out of range")
         self._block = index
@@ -157,19 +149,19 @@ class OracleMaskEstimator:
                 best, best_cos = spk, c
         return best if best_cos > 0.5 else None
 
-    def estimate(self, inp: EstimatorInput):
+    def estimate(self, residual, z_prev):
         b = self._block
         self._calls += 1
         if self._calls == 1:
             return self._noise_irm[b].copy(), self.noise_embedding.copy()
-        if not is_zero_embedding(inp.z_prev):
-            spk = self.match_speaker(inp.z_prev)
+        if not is_zero_embedding(z_prev):
+            spk = self.match_speaker(z_prev)
             if spk is None:
-                return np.zeros_like(inp.mag), self._fallback.copy()
+                return np.zeros_like(residual), self._fallback.copy()
             irm = self._irm[b].get(spk)
             emb = self.embeddings[spk].copy()
             if irm is None or float(irm.mean()) < SILENT_MASK_MEAN:
-                return np.zeros_like(inp.mag), emb
+                return np.zeros_like(residual), emb
             self._emitted.add(spk)
             return irm.copy(), emb
         # zero embedding: probe for the strongest source not yet extracted
@@ -181,7 +173,7 @@ class OracleMaskEstimator:
             if m >= best_mean:
                 best, best_mean = spk, m
         if best is None:
-            return np.zeros_like(inp.mag), self._fallback.copy()
+            return np.zeros_like(residual), self._fallback.copy()
         self._emitted.add(best)
         return self._irm[b][best].copy(), self.embeddings[best].copy()
 
@@ -213,7 +205,6 @@ class ModelParams:
     hidden: int
     proj: int
     stft: dict = field(default_factory=dict)
-    version: int = CHECKPOINT_VERSION
 
     def validate_finite(self):
         for name, arr in self.arrays.items():
@@ -227,8 +218,7 @@ class ModelParams:
     def astype(self, dtype) -> "ModelParams":
         return ModelParams(
             {k: v.astype(dtype) for k, v in self.arrays.items()},
-            self.bins, self.embed_dim, self.hidden, self.proj,
-            dict(self.stft), self.version,
+            self.bins, self.embed_dim, self.hidden, self.proj, dict(self.stft),
         )
 
     def copy(self) -> "ModelParams":
@@ -279,7 +269,6 @@ class BlockContext:
 
     features: np.ndarray  # (T, 3F) normalized static features
     static_pre: np.ndarray  # (T, P)
-    mag_ref: object  # identity of the magnitude array this was built from
     d_static_pre: np.ndarray | None = None
 
 
@@ -301,7 +290,7 @@ class MaskNet:
     def __init__(self, params: ModelParams):
         params.validate_finite()
         self.params = params
-        self._memo = None  # (mag array, BlockContext) for streaming reuse
+        self._ctx = None  # BlockContext of the current block
 
     @property
     def embed_dim(self):
@@ -309,16 +298,11 @@ class MaskNet:
 
     # -- session protocol ---------------------------------------------------
 
-    def begin_block(self, index: int):
-        self._memo = None
+    def begin_block(self, index: int, mag: np.ndarray, ipd: IpdFeature):
+        self._ctx = self.prepare_block(mag, ipd)
 
-    def estimate(self, inp: EstimatorInput):
-        if self._memo is not None and self._memo[0] is inp.mag:
-            ctx = self._memo[1]
-        else:
-            ctx = self.prepare_block(inp.mag, inp.ipd)
-            self._memo = (inp.mag, ctx)
-        mask, z_out, _ = self.forward(ctx, inp.residual, inp.z_prev)
+    def estimate(self, residual: np.ndarray, z_prev: np.ndarray):
+        mask, z_out, _ = self.forward(self._ctx, residual, z_prev)
         return mask, z_out
 
     # -- network core -------------------------------------------------------
@@ -331,7 +315,7 @@ class MaskNet:
             [(logmag - mu) / sigma, ipd.cos, ipd.sin], axis=1
         ).astype(dt)
         static_pre = feats @ self.params.arrays["w_static"] + self.params.arrays["b_static"]
-        return BlockContext(feats, static_pre, mag)
+        return BlockContext(feats, static_pre)
 
     def forward(self, ctx: BlockContext, residual: np.ndarray, z_prev: np.ndarray):
         a = self.params.arrays
@@ -416,22 +400,6 @@ class MaskNet:
             grads["w_static"] += ctx.features.T @ ctx.d_static_pre
             grads["b_static"] += ctx.d_static_pre.sum(axis=0)
             ctx.d_static_pre = None
-
-
-def forward_backward(inp: EstimatorInput, params: ModelParams,
-                     d_mask: np.ndarray, d_z_out: np.ndarray):
-    """Single-iteration forward plus gradient accumulation.
-
-    Given upstream gradients w.r.t. the produced mask and embedding, returns
-    (mask, z_out, gradient dict over all parameter tensors).
-    """
-    net = MaskNet(params)
-    ctx = net.prepare_block(inp.mag, inp.ipd)
-    mask, z_out, cache = net.forward(ctx, inp.residual, inp.z_prev)
-    grads = params.zeros_like()
-    net.backward(ctx, cache, d_mask, d_z_out, grads)
-    net.finish_block_backward(ctx, grads)
-    return mask, z_out, grads
 
 
 # ---------------------------------------------------------------------------

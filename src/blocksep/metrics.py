@@ -13,25 +13,22 @@ from .rttm import Segment, Timeline
 
 SDR_CAP_DB = 60.0
 
-DEFAULT_VAD_FRAME_S = 0.025
-DEFAULT_VAD_MIN_DUR_S = 0.2
-DEFAULT_DER_RESOLUTION_S = 0.01
+VAD_FRAME_S = 0.025
+VAD_MIN_DUR_S = 0.2
+DER_RESOLUTION_S = 0.01
 
 
 def power_vad(stream: AudioSignal, threshold_dbfs: float,
-              frame_s: float = DEFAULT_VAD_FRAME_S,
-              min_dur_s: float = DEFAULT_VAD_MIN_DUR_S,
               speaker: str = "spk") -> Timeline:
     """Frame-power voice activity detection for one stream.
 
-    Non-overlapping frames of ``frame_s`` are compared against an absolute
-    dBFS threshold (full scale = amplitude 1.0).  Active runs shorter than
-    ``min_dur_s`` are removed and gaps shorter than ``min_dur_s`` are merged.
+    Non-overlapping frames of ``VAD_FRAME_S`` are compared against an
+    absolute dBFS threshold (full scale = amplitude 1.0).  Active runs
+    shorter than ``VAD_MIN_DUR_S`` are removed and gaps shorter than
+    ``VAD_MIN_DUR_S`` are merged.
     """
-    if frame_s <= 0:
-        raise ValueError("frame length must be positive")
     x = stream.channel(0)
-    frame = int(round(frame_s * stream.sample_rate))
+    frame = int(round(VAD_FRAME_S * stream.sample_rate))
     n_frames = x.size // frame
     if n_frames == 0:
         return Timeline()
@@ -44,12 +41,12 @@ def power_vad(stream: AudioSignal, threshold_dbfs: float,
     # close short gaps first, then drop short runs
     runs = _runs(active)
     for lo, hi, val in runs:
-        if not val and (hi - lo) * frame_s < min_dur_s and lo > 0 and hi < n_frames:
+        if not val and (hi - lo) * VAD_FRAME_S < VAD_MIN_DUR_S and lo > 0 and hi < n_frames:
             active[lo:hi] = True
     segments = []
     for lo, hi, val in _runs(active):
-        if val and (hi - lo) * frame_s >= min_dur_s:
-            segments.append(Segment(speaker, lo * frame_s, hi * frame_s))
+        if val and (hi - lo) * VAD_FRAME_S >= VAD_MIN_DUR_S:
+            segments.append(Segment(speaker, lo * VAD_FRAME_S, hi * VAD_FRAME_S))
     return Timeline(segments)
 
 
@@ -91,32 +88,29 @@ def _frame_matrix(timeline: Timeline, speakers, mids):
     return mat
 
 
-def der(reference: Timeline, hypothesis: Timeline,
-        resolution_s: float = DEFAULT_DER_RESOLUTION_S) -> DerReport:
+def der(reference: Timeline, hypothesis: Timeline) -> DerReport:
     """Diarization error rate including overlapped speech.
 
-    Scoring is frame-discretized at ``resolution_s`` with no collar.  The
+    Scoring is frame-discretized at ``DER_RESOLUTION_S`` with no collar.  The
     reference/hypothesis speaker mapping is the one-to-one mapping that
     maximizes correctly attributed time (equivalently, minimizes confusion),
     found by a linear assignment over the speaker-pair overlap matrix; it is
     empty when no hypothesis frame overlaps a reference frame.  Overlap
     regions require one hypothesis speaker per reference speaker.
     """
-    if resolution_s <= 0:
-        raise ValueError("resolution must be positive")
     ref_spk = reference.speakers()
     hyp_spk = hypothesis.speakers()
     end = max(reference.end_time(), hypothesis.end_time())
-    n = int(np.ceil(end / resolution_s)) if end > 0 else 0
-    mids = (np.arange(n) + 0.5) * resolution_s
+    n = int(np.ceil(end / DER_RESOLUTION_S)) if end > 0 else 0
+    mids = (np.arange(n) + 0.5) * DER_RESOLUTION_S
     ref = _frame_matrix(reference, ref_spk, mids)
     hyp = _frame_matrix(hypothesis, hyp_spk, mids)
 
     n_ref = ref.sum(axis=0)
     n_hyp = hyp.sum(axis=0)
-    total_ref = float(n_ref.sum()) * resolution_s
-    missed = float(np.maximum(n_ref - n_hyp, 0).sum()) * resolution_s
-    falarm = float(np.maximum(n_hyp - n_ref, 0).sum()) * resolution_s
+    total_ref = float(n_ref.sum()) * DER_RESOLUTION_S
+    missed = float(np.maximum(n_ref - n_hyp, 0).sum()) * DER_RESOLUTION_S
+    falarm = float(np.maximum(n_hyp - n_ref, 0).sum()) * DER_RESOLUTION_S
 
     co = (ref[:, None, :] & hyp[None, :, :]).sum(axis=2)  # (R, H) overlap frames
     rows, cols = linear_sum_assignment(co, maximize=True)
@@ -125,7 +119,7 @@ def der(reference: Timeline, hypothesis: Timeline,
                 if best_correct else {})
     confusion = (
         float(np.minimum(n_ref, n_hyp).sum()) - best_correct
-    ) * resolution_s
+    ) * DER_RESOLUTION_S
 
     if total_ref > 0:
         ratio = (missed + falarm + confusion) / total_ref
@@ -165,12 +159,10 @@ class CountingReport:
     confusion: np.ndarray  # confusion[true, est] = number of blocks
 
 
-def block_speaker_counts(timeline: Timeline, block_len_s: float, n_blocks: int,
-                         min_overlap_s: float = 0.0):
+def block_speaker_counts(timeline: Timeline, block_len_s: float, n_blocks: int):
     """Ground-truth concurrent-speaker count per block from a timeline."""
     return [
-        len(timeline.active_speakers(b * block_len_s, (b + 1) * block_len_s,
-                                     min_overlap_s))
+        len(timeline.active_speakers(b * block_len_s, (b + 1) * block_len_s))
         for b in range(n_blocks)
     ]
 

@@ -72,11 +72,11 @@ class Timeline:
             total += max(0.0, min(seg.end, end) - max(seg.start, start))
         return total
 
-    def active_speakers(self, start: float, end: float, min_overlap: float = 0.0):
-        """Speakers with more than ``min_overlap`` seconds inside the window."""
+    def active_speakers(self, start: float, end: float):
+        """Speakers with some speech inside the window."""
         out = []
         for speaker in self.speakers():
-            if self.overlap_with_window(speaker, start, end) > min_overlap:
+            if self.overlap_with_window(speaker, start, end) > 0.0:
                 out.append(speaker)
         return out
 

@@ -17,7 +17,6 @@ import numpy as np
 from .dsp import StftConfig, ipd, split_blocks, stft
 from .estimators import (
     SILENT_MASK_MEAN,
-    EstimatorInput,
     MaskNet,
     ModelParams,
     init_params,
@@ -32,9 +31,6 @@ class TrainConfig:
     block_len_s: float = 10.0
     max_blocks: int = 6
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     epochs: int = 30
     batch_size: int = 8  # excerpts accumulated per optimizer step
     weights: LossWeights = field(default_factory=LossWeights)
@@ -139,6 +135,7 @@ def unroll(sample: TrainSample, model, cfg: TrainConfig) -> UnrollResult:
     records, contexts, plan, targets = [], [], [], []
     slot_source = {}  # speaker slot -> source id (grows block by block)
     prev_z = {}  # slot -> embedding emitted in the previous block
+    zero_z = np.zeros(model.embed_dim)  # z_prev of a slot new in this block
     next_slot = 1
 
     for b in range(sample.n_blocks):
@@ -174,22 +171,17 @@ def unroll(sample: TrainSample, model, cfg: TrainConfig) -> UnrollResult:
             ctx = net.prepare_block(mag, feat)
         else:
             ctx = None
-            model.begin_block(b)
+            model.begin_block(b, mag, feat)
         contexts.append(ctx)
         block_records = []
         residual = np.ones_like(mag)
         for idx, slot in enumerate(order):
             z_src = (b - 1, slot) if slot in prev_z else None
-            z_prev = prev_z.get(slot)
-            if z_prev is None:
-                z_prev = np.zeros(cfg.embed_dim if net is None
-                                  else net.params.embed_dim)
+            z_prev = prev_z.get(slot, zero_z)
             if net is not None:
                 mask, z_out, cache = net.forward(ctx, residual, z_prev)
             else:
-                mask, z_out = model.estimate(
-                    EstimatorInput(mag, feat, residual, z_prev)
-                )
+                mask, z_out = model.estimate(residual, z_prev)
                 cache = None
             masks[(b, slot)] = mask
             embeddings[(b, slot)] = z_out
@@ -265,25 +257,25 @@ def unroll_backward(result: UnrollResult, net: MaskNet) -> dict:
 class Adam:
     """Adaptive moment estimation with bias correction."""
 
-    def __init__(self, params: ModelParams, lr, beta1=0.9, beta2=0.999,
-                 eps=1e-8):
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, params: ModelParams, lr):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = params.zeros_like()
         self.v = params.zeros_like()
 
     def step(self, params: ModelParams, grads: dict):
         self.t += 1
-        b1c = 1.0 - self.beta1**self.t
-        b2c = 1.0 - self.beta2**self.t
+        b1c = 1.0 - self.BETA1**self.t
+        b2c = 1.0 - self.BETA2**self.t
         for k, arr in params.arrays.items():
             g = grads[k].astype(arr.dtype)
-            self.m[k] = self.beta1 * self.m[k] + (1.0 - self.beta1) * g
-            self.v[k] = self.beta2 * self.v[k] + (1.0 - self.beta2) * g * g
-            update = (self.m[k] / b1c) / (np.sqrt(self.v[k] / b2c) + self.eps)
+            self.m[k] = self.BETA1 * self.m[k] + (1.0 - self.BETA1) * g
+            self.v[k] = self.BETA2 * self.v[k] + (1.0 - self.BETA2) * g * g
+            update = (self.m[k] / b1c) / (np.sqrt(self.v[k] / b2c) + self.EPS)
             arr -= (arr.dtype.type(self.lr) * update).astype(arr.dtype)
 
 
@@ -328,7 +320,7 @@ def train(dataset, cfg: TrainConfig, params: ModelParams | None = None,
             proj=cfg.proj, seed=cfg.seed, stft_cfg=cfg.stft,
         )
     net = MaskNet(params)
-    opt = Adam(params, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.adam_eps)
+    opt = Adam(params, cfg.learning_rate)
     history = []
     for epoch in range(start_epoch, start_epoch + cfg.epochs):
         t0 = time.time()

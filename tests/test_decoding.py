@@ -10,10 +10,11 @@ from blocksep.decoding import (
     decode_session,
     new_session_state,
 )
-from blocksep.dsp import IpdFeature, StftConfig
+from blocksep.dsp import AudioSignal, IpdFeature, StftConfig
 from blocksep.estimators import (
-    EstimatorInput,
+    MaskNet,
     OracleMaskEstimator,
+    init_params,
     is_zero_embedding,
     speaker_embedding,
 )
@@ -48,8 +49,6 @@ def test_config_validation():
         DecoderConfig(t_silent=0.3, t_resmask=0.2)
     with pytest.raises(ValueError):
         DecoderConfig(max_iterations=0)
-    assert DecoderConfig().consistency_threshold == 0.2
-    assert DecoderConfig(t_consistency=0.1).consistency_threshold == 0.1
 
 
 @pytest.mark.parametrize("n_sources", [0, 1, 2, 3])
@@ -75,17 +74,12 @@ def test_noise_only_block_residual_below_threshold():
 
 def test_residual_mean_monotone_within_block():
     est = _flat_oracle([{"a": 0.8, "b": 0.6, "c": 0.5}])
-    state = new_session_state(est.embed_dim)
-    est.begin_block(0)
-    from blocksep.estimators import EstimatorInput
-
+    feats = _flat_features()
+    est.begin_block(0, feats.mag, feats.ipd)
     residual = np.ones((T, F))
     means = [residual.mean()]
     for _ in range(4):
-        mask, _ = est.estimate(
-            EstimatorInput(np.ones((T, F)), IpdFeature(np.ones((T, F)),
-                           np.zeros((T, F))), residual, np.zeros(est.embed_dim))
-        )
+        mask, _ = est.estimate(residual, np.zeros(est.embed_dim))
         if mask.mean() >= CFG.t_silent:
             residual = np.clip(residual - mask, 0, 1)
         means.append(residual.mean())
@@ -127,13 +121,13 @@ class ScriptedEstimator:
         self.masks_by_block = masks_by_block
         self._block = 0
 
-    def begin_block(self, index):
+    def begin_block(self, index, mag, ipd):
         self._block = index
 
-    def estimate(self, inp):
-        if np.allclose(inp.z_prev, self.new_z):
+    def estimate(self, residual, z_prev):
+        if np.allclose(z_prev, self.new_z):
             return self.masks_by_block[self._block].copy(), self.new_z.copy()
-        return np.zeros_like(inp.mag), np.ones(self.embed_dim) / np.sqrt(8)
+        return np.zeros_like(residual), np.ones(self.embed_dim) / np.sqrt(8)
 
 
 def _scripted_state(new_z, n_past=2):
@@ -296,9 +290,9 @@ class FaultInjectionEstimator:
     def embed_dim(self):
         return self.inner.embed_dim
 
-    def begin_block(self, index: int):
+    def begin_block(self, index: int, mag, ipd):
         self._block = index
-        self.inner.begin_block(index)
+        self.inner.begin_block(index, mag, ipd)
 
     def _is_spurious(self, z):
         return (not is_zero_embedding(z)
@@ -308,10 +302,10 @@ class FaultInjectionEstimator:
         return (not is_zero_embedding(z)
                 and float(np.dot(z, self.inner.embeddings[self.victim])) > 0.7)
 
-    def estimate(self, inp: EstimatorInput):
+    def estimate(self, residual, z_prev):
         b = self._block
         victim_irm = self.inner._irm[b].get(self.victim)
-        if self._is_spurious(inp.z_prev):
+        if self._is_spurious(z_prev):
             self.inner._calls += 1
             if b < self.split_block:
                 # consistency re-decode path: the spurious speaker "was there"
@@ -319,19 +313,19 @@ class FaultInjectionEstimator:
             return ((1.0 - self.first_fraction) * victim_irm,
                     self.spurious_embedding.copy())
         if b >= self.split_block and victim_irm is not None:
-            if self._is_victim(inp.z_prev):
+            if self._is_victim(z_prev):
                 self.inner._calls += 1
                 self.inner._emitted.add(self.victim)
                 return (self.first_fraction * victim_irm,
                         self.inner.embeddings[self.victim].copy())
-            if (is_zero_embedding(inp.z_prev) and self.inner._calls > 0
+            if (is_zero_embedding(z_prev) and self.inner._calls > 0
                     and self.victim in self.inner._emitted
                     and b not in self._spur_emitted):
                 self.inner._calls += 1
                 self._spur_emitted.add(b)
                 return ((1.0 - self.first_fraction) * victim_irm,
                         self.spurious_embedding.copy())
-        return self.inner.estimate(inp)
+        return self.inner.estimate(residual, z_prev)
 
 
 def _two_speaker_constructed(seed, length=40.0):
@@ -369,12 +363,73 @@ def test_estimator_failure_carries_block_context():
     class Exploding:
         embed_dim = 8
 
-        def begin_block(self, index):
+        def begin_block(self, index, mag, ipd):
             pass
 
-        def estimate(self, inp):
+        def estimate(self, residual, z_prev):
             raise RuntimeError("boom")
 
     state = new_session_state(8)
     with pytest.raises(RuntimeError, match="block 0"):
         decode_block(_flat_features(), state, Exploding(), CFG)
+
+    # block preparation fails in begin_block: a network for 5 bins given
+    # features of F = 10 bins, in a decode and in a consistency re-decode
+    wrong_bins = MaskNet(init_params(bins=5, embed_dim=8, hidden=3, proj=4))
+    with pytest.raises(RuntimeError, match="block 0, begin_block"):
+        decode_block(_flat_features(), new_session_state(8), wrong_bins, CFG)
+    state = _scripted_state(speaker_embedding("newbie", 8))
+    pre = state.embeddings[:2]
+    with pytest.raises(RuntimeError, match="block 0, begin_block"):
+        consistency_check(state, [2], pre, wrong_bins, CFG)
+
+
+class BlockScriptedEstimator:
+    """Speakers revealed by zero-embedding probes in a scripted order per
+    block, at flat mask levels; a known speaker's embedding drifts from
+    block to block, as a network's does."""
+
+    embed_dim = 8
+
+    def __init__(self, levels, probes):
+        self.levels = levels  # per block: {speaker: flat mask level}
+        self.probes = probes  # per block: speakers in zero-probe order
+        self.base = {s: speaker_embedding(s, 8) for b in levels for s in b}
+
+    def embedding(self, speaker, block):
+        z = self.base[speaker] + 0.1 * block * np.eye(8)[0]
+        return z / np.linalg.norm(z)
+
+    def begin_block(self, index, mag, ipd):
+        self._block, self._calls, self._left = index, 0, list(self.probes[index])
+
+    def estimate(self, residual, z_prev):
+        b = self._block
+        self._calls += 1
+        if self._calls == 1:
+            return np.full_like(residual, 0.3), speaker_embedding("noise", 8)
+        if is_zero_embedding(z_prev):
+            spk = self._left.pop(0)
+        else:
+            spk = max(self.base, key=lambda s: float(np.dot(z_prev, self.base[s])))
+        return (np.full_like(residual, self.levels[b].get(spk, 0.0)),
+                self.embedding(spk, b))
+
+
+def test_rejected_increase_restores_pre_block_embeddings():
+    # block 0 finds "a"; block 1 probes "b", but "b" is present in block 0,
+    # so the consistency check rejects the increase at block 1
+    est = BlockScriptedEstimator(levels=[{"a": 0.6, "b": 0.3}, {"a": 0.4, "b": 0.3}],
+                                 probes=[["a"], ["b"]])
+    cfg = DecoderConfig(block_len_s=1.0)
+    fs = 8000
+    mixture = AudioSignal(fs, np.random.default_rng(0).normal(size=(2, 2 * fs)))
+    result = decode_session(mixture, est, cfg, STFT)
+    state = result.state
+    assert result.consistency_log == [(1, False)]
+    assert result.final_count == 1
+    # the known slot keeps its embedding from before block 1, not block 1's
+    assert not np.allclose(est.embedding("a", 1), est.embedding("a", 0))
+    assert np.array_equal(state.embeddings[1], est.embedding("a", 0))
+    assert sorted(state.block_masks[1]) == [0, 1]  # no new slot
+    assert state.iteration_counts == [2, 3]  # block 1 counts the rejected probe

@@ -7,10 +7,8 @@ import pytest
 from blocksep import kernels
 from blocksep.dsp import IpdFeature, StftConfig
 from blocksep.estimators import (
-    EstimatorInput,
     MaskNet,
     OracleMaskEstimator,
-    forward_backward,
     init_params,
     load_params,
     save_params,
@@ -35,24 +33,27 @@ def _oracle_fixture():
     return OracleMaskEstimator(block_mags, [noise, noise.copy()]), s1, s2, noise
 
 
+def _begin(est, index, t=6, f=5):
+    est.begin_block(index, np.ones((t, f)), _flat_ipd(t, f))
+
+
 def _inp(est, t=6, f=5, z=None):
-    mag = np.ones((t, f))
-    return EstimatorInput(mag, _flat_ipd(t, f), np.ones((t, f)),
-                          z if z is not None else np.zeros(est.embed_dim))
+    """(residual, z_prev) of one oracle iteration."""
+    return np.ones((t, f)), z if z is not None else np.zeros(est.embed_dim)
 
 
 def test_oracle_noise_first_then_ratio_masks():
     est, s1, s2, noise = _oracle_fixture()
-    est.begin_block(0)
-    noise_mask, z_noise = est.estimate(_inp(est))
+    _begin(est, 0)
+    noise_mask, z_noise = est.estimate(*_inp(est))
     denom = s1 + s2 + noise + 1e-8
     assert np.allclose(noise_mask, noise / denom)
     assert np.linalg.norm(z_noise) == pytest.approx(1.0)
     # probe with zero embedding: strongest remaining source (alice)
-    m1, z1 = est.estimate(_inp(est))
+    m1, z1 = est.estimate(*_inp(est))
     assert np.allclose(m1, s1 / denom)
     assert np.allclose(z1, speaker_embedding("alice"))
-    m2, z2 = est.estimate(_inp(est))
+    m2, z2 = est.estimate(*_inp(est))
     assert np.allclose(m2, s2 / denom)
     assert np.allclose(z2, speaker_embedding("bob"))
     # masks sum with the noise mask to <= 1 + eps per bin
@@ -64,35 +65,35 @@ def test_oracle_single_source_ratio_mask():
     s = np.full((t, f), 0.8)
     n = np.full((t, f), 0.2)
     est = OracleMaskEstimator([{"solo": s}], [n])
-    est.begin_block(0)
-    est.estimate(_inp(est, t, f))  # noise slot
-    mask, _ = est.estimate(_inp(est, t, f))
+    _begin(est, 0, t, f)
+    est.estimate(*_inp(est, t, f))  # noise slot
+    mask, _ = est.estimate(*_inp(est, t, f))
     assert np.allclose(mask, s / (s + n + 1e-8))
 
 
 def test_oracle_silent_speaker_gives_zero_mask():
     est, *_ = _oracle_fixture()
-    est.begin_block(1)
-    est.estimate(_inp(est))  # noise
-    mask, z = est.estimate(_inp(est, z=speaker_embedding("alice")))
+    _begin(est, 1)
+    est.estimate(*_inp(est))  # noise
+    mask, z = est.estimate(*_inp(est, z=speaker_embedding("alice")))
     assert np.all(mask == 0)
     assert np.allclose(z, speaker_embedding("alice"))
 
 
 def test_oracle_probe_exhaustion_returns_silence():
     est, *_ = _oracle_fixture()
-    est.begin_block(0)
-    est.estimate(_inp(est))
-    est.estimate(_inp(est))
-    est.estimate(_inp(est))
-    mask, _ = est.estimate(_inp(est))  # nothing left to extract
+    _begin(est, 0)
+    est.estimate(*_inp(est))
+    est.estimate(*_inp(est))
+    est.estimate(*_inp(est))
+    mask, _ = est.estimate(*_inp(est))  # nothing left to extract
     assert np.all(mask == 0)
 
 
 def test_oracle_block_index_validation():
     est, *_ = _oracle_fixture()
     with pytest.raises(ValueError, match="block index"):
-        est.begin_block(5)
+        _begin(est, 5)
 
 
 def _tiny_params(seed=0, dtype=np.float64):
@@ -101,6 +102,7 @@ def _tiny_params(seed=0, dtype=np.float64):
 
 
 def _tiny_input(seed=1, t=2, f=5, d=4, zero_z=False):
+    """(mag, ipd, residual, z_prev) of one random network iteration."""
     rng = np.random.default_rng(seed)
     mag = rng.uniform(0.05, 1.0, (t, f))
     theta = rng.uniform(-np.pi, np.pi, (t, f))
@@ -111,16 +113,31 @@ def _tiny_input(seed=1, t=2, f=5, d=4, zero_z=False):
     else:
         z = rng.normal(size=d)
         z /= np.linalg.norm(z)
-    return EstimatorInput(mag, feat, residual, z)
+    return mag, feat, residual, z
+
+
+def forward_backward(mag, ipd, residual, z_prev, params, d_mask, d_z_out):
+    """Single-iteration forward plus gradient accumulation.
+
+    Given upstream gradients w.r.t. the produced mask and embedding, returns
+    (mask, z_out, gradient dict over all parameter tensors).
+    """
+    net = MaskNet(params)
+    ctx = net.prepare_block(mag, ipd)
+    mask, z_out, cache = net.forward(ctx, residual, z_prev)
+    grads = params.zeros_like()
+    net.backward(ctx, cache, d_mask, d_z_out, grads)
+    net.finish_block_backward(ctx, grads)
+    return mask, z_out, grads
 
 
 def test_masknet_output_contracts():
     params = _tiny_params()
     net = MaskNet(params)
     for seed in range(5):
-        inp = _tiny_input(seed, zero_z=seed % 2 == 0)
-        net.begin_block(0)
-        mask, z = net.estimate(inp)
+        mag, feat, residual, z_prev = _tiny_input(seed, zero_z=seed % 2 == 0)
+        net.begin_block(0, mag, feat)
+        mask, z = net.estimate(residual, z_prev)
         assert mask.shape == (2, 5)
         assert mask.min() >= 0.0 and mask.max() <= 1.0
         assert np.linalg.norm(z) == pytest.approx(1.0, abs=1e-6)
@@ -129,13 +146,28 @@ def test_masknet_output_contracts():
 def test_masknet_deterministic():
     params = _tiny_params()
     net = MaskNet(params)
-    inp = _tiny_input(3)
-    net.begin_block(0)
-    m1, z1 = net.estimate(inp)
-    net.begin_block(0)
-    m2, z2 = net.estimate(inp)
+    mag, feat, residual, z_prev = _tiny_input(3)
+    net.begin_block(0, mag, feat)
+    m1, z1 = net.estimate(residual, z_prev)
+    net.begin_block(0, mag, feat)
+    m2, z2 = net.estimate(residual, z_prev)
     assert np.array_equal(m1, m2)
     assert np.array_equal(z1, z2)
+
+
+def test_masknet_session_uses_each_blocks_features():
+    # every estimate runs on the features of the latest begin_block, never on
+    # a previous block's
+    params = _tiny_params()
+    net = MaskNet(params)
+    for block, seed in enumerate((5, 6)):
+        mag, feat, residual, z_prev = _tiny_input(seed, t=3)
+        net.begin_block(block, mag, feat)
+        mask, z = net.estimate(residual, z_prev)
+        ref = MaskNet(params)
+        ref_mask, ref_z, _ = ref.forward(ref.prepare_block(mag, feat), residual, z_prev)
+        assert np.array_equal(mask, ref_mask)
+        assert np.array_equal(z, ref_z)
 
 
 def test_masknet_rejects_nonfinite_params():
@@ -148,7 +180,7 @@ def test_masknet_rejects_nonfinite_params():
 def test_forward_backward_zero_upstream_gives_zero_grads():
     params = _tiny_params()
     inp = _tiny_input(2)
-    _, _, grads = forward_backward(inp, params, np.zeros((2, 5)), np.zeros(4))
+    _, _, grads = forward_backward(*inp, params, np.zeros((2, 5)), np.zeros(4))
     for g in grads.values():
         assert np.all(g == 0)
 
@@ -159,8 +191,8 @@ def test_forward_backward_deterministic():
     rng = np.random.default_rng(9)
     dm = rng.normal(size=(2, 5))
     dz = rng.normal(size=4)
-    _, _, g1 = forward_backward(inp, params, dm, dz)
-    _, _, g2 = forward_backward(inp, params, dm, dz)
+    _, _, g1 = forward_backward(*inp, params, dm, dz)
+    _, _, g2 = forward_backward(*inp, params, dm, dz)
     for k in g1:
         assert np.array_equal(g1[k], g2[k])
 
@@ -173,12 +205,13 @@ def test_forward_backward_matches_finite_differences(seed):
     rng = np.random.default_rng(seed + 100)
     u = rng.normal(size=(2, 5))
     v = rng.normal(size=4)
-    _, _, grads = forward_backward(inp, params, u, v)
+    _, _, grads = forward_backward(*inp, params, u, v)
+    mag, feat, residual, z_prev = inp
 
     def value(p):
         net = MaskNet(p)
-        ctx = net.prepare_block(inp.mag, inp.ipd)
-        mask, z, _ = net.forward(ctx, inp.residual, inp.z_prev)
+        ctx = net.prepare_block(mag, feat)
+        mask, z, _ = net.forward(ctx, residual, z_prev)
         return float(np.sum(mask * u) + np.dot(z, v))
 
     step = 1e-5
@@ -202,10 +235,10 @@ def _two_call_reference(params, inp, d_mask, d_z_out):
     """MaskNet forward and backward with one recurrence call per direction."""
     a = params.arrays
     h = params.hidden
+    mag, ipd, residual, z_prev = inp
     net = MaskNet(params)
-    ctx = net.prepare_block(inp.mag, inp.ipd)
-    p = np.tanh(ctx.static_pre + inp.residual @ a["w_res"]
-                + inp.z_prev @ a["w_emb_in"])
+    ctx = net.prepare_block(mag, ipd)
+    p = np.tanh(ctx.static_pre + residual @ a["w_res"] + z_prev @ a["w_emb_in"])
     xf = p @ a["w_xf"] + a["b_f"]
     xb = p @ a["w_xb"] + a["b_b"]
     hf = kernels.rnn_seq_forward_numpy(xf, a["w_hf"], np.zeros(h))
@@ -237,8 +270,8 @@ def _two_call_reference(params, inp, d_mask, d_z_out):
     g["b_b"] += d_xb.sum(axis=0)
     d_pre = (d_xf @ a["w_xf"].T + d_xb @ a["w_xb"].T) * (1.0 - p * p)
     ctx.d_static_pre = d_pre
-    g["w_res"] += inp.residual.T @ d_pre
-    g["w_emb_in"] += np.outer(inp.z_prev, d_pre.sum(axis=0))
+    g["w_res"] += residual.T @ d_pre
+    g["w_emb_in"] += np.outer(z_prev, d_pre.sum(axis=0))
     net.finish_block_backward(ctx, g)
     return hf, hb_rev, mask, g
 
@@ -250,9 +283,10 @@ def test_joint_recurrence_matches_two_separate_directions(seed):
     rng = np.random.default_rng(seed + 6)
     d_mask = rng.normal(size=(7, 5))
     d_z = rng.normal(size=4)
+    mag, ipd, residual, z_prev = inp
     net = MaskNet(params)
-    ctx = net.prepare_block(inp.mag, inp.ipd)
-    mask, _, cache = net.forward(ctx, inp.residual, inp.z_prev)
+    ctx = net.prepare_block(mag, ipd)
+    mask, _, cache = net.forward(ctx, residual, z_prev)
     grads = params.zeros_like()
     net.backward(ctx, cache, d_mask, d_z, grads)
     net.finish_block_backward(ctx, grads)

@@ -6,7 +6,7 @@ A session is strictly sequential over blocks (state-carrying); separate
 sessions can decode concurrently with shared read-only estimator parameters.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -191,9 +191,17 @@ def decode_session(mixture: AudioSignal, estimator, cfg: DecoderConfig,
     A rejected count increase drops the block's new slots and restores every
     embedding, known slots included, to its value before the block; the
     block's iteration count keeps the rejected probes.
+
+    A model (an estimator with ``params``) whose recorded STFT settings
+    differ from ``stft_cfg`` is rejected with ``ValueError`` before the first
+    block; a model that records none is not checked.
     """
     if mixture.n_channels != 2:
         raise ValueError("decoding expects a 2-channel mixture")
+    model_stft = getattr(getattr(estimator, "params", None), "stft", None)
+    if model_stft and model_stft != asdict(stft_cfg):
+        raise ValueError(f"model STFT settings {model_stft} differ from the "
+                         f"decode STFT settings {asdict(stft_cfg)}")
     fs = mixture.sample_rate
     block_n = int(round(cfg.block_len_s * fs))
     n = mixture.n_samples

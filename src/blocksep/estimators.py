@@ -215,15 +215,6 @@ class ModelParams:
     def dtype(self):
         return self.arrays["w_static"].dtype
 
-    def astype(self, dtype) -> "ModelParams":
-        return ModelParams(
-            {k: v.astype(dtype) for k, v in self.arrays.items()},
-            self.bins, self.embed_dim, self.hidden, self.proj, dict(self.stft),
-        )
-
-    def copy(self) -> "ModelParams":
-        return self.astype(self.dtype)
-
     def zeros_like(self) -> dict:
         return {k: np.zeros_like(v) for k, v in self.arrays.items()}
 

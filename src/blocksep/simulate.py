@@ -65,27 +65,6 @@ class SourceSpec:
     seed: int
     clip_dir: str | None = None
 
-    def to_dict(self):
-        return {
-            "speaker_id": self.speaker_id,
-            "f0": self.f0,
-            "formants": list(self.formants),
-            "bandwidths": list(self.bandwidths),
-            "seed": self.seed,
-            "clip_dir": self.clip_dir,
-        }
-
-    @staticmethod
-    def from_dict(d):
-        return SourceSpec(
-            d["speaker_id"],
-            d["f0"],
-            tuple(d["formants"]),
-            tuple(d["bandwidths"]),
-            d["seed"],
-            d.get("clip_dir"),
-        )
-
 
 def make_pool(n: int, seed: int = 0) -> list:
     """Build ``n`` parametric voices with well-spread pitch and formants."""
@@ -125,34 +104,6 @@ class MeetingScenario:
     @property
     def timeline(self) -> Timeline:
         return Timeline(self.segments)
-
-    def speaker_ids(self):
-        return sorted({s.speaker for s in self.segments})
-
-    def to_dict(self):
-        return {
-            "profile": self.profile,
-            "length_s": self.length_s,
-            "segments": [[s.speaker, s.start, s.end] for s in self.segments],
-            "snr_db": self.snr_db,
-            "rt60_s": self.rt60_s,
-            "mic_delays": dict(sorted(self.mic_delays.items())),
-            "seed": self.seed,
-            "sources": [s.to_dict() for s in self.sources],
-        }
-
-    @staticmethod
-    def from_dict(d):
-        return MeetingScenario(
-            d["profile"],
-            d["length_s"],
-            [Segment(*row) for row in d["segments"]],
-            d["snr_db"],
-            d["rt60_s"],
-            dict(d["mic_delays"]),
-            d["seed"],
-            [SourceSpec.from_dict(s) for s in d["sources"]],
-        )
 
 
 @dataclass
@@ -257,25 +208,11 @@ def sample_scenario(
             intervals.append((t, t + dur, tuple(active)))
         t += dur
 
-    # Merge consecutive intervals into per-speaker runs.
-    segments = []
-    open_runs = {}
-    boundary = 0.0
-    for t0, t1, ids in intervals:
-        for spk in list(open_runs):
-            if spk not in ids or t0 > open_runs[spk][1] + 1e-9:
-                start, end = open_runs.pop(spk)
-                segments.append(Segment(spk, start, end))
-        for spk in ids:
-            if spk in open_runs:
-                open_runs[spk] = (open_runs[spk][0], t1)
-            else:
-                open_runs[spk] = (t0, t1)
-        boundary = t1
-    for spk in sorted(open_runs):
-        start, end = open_runs[spk]
-        segments.append(Segment(spk, start, end))
-    segments.sort(key=lambda s: (s.start, s.speaker))
+    # Timeline merges each speaker's touching intervals into one run.
+    segments = sorted(
+        Timeline(Segment(spk, t0, t1) for t0, t1, ids in intervals for spk in ids),
+        key=lambda s: (s.start, s.speaker),
+    )
 
     snr = float(rng.uniform(*snr_range))
     rt60 = float(rng.uniform(*rt60_range))
@@ -435,7 +372,7 @@ def render(scenario: MeetingScenario, sample_rate: int = DEFAULT_SAMPLE_RATE) ->
     fs = sample_rate
     n = int(round(scenario.length_s * fs))
     root = np.random.SeedSequence([scenario.seed, 0x52454E44])
-    spk_ids = scenario.speaker_ids()
+    spk_ids = scenario.timeline.speakers()
     streams = root.spawn(len(spk_ids) * 2 + 1)
     noise_rng = np.random.default_rng(streams[-1])
 

@@ -25,11 +25,13 @@ from .estimators import (
 )
 from .losses import BlockTargets, LossWeights, TotalLoss, total_loss
 
+# Most blocks ``unroll`` accepts in one sample (60 s at the default block length).
+MAX_BLOCKS = 6
+
 
 @dataclass
 class TrainConfig:
     block_len_s: float = 10.0
-    max_blocks: int = 6
     learning_rate: float = 1e-3
     epochs: int = 30
     batch_size: int = 8  # excerpts accumulated per optimizer step
@@ -93,7 +95,7 @@ def build_train_sample(rendered, stft_cfg: StftConfig, block_len_s: float,
 @dataclass
 class _IterationRecord:
     slot: int
-    cache: object  # MaskNet.IterationCache, or None for oracle unrolls
+    cache: object  # MaskNet.IterationCache
     gate: np.ndarray | None  # clip pass-through region (teacher forcing off)
     z_src: tuple | None  # (block, slot) that produced this iteration's z_prev
 
@@ -116,26 +118,23 @@ def _new_source_order(sample, block, new_sources):
     return sorted(new_sources, key=lambda s: (-means[s], s))
 
 
-def unroll(sample: TrainSample, model, cfg: TrainConfig) -> UnrollResult:
-    """Run the estimator over all blocks/iterations of one sample.
+def unroll(sample: TrainSample, net: MaskNet, cfg: TrainConfig) -> UnrollResult:
+    """Run the network over all blocks/iterations of one sample.
 
-    ``model`` is either a :class:`MaskNet` (trainable path; iteration caches
-    are kept for the backward pass) or any estimator following the session
-    protocol (e.g. the oracle), in which case only the loss and outputs are
-    returned.  Iteration counts come from the ground truth: one noise
-    iteration plus one per active-or-known source, consistent with teacher
-    forcing.
+    Each block's features are prepared once, then every iteration runs
+    ``net.forward``; the block contexts and iteration caches are kept for
+    :func:`unroll_backward`.  Iteration counts come from the ground truth:
+    one noise iteration plus one per active-or-known source, consistent with
+    teacher forcing.  A sample of more than ``MAX_BLOCKS`` blocks is
+    rejected.
     """
-    if sample.n_blocks > cfg.max_blocks:
-        raise ValueError(
-            f"sample has {sample.n_blocks} blocks, cap is {cfg.max_blocks}"
-        )
-    net = model if isinstance(model, MaskNet) else None
+    if sample.n_blocks > MAX_BLOCKS:
+        raise ValueError(f"sample has {sample.n_blocks} blocks, cap is {MAX_BLOCKS}")
     masks, embeddings = {}, {}
     records, contexts, plan, targets = [], [], [], []
     slot_source = {}  # speaker slot -> source id (grows block by block)
     prev_z = {}  # slot -> embedding emitted in the previous block
-    zero_z = np.zeros(model.embed_dim)  # z_prev of a slot new in this block
+    zero_z = np.zeros(net.embed_dim)  # z_prev of a slot new in this block
     next_slot = 1
 
     for b in range(sample.n_blocks):
@@ -167,22 +166,14 @@ def unroll(sample: TrainSample, model, cfg: TrainConfig) -> UnrollResult:
         for slot, src in zip(new_slots, new_sources):
             slot_source[slot] = src
 
-        if net is not None:
-            ctx = net.prepare_block(mag, feat)
-        else:
-            ctx = None
-            model.begin_block(b, mag, feat)
+        ctx = net.prepare_block(mag, feat)
         contexts.append(ctx)
         block_records = []
         residual = np.ones_like(mag)
         for idx, slot in enumerate(order):
             z_src = (b - 1, slot) if slot in prev_z else None
             z_prev = prev_z.get(slot, zero_z)
-            if net is not None:
-                mask, z_out, cache = net.forward(ctx, residual, z_prev)
-            else:
-                mask, z_out = model.estimate(residual, z_prev)
-                cache = None
+            mask, z_out, cache = net.forward(ctx, residual, z_prev)
             masks[(b, slot)] = mask
             embeddings[(b, slot)] = z_out
             gate = None
@@ -288,28 +279,19 @@ class EpochStats:
     triplet: float
     seconds: float
 
-    def as_row(self):
-        return {
-            "epoch": self.epoch,
-            "L_total": self.total,
-            "L_MMSE": self.mmse,
-            "L_resmask": self.resmask,
-            "L_triplet": self.triplet,
-            "seconds": self.seconds,
-        }
-
-
-def _materialize(item) -> TrainSample:
-    return item() if callable(item) else item
-
 
 def train(dataset, cfg: TrainConfig, params: ModelParams | None = None,
-          start_epoch: int = 0, on_epoch=None):
-    """Optimize the network on a dataset of samples (or sample loaders).
+          start_epoch: int = 0):
+    """Optimize the network on a dataset of :class:`TrainSample` objects.
 
-    Deterministic given (dataset order, config, seed).  Aborts on a
+    Without ``params`` the network starts from ``init_params`` with the
+    config's seed and sizes, and records ``cfg.stft`` so that a decode can
+    check it.  Epochs run from ``start_epoch``; each shuffles the samples
+    with a seed derived from (``cfg.seed``, epoch) and steps Adam every
+    ``batch_size`` samples; Adam's moments start from zero on every call.
+    Deterministic given (dataset order, config, start epoch).  Aborts on a
     non-finite loss, naming the offending sample.  Returns the trained
-    parameters and per-epoch component losses.
+    parameters and one :class:`EpochStats` per epoch.
     """
     items = list(dataset)
     if not items:
@@ -330,7 +312,7 @@ def train(dataset, cfg: TrainConfig, params: ModelParams | None = None,
         accum = None
         n_accum = 0
         for pos, idx in enumerate(order):
-            sample = _materialize(items[idx])
+            sample = items[idx]
             result = unroll(sample, net, cfg)
             if not np.isfinite(result.loss.total):
                 raise RuntimeError(
@@ -351,8 +333,5 @@ def train(dataset, cfg: TrainConfig, params: ModelParams | None = None,
                     accum[k] /= n_accum
                 opt.step(params, accum)
                 accum, n_accum = None, 0
-        stats = EpochStats(epoch, *(sums / len(items)), time.time() - t0)
-        history.append(stats)
-        if on_epoch is not None:
-            on_epoch(stats, params)
+        history.append(EpochStats(epoch, *(sums / len(items)), time.time() - t0))
     return params, history

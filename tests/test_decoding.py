@@ -187,7 +187,7 @@ def _fixture_meeting(seed, n_speakers=None, length=60.0):
             "B", length, pool, seed=s,
             new_speaker_align_s=10.0, min_first_run_s=10.0,
         )
-        if n_speakers is None or len(sc.speaker_ids()) == n_speakers:
+        if n_speakers is None or len(sc.timeline.speakers()) == n_speakers:
             return render(sc)
     raise RuntimeError("no scenario found")
 
@@ -382,6 +382,33 @@ def test_estimator_failure_carries_block_context():
     pre = state.embeddings[:2]
     with pytest.raises(RuntimeError, match="block 0, begin_block"):
         consistency_check(state, [2], pre, wrong_bins, CFG)
+
+
+def _noise_mixture(seconds=1.0, fs=8000):
+    rng = np.random.default_rng(0)
+    return AudioSignal(fs, 0.1 * rng.normal(size=(2, int(seconds * fs))))
+
+
+def _tiny_net(stft_cfg=None):
+    return MaskNet(init_params(bins=129, embed_dim=4, hidden=3, proj=4,
+                               stft_cfg=stft_cfg))
+
+
+def test_decode_rejects_model_with_other_stft():
+    # STFT (hop 128, the training default) and the decoder default (hop 64)
+    # both give 129 bins: only the model's recorded settings tell them apart
+    with pytest.raises(ValueError, match="'hop': 128.*'hop': 64"):
+        decode_session(_noise_mixture(), _tiny_net(STFT), CFG, StftConfig())
+
+
+def test_decode_accepts_matching_or_unrecorded_model_stft():
+    mixture = _noise_mixture()
+    matching = decode_session(mixture, _tiny_net(STFT), CFG, STFT)
+    unrecorded = decode_session(mixture, _tiny_net(), CFG, STFT)
+    assert matching.final_count == unrecorded.final_count
+    assert sorted(matching.streams) == sorted(unrecorded.streams)
+    for slot, sig in matching.streams.items():
+        assert np.array_equal(sig.samples, unrecorded.streams[slot].samples)
 
 
 class BlockScriptedEstimator:

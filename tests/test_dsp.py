@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blocksep.dsp import (
+    COLA_TOL,
     AudioSignal,
     StftConfig,
     apply_mask,
@@ -113,6 +114,31 @@ def test_istft_rejects_non_cola():
     cfg = StftConfig(window_len=256, hop=96, window="sqrt_hann")
     with pytest.raises(ValueError, match="overlap-add"):
         istft(np.zeros((4, 129), dtype=complex), cfg)
+
+
+def _cola_ok_frame_loop(cfg):
+    """Reference COLA check: overlap-add w² frame by frame, test the interior."""
+    w2 = cfg.window_array() ** 2
+    n_frames = 8 * (cfg.window_len // cfg.hop) + 8
+    total = cfg.window_len + (n_frames - 1) * cfg.hop
+    acc = np.zeros(total)
+    for i in range(n_frames):
+        acc[i * cfg.hop : i * cfg.hop + cfg.window_len] += w2
+    interior = acc[cfg.window_len : total - cfg.window_len]
+    if interior.size == 0 or interior.min() <= 0:
+        return False
+    return (interior.max() - interior.min()) <= COLA_TOL * interior.max()
+
+
+def test_cola_ok_matches_frame_loop():
+    accepted = 0
+    for window in ("sqrt_hann", "hann", "rect"):
+        for length in list(range(8, 41)) + [256]:
+            for hop in range(1, length + 1):
+                cfg = StftConfig(length, hop, window)
+                assert cfg.cola_ok() == _cola_ok_frame_loop(cfg), cfg
+                accepted += cfg.cola_ok()
+    assert accepted > 0
 
 
 def _istft_per_frame_loop(spec, cfg):

@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from blocksep.rttm import Segment
+from blocksep.dsp import AudioSignal, write_wav
 from blocksep.simulate import (
     MeetingScenario,
     make_pool,
@@ -31,9 +33,9 @@ def _occupancy_seconds(scenario, t0, t1, grid=0.01):
 def test_scenario_determinism(pool):
     a = sample_scenario("B", 60.0, pool, seed=42)
     b = sample_scenario("B", 60.0, pool, seed=42)
-    assert a.to_dict() == b.to_dict()
+    assert a == b
     c = sample_scenario("B", 60.0, pool, seed=43)
-    assert c.to_dict() != a.to_dict()
+    assert c != a
 
 
 def test_profile_a_head_never_empty(pool):
@@ -83,12 +85,6 @@ def test_scenario_segment_bounds(pool):
     sc = sample_scenario("B", 30.0, pool, seed=5)
     for seg in sc.segments:
         assert 0.0 <= seg.start < seg.end <= 30.0 + 1e-9
-
-
-def test_scenario_roundtrip_dict(pool):
-    sc = sample_scenario("A", 15.0, pool, seed=9)
-    back = MeetingScenario.from_dict(sc.to_dict())
-    assert back.to_dict() == sc.to_dict()
 
 
 def test_synth_utterance_deterministic(pool):
@@ -194,3 +190,32 @@ def test_fixture_knobs_align_debuts(pool):
             if seg.speaker == spk and abs(seg.start - t0) < 1e-9
         )
         assert run >= 10.0 - 1e-9 or run >= sc.length_s - t0 - 1e-9
+
+
+def _clip_pool(pool, clip_dir):
+    return [dataclasses.replace(spec, clip_dir=str(clip_dir)) for spec in pool]
+
+
+def test_clip_pool_renders_from_wav_files(pool, tmp_path):
+    fs = 8000
+    t = np.arange(fs // 2) / fs
+    rng = np.random.default_rng(0)
+    write_wav(tmp_path / "a.wav", AudioSignal(fs, 0.5 * np.sin(2 * np.pi * 220.0 * t)))
+    write_wav(tmp_path / "b.wav", AudioSignal(fs, 0.2 * rng.normal(size=fs // 3)))
+    sc = sample_scenario("A", 8.0, _clip_pool(pool, tmp_path), seed=2)
+    assert sc.segments
+    m1 = render(sc)
+    m2 = render(sc)
+    assert np.all(np.isfinite(m1.mixture.samples))
+    assert np.array_equal(m1.mixture.samples, m2.mixture.samples)
+    assert sorted(m1.references) == sc.timeline.speakers()
+    for sig in m1.references.values():
+        assert sig.n_channels == 2
+        assert np.all(np.isfinite(sig.samples))
+
+
+def test_clip_pool_without_wav_files_rejected(pool, tmp_path):
+    (tmp_path / "notes.txt").write_text("no audio here")
+    sc = sample_scenario("A", 8.0, _clip_pool(pool, tmp_path), seed=2)
+    with pytest.raises(ValueError, match="holds no WAV files"):
+        render(sc)

@@ -10,7 +10,7 @@ from synthutil import (
 )
 
 from blocksep.dsp import StftConfig
-from blocksep.estimators import MaskNet, OracleMaskEstimator, save_params
+from blocksep.estimators import MaskNet, save_params
 from blocksep.losses import LossWeights
 from blocksep.simulate import make_pool, render, sample_scenario
 from blocksep.training import (
@@ -62,31 +62,23 @@ def test_unroll_target_assembly_invariant():
     assert np.all(result.targets[1].known[silent_slot] == 0)
 
 
-def test_unroll_with_oracle_estimator_identity_permutation():
+def test_unroll_one_source_identity_permutation():
     sample = make_synthetic_sample(1, sources=("solo",))
-    est = OracleMaskEstimator(
-        [sample.source_mags[b] for b in range(2)],
-        [sample.noise_mags[b] for b in range(2)],
-        embed_dim=4,
-    )
     cfg = tiny_config()
-    result = unroll(sample, est, cfg)
+    result = unroll(sample, MaskNet(tiny_params(cfg=cfg)), cfg)
     assert result.assignment == {1: "solo"}
-    # loss matches the directly computed masked-MSE of the oracle masks
+    # loss matches the masked MSE computed directly from the network's masks
     expected = 0.0
     for b in range(2):
-        est_mag = sample.irms[b]["solo"] * sample.mags[b]
+        est_mag = result.masks[(b, 1)] * sample.mags[b]
         expected += float(np.sum((est_mag - sample.source_mags[b]["solo"]) ** 2))
     expected /= 2  # two (slot, block) instances
     noise_term = 0.0
     for b in range(2):
-        est_mag = sample.noise_irms[b] * sample.mags[b]
+        est_mag = result.masks[(b, 0)] * sample.mags[b]
         noise_term += float(np.sum((est_mag - sample.noise_mags[b]) ** 2))
     noise_term /= 2
     assert result.loss.mmse == pytest.approx(expected + noise_term, rel=1e-9)
-    assert result.loss.mmse < 0.05 * sum(
-        float(np.sum(sample.source_mags[b]["solo"] ** 2)) for b in range(2)
-    )
 
 
 def test_unroll_slot_cap():
@@ -212,15 +204,3 @@ def test_train_aborts_on_nonfinite_loss():
 def test_train_empty_dataset_rejected():
     with pytest.raises(ValueError, match="empty"):
         train([], tiny_config())
-
-
-def test_train_accepts_lazy_loaders():
-    cfg = tiny_config(epochs=1)
-    calls = []
-
-    def loader():
-        calls.append(1)
-        return make_synthetic_sample(9)
-
-    _, history = train([loader], cfg)
-    assert history and calls

@@ -1,0 +1,143 @@
+"""Print a sha256 digest of every output of the benchmark meetings.
+
+    OPENBLAS_NUM_THREADS=1 python3 tools/output_digests.py > digests.txt
+
+Run it from the root of two checkouts and diff the two files: equal lines
+mean those outputs are bit-identical.  Each line is ``name sha256``.  The
+meetings are the 10 of ``benchmarks/workloads.py`` (3 decode_net, 3
+decode_oracle, 4 train), set up and run through that module, which this
+script only imports.  Per meeting it hashes:
+
+* the scenario's dataclass fields and the rendered audio;
+* decode meetings: the oracle's ideal ratio masks (decode_oracle);
+* train meetings: the ``TrainSample`` arrays, then one epoch's params and
+  losses, and the decode by the trained network;
+* every decode: the streams, the per-block masks, the final embeddings,
+  the counts, the consistency log and the DER/SDR/counting scores.
+
+BLAS is pinned to one thread before numpy is imported, so that matrix
+products sum in the same order on every run.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import dataclasses  # noqa: E402
+import hashlib  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.dont_write_bytecode = True
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
+
+import numpy as np  # noqa: E402
+import workloads  # noqa: E402
+
+from blocksep import estimators  # noqa: E402
+
+
+def _feed(h, obj):
+    """Hash ``obj`` by structure: arrays by dtype, shape and bytes."""
+    if isinstance(obj, np.ndarray):
+        h.update(f"array {obj.dtype.str} {obj.shape};".encode())
+        h.update(np.ascontiguousarray(obj).tobytes())
+    elif dataclasses.is_dataclass(obj):
+        h.update(f"{type(obj).__name__}(".encode())
+        for f in dataclasses.fields(obj):
+            h.update(f"{f.name}=".encode())
+            _feed(h, getattr(obj, f.name))
+        h.update(b")")
+    elif isinstance(obj, dict):
+        h.update(b"{")
+        for key, value in sorted(obj.items(), key=lambda kv: repr(kv[0])):
+            h.update(f"{key!r}:".encode())
+            _feed(h, value)
+        h.update(b"}")
+    elif isinstance(obj, (list, tuple)):
+        h.update(b"[")
+        for value in obj:
+            _feed(h, value)
+        h.update(b"]")
+    else:
+        h.update(f"{type(obj).__name__} {obj!r};".encode())
+
+
+def digest(obj) -> str:
+    h = hashlib.sha256()
+    _feed(h, obj)
+    return h.hexdigest()
+
+
+def rendered_outputs(rendered):
+    return {
+        "mixture": rendered.mixture.samples,
+        "noise": rendered.noise.samples,
+        "references": {spk: sig.samples for spk, sig in rendered.references.items()},
+        "timeline": [dataclasses.astuple(s) for s in rendered.timeline],
+    }
+
+
+def oracle_irms(est):
+    """Noise and speaker IRMs per block, read through the public calls."""
+    out = []
+    for b in range(est.n_blocks):
+        est.begin_block(b, None, None)
+        noise_irm, _ = est.estimate(None, np.zeros(est.embed_dim))
+        out.append({"noise": noise_irm,
+                    "speakers": {s: est.block_irm(b, s) for s in est.speakers}})
+    return out
+
+
+def decode_outputs(result, item, workdir):
+    state = result.state
+    return {
+        "streams": {slot: sig.samples for slot, sig in result.streams.items()},
+        "masks": state.block_masks,
+        "embeddings": state.embeddings,
+        "counts": {"activity": result.activity,
+                   "per_block": result.per_block_counts,
+                   "iterations": state.iteration_counts,
+                   "final": result.final_count},
+        "consistency_log": result.consistency_log,
+        "scores": workloads.score_meeting(result, item, workdir),
+    }
+
+
+def meeting_outputs(workload, seed, workdir, checkpoint):
+    item = workloads.set_up(workload, seed, checkpoint)
+    yield "scenario", item.rendered.scenario
+    yield "audio", rendered_outputs(item.rendered)
+    if workload.kind == "train":
+        yield "train_sample", item.sample
+        params, history = workloads.train_epoch(item)
+        yield "trained_params", params.arrays
+        yield "epoch_losses", [(s.epoch, s.total, s.mmse, s.resmask, s.triplet)
+                               for s in history]
+        result = workloads.decode(item, estimators.MaskNet(params),
+                                  workloads.decode_stft(workload))
+    else:
+        if workload.estimator == "oracle":
+            yield "oracle_irms", oracle_irms(item.estimator)
+        result = workloads.decode(item)
+    for name, value in decode_outputs(result, item, workdir).items():
+        yield f"decode.{name}", value
+
+
+def main():
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        for workload in workloads.FULL.values():
+            checkpoint = (workloads.write_checkpoint(workload, workdir)
+                          if workload.estimator == "net" else None)
+            for seed in workload.meeting_seeds:
+                prefix = f"{workload.name}/{workloads.item_key(workload, seed)}"
+                for name, value in meeting_outputs(workload, seed, workdir, checkpoint):
+                    print(f"{prefix}/{name} {digest(value)}", flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -194,7 +194,8 @@ def decode_session(mixture: AudioSignal, estimator, cfg: DecoderConfig,
 
     A model (an estimator with ``params``) whose recorded STFT settings
     differ from ``stft_cfg`` is rejected with ``ValueError`` before the first
-    block; a model that records none is not checked.
+    block; a model that records none is not checked.  A block shorter than
+    the STFT window is rejected the same way.
     """
     if mixture.n_channels != 2:
         raise ValueError("decoding expects a 2-channel mixture")
@@ -204,6 +205,9 @@ def decode_session(mixture: AudioSignal, estimator, cfg: DecoderConfig,
                          f"decode STFT settings {asdict(stft_cfg)}")
     fs = mixture.sample_rate
     block_n = int(round(cfg.block_len_s * fs))
+    if block_n < stft_cfg.window_len:
+        raise ValueError(f"block of {block_n} samples is shorter than the "
+                         f"{stft_cfg.window_len}-sample STFT window")
     n = mixture.n_samples
     if n < stft_cfg.window_len:
         raise ValueError("input too short")

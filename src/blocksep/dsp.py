@@ -99,6 +99,8 @@ def split_blocks(samples: np.ndarray, block_n: int) -> np.ndarray:
 
     Returns a (..., n_blocks, block_n) view of the padded copy.
     """
+    if block_n < 1:
+        raise ValueError(f"block length must be at least 1 sample, got {block_n}")
     x = np.asarray(samples)
     n_blocks = max(1, -(-x.shape[-1] // block_n))
     padded = np.zeros(x.shape[:-1] + (n_blocks * block_n,))

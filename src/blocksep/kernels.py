@@ -1,21 +1,17 @@
 """Hot sequence kernels for the recurrent mask network.
 
 The tanh recurrence over time frames is the only part of the network that
-cannot be expressed as a single BLAS call, so it gets a dedicated kernel.
-numba is optional (the ``numba`` extra): the kernels are compiled with it
-only when it is installed and the environment variable
-``BLOCKSEP_NO_NUMBA`` is unset or ``0``; otherwise the pure-numpy fallbacks
-run.  Both paths compute the same recurrence step by step and agree within
-floating-point rounding.
+cannot be expressed as a single BLAS call, so it gets a dedicated kernel: a
+numpy loop with one vector-matrix product per frame.
 
 ``MaskNet`` runs its forward and time-reversed backward directions as one
 2H-wide call whose (2H, 2H) weight is block-diagonal, so each step does
 the zero blocks' multiply-adds too, in exchange for half the calls.
 
-``benchmarks/bench_kernels.py`` times the two paths against each other.
+``USING_NUMBA`` (always ``False``) and the ``rnn_seq_*_numpy`` aliases stay
+because ``benchmarks/env.py``, ``benchmarks/layers.py`` and
+``benchmarks/bench_kernels.py`` read them to report and time the backend.
 """
-
-import os
 
 import numpy as np
 
@@ -28,7 +24,7 @@ __all__ = [
 ]
 
 
-def rnn_seq_forward_numpy(x, w_h, h0):
+def rnn_seq_forward(x, w_h, h0):
     """Run the recurrence h[t] = tanh(x[t] + h[t-1] @ w_h).
 
     Args:
@@ -47,8 +43,8 @@ def rnn_seq_forward_numpy(x, w_h, h0):
     return out
 
 
-def rnn_seq_backward_numpy(states, w_h, d_states):
-    """Backward pass of :func:`rnn_seq_forward_numpy`.
+def rnn_seq_backward(states, w_h, d_states):
+    """Backward pass of :func:`rnn_seq_forward`.
 
     Args:
         states: (T, H) hidden states from the forward pass.
@@ -69,16 +65,7 @@ def rnn_seq_backward_numpy(states, w_h, d_states):
     return d_pre
 
 
-def _resolve_backend():
-    if os.environ.get("BLOCKSEP_NO_NUMBA", "") not in ("", "0"):
-        return False, rnn_seq_forward_numpy, rnn_seq_backward_numpy
-    try:
-        from numba import njit
-    except ImportError:
-        return False, rnn_seq_forward_numpy, rnn_seq_backward_numpy
-    fwd = njit(cache=True)(rnn_seq_forward_numpy)
-    bwd = njit(cache=True)(rnn_seq_backward_numpy)
-    return True, fwd, bwd
-
-
-USING_NUMBA, rnn_seq_forward, rnn_seq_backward = _resolve_backend()
+# Read by the benchmark (see the module docstring); numba is not a backend.
+USING_NUMBA = False
+rnn_seq_forward_numpy = rnn_seq_forward
+rnn_seq_backward_numpy = rnn_seq_backward

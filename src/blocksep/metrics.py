@@ -69,15 +69,6 @@ class DerReport:
     der: float
     mapping: dict  # hypothesis speaker -> reference speaker
 
-    def as_row(self):
-        return {
-            "der": self.der,
-            "missed_s": self.missed_s,
-            "falarm_s": self.falarm_s,
-            "confusion_s": self.confusion_s,
-            "total_ref_s": self.total_ref_s,
-        }
-
 
 def _frame_matrix(timeline: Timeline, speakers, mids):
     # a frame belongs to a segment when its midpoint falls inside

@@ -80,12 +80,6 @@ class Timeline:
                 out.append(speaker)
         return out
 
-    def relabeled(self, mapping: dict) -> "Timeline":
-        return Timeline(
-            Segment(mapping.get(s.speaker, s.speaker), s.start, s.end)
-            for s in self.segments
-        )
-
 
 def write_rttm(path, timelines: dict) -> None:
     """Write ``{session_id: Timeline}`` in RTTM format.

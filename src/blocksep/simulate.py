@@ -338,36 +338,13 @@ def shaped_noise(n, fs, rng):
     return shaped / np.sqrt(np.mean(shaped**2))
 
 
-def _active_powers(references, noise: np.ndarray, timeline: Timeline, fs: int):
-    """Summed speech and the speech and noise powers over the active samples.
-
-    Returns (speech, p_speech, p_noise); ``noise`` is (channels, n).
-    """
-    speech = np.zeros(noise.shape)
-    for sig in references.values():
-        speech += sig.samples
-    active = np.zeros(noise.shape[1], dtype=bool)
-    for seg in timeline:
-        active[int(seg.start * fs) : int(seg.end * fs)] = True
-    if not active.any():
-        raise ValueError("timeline has no active speech")
-    return speech, np.mean(speech[:, active] ** 2), np.mean(noise[:, active] ** 2)
-
-
-def measure_snr(references, noise: AudioSignal, timeline: Timeline) -> float:
-    """Speech-to-noise power ratio in dB over the active (speech) samples."""
-    _, p_speech, p_noise = _active_powers(references, noise.samples, timeline,
-                                          noise.sample_rate)
-    return 10.0 * np.log10(p_speech / p_noise)
-
-
 def render(scenario: MeetingScenario, sample_rate: int = DEFAULT_SAMPLE_RATE) -> RenderedMeeting:
     """Render a scenario to audio.
 
     The mixture equals the sum of the returned per-speaker references plus the
     noise reference, per channel, exactly (they are built that way).  Noise is
     scaled so the speech/noise power ratio over active samples matches the
-    scenario SNR.
+    scenario SNR; a non-empty timeline that covers no sample is rejected.
     """
     fs = sample_rate
     n = int(round(scenario.length_s * fs))
@@ -400,7 +377,16 @@ def render(scenario: MeetingScenario, sample_rate: int = DEFAULT_SAMPLE_RATE) ->
 
     timeline = scenario.timeline
     if len(timeline) > 0:
-        speech, p_speech, p_noise = _active_powers(references, noise, timeline, fs)
+        speech = np.zeros(noise.shape)
+        for sig in references.values():
+            speech += sig.samples
+        active = np.zeros(n, dtype=bool)
+        for seg in timeline:
+            active[int(seg.start * fs) : int(seg.end * fs)] = True
+        if not active.any():
+            raise ValueError("timeline has no active speech")
+        p_speech = np.mean(speech[:, active] ** 2)
+        p_noise = np.mean(noise[:, active] ** 2)
         noise *= np.sqrt(p_speech / (p_noise * 10.0 ** (scenario.snr_db / 10.0)))
         mixture = speech + noise
     else:

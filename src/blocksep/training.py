@@ -16,6 +16,9 @@ import numpy as np
 
 from .dsp import StftConfig, ipd, split_blocks, stft
 from .estimators import (
+    DEFAULT_EMBED_DIM,
+    DEFAULT_HIDDEN,
+    DEFAULT_PROJ,
     SILENT_MASK_MEAN,
     MaskNet,
     ModelParams,
@@ -39,9 +42,9 @@ class TrainConfig:
     teacher_forcing: bool = True
     seed: int = 0
     stft: StftConfig = field(default_factory=lambda: StftConfig(256, 128))
-    hidden: int = 64
-    proj: int = 64
-    embed_dim: int = 32
+    hidden: int = DEFAULT_HIDDEN
+    proj: int = DEFAULT_PROJ
+    embed_dim: int = DEFAULT_EMBED_DIM
     max_slots: int = 8  # noise slot + speaker slots per unrolled sample
 
     def __post_init__(self):
@@ -105,11 +108,9 @@ class UnrollResult:
     loss: TotalLoss
     masks: dict  # (block, slot) -> mask
     embeddings: dict  # (block, slot) -> embedding
-    assignment: dict  # slot -> source id
     targets: list
-    iteration_plan: list  # per block: slot ids in iteration order
     teacher_forcing: bool
-    records: list = field(default_factory=list)  # per block: [_IterationRecord]
+    records: list = field(default_factory=list)  # per block: [_IterationRecord], in order
     contexts: list = field(default_factory=list)  # per block: BlockContext
 
 
@@ -131,7 +132,7 @@ def unroll(sample: TrainSample, net: MaskNet, cfg: TrainConfig) -> UnrollResult:
     if sample.n_blocks > MAX_BLOCKS:
         raise ValueError(f"sample has {sample.n_blocks} blocks, cap is {MAX_BLOCKS}")
     masks, embeddings = {}, {}
-    records, contexts, plan, targets = [], [], [], []
+    records, contexts, targets = [], [], []
     slot_source = {}  # speaker slot -> source id (grows block by block)
     prev_z = {}  # slot -> embedding emitted in the previous block
     zero_z = np.zeros(net.embed_dim)  # z_prev of a slot new in this block
@@ -149,7 +150,6 @@ def unroll(sample: TrainSample, net: MaskNet, cfg: TrainConfig) -> UnrollResult:
         new_slots = list(range(next_slot, next_slot + len(new_sources)))
         next_slot += len(new_sources)
         order = [0] + known_slots + new_slots
-        plan.append(order)
 
         known_targets = {}
         for slot in known_slots:
@@ -197,8 +197,8 @@ def unroll(sample: TrainSample, net: MaskNet, cfg: TrainConfig) -> UnrollResult:
 
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x54524950]))
     loss = total_loss(masks, sample.mags, targets, embeddings, cfg.weights, rng=rng)
-    return UnrollResult(loss, masks, embeddings, loss.assignment, targets,
-                        plan, cfg.teacher_forcing, records, contexts)
+    return UnrollResult(loss, masks, embeddings, targets, cfg.teacher_forcing,
+                        records, contexts)
 
 
 def unroll_backward(result: UnrollResult, net: MaskNet) -> dict:

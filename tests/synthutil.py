@@ -110,7 +110,7 @@ def run_unroll(sample, params, cfg):
 
 
 def _triplet_margins(result, cfg):
-    labels = dict(result.assignment)
+    labels = dict(result.loss.assignment)
     keys = sorted(k for k in result.embeddings if k[1] >= 1 and k[1] in labels)
     margins = []
     for a in keys:

@@ -411,6 +411,26 @@ def test_decode_accepts_matching_or_unrecorded_model_stft():
         assert np.array_equal(sig.samples, unrecorded.streams[slot].samples)
 
 
+class _CountingEstimator:
+    embed_dim = 4
+
+    def __init__(self):
+        self.blocks = []
+
+    def begin_block(self, index, mag, ipd):
+        self.blocks.append(index)
+
+
+@pytest.mark.parametrize("block_len_s, block_n", [(0.02, 160), (1e-5, 0)])
+def test_decode_rejects_block_shorter_than_stft_window(block_len_s, block_n):
+    # the error names both lengths before any block reaches the estimator
+    est = _CountingEstimator()
+    with pytest.raises(ValueError, match=f"block of {block_n} samples .* 256-sample"):
+        decode_session(_noise_mixture(), est, DecoderConfig(block_len_s=block_len_s),
+                       StftConfig())
+    assert est.blocks == []
+
+
 class BlockScriptedEstimator:
     """Speakers revealed by zero-embedding probes in a scripted order per
     block, at flat mask levels; a known speaker's embedding drifts from

@@ -103,6 +103,12 @@ def test_split_blocks_two_channels():
     assert np.array_equal(blocks[0, 1], [3, 4, 0])
 
 
+@pytest.mark.parametrize("block_n", [0, -4])
+def test_split_blocks_rejects_empty_blocks(block_n):
+    with pytest.raises(ValueError, match="at least 1 sample"):
+        split_blocks(np.ones(8), block_n)
+
+
 def test_istft_zero():
     cfg = StftConfig()
     out = istft(np.zeros((10, 129), dtype=complex), cfg)

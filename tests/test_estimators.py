@@ -241,8 +241,8 @@ def _two_call_reference(params, inp, d_mask, d_z_out):
     p = np.tanh(ctx.static_pre + residual @ a["w_res"] + z_prev @ a["w_emb_in"])
     xf = p @ a["w_xf"] + a["b_f"]
     xb = p @ a["w_xb"] + a["b_b"]
-    hf = kernels.rnn_seq_forward_numpy(xf, a["w_hf"], np.zeros(h))
-    hb_rev = kernels.rnn_seq_forward_numpy(xb[::-1].copy(), a["w_hb"], np.zeros(h))
+    hf = kernels.rnn_seq_forward(xf, a["w_hf"], np.zeros(h))
+    hb_rev = kernels.rnn_seq_forward(xb[::-1].copy(), a["w_hb"], np.zeros(h))
     hcat = np.concatenate([hf, hb_rev[::-1]], axis=1)
     mask = 1.0 / (1.0 + np.exp(-(hcat @ a["w_mask"] + a["b_mask"])))
     e = hcat.mean(axis=0) @ a["w_embed"] + a["b_embed"]
@@ -258,9 +258,8 @@ def _two_call_reference(params, inp, d_mask, d_z_out):
     g["w_mask"] += hcat.T @ d_mask_pre
     g["b_mask"] += d_mask_pre.sum(axis=0)
     d_hcat += d_mask_pre @ a["w_mask"].T
-    d_xf = kernels.rnn_seq_backward_numpy(hf, a["w_hf"], d_hcat[:, :h].copy())
-    d_xb_rev = kernels.rnn_seq_backward_numpy(hb_rev, a["w_hb"],
-                                              d_hcat[::-1, h:].copy())
+    d_xf = kernels.rnn_seq_backward(hf, a["w_hf"], d_hcat[:, :h].copy())
+    d_xb_rev = kernels.rnn_seq_backward(hb_rev, a["w_hb"], d_hcat[::-1, h:].copy())
     d_xb = d_xb_rev[::-1]
     g["w_hf"] += np.vstack([np.zeros((1, h)), hf[:-1]]).T @ d_xf
     g["w_hb"] += np.vstack([np.zeros((1, h)), hb_rev[:-1]]).T @ d_xb_rev

@@ -4,32 +4,13 @@ import pytest
 from blocksep import kernels
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_active_backend_matches_numpy(dtype):
-    rng = np.random.default_rng(0)
-    # keep the recurrence stable (spectral radius < 1) so ulp-level
-    # differences between libm and numpy tanh cannot compound chaotically
-    x = rng.normal(size=(300, 24)).astype(dtype)
-    w = (0.12 * rng.normal(size=(24, 24))).astype(dtype)
-    h0 = np.zeros(24, dtype=dtype)
-    a = kernels.rnn_seq_forward(x, w, h0)
-    b = kernels.rnn_seq_forward_numpy(x, w, h0)
-    tol = 1e-4 if dtype == np.float32 else 1e-10
-    assert np.allclose(a, b, atol=tol)
-    d = rng.normal(size=(300, 24)).astype(dtype)
-    ga = kernels.rnn_seq_backward(a, w, d)
-    gb = kernels.rnn_seq_backward_numpy(b, w, d)
-    scale = np.abs(gb).max()
-    assert np.allclose(ga, gb, atol=10 * tol * max(scale, 1.0))
-
-
 def test_forward_recurrence_definition():
     # spot-check the recurrence against a hand-rolled loop
     rng = np.random.default_rng(1)
     x = rng.normal(size=(5, 3))
     w = 0.5 * rng.normal(size=(3, 3))
     h0 = rng.normal(size=3)
-    out = kernels.rnn_seq_forward_numpy(x, w, h0)
+    out = kernels.rnn_seq_forward(x, w, h0)
     h = h0
     for t in range(5):
         h = np.tanh(x[t] + h @ w)
@@ -45,10 +26,10 @@ def test_backward_matches_finite_differences():
     proj = rng.normal(size=(t_len, h_dim))
 
     def loss(xv):
-        return float(np.sum(kernels.rnn_seq_forward_numpy(xv, w, h0) * proj))
+        return float(np.sum(kernels.rnn_seq_forward(xv, w, h0) * proj))
 
-    states = kernels.rnn_seq_forward_numpy(x, w, h0)
-    d_x = kernels.rnn_seq_backward_numpy(states, w, proj)
+    states = kernels.rnn_seq_forward(x, w, h0)
+    d_x = kernels.rnn_seq_backward(states, w, proj)
     eps = 1e-6
     for idx in [(0, 0), (3, 2), (6, 3)]:
         xp = x.copy()
@@ -57,11 +38,3 @@ def test_backward_matches_finite_differences():
         xm[idx] -= eps
         fd = (loss(xp) - loss(xm)) / (2 * eps)
         assert fd == pytest.approx(d_x[idx], rel=1e-5)
-
-
-def test_env_flag_selects_numpy(monkeypatch):
-    monkeypatch.setenv("BLOCKSEP_NO_NUMBA", "1")
-    using, fwd, bwd = kernels._resolve_backend()
-    assert not using
-    assert fwd is kernels.rnn_seq_forward_numpy
-    assert bwd is kernels.rnn_seq_backward_numpy

@@ -77,6 +77,15 @@ def random_timeline(rng, max_speakers=4, max_segments=20, horizon=20.0):
     return Timeline(segs)
 
 
+def as_row(rep):
+    return (rep.der, rep.missed_s, rep.falarm_s, rep.confusion_s, rep.total_ref_s)
+
+
+def relabeled(timeline, mapping):
+    return Timeline(Segment(mapping.get(s.speaker, s.speaker), s.start, s.end)
+                    for s in timeline)
+
+
 # --------------------------------------------------------------------------
 # VAD
 # --------------------------------------------------------------------------
@@ -182,9 +191,8 @@ def test_der_relabeling_invariance():
     ref = random_timeline(rng)
     hyp = random_timeline(rng)
     rep1 = der(ref, hyp)
-    relabeled = hyp.relabeled({s: f"x_{s}" for s in hyp.speakers()})
-    rep2 = der(ref, relabeled)
-    assert rep1.as_row() == rep2.as_row()
+    rep2 = der(ref, relabeled(hyp, {s: f"x_{s}" for s in hyp.speakers()}))
+    assert as_row(rep1) == as_row(rep2)
 
 
 def test_der_mapping_optimality_small():
@@ -200,7 +208,7 @@ def test_der_mapping_optimality_small():
 def test_der_many_speakers_relabelled():
     segs = [Segment(f"s{i:02d}", i, i + 1.5) for i in range(12)]
     ref = Timeline(segs)
-    hyp = ref.relabeled({f"s{i:02d}": f"h{i:02d}" for i in range(12)})
+    hyp = relabeled(ref, {f"s{i:02d}": f"h{i:02d}" for i in range(12)})
     rep = der(ref, hyp)
     assert rep.der == 0.0
     assert rep.mapping == {f"h{i:02d}": f"s{i:02d}" for i in range(12)}
@@ -316,5 +324,5 @@ def test_der_relabel_property(seed):
     hyp = random_timeline(rng, max_speakers=3, max_segments=6)
     rep1 = der(ref, hyp)
     perm = {s: f"h{i}" for i, s in enumerate(reversed(hyp.speakers()))}
-    rep2 = der(ref, hyp.relabeled(perm))
-    assert rep1.as_row() == rep2.as_row()
+    rep2 = der(ref, relabeled(hyp, perm))
+    assert as_row(rep1) == as_row(rep2)

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from blocksep.dsp import AudioSignal, write_wav
+from blocksep.rttm import Segment
 from blocksep.simulate import (
     MeetingScenario,
     make_pool,
-    measure_snr,
     render,
     sample_scenario,
     synth_utterance,
@@ -112,9 +112,7 @@ def test_render_additivity(pool):
 def test_render_snr_matches_request(pool):
     sc = _scenario_fixture(pool)
     meeting = render(sc)
-    measured = measure_snr(meeting.references, meeting.noise, meeting.timeline)
-    assert measured == pytest.approx(sc.snr_db, abs=0.1)
-    # independent recomputation of the power ratio
+    # recompute the speech-to-noise power ratio over the active samples
     fs = meeting.noise.sample_rate
     active = np.zeros(meeting.noise.n_samples, dtype=bool)
     for seg in meeting.timeline:
@@ -134,6 +132,19 @@ def test_render_empty_scenario_is_noise_only(pool):
     meeting = render(sc)
     assert np.array_equal(meeting.mixture.samples, meeting.noise.samples)
     assert meeting.references == {}
+
+
+def test_render_timeline_covering_no_sample_rejected(pool):
+    # a segment shorter than one sample at 8 kHz: the timeline is not empty,
+    # but it marks no sample active, so no SNR can be set
+    spk = pool[0]
+    sc = MeetingScenario(
+        profile="B", length_s=8.0, segments=[Segment(spk.speaker_id, 1.0, 1.00001)],
+        snr_db=15.0, rt60_s=0.3, mic_delays={spk.speaker_id: 0.0}, seed=1,
+        sources=[spk],
+    )
+    with pytest.raises(ValueError, match="timeline has no active speech"):
+        render(sc)
 
 
 def test_render_determinism(pool):

@@ -51,14 +51,15 @@ def test_unroll_target_assembly_invariant():
     cfg = tiny_config()
     params = tiny_params(cfg=cfg)
     result = unroll(sample, MaskNet(params), cfg)
-    for b, order in enumerate(result.iteration_plan):
+    for b, block_records in enumerate(result.records):
+        order = [rec.slot for rec in block_records]
         tgt = result.targets[b]
         assert order[0] == 0  # noise first, always
         n_targets = 1 + len(tgt.known) + len(tgt.new_sources)
         assert n_targets == len(order)
     # block 1: both slots known, source "b" silent -> zero target
     assert set(result.targets[1].known) == {1, 2}
-    silent_slot = next(s for s, src in result.assignment.items() if src == "b")
+    silent_slot = next(s for s, src in result.loss.assignment.items() if src == "b")
     assert np.all(result.targets[1].known[silent_slot] == 0)
 
 
@@ -66,7 +67,7 @@ def test_unroll_one_source_identity_permutation():
     sample = make_synthetic_sample(1, sources=("solo",))
     cfg = tiny_config()
     result = unroll(sample, MaskNet(tiny_params(cfg=cfg)), cfg)
-    assert result.assignment == {1: "solo"}
+    assert result.loss.assignment == {1: "solo"}
     # loss matches the masked MSE computed directly from the network's masks
     expected = 0.0
     for b in range(2):
@@ -108,7 +109,8 @@ def test_teacher_forcing_on_off_structural_difference():
     r_on = unroll(sample, MaskNet(params), cfg_on)
     r_off = unroll(sample, MaskNet(params), cfg_off)
     # identical iteration structure
-    assert r_on.iteration_plan == r_off.iteration_plan
+    assert ([[rec.slot for rec in recs] for recs in r_on.records]
+            == [[rec.slot for rec in recs] for recs in r_off.records])
     # identical first-iteration inputs, diverging residuals afterwards
     first_on = r_on.records[0][0].cache.residual
     first_off = r_off.records[0][0].cache.residual

@@ -195,10 +195,13 @@ def decode_session(mixture: AudioSignal, estimator, cfg: DecoderConfig,
     A model (an estimator with ``params``) whose recorded STFT settings
     differ from ``stft_cfg`` is rejected with ``ValueError`` before the first
     block; a model that records none is not checked.  A block shorter than
-    the STFT window is rejected the same way.
+    the STFT window, or a mixture with a NaN or infinite sample, is rejected
+    the same way.
     """
     if mixture.n_channels != 2:
         raise ValueError("decoding expects a 2-channel mixture")
+    if not np.isfinite(mixture.samples).all():
+        raise ValueError("mixture holds a NaN or infinite sample")
     model_stft = getattr(getattr(estimator, "params", None), "stft", None)
     if model_stft and model_stft != asdict(stft_cfg):
         raise ValueError(f"model STFT settings {model_stft} differ from the "

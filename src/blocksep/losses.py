@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-DEFAULT_TRIPLET_CAP = 512
+# Most triplets ``triplet_loss`` sums; beyond it a uniform sample is drawn.
+TRIPLET_CAP = 512
 
 
 @dataclass(frozen=True)
@@ -140,16 +141,15 @@ def _cosine_with_grads(a, b):
     return s, da, db
 
 
-def triplet_loss(embeddings, labels, delta, max_triplets=DEFAULT_TRIPLET_CAP,
-                 rng=None):
+def triplet_loss(embeddings, labels, delta, rng):
     """Cosine triplet loss over all labeled embeddings of a minibatch.
 
     Args:
         embeddings: {(block, slot): (D,) vector}; all must be non-zero.
         labels: {(block, slot): speaker label}.
         delta: margin.
-        max_triplets: cap; the triplet set is sampled uniformly beyond it.
-        rng: numpy Generator used only when the cap applies.
+        rng: numpy Generator that samples ``TRIPLET_CAP`` triplets when
+            there are more.
     Returns:
         (loss, grads keyed like ``embeddings``).
     """
@@ -165,10 +165,8 @@ def triplet_loss(embeddings, labels, delta, max_triplets=DEFAULT_TRIPLET_CAP,
             for n in keys:
                 if labels[n] != labels[a]:
                     triplets.append((a, p, n))
-    if len(triplets) > max_triplets:
-        if rng is None:
-            rng = np.random.default_rng(0x54524950)
-        idx = rng.choice(len(triplets), size=max_triplets, replace=False)
+    if len(triplets) > TRIPLET_CAP:
+        idx = rng.choice(len(triplets), size=TRIPLET_CAP, replace=False)
         triplets = [triplets[i] for i in sorted(idx)]
     loss = 0.0
     grads = {k: np.zeros_like(embeddings[k]) for k in keys}
@@ -195,11 +193,13 @@ class TotalLoss:
     emb_grads: dict
 
 
-def total_loss(masks, mixes, targets, embeddings, weights: LossWeights, rng=None):
+def total_loss(masks, mixes, targets, embeddings, weights: LossWeights, rng):
     """Weighted multi-task objective over one unrolled sample.
 
     Speaker slots take their triplet labels from the permutation-invariant
-    assignment.  Noise-slot embeddings are excluded from the triplet term.
+    assignment.  Noise-slot embeddings are excluded from the triplet term;
+    ``rng`` samples its triplets beyond ``TRIPLET_CAP``.  Every mask gets a
+    gradient.
     """
     spk_masks = {k: v for k, v in masks.items() if k[1] >= 1}
     l_spk, assignment, g_spk = mmse_partial_pit(spk_masks, mixes, targets)
@@ -209,7 +209,7 @@ def total_loss(masks, mixes, targets, embeddings, weights: LossWeights, rng=None
     emb_labeled = {k: v for k, v in embeddings.items()
                    if k[1] >= 1 and k[1] in assignment}
     key_labels = {k: assignment[k[1]] for k in emb_labeled}
-    l_trip, g_trip = triplet_loss(emb_labeled, key_labels, weights.delta, rng=rng)
+    l_trip, g_trip = triplet_loss(emb_labeled, key_labels, weights.delta, rng)
 
     total = l_spk + l_noise + weights.alpha * l_res + weights.beta * l_trip
     mask_grads = {}

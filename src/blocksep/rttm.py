@@ -23,7 +23,7 @@ class Segment:
 
 
 class Timeline:
-    """A set of (speaker, start, end) activity segments.
+    """A set of :class:`Segment` activity segments.
 
     Segments of the same speaker are normalized on construction: sorted and
     merged wherever they touch or overlap.
@@ -32,8 +32,6 @@ class Timeline:
     def __init__(self, segments=()):
         by_speaker = {}
         for seg in segments:
-            if not isinstance(seg, Segment):
-                seg = Segment(*seg)
             by_speaker.setdefault(seg.speaker, []).append(seg)
         merged = []
         for speaker in sorted(by_speaker):

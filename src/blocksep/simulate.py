@@ -29,9 +29,9 @@ from .rttm import Segment, Timeline
 
 HEAD_LEN_S = 5.0
 # Occupancy intervals are multiples of this grid, 1 to 3 units long.
-DEFAULT_GRID_S = 2.5
-DEFAULT_SNR_RANGE = (10.0, 20.0)
-DEFAULT_RT60_RANGE = (0.3, 0.7)
+GRID_S = 2.5
+SNR_RANGE_DB = (10.0, 20.0)
+RT60_RANGE_S = (0.3, 0.7)
 # Quiescent noise RMS used when a scenario has no speech to set an SNR against.
 SILENT_SCENARIO_NOISE_RMS = 0.05
 
@@ -115,93 +115,57 @@ class RenderedMeeting:
     scenario: MeetingScenario
 
 
-def sample_scenario(
-    profile: str,
-    length_s: float,
-    pool,
-    seed: int,
-    snr_range=DEFAULT_SNR_RANGE,
-    rt60_range=DEFAULT_RT60_RANGE,
-    grid_s: float = DEFAULT_GRID_S,
-    new_speaker_align_s: float | None = None,
-    min_first_run_s: float | None = None,
-) -> MeetingScenario:
-    """Draw a meeting activity plan.
-
-    ``new_speaker_align_s`` restricts first appearances of a speaker to
-    multiples of the given time, and ``min_first_run_s`` keeps a speaker
-    active for at least that long after their debut.  Both are off by
-    default and exist to build decoding fixtures with unambiguous speaker
-    entries; they bias the occupancy statistics slightly when set.
-    """
+def sample_scenario(profile: str, length_s: float, pool, seed: int) -> MeetingScenario:
+    """Draw a meeting activity plan, SNR, RT60 and inter-mic delays."""
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}")
     prof = PROFILES[profile]
     pool = list(pool)
     if not pool:
         raise ValueError("speaker pool is empty")
-    if len(pool) < prof.max_concurrent:
+    pool_ids = [s.speaker_id for s in pool]
+    if len(set(pool_ids)) < prof.max_concurrent:
         raise ValueError(
-            f"speaker pool must hold at least {prof.max_concurrent} speakers"
+            f"speaker pool must hold at least {prof.max_concurrent} distinct speakers"
         )
     if length_s < HEAD_LEN_S:
         raise ValueError(f"scenario length must be at least {HEAD_LEN_S} s")
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5343454E]))
-    pool_ids = [s.speaker_id for s in pool]
     by_id = {s.speaker_id: s for s in pool}
 
     def pick(candidates):
         return candidates[int(rng.integers(len(candidates)))]
 
     intervals = []  # (t0, t1, tuple of active ids)
-    pin_until = {}
-    seen = []
 
     head_k = int(rng.choice(prof.head_counts, p=prof.head_probs))
     active = sorted(
         rng.choice(pool_ids, size=head_k, replace=False).tolist()
     ) if head_k else []
-    for spk in active:
-        seen.append(spk)
-        if min_first_run_s:
-            pin_until[spk] = min_first_run_s
+    seen = list(active)
     head_end = min(HEAD_LEN_S, length_s)
     if active:
         intervals.append((0.0, head_end, tuple(active)))
 
     t = head_end
     while t < length_s - 1e-9:
-        dur = grid_s * int(rng.integers(1, 4))
-        dur = min(dur, length_s - t)
+        dur = min(GRID_S * int(rng.integers(1, 4)), length_s - t)
         k = int(rng.choice(prof.body_counts, p=prof.body_probs))
-
-        pinned = sorted(s for s in active if pin_until.get(s, 0.0) > t + 1e-9)
-        k = max(k, len(pinned))
-        retained = list(pinned)
-        droppable = [s for s in active if s not in pinned]
-        n_keep = min(k - len(retained), len(droppable))
-        if n_keep > 0:
-            retained += sorted(
-                rng.choice(droppable, size=n_keep, replace=False).tolist()
-            )
+        n_keep = min(k, len(active))
+        retained = sorted(
+            rng.choice(active, size=n_keep, replace=False).tolist()
+        ) if n_keep > 0 else []
         while len(retained) < k:
+            # the pool holds at least k distinct speakers, so one of the
+            # two lists is never empty
             reusable = sorted(s for s in seen if s not in retained)
             fresh = [s for s in pool_ids if s not in seen]
-            debut_ok = (
-                new_speaker_align_s is None
-                or abs(t / new_speaker_align_s - round(t / new_speaker_align_s)) < 1e-9
-            )
-            use_reuse = reusable and (not fresh or rng.random() < 0.5)
-            if fresh and not use_reuse and debut_ok:
+            if fresh and not (reusable and rng.random() < 0.5):
                 spk = pick(fresh)
                 seen.append(spk)
-                if min_first_run_s:
-                    pin_until[spk] = t + min_first_run_s
-            elif reusable:
-                spk = pick(reusable)
             else:
-                break  # nothing eligible right now; occupancy falls short
+                spk = pick(reusable)
             retained.append(spk)
         active = sorted(retained)
         if active:
@@ -214,8 +178,8 @@ def sample_scenario(
         key=lambda s: (s.start, s.speaker),
     )
 
-    snr = float(rng.uniform(*snr_range))
-    rt60 = float(rng.uniform(*rt60_range))
+    snr = float(rng.uniform(*SNR_RANGE_DB))
+    rt60 = float(rng.uniform(*RT60_RANGE_S))
 
     used = sorted({s.speaker for s in segments})
     delays = {}

@@ -30,6 +30,8 @@ from .losses import BlockTargets, LossWeights, TotalLoss, total_loss
 
 # Most blocks ``unroll`` accepts in one sample (60 s at the default block length).
 MAX_BLOCKS = 6
+# Most slots (the noise slot plus speaker slots) ``unroll`` runs in one block.
+MAX_SLOTS = 8
 
 
 @dataclass
@@ -45,7 +47,6 @@ class TrainConfig:
     hidden: int = DEFAULT_HIDDEN
     proj: int = DEFAULT_PROJ
     embed_dim: int = DEFAULT_EMBED_DIM
-    max_slots: int = 8  # noise slot + speaker slots per unrolled sample
 
     def __post_init__(self):
         if self.block_len_s <= 0:
@@ -99,8 +100,7 @@ def build_train_sample(rendered, stft_cfg: StftConfig, block_len_s: float,
 class _IterationRecord:
     slot: int
     cache: object  # MaskNet.IterationCache
-    gate: np.ndarray | None  # clip pass-through region (teacher forcing off)
-    z_src: tuple | None  # (block, slot) that produced this iteration's z_prev
+    gate: np.ndarray | None  # clip pass-through region; None under teacher forcing
 
 
 @dataclass
@@ -109,7 +109,6 @@ class UnrollResult:
     masks: dict  # (block, slot) -> mask
     embeddings: dict  # (block, slot) -> embedding
     targets: list
-    teacher_forcing: bool
     records: list = field(default_factory=list)  # per block: [_IterationRecord], in order
     contexts: list = field(default_factory=list)  # per block: BlockContext
 
@@ -145,7 +144,7 @@ def unroll(sample: TrainSample, net: MaskNet, cfg: TrainConfig) -> UnrollResult:
             sample, b, [s for s in sample.activity[b]
                         if s not in slot_source.values()],
         )
-        if 1 + len(known_slots) + len(new_sources) > cfg.max_slots:
+        if 1 + len(known_slots) + len(new_sources) > MAX_SLOTS:
             raise ValueError("more concurrent sources than slot cap")
         new_slots = list(range(next_slot, next_slot + len(new_sources)))
         next_slot += len(new_sources)
@@ -170,8 +169,7 @@ def unroll(sample: TrainSample, net: MaskNet, cfg: TrainConfig) -> UnrollResult:
         contexts.append(ctx)
         block_records = []
         residual = np.ones_like(mag)
-        for idx, slot in enumerate(order):
-            z_src = (b - 1, slot) if slot in prev_z else None
+        for slot in order:
             z_prev = prev_z.get(slot, zero_z)
             mask, z_out, cache = net.forward(ctx, residual, z_prev)
             masks[(b, slot)] = mask
@@ -191,57 +189,46 @@ def unroll(sample: TrainSample, net: MaskNet, cfg: TrainConfig) -> UnrollResult:
                 pre_clip = residual - mask
                 gate = ((pre_clip > 0.0) & (pre_clip < 1.0)).astype(mask.dtype)
                 residual = np.clip(pre_clip, 0.0, 1.0)
-            block_records.append(_IterationRecord(slot, cache, gate, z_src))
+            block_records.append(_IterationRecord(slot, cache, gate))
         records.append(block_records)
         prev_z = {slot: embeddings[(b, slot)] for slot in order}
 
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x54524950]))
     loss = total_loss(masks, sample.mags, targets, embeddings, cfg.weights, rng=rng)
-    return UnrollResult(loss, masks, embeddings, targets, cfg.teacher_forcing,
-                        records, contexts)
+    return UnrollResult(loss, masks, embeddings, targets, records, contexts)
 
 
 def unroll_backward(result: UnrollResult, net: MaskNet) -> dict:
     """Backpropagate the unrolled loss into parameter gradients.
 
     Walks blocks and iterations in reverse, chaining embedding gradients
-    across blocks and, when teacher forcing was off, residual gradients
-    through the clip recursion within each block.
+    across blocks by slot and, where an iteration recorded a clip gate
+    (teacher forcing off), residual gradients through the clip recursion
+    within each block.  Every slot known before a block runs in it, so a
+    slot's ``z_prev`` in block b is its embedding from block b - 1.
     """
     grads = net.params.zeros_like()
-    z_chain = {}  # (block, slot) -> accumulated downstream gradient
-    n_blocks = len(result.records)
-    for b in range(n_blocks - 1, -1, -1):
+    z_next = {}  # slot -> gradient w.r.t. its embedding, from the next block
+    for b in range(len(result.records) - 1, -1, -1):
         ctx = result.contexts[b]
+        z_here = {}
         carry = None  # gradient w.r.t. the residual produced by iteration i
         for rec in reversed(result.records[b]):
             key = (b, rec.slot)
-            d_mask = result.loss.mask_grads.get(key)
-            if d_mask is None:
-                d_mask = np.zeros_like(result.masks[key])
-            else:
-                d_mask = d_mask.copy()
+            d_mask = result.loss.mask_grads[key]
             d_z = result.loss.emb_grads.get(key)
             if d_z is None:
                 d_z = np.zeros_like(result.embeddings[key])
-            else:
-                d_z = d_z.copy()
-            if key in z_chain:
-                d_z += z_chain.pop(key)
-            if not result.teacher_forcing and carry is not None:
-                d_mask -= carry * rec.gate
-            d_residual, d_z_prev = net.backward(ctx, rec.cache, d_mask, d_z, grads)
-            if result.teacher_forcing:
-                carry = None
-            else:
-                if carry is None:
-                    carry = d_residual
-                else:
-                    carry = d_residual + carry * rec.gate
-            if rec.z_src is not None:
-                prev = z_chain.get(rec.z_src)
-                z_chain[rec.z_src] = d_z_prev if prev is None else prev + d_z_prev
+            if rec.slot in z_next:
+                d_z = d_z + z_next[rec.slot]
+            if carry is not None:
+                d_mask = d_mask - carry * rec.gate
+            d_residual, z_here[rec.slot] = net.backward(ctx, rec.cache, d_mask,
+                                                        d_z, grads)
+            if rec.gate is not None:
+                carry = d_residual if carry is None else d_residual + carry * rec.gate
         net.finish_block_backward(ctx, grads)
+        z_next = z_here
     return grads
 
 
@@ -280,18 +267,17 @@ class EpochStats:
     seconds: float
 
 
-def train(dataset, cfg: TrainConfig, params: ModelParams | None = None,
-          start_epoch: int = 0):
+def train(dataset, cfg: TrainConfig, params: ModelParams | None = None):
     """Optimize the network on a dataset of :class:`TrainSample` objects.
 
     Without ``params`` the network starts from ``init_params`` with the
     config's seed and sizes, and records ``cfg.stft`` so that a decode can
-    check it.  Epochs run from ``start_epoch``; each shuffles the samples
-    with a seed derived from (``cfg.seed``, epoch) and steps Adam every
-    ``batch_size`` samples; Adam's moments start from zero on every call.
-    Deterministic given (dataset order, config, start epoch).  Aborts on a
-    non-finite loss, naming the offending sample.  Returns the trained
-    parameters and one :class:`EpochStats` per epoch.
+    check it.  Each epoch shuffles the samples with a seed derived from
+    (``cfg.seed``, epoch) and steps Adam every ``batch_size`` samples; Adam's
+    moments start from zero on every call.  Deterministic given (dataset
+    order, config).  Aborts on a non-finite loss, naming the offending
+    sample.  Returns the trained parameters and one :class:`EpochStats` per
+    epoch.
     """
     items = list(dataset)
     if not items:
@@ -304,7 +290,7 @@ def train(dataset, cfg: TrainConfig, params: ModelParams | None = None,
     net = MaskNet(params)
     opt = Adam(params, cfg.learning_rate)
     history = []
-    for epoch in range(start_epoch, start_epoch + cfg.epochs):
+    for epoch in range(cfg.epochs):
         t0 = time.time()
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, epoch]))
         order = rng.permutation(len(items))

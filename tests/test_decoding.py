@@ -20,7 +20,7 @@ from blocksep.estimators import (
 )
 from blocksep.metrics import block_speaker_counts
 from blocksep.rttm import Segment
-from blocksep.simulate import MeetingScenario, make_pool, render, sample_scenario
+from blocksep.simulate import MeetingScenario, make_pool, render
 
 T, F = 20, 10
 CFG = DecoderConfig()
@@ -180,20 +180,23 @@ def test_consistency_vacuous_on_first_block():
 STFT = StftConfig(256, 128)
 
 
-def _fixture_meeting(seed, n_speakers=None, length=60.0):
-    pool = make_pool(5, seed=2)
-    for s in range(seed, seed + 200):
-        sc = sample_scenario(
-            "B", length, pool, seed=s,
-            new_speaker_align_s=10.0, min_first_run_s=10.0,
-        )
-        if n_speakers is None or len(sc.timeline.speakers()) == n_speakers:
-            return render(sc)
-    raise RuntimeError("no scenario found")
+def _fixture_meeting(seed, length=60.0):
+    """Three speakers who debut on block boundaries 10 s apart, each talking
+    for at least one block from the debut; cut to ``length``."""
+    pool = make_pool(3, seed=2)
+    a, b, c = (spec.speaker_id for spec in pool)
+    plan = [(a, 0.0, 20.0), (b, 10.0, 25.0), (c, 20.0, 35.0),
+            (a, 35.0, 50.0), (b, 45.0, 60.0)]
+    segs = [Segment(spk, t0, min(t1, length)) for spk, t0, t1 in plan if t0 < length]
+    sc = MeetingScenario(
+        profile="B", length_s=length, segments=segs, snr_db=15.0, rt60_s=0.4,
+        mic_delays={a: -2.5, b: 0.5, c: 3.0}, seed=seed, sources=list(pool),
+    )
+    return render(sc)
 
 
 def test_oracle_session_three_speakers():
-    meeting = _fixture_meeting(seed=0, n_speakers=3)
+    meeting = _fixture_meeting(seed=0)
     est = OracleMaskEstimator.from_rendered(meeting, STFT, CFG.block_len_s)
     result = decode_session(meeting.mixture, est, CFG, STFT)
     assert result.final_count == 3
@@ -206,7 +209,7 @@ def test_oracle_session_three_speakers():
 
 
 def test_late_speaker_gets_new_slot_late():
-    meeting = _fixture_meeting(seed=0, n_speakers=3)
+    meeting = _fixture_meeting(seed=0)
     est = OracleMaskEstimator.from_rendered(meeting, STFT, CFG.block_len_s)
     result = decode_session(meeting.mixture, est, CFG, STFT)
     debut_block = {}
@@ -428,6 +431,16 @@ def test_decode_rejects_block_shorter_than_stft_window(block_len_s, block_n):
     with pytest.raises(ValueError, match=f"block of {block_n} samples .* 256-sample"):
         decode_session(_noise_mixture(), est, DecoderConfig(block_len_s=block_len_s),
                        StftConfig())
+    assert est.blocks == []
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_decode_rejects_non_finite_mixture(bad):
+    mixture = _noise_mixture(seconds=2.0)
+    mixture.samples[1, 12345] = bad
+    est = _CountingEstimator()
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        decode_session(mixture, est, CFG, STFT)
     assert est.blocks == []
 
 

@@ -290,6 +290,16 @@ def test_wav_roundtrip(tmp_path):
     assert np.max(np.abs(back.samples - sig.samples)) < 1.0 / 16384
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_wav_write_rejects_non_finite_samples(tmp_path, bad):
+    samples = np.zeros((2, 100))
+    samples[1, 40] = bad
+    path = tmp_path / "x.wav"
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        write_wav(path, AudioSignal(8000, samples))
+    assert not path.exists()
+
+
 def test_wav_rejects_wrong_encoding(tmp_path):
     import wave
 

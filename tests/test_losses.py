@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from blocksep.losses import (
+    TRIPLET_CAP,
     BlockTargets,
     LossWeights,
     mmse_partial_pit,
@@ -14,6 +15,10 @@ from blocksep.losses import (
 )
 
 T, F = 3, 4
+
+
+def _rng():
+    return np.random.default_rng(0)
 
 
 def _mk(val):
@@ -171,7 +176,7 @@ def test_triplet_arithmetic():
     n = emb(np.arccos(0.2))
     embs = {(0, 1): a, (1, 1): p, (0, 2): n}
     labels = {(0, 1): "x", (1, 1): "x", (0, 2): "y"}
-    loss, grads = triplet_loss(embs, labels, delta)
+    loss, grads = triplet_loss(embs, labels, delta, _rng())
     # mining yields (a,p,n) and (p,a,n): s_pa = 0.9, s_pn = cos(acos(0.9)-acos(0.2))
     s_pn = np.cos(np.arccos(0.9) - np.arccos(0.2))
     expected = max(0.2 - 0.9 + delta, 0) + max(s_pn - 0.9 + delta, 0)
@@ -190,7 +195,7 @@ def test_triplet_identical_same_speaker_orthogonal_others():
     w /= np.linalg.norm(w)
     embs = {(0, 1): v, (1, 1): v.copy(), (0, 2): w, (1, 2): w.copy()}
     labels = {(0, 1): "a", (1, 1): "a", (0, 2): "b", (1, 2): "b"}
-    loss, _ = triplet_loss(embs, labels, delta=0.1)
+    loss, _ = triplet_loss(embs, labels, delta=0.1, rng=_rng())
     assert loss == pytest.approx(0.0)
 
 
@@ -198,13 +203,13 @@ def test_triplet_zero_norm_rejected():
     embs = {(0, 1): np.zeros(4), (0, 2): np.ones(4)}
     labels = {(0, 1): "a", (0, 2): "b"}
     with pytest.raises(ValueError, match="zero-norm"):
-        triplet_loss(embs, labels, 0.1)
+        triplet_loss(embs, labels, 0.1, _rng())
 
 
 def test_triplet_no_valid_triplets_is_zero():
     embs = {(0, 1): np.ones(4), (0, 2): np.ones(4)}
     labels = {(0, 1): "a", (0, 2): "b"}  # no speaker has 2 embeddings
-    loss, grads = triplet_loss(embs, labels, 0.1)
+    loss, grads = triplet_loss(embs, labels, 0.1, _rng())
     assert loss == 0.0
     assert all(np.all(g == 0) for g in grads.values())
 
@@ -217,9 +222,14 @@ def test_triplet_cap_is_deterministic():
             v = rng.normal(size=6)
             embs[(b, s)] = v / np.linalg.norm(v)
             labels[(b, s)] = f"spk{s}"
-    l1, _ = triplet_loss(embs, labels, 0.2, max_triplets=50)
-    l2, _ = triplet_loss(embs, labels, 0.2, max_triplets=50)
+    # 18 anchors x 5 positives x 12 negatives: more triplets than the cap
+    assert 18 * 5 * 12 > TRIPLET_CAP
+    l1, _ = triplet_loss(embs, labels, 0.2, np.random.default_rng(7))
+    l2, _ = triplet_loss(embs, labels, 0.2, np.random.default_rng(7))
     assert l1 == l2
+    # the generator picks the sample: another seed sums other triplets
+    l3, _ = triplet_loss(embs, labels, 0.2, np.random.default_rng(8))
+    assert l3 != l1
 
 
 def _random_instance(seed):
@@ -251,7 +261,7 @@ def _random_instance(seed):
 def test_total_loss_weight_zero_reduces_to_mmse():
     masks, mixes, targets, embs = _random_instance(10)
     w0 = LossWeights(alpha=0.0, beta=0.0)
-    res = total_loss(masks, mixes, targets, embs, w0)
+    res = total_loss(masks, mixes, targets, embs, w0, _rng())
     assert res.total == pytest.approx(res.mmse)
     spk = {k: v for k, v in masks.items() if k[1] >= 1}
     l_spk, _, _ = mmse_partial_pit(spk, mixes, targets)
@@ -267,7 +277,7 @@ def test_total_loss_all_zero_components():
     targets = [BlockTargets(noise=mix.copy(), known={},
                             new_sources=[("a", mix.copy())])]
     res = total_loss(masks, mixes=[mix], targets=targets, embeddings=embs,
-                     weights=LossWeights())
+                     weights=LossWeights(), rng=_rng())
     assert res.total == pytest.approx(0.0)
 
 
@@ -278,9 +288,9 @@ def _fd_check(seed):
     weights = LossWeights(alpha=0.37, beta=0.53, delta=0.2)
 
     def value(m, e):
-        return total_loss(m, mixes, targets, e, weights).total
+        return total_loss(m, mixes, targets, e, weights, _rng()).total
 
-    res = total_loss(masks, mixes, targets, embs, weights)
+    res = total_loss(masks, mixes, targets, embs, weights, _rng())
     eps = 1e-6
     for key in masks:
         g = res.mask_grads[key]

@@ -14,6 +14,7 @@ from blocksep.estimators import MaskNet, save_params
 from blocksep.losses import LossWeights
 from blocksep.simulate import make_pool, render, sample_scenario
 from blocksep.training import (
+    MAX_SLOTS,
     TrainConfig,
     build_train_sample,
     train,
@@ -83,10 +84,17 @@ def test_unroll_one_source_identity_permutation():
 
 
 def test_unroll_slot_cap():
-    sample = make_synthetic_sample(2, sources=tuple(f"s{i}" for i in range(4)))
-    cfg = tiny_config(max_slots=3)
+    # the noise slot plus MAX_SLOTS speakers is one slot over the cap
+    names = tuple(f"s{i}" for i in range(MAX_SLOTS))
+    cfg = tiny_config()
+    net = MaskNet(tiny_params(cfg=cfg))
+    at_cap = make_synthetic_sample(2, sources=names[:-1])
+    assert at_cap.activity[0] == sorted(names[:-1])
+    assert len(unroll(at_cap, net, cfg).records[0]) == MAX_SLOTS
+    over = make_synthetic_sample(2, sources=names)
+    assert over.activity[0] == sorted(names)
     with pytest.raises(ValueError, match="slot cap"):
-        unroll(sample, MaskNet(tiny_params(cfg=cfg)), cfg)
+        unroll(over, net, cfg)
 
 
 def test_teacher_forcing_residuals_independent_of_params():

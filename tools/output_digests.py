@@ -15,6 +15,10 @@ script only imports.  Per meeting it hashes:
 * every decode: the streams, the per-block masks, the final embeddings,
   the counts, the consistency log and the DER/SDR/counting scores.
 
+Then it hashes ``sample_scenario`` draws, one line per (profile, pool size,
+length) over ``SAMPLER_SEEDS`` seeds, so that a change to the scenario
+sampler shows even where no benchmark meeting reaches it.
+
 BLAS is pinned to one thread before numpy is imported, so that matrix
 products sum in the same order on every run.
 """
@@ -37,7 +41,11 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
 import numpy as np  # noqa: E402
 import workloads  # noqa: E402
 
-from blocksep import estimators  # noqa: E402
+from blocksep import estimators, simulate  # noqa: E402
+
+SAMPLER_POOLS = (4, 5, 6)
+SAMPLER_LENGTHS_S = (10.0, 30.0, 60.0, 120.0)
+SAMPLER_SEEDS = range(40)
 
 
 def _feed(h, obj):
@@ -137,6 +145,14 @@ def main():
                 prefix = f"{workload.name}/{workloads.item_key(workload, seed)}"
                 for name, value in meeting_outputs(workload, seed, workdir, checkpoint):
                     print(f"{prefix}/{name} {digest(value)}", flush=True)
+    for profile in sorted(simulate.PROFILES):
+        for n_pool in SAMPLER_POOLS:
+            pool = simulate.make_pool(n_pool)
+            for length in SAMPLER_LENGTHS_S:
+                draws = [simulate.sample_scenario(profile, length, pool, seed)
+                         for seed in SAMPLER_SEEDS]
+                print(f"sampler/{profile}/pool{n_pool}/{length:g}s {digest(draws)}",
+                      flush=True)
 
 
 if __name__ == "__main__":

@@ -4,6 +4,8 @@ rule, and consistency-check decoding for count increases.
 
 A session is strictly sequential over blocks (state-carrying); separate
 sessions can decode concurrently with shared read-only estimator parameters.
+Each block is decoded once and its streams synthesized at its verdict; past
+blocks are kept only as the estimator's small re-decode handles.
 """
 
 from dataclasses import asdict, dataclass, field
@@ -44,19 +46,20 @@ class SessionState:
     """Decoder state carried across blocks.
 
     Slot 0 is reserved for noise.  Slot order never permutes; the slot count
-    only decreases when a consistency check rejects an increase.  The feature
-    cache covers the whole session so past blocks can be re-decoded; memory
-    is O(session length) by design.
+    only decreases when a consistency check rejects an increase.  ``cache``
+    holds one estimator handle per decoded block, so that a consistency
+    check can re-decode past blocks; the blocks' features, spectra and masks
+    are not kept.  A finished session empties it.
     """
 
     embeddings: list
     iteration_counts: list = field(default_factory=list)
     cache: list = field(default_factory=list)
-    block_masks: list = field(default_factory=list)
+    block_shape: tuple = ()  # (T, F) of every block
 
     @property
     def n_blocks(self):
-        return len(self.cache)
+        return len(self.iteration_counts)
 
     @property
     def speaker_count(self):
@@ -91,7 +94,8 @@ def decode_block(features: BlockFeatures, state: SessionState, estimator,
                  cfg: DecoderConfig) -> BlockResult:
     """Decode one block, updating ``state`` in place.
 
-    The features go to ``begin_block`` once; each iteration calls ``estimate``.
+    The features go to ``begin_block`` once, whose handle joins
+    ``state.cache``; each iteration calls ``estimate``.
     Iteration order: the noise slot, then known speaker slots in fixed order
     (conditioned on their stored embeddings), then zero-embedding probes for
     new speakers.  After each non-silent mask the residual is updated as
@@ -101,8 +105,8 @@ def decode_block(features: BlockFeatures, state: SessionState, estimator,
     probe that comes back silent ends the block without creating a slot.
     """
     b = state.n_blocks
-    _call_estimator(b, "begin_block", estimator.begin_block,
-                    b, features.mag, features.ipd)
+    handle = _call_estimator(b, "begin_block", estimator.begin_block,
+                             b, features.mag, features.ipd)
     residual = np.ones_like(features.mag)
     masks = {}
     new_slots = []
@@ -133,8 +137,8 @@ def decode_block(features: BlockFeatures, state: SessionState, estimator,
         residual = np.clip(residual - mask, 0.0, 1.0)
 
     state.iteration_counts.append(iterations)
-    state.cache.append(features)
-    state.block_masks.append(masks)
+    state.cache.append(handle)
+    state.block_shape = features.mag.shape
     return BlockResult(masks, new_slots)
 
 
@@ -145,15 +149,14 @@ def consistency_check(state: SessionState, new_slots, pre_block_embeddings,
     Accept the count increase iff every new slot's mask stays below
     ``t_resmask`` (per-block mean) in every past block, i.e. the new speaker
     is not retroactively present.  The first block of a session has no past,
-    so an increase there is vacuously accepted.
+    so an increase there is vacuously accepted.  Each past block is re-entered
+    through its handle in ``state.cache``.
     """
     embeddings = pre_block_embeddings + [state.embeddings[s] for s in new_slots]
     n_known = len(pre_block_embeddings)
     for b in range(state.n_blocks - 1):
-        features = state.cache[b]
-        _call_estimator(b, "begin_block", estimator.begin_block,
-                        b, features.mag, features.ipd)
-        residual = np.ones_like(features.mag)
+        _call_estimator(b, "enter_block", estimator.enter_block, state.cache[b])
+        residual = np.ones(state.block_shape)
         for i, emb in enumerate(embeddings):
             mask, _ = _estimate(estimator, residual, emb, b, i + 1)
             if i >= n_known and float(mask.mean()) >= cfg.t_resmask:
@@ -173,79 +176,121 @@ class DecodeResult:
     state: SessionState
 
 
+@dataclass
+class BlockOutput:
+    masks: dict  # slot -> (T, F) mask, after the consistency verdict
+    chunks: dict  # slot -> the block's samples of that slot's stream (a view)
+    accepted: bool | None  # consistency verdict; None when no check ran
+
+
 def block_features(block_samples: np.ndarray, stft_cfg: StftConfig) -> BlockFeatures:
     s1 = stft(block_samples[0], stft_cfg)
     s2 = stft(block_samples[1], stft_cfg)
     return BlockFeatures(np.abs(s1), ipd(s1, s2), s1)
 
 
-def decode_session(mixture: AudioSignal, estimator, cfg: DecoderConfig,
-                   stft_cfg: StftConfig) -> DecodeResult:
-    """Decode a whole two-channel session block by block.
+class Session:
+    """A two-channel session of ``n_samples`` decoded block by block.
 
-    Streams are rebuilt per slot by masking the reference channel and
-    inverting the STFT per block; blocks are disjoint in time and their
-    reconstructions concatenate to the session length.  The trailing partial
-    block, if any, is zero-padded before decoding and trimmed afterwards.
+    Each :meth:`push` decodes one block and synthesizes its stream chunks at
+    once: a block's masks are final after its consistency verdict, and later
+    blocks change only the embeddings.  The session then keeps only the
+    estimator's handle for the block, so apart from the output streams its
+    memory does not grow with the session length.  Each slot's stream is
+    allocated at full session length, as zeros, when the slot opens.
 
     A rejected count increase drops the block's new slots and restores every
     embedding, known slots included, to its value before the block; the
     block's iteration count keeps the rejected probes.
 
     A model (an estimator with ``params``) whose recorded STFT settings
-    differ from ``stft_cfg`` is rejected with ``ValueError`` before the first
-    block; a model that records none is not checked.  A block shorter than
-    the STFT window, or a mixture with a NaN or infinite sample, is rejected
-    the same way.
+    differ from ``stft_cfg`` is rejected with ``ValueError``; a model that
+    records none is not checked.  So is a block shorter than the STFT
+    window, or a session shorter than one window.
+    """
+
+    def __init__(self, estimator, cfg: DecoderConfig, stft_cfg: StftConfig,
+                 sample_rate: int, n_samples: int):
+        model_stft = getattr(getattr(estimator, "params", None), "stft", None)
+        if model_stft and model_stft != asdict(stft_cfg):
+            raise ValueError(f"model STFT settings {model_stft} differ from the "
+                             f"decode STFT settings {asdict(stft_cfg)}")
+        self.block_n = int(round(cfg.block_len_s * sample_rate))
+        if self.block_n < stft_cfg.window_len:
+            raise ValueError(f"block of {self.block_n} samples is shorter than the "
+                             f"{stft_cfg.window_len}-sample STFT window")
+        if n_samples < stft_cfg.window_len:
+            raise ValueError("input too short")
+        self.estimator = estimator
+        self.cfg = cfg
+        self.stft_cfg = stft_cfg
+        self.sample_rate = sample_rate
+        self.n_samples = n_samples
+        self.state = new_session_state(estimator.embed_dim)
+        self.streams = {}  # slot -> (n_samples,) samples
+        self.activity = []
+        self.consistency_log = []
+
+    def push(self, block_samples: np.ndarray) -> BlockOutput:
+        """Decode the next (2, block_n) block; the last one is zero-padded."""
+        state, cfg = self.state, self.cfg
+        b = state.n_blocks
+        start = b * self.block_n
+        stop = min(start + self.block_n, self.n_samples)
+        if start >= self.n_samples:
+            raise ValueError(f"block {b} starts after the session's end")
+        feats = block_features(block_samples, self.stft_cfg)
+        pre = [e.copy() for e in state.embeddings]
+        result = decode_block(feats, state, self.estimator, cfg)
+        accepted = None
+        if result.new_slots and cfg.consistency_check and b > 0:
+            accepted = consistency_check(state, result.new_slots, pre,
+                                         self.estimator, cfg)
+            self.consistency_log.append((b, accepted))
+            if not accepted:
+                for slot in result.new_slots:
+                    result.masks.pop(slot)
+                state.embeddings = pre
+
+        chunks = {}
+        for slot, mask in result.masks.items():
+            if slot not in self.streams:
+                self.streams[slot] = np.zeros(self.n_samples)
+            rec = istft(apply_mask(mask, feats.spec), self.stft_cfg)[: stop - start]
+            chunk = chunks[slot] = self.streams[slot][start:stop]
+            chunk[: rec.size] = rec
+        self.activity.append(sorted(slot for slot, m in result.masks.items()
+                                    if float(m.mean()) >= cfg.t_silent))
+        return BlockOutput(result.masks, chunks, accepted)
+
+    def finish(self) -> DecodeResult:
+        """End the session: nothing re-decodes its blocks any more, so their
+        handles go."""
+        self.state.cache.clear()
+        streams = {slot: AudioSignal(self.sample_rate, samples)
+                   for slot, samples in self.streams.items()}
+        per_block_counts = [sum(slot > 0 for slot in active) for active in self.activity]
+        return DecodeResult(streams, self.activity, per_block_counts,
+                            self.state.speaker_count, self.consistency_log, self.state)
+
+
+def decode_session(mixture: AudioSignal, estimator, cfg: DecoderConfig,
+                   stft_cfg: StftConfig) -> DecodeResult:
+    """Decode a whole two-channel session block by block with a
+    :class:`Session`.
+
+    Blocks are disjoint in time; the trailing partial block, if any, is
+    zero-padded before decoding and its chunks are trimmed to the session
+    length.  A mixture with a NaN or infinite sample is rejected with
+    ``ValueError`` before the first block, as are the settings
+    :class:`Session` rejects.
     """
     if mixture.n_channels != 2:
         raise ValueError("decoding expects a 2-channel mixture")
     if not np.isfinite(mixture.samples).all():
         raise ValueError("mixture holds a NaN or infinite sample")
-    model_stft = getattr(getattr(estimator, "params", None), "stft", None)
-    if model_stft and model_stft != asdict(stft_cfg):
-        raise ValueError(f"model STFT settings {model_stft} differ from the "
-                         f"decode STFT settings {asdict(stft_cfg)}")
-    fs = mixture.sample_rate
-    block_n = int(round(cfg.block_len_s * fs))
-    if block_n < stft_cfg.window_len:
-        raise ValueError(f"block of {block_n} samples is shorter than the "
-                         f"{stft_cfg.window_len}-sample STFT window")
-    n = mixture.n_samples
-    if n < stft_cfg.window_len:
-        raise ValueError("input too short")
-    blocks = split_blocks(mixture.samples, block_n)  # (2, n_blocks, block_n)
-    n_blocks = blocks.shape[1]
-
-    state = new_session_state(estimator.embed_dim)
-    consistency_log = []
-    for b in range(n_blocks):
-        feats = block_features(blocks[:, b], stft_cfg)
-        pre = [e.copy() for e in state.embeddings]
-        result = decode_block(feats, state, estimator, cfg)
-        if result.new_slots and cfg.consistency_check and b > 0:
-            ok = consistency_check(state, result.new_slots, pre, estimator, cfg)
-            consistency_log.append((b, ok))
-            if not ok:
-                for slot in result.new_slots:
-                    state.block_masks[b].pop(slot)
-                state.embeddings = pre
-
-    streams = {}
-    for slot in range(len(state.embeddings)):
-        parts = []
-        for b in range(n_blocks):
-            mask = state.block_masks[b].get(slot)  # None: the slot was absent
-            rec = (np.zeros(0) if mask is None
-                   else istft(apply_mask(mask, state.cache[b].spec), stft_cfg))
-            parts.append(split_blocks(rec, block_n)[0])
-        streams[slot] = AudioSignal(fs, np.concatenate(parts)[:n])
-
-    activity = [
-        sorted(slot for slot, m in masks.items() if float(m.mean()) >= cfg.t_silent)
-        for masks in state.block_masks
-    ]
-    per_block_counts = [sum(slot > 0 for slot in active) for active in activity]
-
-    return DecodeResult(streams, activity, per_block_counts,
-                        state.speaker_count, consistency_log, state)
+    session = Session(estimator, cfg, stft_cfg, mixture.sample_rate, mixture.n_samples)
+    blocks = split_blocks(mixture.samples, session.block_n)  # (2, n_blocks, block_n)
+    for b in range(blocks.shape[1]):
+        session.push(blocks[:, b])
+    return session.finish()

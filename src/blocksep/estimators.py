@@ -12,8 +12,12 @@ to (source mask, speaker embedding):
   mask head, and a mean-pooled, L2-normalized embedding head.
 
 Both follow one session protocol: ``begin_block(index, mag, ipd)`` hands over
-a block's fixed features once, then each extraction iteration calls
-``estimate(residual, z_prev)``; a zero ``z_prev`` probes for a new speaker.
+a block's fixed features once and returns a small handle for the block, then
+each extraction iteration calls ``estimate(residual, z_prev)``; a zero
+``z_prev`` probes for a new speaker.  ``enter_block(handle)`` re-enters a
+past block for a consistency re-decode without its features, resetting the
+per-block call state as ``begin_block`` does.  The handle is all the decoder
+keeps of a past block.
 """
 
 import hashlib
@@ -99,7 +103,7 @@ class OracleMaskEstimator:
     fixed embedding; a zero ``z_prev`` probes the strongest source not yet
     extracted in the block.  Speakers whose mask mean falls below
     ``SILENT_MASK_MEAN`` yield an all-zero mask.  The block features passed
-    to ``begin_block`` are not used.
+    to ``begin_block`` are not used; a block's handle is its index.
     """
 
     embed_dim = DEFAULT_EMBED_DIM
@@ -135,10 +139,14 @@ class OracleMaskEstimator:
     def n_blocks(self):
         return len(self.block_mags)
 
-    def begin_block(self, index: int, mag, ipd):
+    def begin_block(self, index: int, mag, ipd) -> int:
         if not 0 <= index < self.n_blocks:
             raise ValueError(f"block index {index} out of range")
-        self._block = index
+        self.enter_block(index)
+        return index
+
+    def enter_block(self, handle: int):
+        self._block = handle
         self._calls = 0
         self._emitted = set()
 
@@ -276,9 +284,13 @@ def _joint_recurrence_weight(arrays) -> np.ndarray:
 
 @dataclass
 class BlockContext:
-    """Cached per-block state: static projection and backward accumulators."""
+    """Cached per-block state: static projection and backward accumulators.
 
-    features: np.ndarray  # (T, 3F) normalized static features
+    A decode handle holds the static projection only: ``forward`` reads
+    nothing else, and the features are needed only to train.
+    """
+
+    features: np.ndarray | None  # (T, 3F) normalized static features
     static_pre: np.ndarray  # (T, P)
     d_static_pre: np.ndarray | None = None
 
@@ -309,8 +321,12 @@ class MaskNet:
 
     # -- session protocol ---------------------------------------------------
 
-    def begin_block(self, index: int, mag: np.ndarray, ipd: IpdFeature):
-        self._ctx = self.prepare_block(mag, ipd)
+    def begin_block(self, index: int, mag: np.ndarray, ipd: IpdFeature) -> BlockContext:
+        self._ctx = BlockContext(None, self.prepare_block(mag, ipd).static_pre)
+        return self._ctx
+
+    def enter_block(self, handle: BlockContext):
+        self._ctx = handle
 
     def estimate(self, residual: np.ndarray, z_prev: np.ndarray):
         mask, z_out, _ = self.forward(self._ctx, residual, z_prev)

@@ -123,7 +123,8 @@ def sdr(estimate: AudioSignal | np.ndarray, reference: AudioSignal | np.ndarray)
     """Scale-projection signal-to-distortion ratio in dB.
 
     The estimate is projected onto the reference; everything orthogonal to
-    the reference counts as distortion.  Results are capped to +/-60 dB.
+    the reference counts as distortion.  Results are capped to +/-60 dB; a
+    silent estimate (no target and no distortion) scores -60 dB.
     """
     est = estimate.channel(0) if isinstance(estimate, AudioSignal) else np.asarray(estimate)
     ref = reference.channel(0) if isinstance(reference, AudioSignal) else np.asarray(reference)
@@ -137,10 +138,10 @@ def sdr(estimate: AudioSignal | np.ndarray, reference: AudioSignal | np.ndarray)
     noise = est - target
     num = float(np.dot(target, target))
     den = float(np.dot(noise, noise))
-    if den <= num * 10.0 ** (-SDR_CAP_DB / 10.0):
-        return SDR_CAP_DB
     if num <= den * 10.0 ** (-SDR_CAP_DB / 10.0):
         return -SDR_CAP_DB
+    if den <= num * 10.0 ** (-SDR_CAP_DB / 10.0):
+        return SDR_CAP_DB
     return 10.0 * np.log10(num / den)
 
 

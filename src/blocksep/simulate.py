@@ -250,7 +250,11 @@ def _clip_from_pool(spec, n, fs, rng):
     )
     if not files:
         raise ValueError(f"clip pool {spec.clip_dir} holds no WAV files")
-    sig = read_wav(os.path.join(spec.clip_dir, files[int(rng.integers(len(files)))]))
+    path = os.path.join(spec.clip_dir, files[int(rng.integers(len(files)))])
+    sig = read_wav(path)
+    if sig.sample_rate != fs:
+        raise ValueError(f"clip {path} is sampled at {sig.sample_rate} Hz, "
+                         f"the meeting at {fs} Hz")
     clip = sig.channel(0)
     if clip.size == 0:
         raise ValueError("empty clip in pool")

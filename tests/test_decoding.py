@@ -1,16 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from blocksep.decoding import (
     BlockFeatures,
     DecoderConfig,
+    Session,
     SessionState,
     consistency_check,
     decode_block,
     decode_session,
     new_session_state,
 )
-from blocksep.dsp import AudioSignal, IpdFeature, StftConfig
+from blocksep.dsp import AudioSignal, IpdFeature, StftConfig, split_blocks
 from blocksep.estimators import (
     MaskNet,
     OracleMaskEstimator,
@@ -122,7 +125,11 @@ class ScriptedEstimator:
         self._block = 0
 
     def begin_block(self, index, mag, ipd):
-        self._block = index
+        self.enter_block(index)
+        return index
+
+    def enter_block(self, handle):
+        self._block = handle
 
     def estimate(self, residual, z_prev):
         if np.allclose(z_prev, self.new_z):
@@ -131,16 +138,16 @@ class ScriptedEstimator:
 
 
 def _scripted_state(new_z, n_past=2):
-    state = SessionState(embeddings=[np.zeros(8), np.ones(8) / np.sqrt(8)])
-    for _ in range(n_past):
-        state.cache.append(_flat_features())
+    """Past blocks whose handles are their indices, as ScriptedEstimator's."""
+    state = SessionState(embeddings=[np.zeros(8), np.ones(8) / np.sqrt(8)],
+                         block_shape=(T, F))
+    for b in range(n_past):
+        state.cache.append(b)
         state.iteration_counts.append(2)
-        state.block_masks.append({0: np.zeros((T, F))})
     # current block created the new slot 2
     state.embeddings.append(new_z)
-    state.cache.append(_flat_features())
+    state.cache.append(n_past)
     state.iteration_counts.append(3)
-    state.block_masks.append({0: np.zeros((T, F)), 2: np.full((T, F), 0.5)})
     return state
 
 
@@ -165,11 +172,10 @@ def test_consistency_rejects_retroactive_presence():
 def test_consistency_vacuous_on_first_block():
     new_z = speaker_embedding("first", 8)
     est = ScriptedEstimator(new_z, {0: np.full((T, F), 0.9)})
-    state = SessionState(embeddings=[np.zeros(8)])
+    state = SessionState(embeddings=[np.zeros(8)], block_shape=(T, F))
     state.embeddings.append(new_z)
-    state.cache.append(_flat_features())
+    state.cache.append(0)
     state.iteration_counts.append(2)
-    state.block_masks.append({0: np.zeros((T, F)), 1: np.full((T, F), 0.9)})
     assert consistency_check(state, [1], [state.embeddings[0]], est, CFG)
 
 
@@ -295,7 +301,11 @@ class FaultInjectionEstimator:
 
     def begin_block(self, index: int, mag, ipd):
         self._block = index
-        self.inner.begin_block(index, mag, ipd)
+        return self.inner.begin_block(index, mag, ipd)
+
+    def enter_block(self, handle):
+        self._block = handle
+        self.inner.enter_block(handle)
 
     def _is_spurious(self, z):
         return (not is_zero_embedding(z)
@@ -369,6 +379,9 @@ def test_estimator_failure_carries_block_context():
         def begin_block(self, index, mag, ipd):
             pass
 
+        def enter_block(self, handle):
+            raise RuntimeError("boom")
+
         def estimate(self, residual, z_prev):
             raise RuntimeError("boom")
 
@@ -377,14 +390,22 @@ def test_estimator_failure_carries_block_context():
         decode_block(_flat_features(), state, Exploding(), CFG)
 
     # block preparation fails in begin_block: a network for 5 bins given
-    # features of F = 10 bins, in a decode and in a consistency re-decode
+    # features of F = 10 bins
     wrong_bins = MaskNet(init_params(bins=5, embed_dim=8, hidden=3, proj=4))
     with pytest.raises(RuntimeError, match="block 0, begin_block"):
         decode_block(_flat_features(), new_session_state(8), wrong_bins, CFG)
+    # a consistency re-decode fails in enter_block, or in an estimate: the
+    # 5-bin network re-enters blocks a 10-bin network decoded
     state = _scripted_state(speaker_embedding("newbie", 8))
     pre = state.embeddings[:2]
-    with pytest.raises(RuntimeError, match="block 0, begin_block"):
-        consistency_check(state, [2], pre, wrong_bins, CFG)
+    with pytest.raises(RuntimeError, match="block 0, enter_block"):
+        consistency_check(state, [2], pre, Exploding(), CFG)
+    state = new_session_state(8)
+    for _ in range(2):
+        decode_block(_flat_features(), state,
+                     MaskNet(init_params(bins=F, embed_dim=8, hidden=3, proj=4)), CFG)
+    with pytest.raises(RuntimeError, match="block 0, iteration 1: matmul"):
+        consistency_check(state, [], state.embeddings, wrong_bins, CFG)
 
 
 def _noise_mixture(seconds=1.0, fs=8000):
@@ -461,7 +482,11 @@ class BlockScriptedEstimator:
         return z / np.linalg.norm(z)
 
     def begin_block(self, index, mag, ipd):
-        self._block, self._calls, self._left = index, 0, list(self.probes[index])
+        self.enter_block(index)
+        return index
+
+    def enter_block(self, handle):
+        self._block, self._calls, self._left = handle, 0, list(self.probes[handle])
 
     def estimate(self, residual, z_prev):
         b = self._block
@@ -484,12 +509,78 @@ def test_rejected_increase_restores_pre_block_embeddings():
     cfg = DecoderConfig(block_len_s=1.0)
     fs = 8000
     mixture = AudioSignal(fs, np.random.default_rng(0).normal(size=(2, 2 * fs)))
-    result = decode_session(mixture, est, cfg, STFT)
+    outputs, result = _pushed(mixture, est, cfg, STFT)
     state = result.state
     assert result.consistency_log == [(1, False)]
+    assert [out.accepted for out in outputs] == [None, False]
     assert result.final_count == 1
     # the known slot keeps its embedding from before block 1, not block 1's
     assert not np.allclose(est.embedding("a", 1), est.embedding("a", 0))
     assert np.array_equal(state.embeddings[1], est.embedding("a", 0))
-    assert sorted(state.block_masks[1]) == [0, 1]  # no new slot
+    assert sorted(outputs[1].masks) == [0, 1]  # no new slot
+    assert sorted(outputs[1].chunks) == [0, 1]
     assert state.iteration_counts == [2, 3]  # block 1 counts the rejected probe
+
+
+def _pushed(mixture, estimator, cfg, stft_cfg):
+    """Push a mixture block by block: (each push's output, the result)."""
+    session = Session(estimator, cfg, stft_cfg, mixture.sample_rate, mixture.n_samples)
+    blocks = split_blocks(mixture.samples, session.block_n)
+    outputs = [session.push(blocks[:, b]) for b in range(blocks.shape[1])]
+    return outputs, session.finish()
+
+
+def test_pushed_chunks_concatenate_to_the_session_streams():
+    # 25 s: the last block is partial; slots open in blocks 0, 1 and 2
+    meeting = _fixture_meeting(seed=7, length=25.0)
+    est = OracleMaskEstimator.from_rendered(meeting, STFT, CFG.block_len_s)
+    outputs, pushed = _pushed(meeting.mixture, est, CFG, STFT)
+    est = OracleMaskEstimator.from_rendered(meeting, STFT, CFG.block_len_s)
+    result = decode_session(meeting.mixture, est, CFG, STFT)
+    assert sorted(result.streams) == sorted(pushed.streams) == [0, 1, 2, 3]
+    for slot, sig in result.streams.items():
+        # a slot has no chunk before it opens: its stream is silent there
+        parts = [out.chunks.get(slot, np.zeros(out.chunks[0].size)) for out in outputs]
+        assert np.array_equal(np.concatenate(parts), sig.channel(0))
+        assert np.array_equal(pushed.streams[slot].samples, sig.samples)
+    assert result.activity == pushed.activity
+    assert result.activity == [sorted(slot for slot, m in out.masks.items()
+                                      if m.mean() >= CFG.t_silent) for out in outputs]
+
+
+def test_finished_session_keeps_no_block_handles():
+    meeting = _fixture_meeting(seed=0, length=30.0)
+    est = OracleMaskEstimator.from_rendered(meeting, STFT, CFG.block_len_s)
+    result = decode_session(meeting.mixture, est, CFG, STFT)
+    assert result.state.cache == []
+    assert result.state.n_blocks == 3
+
+
+def test_push_past_the_session_end_rejected():
+    mixture = _noise_mixture(seconds=1.0)  # one 10 s block, zero-padded
+    session = Session(_tiny_net(STFT), CFG, STFT, mixture.sample_rate, mixture.n_samples)
+    block = split_blocks(mixture.samples, session.block_n)[:, 0]
+    session.push(block)
+    with pytest.raises(ValueError, match="block 1 starts after the session's end"):
+        session.push(block)
+
+
+def _retained_bytes_besides_streams(mixture, net):
+    tracemalloc.start()
+    try:
+        result = decode_session(mixture, net, CFG, STFT)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return retained - sum(sig.samples.nbytes for sig in result.streams.values())
+
+
+def test_session_memory_besides_streams_does_not_grow_with_length():
+    # the streams are the output; everything else a decode keeps (a
+    # handle per past block while it runs, nothing once it ends) must not
+    # grow with the session: a 120 s session once kept 77 MB of features
+    net = _tiny_net(STFT)
+    mixtures = [_noise_mixture(seconds) for seconds in (30.0, 120.0)]
+    decode_session(_noise_mixture(), net, CFG, STFT)  # warm up numpy's caches
+    short, long = (_retained_bytes_besides_streams(m, net) for m in mixtures)
+    assert abs(long - short) < 1e6

@@ -170,6 +170,27 @@ def test_masknet_session_uses_each_blocks_features():
         assert np.array_equal(z, ref_z)
 
 
+def test_masknet_reenters_a_block_through_its_handle():
+    # a consistency re-decode enters a past block by its handle alone and
+    # estimates exactly as right after that block's begin_block
+    params = _tiny_params()
+    net = MaskNet(params)
+    mag, feat, residual, z_prev = _tiny_input(7, t=3)
+    handle = net.begin_block(0, mag, feat)
+    net.begin_block(1, *_tiny_input(8, t=3)[:2])
+    net.enter_block(handle)
+    mask, z = net.estimate(residual, z_prev)
+    ref = MaskNet(params)
+    ref.begin_block(0, mag, feat)
+    ref_mask, ref_z = ref.estimate(residual, z_prev)
+    assert np.array_equal(mask, ref_mask)
+    assert np.array_equal(z, ref_z)
+    # the handle keeps the (T, P) projection, not the (T, 3F) features
+    assert handle.features is None
+    assert [v.shape for v in vars(handle).values() if isinstance(v, np.ndarray)] == [
+        (3, params.proj)]
+
+
 def test_masknet_rejects_nonfinite_params():
     params = _tiny_params()
     params.arrays["w_mask"][0, 0] = np.nan

@@ -252,6 +252,11 @@ def test_sdr_equal_power_orthogonal_noise_is_zero_db():
     assert sdr(ref + noise, ref) == pytest.approx(0.0, abs=0.1)
 
 
+def test_sdr_silent_estimate_floored():
+    # no target and no distortion: the estimate recovers nothing
+    assert sdr(np.zeros(8000), _tone()) == -60.0
+
+
 def test_sdr_silent_reference_rejected():
     with pytest.raises(ValueError, match="silent reference"):
         sdr(_tone(), np.zeros(8000))

@@ -209,6 +209,14 @@ def test_clip_pool_renders_from_wav_files(pool, tmp_path):
         assert np.all(np.isfinite(sig.samples))
 
 
+def test_clip_pool_at_other_sample_rate_rejected(pool, tmp_path):
+    # a 16 kHz clip in an 8 kHz meeting would play an octave low
+    write_wav(tmp_path / "a.wav", AudioSignal(16000, 0.2 * np.ones(16000)))
+    sc = sample_scenario("A", 8.0, _clip_pool(pool, tmp_path), seed=2)
+    with pytest.raises(ValueError, match="sampled at 16000 Hz, the meeting at 8000 Hz"):
+        render(sc)
+
+
 def test_clip_pool_without_wav_files_rejected(pool, tmp_path):
     (tmp_path / "notes.txt").write_text("no audio here")
     sc = sample_scenario("A", 8.0, _clip_pool(pool, tmp_path), seed=2)

@@ -13,7 +13,10 @@ script only imports.  Per meeting it hashes:
 * train meetings: the ``TrainSample`` arrays, then one epoch's params and
   losses, and the decode by the trained network;
 * every decode: the streams, the per-block masks, the final embeddings,
-  the counts, the consistency log and the DER/SDR/counting scores.
+  the counts, the consistency log and the DER/SDR/counting scores.  The
+  masks are what ``Session.push`` returns for each block after its verdict,
+  from a second decode of the meeting; everything else is read from the
+  ``decode_session`` result.
 
 Then it hashes ``sample_scenario`` draws, one line per (profile, pool size,
 length) over ``SAMPLER_SEEDS`` seeds, so that a change to the scenario
@@ -41,7 +44,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
 import numpy as np  # noqa: E402
 import workloads  # noqa: E402
 
-from blocksep import estimators, simulate  # noqa: E402
+from blocksep import decoding, estimators, simulate  # noqa: E402
+from blocksep.dsp import split_blocks  # noqa: E402
 
 SAMPLER_POOLS = (4, 5, 6)
 SAMPLER_LENGTHS_S = (10.0, 30.0, 60.0, 120.0)
@@ -100,11 +104,20 @@ def oracle_irms(est):
     return out
 
 
-def decode_outputs(result, item, workdir):
+def pushed_masks(item, estimator, stft_cfg):
+    """Per block, {slot: mask} after the verdict, as ``Session.push`` returns."""
+    mixture = item.rendered.mixture
+    session = decoding.Session(estimator, workloads.DECODER, stft_cfg,
+                               mixture.sample_rate, mixture.n_samples)
+    blocks = split_blocks(mixture.samples, session.block_n)
+    return [session.push(blocks[:, b]).masks for b in range(blocks.shape[1])]
+
+
+def decode_outputs(result, masks, item, workdir):
     state = result.state
     return {
         "streams": {slot: sig.samples for slot, sig in result.streams.items()},
-        "masks": state.block_masks,
+        "masks": masks,
         "embeddings": state.embeddings,
         "counts": {"activity": result.activity,
                    "per_block": result.per_block_counts,
@@ -125,13 +138,15 @@ def meeting_outputs(workload, seed, workdir, checkpoint):
         yield "trained_params", params.arrays
         yield "epoch_losses", [(s.epoch, s.total, s.mmse, s.resmask, s.triplet)
                                for s in history]
-        result = workloads.decode(item, estimators.MaskNet(params),
-                                  workloads.decode_stft(workload))
+        estimator = estimators.MaskNet(params)
     else:
         if workload.estimator == "oracle":
             yield "oracle_irms", oracle_irms(item.estimator)
-        result = workloads.decode(item)
-    for name, value in decode_outputs(result, item, workdir).items():
+        estimator = item.estimator
+    stft_cfg = workloads.decode_stft(workload)
+    result = workloads.decode(item, estimator, stft_cfg)
+    masks = pushed_masks(item, estimator, stft_cfg)
+    for name, value in decode_outputs(result, masks, item, workdir).items():
         yield f"decode.{name}", value
 
 

@@ -206,7 +206,8 @@ class Session:
     A model (an estimator with ``params``) whose recorded STFT settings
     differ from ``stft_cfg`` is rejected with ``ValueError``; a model that
     records none is not checked.  So is a block shorter than the STFT
-    window, or a session shorter than one window.
+    window, or a session shorter than one window.  :meth:`push` checks each
+    block before the estimator sees it.
     """
 
     def __init__(self, estimator, cfg: DecoderConfig, stft_cfg: StftConfig,
@@ -232,13 +233,24 @@ class Session:
         self.consistency_log = []
 
     def push(self, block_samples: np.ndarray) -> BlockOutput:
-        """Decode the next (2, block_n) block; the last one is zero-padded."""
+        """Decode the next (2, block_n) block; the last one is zero-padded.
+
+        Raises ``ValueError`` after :meth:`finish`, past the session's end,
+        and for a block of another shape or with a NaN or infinite sample.
+        """
         state, cfg = self.state, self.cfg
         b = state.n_blocks
         start = b * self.block_n
         stop = min(start + self.block_n, self.n_samples)
+        if len(state.cache) != b:
+            raise ValueError(f"block {b} pushed after the session finished")
         if start >= self.n_samples:
             raise ValueError(f"block {b} starts after the session's end")
+        if np.shape(block_samples) != (2, self.block_n):
+            raise ValueError(f"block {b} has shape {np.shape(block_samples)}, "
+                             f"not (2, {self.block_n})")
+        if not np.isfinite(block_samples).all():
+            raise ValueError(f"block {b} holds a NaN or infinite sample")
         feats = block_features(block_samples, self.stft_cfg)
         pre = [e.copy() for e in state.embeddings]
         result = decode_block(feats, state, self.estimator, cfg)
@@ -281,14 +293,11 @@ def decode_session(mixture: AudioSignal, estimator, cfg: DecoderConfig,
 
     Blocks are disjoint in time; the trailing partial block, if any, is
     zero-padded before decoding and its chunks are trimmed to the session
-    length.  A mixture with a NaN or infinite sample is rejected with
-    ``ValueError`` before the first block, as are the settings
+    length.  Every block goes through :meth:`Session.push`, so a mixture that
+    is not two-channel, or holds a NaN or infinite sample, raises
+    ``ValueError`` at the first such block, as do the settings
     :class:`Session` rejects.
     """
-    if mixture.n_channels != 2:
-        raise ValueError("decoding expects a 2-channel mixture")
-    if not np.isfinite(mixture.samples).all():
-        raise ValueError("mixture holds a NaN or infinite sample")
     session = Session(estimator, cfg, stft_cfg, mixture.sample_rate, mixture.n_samples)
     blocks = split_blocks(mixture.samples, session.block_n)  # (2, n_blocks, block_n)
     for b in range(blocks.shape[1]):

@@ -4,9 +4,10 @@ Two interchangeable implementations of the per-iteration estimator that maps
 (block magnitudes, phase feature, residual mask, previous speaker embedding)
 to (source mask, speaker embedding):
 
-* :class:`OracleMaskEstimator` computes ideal ratio masks from simulator
-  ground truth and identifies speakers by fixed per-speaker embeddings.  It
-  makes the decoding pipeline deterministic and testable end to end.
+* :class:`OracleMaskEstimator` reads ideal ratio masks from per-block
+  simulator ground truth (:class:`BlockTruth`, the record training reads
+  too) and identifies speakers by fixed per-speaker embeddings.  It makes
+  the decoding pipeline deterministic and testable end to end.
 * :class:`MaskNet` is a small trainable network: a shared input projection,
   one bidirectional tanh recurrent layer over the block's frames, a sigmoid
   mask head, and a mean-pooled, L2-normalized embedding head.
@@ -39,9 +40,9 @@ DEFAULT_EMBED_DIM = 32
 DEFAULT_HIDDEN = 64
 DEFAULT_PROJ = 64
 
-# Mean mask under which a source counts as silent in a block: the oracle's
-# silent-speaker level, the decoder's default ``t_silent`` and the training
-# activity threshold.
+# Mean mask under which a source counts as silent in a block: the
+# ground-truth activity test of :func:`block_truth` and the decoder's default
+# ``t_silent``.
 SILENT_MASK_MEAN = 0.05
 # Added to the ratio-mask denominator so all-zero bins stay finite.
 MASK_EPS = 1e-8
@@ -65,23 +66,38 @@ def is_zero_embedding(z: np.ndarray) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def ratio_masks(noise_mag, source_mags):
-    """Ideal ratio masks |X| / (|N| + eps + sum of source magnitudes).
+@dataclass
+class BlockTruth:
+    """Ground truth of one block, read by the oracle and by training.
 
-    Returns (noise mask, {source_id: mask}).  The denominator adds the
-    sources in sorted id order.
+    Channel-0 reference magnitudes, their ideal ratio masks
+    |X| / (|N| + eps + sum of source magnitudes), and the sources active in
+    the block: those whose mean mask is at least ``SILENT_MASK_MEAN``.
     """
+
+    noise_mag: np.ndarray  # (T, F)
+    source_mags: dict  # source id -> (T, F)
+    noise_irm: np.ndarray  # (T, F)
+    irms: dict  # source id -> (T, F)
+    active: list  # sorted source ids
+
+
+def block_truth(noise_mag, source_mags) -> BlockTruth:
+    """The ground-truth record of one block; the mask denominator adds the
+    sources in sorted id order."""
     denom = noise_mag + MASK_EPS
     for s in sorted(source_mags):
         denom = denom + source_mags[s]
-    return noise_mag / denom, {s: m / denom for s, m in source_mags.items()}
+    irms = {s: m / denom for s, m in source_mags.items()}
+    active = sorted(s for s, m in irms.items() if float(m.mean()) >= SILENT_MASK_MEAN)
+    return BlockTruth(noise_mag, source_mags, noise_mag / denom, irms, active)
 
 
-def reference_block_mags(rendered, stft_cfg: StftConfig, block_len_s: float):
-    """Channel-0 reference magnitudes per block of a rendered meeting.
+def reference_blocks(rendered, stft_cfg: StftConfig, block_len_s: float) -> list:
+    """One :class:`BlockTruth` per block of a rendered meeting.
 
-    Returns (per block {speaker_id: (T, F)}, per block noise (T, F)); the
-    signals are zero-padded to whole blocks like the decoder pads the mixture.
+    The signals are zero-padded to whole blocks like the decoder pads the
+    mixture; every record holds every speaker of the meeting.
     """
     block_n = int(round(block_len_s * rendered.mixture.sample_rate))
 
@@ -89,58 +105,42 @@ def reference_block_mags(rendered, stft_cfg: StftConfig, block_len_s: float):
         return [np.abs(stft(x, stft_cfg)) for x in split_blocks(sig.channel(0), block_n)]
 
     per_spk = {spk: block_mags(sig) for spk, sig in sorted(rendered.references.items())}
-    noise = block_mags(rendered.noise)
-    return [{spk: mags[b] for spk, mags in per_spk.items()}
-            for b in range(len(noise))], noise
+    return [block_truth(noise, {spk: mags[b] for spk, mags in per_spk.items()})
+            for b, noise in enumerate(block_mags(rendered.noise))]
 
 
 class OracleMaskEstimator:
     """Ideal-ratio-mask estimator backed by simulator ground truth.
 
-    Masks come from :func:`ratio_masks`.  The first estimate call in every
-    block returns the noise mask, matching the decoder's noise-first slot
-    convention.  A unit-norm ``z_prev`` selects the speaker with the closest
-    fixed embedding; a zero ``z_prev`` probes the strongest source not yet
-    extracted in the block.  Speakers whose mask mean falls below
-    ``SILENT_MASK_MEAN`` yield an all-zero mask.  The block features passed
-    to ``begin_block`` are not used; a block's handle is its index.
+    ``blocks`` holds one :class:`BlockTruth` per block.  The first estimate
+    call in every block returns the noise mask, matching the decoder's
+    noise-first slot convention.  A unit-norm ``z_prev`` selects the speaker
+    with the closest fixed embedding; a zero ``z_prev`` probes the strongest
+    active source not yet extracted in the block.  A speaker not active in
+    the block yields an all-zero mask.  The block features passed to
+    ``begin_block`` are not used; a block's handle is its index.
     """
 
     embed_dim = DEFAULT_EMBED_DIM
 
-    def __init__(self, block_mags, noise_mags):
-        # block_mags: list over blocks of {speaker_id: (T, F) magnitude}.
-        # Both lists stay referenced (about 110 MB per 120 s meeting) although
-        # only n_blocks reads them.  Freeing them left set-up wall time
-        # unchanged but made the benchmark's host-speed calibration loop
-        # faster, so the host-scaled decode_oracle setup_s read 19-35 %
-        # higher, at its bound; see ROADMAP.
-        self.block_mags = block_mags
-        self.noise_mags = noise_mags
-        self.speakers = sorted({s for blk in block_mags for s in blk})
+    def __init__(self, blocks):
+        # The records keep their magnitudes (about 110 MB per 120 s meeting)
+        # although only training reads them; see ROADMAP item 5.
+        self.blocks = blocks
+        self.speakers = sorted({s for blk in blocks for s in blk.source_mags})
         self.embeddings = {s: speaker_embedding(s) for s in self.speakers}
         self.noise_embedding = speaker_embedding("__noise__")
         self._fallback = speaker_embedding("__none__")
-        self._irm = []
-        self._noise_irm = []
-        for blk, noise in zip(block_mags, noise_mags):
-            noise_irm, irm = ratio_masks(noise, blk)
-            self._irm.append(irm)
-            self._noise_irm.append(noise_irm)
         self._block = 0
         self._calls = 0
         self._emitted = set()
 
     @classmethod
     def from_rendered(cls, rendered, stft_cfg: StftConfig, block_len_s: float):
-        return cls(*reference_block_mags(rendered, stft_cfg, block_len_s))
-
-    @property
-    def n_blocks(self):
-        return len(self.block_mags)
+        return cls(reference_blocks(rendered, stft_cfg, block_len_s))
 
     def begin_block(self, index: int, mag, ipd) -> int:
-        if not 0 <= index < self.n_blocks:
+        if not 0 <= index < len(self.blocks):
             raise ValueError(f"block index {index} out of range")
         self.enter_block(index)
         return index
@@ -149,9 +149,6 @@ class OracleMaskEstimator:
         self._block = handle
         self._calls = 0
         self._emitted = set()
-
-    def block_irm(self, block: int, speaker: str) -> np.ndarray:
-        return self._irm[block][speaker]
 
     def match_speaker(self, z: np.ndarray):
         best, best_cos = None, -2.0
@@ -162,32 +159,27 @@ class OracleMaskEstimator:
         return best if best_cos > 0.5 else None
 
     def estimate(self, residual, z_prev):
-        b = self._block
+        blk = self.blocks[self._block]
         self._calls += 1
         if self._calls == 1:
-            return self._noise_irm[b].copy(), self.noise_embedding.copy()
+            return blk.noise_irm.copy(), self.noise_embedding.copy()
         if not is_zero_embedding(z_prev):
             spk = self.match_speaker(z_prev)
             if spk is None:
                 return np.zeros_like(residual), self._fallback.copy()
-            irm = self._irm[b].get(spk)
             emb = self.embeddings[spk].copy()
-            if irm is None or float(irm.mean()) < SILENT_MASK_MEAN:
+            if spk not in blk.active:
                 return np.zeros_like(residual), emb
             self._emitted.add(spk)
-            return irm.copy(), emb
-        # zero embedding: probe for the strongest source not yet extracted
-        best, best_mean = None, SILENT_MASK_MEAN
-        for spk in self.speakers:
-            if spk in self._emitted or spk not in self._irm[b]:
-                continue
-            m = float(self._irm[b][spk].mean())
-            if m >= best_mean:
-                best, best_mean = spk, m
-        if best is None:
+            return blk.irms[spk].copy(), emb
+        # zero embedding: probe for the strongest active source not yet
+        # extracted; of equal mask means, the last in id order
+        left = [s for s in blk.active if s not in self._emitted]
+        if not left:
             return np.zeros_like(residual), self._fallback.copy()
+        best = max(reversed(left), key=lambda s: float(blk.irms[s].mean()))
         self._emitted.add(best)
-        return self._irm[b][best].copy(), self.embeddings[best].copy()
+        return blk.irms[best].copy(), self.embeddings[best].copy()
 
 
 # ---------------------------------------------------------------------------

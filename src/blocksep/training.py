@@ -15,17 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dsp import StftConfig, ipd, split_blocks, stft
-from .estimators import (
-    DEFAULT_EMBED_DIM,
-    DEFAULT_HIDDEN,
-    DEFAULT_PROJ,
-    SILENT_MASK_MEAN,
-    MaskNet,
-    ModelParams,
-    init_params,
-    ratio_masks,
-    reference_block_mags,
-)
+from .estimators import MaskNet, ModelParams, init_params, reference_blocks
 from .losses import BlockTargets, LossWeights, TotalLoss, total_loss
 
 # Most blocks ``unroll`` accepts in one sample (60 s at the default block length).
@@ -44,9 +34,6 @@ class TrainConfig:
     teacher_forcing: bool = True
     seed: int = 0
     stft: StftConfig = field(default_factory=lambda: StftConfig(256, 128))
-    hidden: int = DEFAULT_HIDDEN
-    proj: int = DEFAULT_PROJ
-    embed_dim: int = DEFAULT_EMBED_DIM
 
     def __post_init__(self):
         if self.block_len_s <= 0:
@@ -59,16 +46,18 @@ class TrainConfig:
 
 @dataclass
 class TrainSample:
-    """Per-block features, targets, and oracle masks for one meeting."""
+    """One meeting's network inputs and ground truth, per block.
+
+    ``truth`` holds the :class:`~blocksep.estimators.BlockTruth` records the
+    oracle estimator reads: the targets (noise and source magnitudes), the
+    ideal ratio masks that teacher forcing feeds the residual, and the
+    active sources.
+    """
 
     sample_id: str
     mags: list  # (T, F) mixture reference-channel magnitude per block
     ipds: list
-    noise_mags: list
-    source_mags: list  # per block: {source_id: (T, F)}
-    irms: list  # per block: {source_id: (T, F)} ideal ratio masks
-    noise_irms: list
-    activity: list  # per block: source ids with mean IRM >= threshold
+    truth: list  # per block: BlockTruth
 
     @property
     def n_blocks(self):
@@ -79,21 +68,14 @@ def build_train_sample(rendered, stft_cfg: StftConfig, block_len_s: float,
                        sample_id: str = "") -> TrainSample:
     block_n = int(round(block_len_s * rendered.mixture.sample_rate))
     mix = split_blocks(rendered.mixture.samples, block_n)  # (2, n_blocks, block_n)
-    source_mags, noise_mags = reference_block_mags(rendered, stft_cfg, block_len_s)
-    mags, ipds, irms, noise_irms, activity = [], [], [], [], []
-    for b, (nmag, smags) in enumerate(zip(noise_mags, source_mags)):
+    truth = reference_blocks(rendered, stft_cfg, block_len_s)
+    mags, ipds = [], []
+    for b in range(len(truth)):
         s1 = stft(mix[0, b], stft_cfg)
         s2 = stft(mix[1, b], stft_cfg)
         mags.append(np.abs(s1))
         ipds.append(ipd(s1, s2))
-        noise_irm, irm = ratio_masks(nmag, smags)
-        irms.append(irm)
-        noise_irms.append(noise_irm)
-        activity.append(sorted(
-            spk for spk, m in irm.items() if float(m.mean()) >= SILENT_MASK_MEAN
-        ))
-    return TrainSample(sample_id, mags, ipds, noise_mags, source_mags, irms,
-                       noise_irms, activity)
+    return TrainSample(sample_id, mags, ipds, truth)
 
 
 @dataclass
@@ -113,8 +95,8 @@ class UnrollResult:
     contexts: list = field(default_factory=list)  # per block: BlockContext
 
 
-def _new_source_order(sample, block, new_sources):
-    means = {s: float(sample.irms[block][s].mean()) for s in new_sources}
+def _new_source_order(truth, new_sources):
+    means = {s: float(truth.irms[s].mean()) for s in new_sources}
     return sorted(new_sources, key=lambda s: (-means[s], s))
 
 
@@ -138,12 +120,10 @@ def unroll(sample: TrainSample, net: MaskNet, cfg: TrainConfig) -> UnrollResult:
     next_slot = 1
 
     for b in range(sample.n_blocks):
-        mag, feat = sample.mags[b], sample.ipds[b]
+        mag, feat, truth = sample.mags[b], sample.ipds[b], sample.truth[b]
         known_slots = sorted(slot_source)
         new_sources = _new_source_order(
-            sample, b, [s for s in sample.activity[b]
-                        if s not in slot_source.values()],
-        )
+            truth, [s for s in truth.active if s not in slot_source.values()])
         if 1 + len(known_slots) + len(new_sources) > MAX_SLOTS:
             raise ValueError("more concurrent sources than slot cap")
         new_slots = list(range(next_slot, next_slot + len(new_sources)))
@@ -153,14 +133,14 @@ def unroll(sample: TrainSample, net: MaskNet, cfg: TrainConfig) -> UnrollResult:
         known_targets = {}
         for slot in known_slots:
             src = slot_source[slot]
-            if src in sample.activity[b]:
-                known_targets[slot] = sample.source_mags[b][src]
+            if src in truth.active:
+                known_targets[slot] = truth.source_mags[src]
             else:
                 known_targets[slot] = np.zeros_like(mag)
         targets.append(BlockTargets(
-            noise=sample.noise_mags[b],
+            noise=truth.noise_mag,
             known=known_targets,
-            new_sources=[(s, sample.source_mags[b][s]) for s in new_sources],
+            new_sources=[(s, truth.source_mags[s]) for s in new_sources],
         ))
         for slot, src in zip(new_slots, new_sources):
             slot_source[slot] = src
@@ -177,14 +157,11 @@ def unroll(sample: TrainSample, net: MaskNet, cfg: TrainConfig) -> UnrollResult:
             gate = None
             if cfg.teacher_forcing:
                 if slot == 0:
-                    oracle_mask = sample.noise_irms[b]
-                else:
-                    src = slot_source[slot]
-                    oracle_mask = sample.irms[b].get(src)
-                    if oracle_mask is None or src not in sample.activity[b]:
-                        oracle_mask = None  # silent source leaves the residual
-                if oracle_mask is not None:
-                    residual = np.clip(residual - oracle_mask, 0.0, 1.0)
+                    residual = np.clip(residual - truth.noise_irm, 0.0, 1.0)
+                elif slot_source[slot] in truth.active:
+                    # a silent source leaves the residual
+                    residual = np.clip(residual - truth.irms[slot_source[slot]],
+                                       0.0, 1.0)
             else:
                 pre_clip = residual - mask
                 gate = ((pre_clip > 0.0) & (pre_clip < 1.0)).astype(mask.dtype)
@@ -270,23 +247,20 @@ class EpochStats:
 def train(dataset, cfg: TrainConfig, params: ModelParams | None = None):
     """Optimize the network on a dataset of :class:`TrainSample` objects.
 
-    Without ``params`` the network starts from ``init_params`` with the
-    config's seed and sizes, and records ``cfg.stft`` so that a decode can
-    check it.  Each epoch shuffles the samples with a seed derived from
-    (``cfg.seed``, epoch) and steps Adam every ``batch_size`` samples; Adam's
-    moments start from zero on every call.  Deterministic given (dataset
-    order, config).  Aborts on a non-finite loss, naming the offending
-    sample.  Returns the trained parameters and one :class:`EpochStats` per
-    epoch.
+    Without ``params`` the network starts from ``init_params`` with its
+    default sizes and the config's seed, and records ``cfg.stft`` so that a
+    decode can check it.  Each epoch shuffles the samples with a seed
+    derived from (``cfg.seed``, epoch) and steps Adam every ``batch_size``
+    samples; Adam's moments start from zero on every call.  Deterministic
+    given (dataset order, config).  Aborts on a non-finite loss, naming the
+    offending sample.  Returns the trained parameters and one
+    :class:`EpochStats` per epoch.
     """
     items = list(dataset)
     if not items:
         raise ValueError("empty training dataset")
     if params is None:
-        params = init_params(
-            bins=cfg.stft.n_bins, embed_dim=cfg.embed_dim, hidden=cfg.hidden,
-            proj=cfg.proj, seed=cfg.seed, stft_cfg=cfg.stft,
-        )
+        params = init_params(cfg.stft.n_bins, seed=cfg.seed, stft_cfg=cfg.stft)
     net = MaskNet(params)
     opt = Adam(params, cfg.learning_rate)
     history = []

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 
 from blocksep.dsp import IpdFeature, StftConfig
-from blocksep.estimators import MaskNet, init_params, ratio_masks
+from blocksep.estimators import MaskNet, block_truth, init_params
 from blocksep.losses import LossWeights
 from blocksep.training import TrainConfig, TrainSample, unroll, unroll_backward
 
@@ -18,9 +18,7 @@ def make_synthetic_sample(seed, t=T, f=F, n_blocks=2, sources=("a", "b"),
     are self-consistent.  ``silent`` lists (block, source) pairs rendered
     inactive."""
     rng = np.random.default_rng(seed)
-    mags, ipds, noise_mags, source_mags, irms, noise_irms, activity = (
-        [], [], [], [], [], [], []
-    )
+    mags, ipds, truth = [], [], []
     for b in range(n_blocks):
         smags = {}
         for s in sources:
@@ -31,17 +29,10 @@ def make_synthetic_sample(seed, t=T, f=F, n_blocks=2, sources=("a", "b"),
         noise = rng.uniform(0.1, 0.5, (t, f))
         mix = noise + sum(smags.values())
         theta = rng.uniform(-np.pi, np.pi, (t, f))
-        noise_irm, irm = ratio_masks(noise, smags)
         mags.append(mix)
         ipds.append(IpdFeature(np.cos(theta), np.sin(theta)))
-        noise_mags.append(noise)
-        source_mags.append(smags)
-        irms.append(irm)
-        noise_irms.append(noise_irm)
-        activity.append(sorted(s for s, m in irm.items()
-                               if float(m.mean()) >= 0.05))
-    return TrainSample(f"synthetic-{seed}", mags, ipds, noise_mags,
-                       source_mags, irms, noise_irms, activity)
+        truth.append(block_truth(noise, smags))
+    return TrainSample(f"synthetic-{seed}", mags, ipds, truth)
 
 
 def tiny_config(**kw):
@@ -54,18 +45,21 @@ def tiny_config(**kw):
         teacher_forcing=True,
         seed=0,
         stft=StftConfig(14, 7),  # 8 bins, matching the synthetic samples
-        hidden=5,
-        proj=6,
-        embed_dim=4,
     )
     defaults.update(kw)
     return TrainConfig(**defaults)
 
 
-def tiny_params(seed=0, f=F, cfg=None, dtype=np.float64):
-    cfg = cfg or tiny_config()
-    return init_params(bins=f, embed_dim=cfg.embed_dim, hidden=cfg.hidden,
-                       proj=cfg.proj, seed=seed, dtype=dtype)
+def tiny_params(seed=0, f=F, dtype=np.float64, hidden=5, proj=6, embed_dim=4):
+    return init_params(bins=f, embed_dim=embed_dim, hidden=hidden, proj=proj,
+                       seed=seed, dtype=dtype)
+
+
+def tiny_train_params(cfg, hidden=5, proj=6):
+    """Tiny float32 parameters initialised as ``train`` initialises a fresh
+    model: the config's seed, bins and STFT settings."""
+    return init_params(bins=cfg.stft.n_bins, embed_dim=4, hidden=hidden, proj=proj,
+                       seed=cfg.seed, stft_cfg=cfg.stft)
 
 
 def instance_is_safe(result, margin=1e-3):

@@ -17,6 +17,7 @@ from blocksep.dsp import AudioSignal, IpdFeature, StftConfig, split_blocks
 from blocksep.estimators import (
     MaskNet,
     OracleMaskEstimator,
+    block_truth,
     init_params,
     is_zero_embedding,
     speaker_embedding,
@@ -39,12 +40,10 @@ def _flat_features():
 
 def _flat_oracle(levels_per_block, noise_level=0.3):
     """Oracle over blocks of spatially flat sources (uniform magnitudes)."""
-    blocks = []
-    noises = []
-    for levels in levels_per_block:
-        blocks.append({spk: np.full((T, F), v) for spk, v in levels.items() if v > 0})
-        noises.append(np.full((T, F), noise_level))
-    return OracleMaskEstimator(blocks, noises)
+    return OracleMaskEstimator([
+        block_truth(np.full((T, F), noise_level),
+                    {spk: np.full((T, F), v) for spk, v in levels.items() if v > 0})
+        for levels in levels_per_block])
 
 
 def test_config_validation():
@@ -279,21 +278,14 @@ class FaultInjectionEstimator:
         self.split_block = split_block
         self.first_fraction = first_fraction
         if victim is None:
-            means = {
-                s: float(inner.block_irm(split_block, s).mean())
-                for s in inner.speakers
-                if s in inner._irm[split_block]
-            }
+            irms = inner.blocks[split_block].irms
+            means = {s: float(m.mean()) for s, m in irms.items()}
             victim = max(sorted(means), key=lambda s: means[s])
         self.victim = victim
         self.spurious_embedding = speaker_embedding(f"__split_{victim}__",
                                                     inner.embed_dim)
         self._block = 0
         self._spur_emitted = set()
-
-    @property
-    def n_blocks(self):
-        return self.inner.n_blocks
 
     @property
     def embed_dim(self):
@@ -317,7 +309,7 @@ class FaultInjectionEstimator:
 
     def estimate(self, residual, z_prev):
         b = self._block
-        victim_irm = self.inner._irm[b].get(self.victim)
+        victim_irm = self.inner.blocks[b].irms.get(self.victim)
         if self._is_spurious(z_prev):
             self.inner._calls += 1
             if b < self.split_block:
@@ -563,6 +555,41 @@ def test_push_past_the_session_end_rejected():
     session.push(block)
     with pytest.raises(ValueError, match="block 1 starts after the session's end"):
         session.push(block)
+
+
+def test_push_after_finish_rejected():
+    # finish() drops the block handles, so a later consistency check would
+    # re-enter block 1's handle as block 0's
+    mixture = _noise_mixture(seconds=2.0)
+    cfg = DecoderConfig(block_len_s=1.0)
+    session = Session(_tiny_net(STFT), cfg, STFT, mixture.sample_rate, mixture.n_samples)
+    blocks = split_blocks(mixture.samples, session.block_n)
+    session.push(blocks[:, 0])
+    session.finish()
+    with pytest.raises(ValueError, match="block 1 pushed after the session finished"):
+        session.push(blocks[:, 1])
+
+
+@pytest.mark.parametrize("shape", [(2, 4000), (2, 12000), (3, 8000), (1, 8000), (8000,)])
+def test_push_rejects_block_of_another_shape(shape):
+    # a short block once set the session's block shape, a long one lost its
+    # tail, a mono one died with an IndexError
+    est = _CountingEstimator()
+    session = Session(est, DecoderConfig(block_len_s=1.0), STFT, 8000, 16000)
+    with pytest.raises(ValueError, match=r"block 0 has shape .*, not \(2, 8000\)"):
+        session.push(np.zeros(shape))
+    assert est.blocks == []
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_push_rejects_non_finite_block(bad):
+    est = _CountingEstimator()
+    session = Session(est, DecoderConfig(block_len_s=1.0), STFT, 8000, 16000)
+    block = np.zeros((2, 8000))
+    block[0, 77] = bad
+    with pytest.raises(ValueError, match="block 0 holds a NaN or infinite sample"):
+        session.push(block)
+    assert est.blocks == []
 
 
 def _retained_bytes_besides_streams(mixture, net):

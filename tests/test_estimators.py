@@ -9,6 +9,7 @@ from blocksep.dsp import IpdFeature, StftConfig
 from blocksep.estimators import (
     MaskNet,
     OracleMaskEstimator,
+    block_truth,
     init_params,
     load_params,
     save_params,
@@ -26,11 +27,11 @@ def _oracle_fixture():
     s1 = rng.uniform(0.5, 1.0, (t, f))
     s2 = rng.uniform(0.2, 0.6, (t, f))
     noise = rng.uniform(0.05, 0.2, (t, f))
-    block_mags = [
-        {"alice": s1, "bob": s2},
-        {"alice": np.zeros((t, f)), "bob": s2},  # alice silent in block 1
+    blocks = [
+        block_truth(noise, {"alice": s1, "bob": s2}),
+        block_truth(noise.copy(), {"alice": np.zeros((t, f)), "bob": s2}),  # alice silent
     ]
-    return OracleMaskEstimator(block_mags, [noise, noise.copy()]), s1, s2, noise
+    return OracleMaskEstimator(blocks), s1, s2, noise
 
 
 def _begin(est, index, t=6, f=5):
@@ -64,7 +65,7 @@ def test_oracle_single_source_ratio_mask():
     t, f = 4, 3
     s = np.full((t, f), 0.8)
     n = np.full((t, f), 0.2)
-    est = OracleMaskEstimator([{"solo": s}], [n])
+    est = OracleMaskEstimator([block_truth(n, {"solo": s})])
     _begin(est, 0, t, f)
     est.estimate(*_inp(est, t, f))  # noise slot
     mask, _ = est.estimate(*_inp(est, t, f))
@@ -88,6 +89,17 @@ def test_oracle_probe_exhaustion_returns_silence():
     est.estimate(*_inp(est))
     mask, _ = est.estimate(*_inp(est))  # nothing left to extract
     assert np.all(mask == 0)
+
+
+def test_oracle_probe_tie_goes_to_the_last_speaker_id():
+    t, f = 4, 3
+    s = np.full((t, f), 0.4)
+    est = OracleMaskEstimator([block_truth(np.full((t, f), 0.2),
+                                           {"ann": s, "bob": s.copy()})])
+    _begin(est, 0, t, f)
+    est.estimate(*_inp(est, t, f))  # noise slot
+    _, z = est.estimate(*_inp(est, t, f))
+    assert np.allclose(z, speaker_embedding("bob"))
 
 
 def test_oracle_block_index_validation():

@@ -7,10 +7,11 @@ from synthutil import (
     run_unroll,
     tiny_config,
     tiny_params,
+    tiny_train_params,
 )
 
 from blocksep.dsp import StftConfig
-from blocksep.estimators import MaskNet, save_params
+from blocksep.estimators import MaskNet, OracleMaskEstimator, init_params, save_params
 from blocksep.losses import LossWeights
 from blocksep.simulate import make_pool, render, sample_scenario
 from blocksep.training import (
@@ -39,18 +40,36 @@ def test_build_train_sample_structure():
     assert sample.n_blocks == 2
     t = (5 * 8000 - 256) // 128 + 1
     assert sample.mags[0].shape == (t, 129)
-    for b in range(2):
-        for spk in sample.activity[b]:
-            assert spk in sample.source_mags[b]
+    speakers = sorted(meeting.references)
+    for truth in sample.truth:
+        # every record holds every speaker of the meeting
+        assert sorted(truth.irms) == sorted(truth.source_mags) == speakers
+        for spk in truth.active:
+            assert spk in truth.source_mags
         # oracle masks and noise mask sum to at most 1
-        total = sample.noise_irms[b] + sum(sample.irms[b].values())
+        total = truth.noise_irm + sum(truth.irms.values())
         assert total.max() <= 1.0 + 1e-8
+
+
+def test_train_sample_and_oracle_read_the_same_truth():
+    meeting = render(sample_scenario("A", 10.0, make_pool(4, seed=0), seed=3))
+    stft_cfg = StftConfig(256, 128)
+    truth = build_train_sample(meeting, stft_cfg, block_len_s=5.0).truth
+    blocks = OracleMaskEstimator.from_rendered(meeting, stft_cfg, 5.0).blocks
+    assert len(truth) == len(blocks) == 2
+    for mine, theirs in zip(truth, blocks):
+        assert mine.active == theirs.active
+        assert np.array_equal(mine.noise_mag, theirs.noise_mag)
+        assert np.array_equal(mine.noise_irm, theirs.noise_irm)
+        for a, b in ((mine.source_mags, theirs.source_mags), (mine.irms, theirs.irms)):
+            assert sorted(a) == sorted(b)
+            assert all(np.array_equal(a[s], b[s]) for s in a)
 
 
 def test_unroll_target_assembly_invariant():
     sample = make_synthetic_sample(0, silent=((1, "b"),))
     cfg = tiny_config()
-    params = tiny_params(cfg=cfg)
+    params = tiny_params()
     result = unroll(sample, MaskNet(params), cfg)
     for b, block_records in enumerate(result.records):
         order = [rec.slot for rec in block_records]
@@ -67,18 +86,18 @@ def test_unroll_target_assembly_invariant():
 def test_unroll_one_source_identity_permutation():
     sample = make_synthetic_sample(1, sources=("solo",))
     cfg = tiny_config()
-    result = unroll(sample, MaskNet(tiny_params(cfg=cfg)), cfg)
+    result = unroll(sample, MaskNet(tiny_params()), cfg)
     assert result.loss.assignment == {1: "solo"}
     # loss matches the masked MSE computed directly from the network's masks
     expected = 0.0
     for b in range(2):
         est_mag = result.masks[(b, 1)] * sample.mags[b]
-        expected += float(np.sum((est_mag - sample.source_mags[b]["solo"]) ** 2))
+        expected += float(np.sum((est_mag - sample.truth[b].source_mags["solo"]) ** 2))
     expected /= 2  # two (slot, block) instances
     noise_term = 0.0
     for b in range(2):
         est_mag = result.masks[(b, 0)] * sample.mags[b]
-        noise_term += float(np.sum((est_mag - sample.noise_mags[b]) ** 2))
+        noise_term += float(np.sum((est_mag - sample.truth[b].noise_mag) ** 2))
     noise_term /= 2
     assert result.loss.mmse == pytest.approx(expected + noise_term, rel=1e-9)
 
@@ -87,12 +106,12 @@ def test_unroll_slot_cap():
     # the noise slot plus MAX_SLOTS speakers is one slot over the cap
     names = tuple(f"s{i}" for i in range(MAX_SLOTS))
     cfg = tiny_config()
-    net = MaskNet(tiny_params(cfg=cfg))
+    net = MaskNet(tiny_params())
     at_cap = make_synthetic_sample(2, sources=names[:-1])
-    assert at_cap.activity[0] == sorted(names[:-1])
+    assert at_cap.truth[0].active == sorted(names[:-1])
     assert len(unroll(at_cap, net, cfg).records[0]) == MAX_SLOTS
     over = make_synthetic_sample(2, sources=names)
-    assert over.activity[0] == sorted(names)
+    assert over.truth[0].active == sorted(names)
     with pytest.raises(ValueError, match="slot cap"):
         unroll(over, net, cfg)
 
@@ -102,8 +121,8 @@ def test_teacher_forcing_residuals_independent_of_params():
     # with different parameters must see identical residuals
     sample = make_synthetic_sample(3)
     cfg = tiny_config(teacher_forcing=True)
-    r1 = unroll(sample, MaskNet(tiny_params(seed=1, cfg=cfg)), cfg)
-    r2 = unroll(sample, MaskNet(tiny_params(seed=2, cfg=cfg)), cfg)
+    r1 = unroll(sample, MaskNet(tiny_params(seed=1)), cfg)
+    r2 = unroll(sample, MaskNet(tiny_params(seed=2)), cfg)
     for b in range(2):
         for rec1, rec2 in zip(r1.records[b], r2.records[b]):
             assert np.array_equal(rec1.cache.residual, rec2.cache.residual)
@@ -132,7 +151,7 @@ def test_teacher_forcing_on_off_structural_difference():
 def test_unroll_gradients_match_finite_differences(seed):
     cfg = tiny_config()
     sample = make_synthetic_sample(seed + 50)
-    params = tiny_params(seed=seed, cfg=cfg)
+    params = tiny_params(seed=seed)
     result, _ = run_unroll(sample, params, cfg)
     if not instance_is_safe(result):
         pytest.skip("instance too close to a hinge kink or permutation tie")
@@ -143,7 +162,7 @@ def test_unroll_gradients_without_teacher_forcing():
     cfg = tiny_config(teacher_forcing=False)
     for seed in range(8):
         sample = make_synthetic_sample(seed + 80)
-        params = tiny_params(seed=seed, cfg=cfg)
+        params = tiny_params(seed=seed)
         result, _ = run_unroll(sample, params, cfg)
         if not instance_is_safe(result):
             continue
@@ -162,16 +181,14 @@ def test_unroll_gradients_without_teacher_forcing():
 
 
 def test_train_zero_learning_rate_keeps_params():
-    from blocksep.estimators import init_params
-
     cfg = tiny_config(learning_rate=0.0, epochs=2)
     samples = [make_synthetic_sample(s) for s in range(3)]
     params, history = train(samples, cfg)
     assert len(history) == 2
-    # train() initializes from cfg.seed; zero lr must leave that unchanged
-    ref = init_params(bins=cfg.stft.n_bins, embed_dim=cfg.embed_dim,
-                      hidden=cfg.hidden, proj=cfg.proj, seed=cfg.seed,
-                      stft_cfg=cfg.stft)
+    # a fresh model has init_params' default sizes, cfg.seed and cfg.stft;
+    # zero lr must leave it unchanged
+    ref = init_params(bins=cfg.stft.n_bins, seed=cfg.seed, stft_cfg=cfg.stft)
+    assert params.stft == ref.stft
     for k in params.arrays:
         assert np.array_equal(params.arrays[k], ref.arrays[k])
 
@@ -179,8 +196,8 @@ def test_train_zero_learning_rate_keeps_params():
 def test_train_reproducible_checkpoints(tmp_path):
     cfg = tiny_config(epochs=2, learning_rate=1e-3, batch_size=2)
     samples = [make_synthetic_sample(s) for s in range(4)]
-    p1, h1 = train(samples, cfg)
-    p2, h2 = train(samples, cfg)
+    p1, h1 = train(samples, cfg, tiny_train_params(cfg))
+    p2, h2 = train(samples, cfg, tiny_train_params(cfg))
     f1, f2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
     save_params(p1, f1)
     save_params(p2, f2)
@@ -191,15 +208,15 @@ def test_train_reproducible_checkpoints(tmp_path):
 def test_train_loss_decreases_on_tiny_problem():
     cfg = tiny_config(epochs=15, learning_rate=3e-3, batch_size=2)
     samples = [make_synthetic_sample(s) for s in range(4)]
-    _, history = train(samples, cfg)
+    _, history = train(samples, cfg, tiny_train_params(cfg))
     assert history[-1].total < history[0].total
 
 
 def test_train_overfits_single_sample():
     # single-sample dataset, 200 optimizer steps: loss collapses
-    cfg = tiny_config(epochs=200, learning_rate=3e-3, hidden=8, proj=8)
+    cfg = tiny_config(epochs=200, learning_rate=3e-3)
     sample = make_synthetic_sample(7, sources=("a",))
-    _, history = train([sample], cfg)
+    _, history = train([sample], cfg, tiny_train_params(cfg, hidden=8, proj=8))
     assert history[-1].total < 0.1 * history[0].total
 
 
@@ -208,7 +225,7 @@ def test_train_aborts_on_nonfinite_loss():
     sample.mags[0][0, 0] = np.nan
     cfg = tiny_config(epochs=1)
     with pytest.raises(RuntimeError, match="synthetic-8"):
-        train([sample], cfg)
+        train([sample], cfg, tiny_train_params(cfg))
 
 
 def test_train_empty_dataset_rejected():

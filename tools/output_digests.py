@@ -10,8 +10,9 @@ script only imports.  Per meeting it hashes:
 
 * the scenario's dataclass fields and the rendered audio;
 * decode meetings: the oracle's ideal ratio masks (decode_oracle);
-* train meetings: the ``TrainSample`` arrays, then one epoch's params and
-  losses, and the decode by the trained network;
+* train meetings: the ``TrainSample`` arrays, in the flat layout of
+  :class:`TrainSample` below, then one epoch's params and losses, and the
+  decode by the trained network;
 * every decode: the streams, the per-block masks, the final embeddings,
   the counts, the consistency log and the DER/SDR/counting scores.  The
   masks are what ``Session.push`` returns for each block after its verdict,
@@ -93,15 +94,34 @@ def rendered_outputs(rendered):
     }
 
 
+@dataclasses.dataclass
+class TrainSample:
+    """A training sample's arrays laid out per kind, as ``TrainSample`` held
+    them before its ground truth became one ``BlockTruth`` record per block,
+    so that ``train_sample`` lines compare with digests of those versions."""
+
+    sample_id: str
+    mags: list
+    ipds: list
+    noise_mags: list
+    source_mags: list
+    irms: list
+    noise_irms: list
+    activity: list
+
+
+def flat_train_sample(sample):
+    truth = sample.truth
+    return TrainSample(sample.sample_id, sample.mags, sample.ipds,
+                       [t.noise_mag for t in truth], [t.source_mags for t in truth],
+                       [t.irms for t in truth], [t.noise_irm for t in truth],
+                       [t.active for t in truth])
+
+
 def oracle_irms(est):
-    """Noise and speaker IRMs per block, read through the public calls."""
-    out = []
-    for b in range(est.n_blocks):
-        est.begin_block(b, None, None)
-        noise_irm, _ = est.estimate(None, np.zeros(est.embed_dim))
-        out.append({"noise": noise_irm,
-                    "speakers": {s: est.block_irm(b, s) for s in est.speakers}})
-    return out
+    """Noise and speaker IRMs per block."""
+    return [{"noise": blk.noise_irm, "speakers": {s: blk.irms[s] for s in est.speakers}}
+            for blk in est.blocks]
 
 
 def pushed_masks(item, estimator, stft_cfg):
@@ -133,7 +153,7 @@ def meeting_outputs(workload, seed, workdir, checkpoint):
     yield "scenario", item.rendered.scenario
     yield "audio", rendered_outputs(item.rendered)
     if workload.kind == "train":
-        yield "train_sample", item.sample
+        yield "train_sample", flat_train_sample(item.sample)
         params, history = workloads.train_epoch(item)
         yield "trained_params", params.arrays
         yield "epoch_losses", [(s.epoch, s.total, s.mmse, s.resmask, s.triplet)

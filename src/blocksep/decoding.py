@@ -4,8 +4,8 @@ rule, and consistency-check decoding for count increases.
 
 A session is strictly sequential over blocks (state-carrying); separate
 sessions can decode concurrently with shared read-only estimator parameters.
-Each block is decoded once and its streams synthesized at its verdict; past
-blocks are kept only as the estimator's small re-decode handles.
+Each block is decoded and checked without changing the session, then joins
+it and has its streams synthesized; past blocks stay only as re-decode handles.
 """
 
 from dataclasses import asdict, dataclass, field
@@ -28,8 +28,8 @@ class DecoderConfig:
     def __post_init__(self):
         if not 0.0 < self.t_silent < self.t_resmask < 1.0:
             raise ValueError("thresholds must satisfy 0 < t_silent < t_resmask < 1")
-        if self.block_len_s <= 0:
-            raise ValueError("block length must be positive")
+        if not 0 < self.block_len_s < np.inf:
+            raise ValueError("block length must be positive and finite")
         if self.max_iterations < 1:
             raise ValueError("need at least one iteration per block")
 
@@ -45,17 +45,16 @@ class BlockFeatures:
 class SessionState:
     """Decoder state carried across blocks.
 
-    Slot 0 is reserved for noise.  Slot order never permutes; the slot count
-    only decreases when a consistency check rejects an increase.  ``cache``
-    holds one estimator handle per decoded block, so that a consistency
-    check can re-decode past blocks; the blocks' features, spectra and masks
-    are not kept.  A finished session empties it.
+    Slot 0 is reserved for noise.  Slot order never permutes, and slots
+    never close.  ``cache`` holds one estimator handle per decoded block, so
+    that a consistency check can re-decode past blocks; the blocks'
+    features, spectra and masks are not kept.  A finished session empties
+    it.  :meth:`commit` is the one place a block joins the state.
     """
 
     embeddings: list
     iteration_counts: list = field(default_factory=list)
     cache: list = field(default_factory=list)
-    block_shape: tuple = ()  # (T, F) of every block
 
     @property
     def n_blocks(self):
@@ -65,6 +64,13 @@ class SessionState:
     def speaker_count(self):
         return len(self.embeddings) - 1
 
+    def commit(self, result, accept_new_slots: bool):
+        """Add a decoded block; a rejected increase keeps every embedding."""
+        if accept_new_slots:
+            self.embeddings = result.embeddings
+        self.iteration_counts.append(result.iterations)
+        self.cache.append(result.handle)
+
 
 def new_session_state(embed_dim: int) -> SessionState:
     return SessionState(embeddings=[np.zeros(embed_dim)])
@@ -72,8 +78,13 @@ def new_session_state(embed_dim: int) -> SessionState:
 
 @dataclass
 class BlockResult:
+    """One decoded block that has not joined the session yet."""
+
+    handle: object  # the estimator's re-decode handle for the block
     masks: dict  # slot -> (T, F) mask
+    embeddings: list  # every slot's embedding after the block, new slots last
     new_slots: list
+    iterations: int  # estimate calls, a final silent probe included
 
 
 def _call_estimator(block, step, method, *args):
@@ -85,17 +96,28 @@ def _call_estimator(block, step, method, *args):
 
 
 def _estimate(estimator, residual, z_prev, block, iteration):
-    mask, z = _call_estimator(block, f"iteration {iteration}", estimator.estimate,
-                              residual, z_prev)
-    return np.clip(np.asarray(mask, dtype=float), 0.0, 1.0), np.asarray(z, dtype=float)
+    """One ``estimate`` call: the mask clipped to [0, 1], the embedding and the
+    mask's mean.  A mask of another shape than ``residual``, or one holding a
+    NaN, raises the ``RuntimeError`` of a failed call."""
+    def checked():
+        mask, z = estimator.estimate(residual, z_prev)
+        mask = np.clip(np.asarray(mask, dtype=float), 0.0, 1.0)
+        if mask.shape != residual.shape:
+            raise ValueError(f"mask of shape {mask.shape}, not {residual.shape}")
+        mean = float(mask.mean())  # NaN iff a bin is: clip maps ±inf into [0, 1]
+        if np.isnan(mean):
+            raise ValueError("mask holds a NaN")
+        return mask, np.asarray(z, dtype=float), mean
+
+    return _call_estimator(block, f"iteration {iteration}", checked)
 
 
 def decode_block(features: BlockFeatures, state: SessionState, estimator,
                  cfg: DecoderConfig) -> BlockResult:
-    """Decode one block, updating ``state`` in place.
+    """Decode the session's next block without changing ``state``.
 
-    The features go to ``begin_block`` once, whose handle joins
-    ``state.cache``; each iteration calls ``estimate``.
+    The features go to ``begin_block`` once, whose handle the result keeps;
+    each iteration calls ``estimate``.
     Iteration order: the noise slot, then known speaker slots in fixed order
     (conditioned on their stored embeddings), then zero-embedding probes for
     new speakers.  After each non-silent mask the residual is updated as
@@ -109,59 +131,54 @@ def decode_block(features: BlockFeatures, state: SessionState, estimator,
                              b, features.mag, features.ipd)
     residual = np.ones_like(features.mag)
     masks = {}
-    new_slots = []
-    iterations = 0
+    embeddings = []
     zero_z = np.zeros_like(state.embeddings[0])
 
-    for slot in range(len(state.embeddings)):
-        mask, z = _estimate(estimator, residual, state.embeddings[slot], b,
-                            iterations + 1)
-        iterations += 1
-        if float(mask.mean()) < cfg.t_silent:
+    for slot, z_prev in enumerate(state.embeddings):
+        mask, z, mean = _estimate(estimator, residual, z_prev, b, slot + 1)
+        if mean < cfg.t_silent:
             mask = np.zeros_like(mask)  # silent slot: residual stays unmodified
         else:
             residual = np.clip(residual - mask, 0.0, 1.0)
-        state.embeddings[slot] = z
+        embeddings.append(z)
         masks[slot] = mask
 
+    iterations = len(embeddings)
     while (float(residual.mean()) >= cfg.t_resmask
            and iterations < cfg.max_iterations):
-        mask, z = _estimate(estimator, residual, zero_z, b, iterations + 1)
+        mask, z, mean = _estimate(estimator, residual, zero_z, b, iterations + 1)
         iterations += 1
-        if float(mask.mean()) < cfg.t_silent:
+        if mean < cfg.t_silent:
             break  # nothing extractable remains; do not open a slot
-        slot = len(state.embeddings)
-        state.embeddings.append(z)
+        slot = len(embeddings)
+        embeddings.append(z)
         masks[slot] = mask
-        new_slots.append(slot)
         residual = np.clip(residual - mask, 0.0, 1.0)
 
-    state.iteration_counts.append(iterations)
-    state.cache.append(handle)
-    state.block_shape = features.mag.shape
-    return BlockResult(masks, new_slots)
+    new_slots = list(range(len(state.embeddings), len(embeddings)))
+    return BlockResult(handle, masks, embeddings, new_slots, iterations)
 
 
-def consistency_check(state: SessionState, new_slots, pre_block_embeddings,
-                      estimator, cfg: DecoderConfig) -> bool:
-    """Re-decode all past blocks with the enlarged embedding set.
+def consistency_check(state: SessionState, result: BlockResult, estimator,
+                      cfg: DecoderConfig) -> bool:
+    """Re-decode all past blocks with the new slots of ``result`` added.
 
     Accept the count increase iff every new slot's mask stays below
     ``t_resmask`` (per-block mean) in every past block, i.e. the new speaker
     is not retroactively present.  The first block of a session has no past,
     so an increase there is vacuously accepted.  Each past block is re-entered
-    through its handle in ``state.cache``.
+    through its handle in ``state.cache``, at the (T, F) of ``result``.
     """
-    embeddings = pre_block_embeddings + [state.embeddings[s] for s in new_slots]
-    n_known = len(pre_block_embeddings)
-    for b in range(state.n_blocks - 1):
+    n_known = len(state.embeddings)
+    embeddings = state.embeddings + [result.embeddings[s] for s in result.new_slots]
+    for b in range(state.n_blocks):
         _call_estimator(b, "enter_block", estimator.enter_block, state.cache[b])
-        residual = np.ones(state.block_shape)
+        residual = np.ones(result.masks[0].shape)
         for i, emb in enumerate(embeddings):
-            mask, _ = _estimate(estimator, residual, emb, b, i + 1)
-            if i >= n_known and float(mask.mean()) >= cfg.t_resmask:
+            mask, _, mean = _estimate(estimator, residual, emb, b, i + 1)
+            if i >= n_known and mean >= cfg.t_resmask:
                 return False
-            if float(mask.mean()) >= cfg.t_silent:
+            if mean >= cfg.t_silent:
                 residual = np.clip(residual - mask, 0.0, 1.0)
     return True
 
@@ -199,15 +216,16 @@ class Session:
     memory does not grow with the session length.  Each slot's stream is
     allocated at full session length, as zeros, when the slot opens.
 
-    A rejected count increase drops the block's new slots and restores every
-    embedding, known slots included, to its value before the block; the
-    block's iteration count keeps the rejected probes.
+    A push that raises leaves the session unchanged and may be retried.  A
+    rejected count increase drops the block's new slots, keeps every embedding
+    as before the block and counts the rejected probes in its iterations.
 
     A model (an estimator with ``params``) whose recorded STFT settings
     differ from ``stft_cfg`` is rejected with ``ValueError``; a model that
-    records none is not checked.  So is a block shorter than the STFT
-    window, or a session shorter than one window.  :meth:`push` checks each
-    block before the estimator sees it.
+    records none is not checked.  So is an STFT whose window and hop violate
+    overlap-add, a block shorter than the STFT window, or a session shorter
+    than one window.  :meth:`push` checks each block before the estimator
+    sees it.
     """
 
     def __init__(self, estimator, cfg: DecoderConfig, stft_cfg: StftConfig,
@@ -216,6 +234,8 @@ class Session:
         if model_stft and model_stft != asdict(stft_cfg):
             raise ValueError(f"model STFT settings {model_stft} differ from the "
                              f"decode STFT settings {asdict(stft_cfg)}")
+        if not stft_cfg.cola_ok():
+            raise ValueError("window/hop violates overlap-add")
         self.block_n = int(round(cfg.block_len_s * sample_rate))
         if self.block_n < stft_cfg.window_len:
             raise ValueError(f"block of {self.block_n} samples is shorter than the "
@@ -252,17 +272,15 @@ class Session:
         if not np.isfinite(block_samples).all():
             raise ValueError(f"block {b} holds a NaN or infinite sample")
         feats = block_features(block_samples, self.stft_cfg)
-        pre = [e.copy() for e in state.embeddings]
         result = decode_block(feats, state, self.estimator, cfg)
         accepted = None
         if result.new_slots and cfg.consistency_check and b > 0:
-            accepted = consistency_check(state, result.new_slots, pre,
-                                         self.estimator, cfg)
+            accepted = consistency_check(state, result, self.estimator, cfg)
             self.consistency_log.append((b, accepted))
             if not accepted:
                 for slot in result.new_slots:
                     result.masks.pop(slot)
-                state.embeddings = pre
+        state.commit(result, accepted is not False)  # nothing below raises
 
         chunks = {}
         for slot, mask in result.masks.items():

@@ -276,7 +276,7 @@ def _joint_recurrence_weight(arrays) -> np.ndarray:
 
 @dataclass
 class BlockContext:
-    """Cached per-block state: static projection and backward accumulators.
+    """A block's static projection and the features it was computed from.
 
     A decode handle holds the static projection only: ``forward`` reads
     nothing else, and the features are needed only to train.
@@ -284,7 +284,6 @@ class BlockContext:
 
     features: np.ndarray | None  # (T, 3F) normalized static features
     static_pre: np.ndarray  # (T, P)
-    d_static_pre: np.ndarray | None = None
 
 
 @dataclass
@@ -361,12 +360,12 @@ class MaskNet:
         cache = IterationCache(r, z, p, states, hcat, mask, z_out, inv_norm)
         return mask, z_out, cache
 
-    def backward(self, ctx: BlockContext, cache: IterationCache,
-                 d_mask: np.ndarray, d_z_out: np.ndarray, grads: dict):
+    def backward(self, cache: IterationCache, d_mask: np.ndarray,
+                 d_z_out: np.ndarray, grads: dict):
         """Accumulate parameter gradients for one iteration.
 
-        Returns (d_residual, d_z_prev) so callers can chain gradients through
-        the residual recursion and across blocks via the embeddings.
+        Returns (d_residual, d_z_prev, d_static_pre) to chain gradients through
+        the residual recursion, across blocks and into the block's projection.
         """
         a = self.params.arrays
         dt = self.params.dtype
@@ -404,21 +403,16 @@ class MaskNet:
 
         d_p = d_xf @ a["w_xf"].T + d_xb @ a["w_xb"].T
         d_pre = d_p * (1.0 - cache.p * cache.p)
-        if ctx.d_static_pre is None:
-            ctx.d_static_pre = np.zeros_like(ctx.static_pre)
-        ctx.d_static_pre += d_pre
         grads["w_res"] += cache.residual.T @ d_pre
         d_pre_sum = d_pre.sum(axis=0)
         grads["w_emb_in"] += np.outer(cache.z_prev, d_pre_sum)
         d_residual = d_pre @ a["w_res"].T
         d_z_prev = a["w_emb_in"] @ d_pre_sum
-        return d_residual, d_z_prev
+        return d_residual, d_z_prev, d_pre
 
-    def finish_block_backward(self, ctx: BlockContext, grads: dict):
-        if ctx.d_static_pre is not None:
-            grads["w_static"] += ctx.features.T @ ctx.d_static_pre
-            grads["b_static"] += ctx.d_static_pre.sum(axis=0)
-            ctx.d_static_pre = None
+    def finish_block_backward(self, ctx: BlockContext, d_static_pre, grads: dict):
+        grads["w_static"] += ctx.features.T @ d_static_pre
+        grads["b_static"] += d_static_pre.sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +457,8 @@ def load_params(path) -> ModelParams:
     try:
         shapes = [(name, shape) for name, shape in meta["shapes"]]
         dims = [meta[k] for k in ("bins", "embed_dim", "hidden", "proj")]
+        if not all(type(d) is int and d > 0 for d in dims):
+            raise ValueError("dimensions must be positive integers")
         expected = [(name, list(shape)) for name, shape in param_shapes(*dims).items()]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError("corrupt checkpoint") from exc
@@ -470,7 +466,7 @@ def load_params(path) -> ModelParams:
         raise ValueError("corrupt checkpoint")
     offset = 12 + meta_len
     arrays = {}
-    for name, shape in shapes:
+    for name, shape in expected:  # integer sizes, whatever numbers the table holds
         count = int(np.prod(shape)) if shape else 1
         nbytes = 4 * count
         if offset + nbytes > len(data):
@@ -481,6 +477,9 @@ def load_params(path) -> ModelParams:
         offset += nbytes
     if offset != len(data):
         raise ValueError("corrupt checkpoint")
-    params = ModelParams(arrays, meta.get("stft", {}))
+    stft_meta = meta.get("stft", {})
+    if not isinstance(stft_meta, dict):
+        raise ValueError("corrupt checkpoint")
+    params = ModelParams(arrays, stft_meta)
     params.validate_finite()
     return params

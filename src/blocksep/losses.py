@@ -24,10 +24,10 @@ class LossWeights:
     delta: float = 0.2  # triplet margin
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("loss weights must be non-negative")
-        if self.delta <= 0:
-            raise ValueError("triplet margin must be positive")
+        if not (0 <= self.alpha < np.inf and 0 <= self.beta < np.inf):
+            raise ValueError("loss weights must be non-negative and finite")
+        if not 0 < self.delta < np.inf:
+            raise ValueError("triplet margin must be positive and finite")
 
 
 @dataclass

@@ -36,10 +36,10 @@ class TrainConfig:
     stft: StftConfig = field(default_factory=lambda: StftConfig(256, 128))
 
     def __post_init__(self):
-        if self.block_len_s <= 0:
-            raise ValueError("block length must be positive")
-        if self.learning_rate < 0:
-            raise ValueError("learning rate must be non-negative")
+        if not 0 < self.block_len_s < np.inf:
+            raise ValueError("block length must be positive and finite")
+        if not 0 <= self.learning_rate < np.inf:
+            raise ValueError("learning rate must be non-negative and finite")
         if self.epochs < 0 or self.batch_size < 1:
             raise ValueError("bad epoch/batch configuration")
 
@@ -188,6 +188,7 @@ def unroll_backward(result: UnrollResult, net: MaskNet) -> dict:
     z_next = {}  # slot -> gradient w.r.t. its embedding, from the next block
     for b in range(len(result.records) - 1, -1, -1):
         ctx = result.contexts[b]
+        d_static_pre = np.zeros_like(ctx.static_pre)
         z_here = {}
         carry = None  # gradient w.r.t. the residual produced by iteration i
         for rec in reversed(result.records[b]):
@@ -200,11 +201,12 @@ def unroll_backward(result: UnrollResult, net: MaskNet) -> dict:
                 d_z = d_z + z_next[rec.slot]
             if carry is not None:
                 d_mask = d_mask - carry * rec.gate
-            d_residual, z_here[rec.slot] = net.backward(ctx, rec.cache, d_mask,
-                                                        d_z, grads)
+            d_residual, z_here[rec.slot], d_pre = net.backward(rec.cache, d_mask, d_z,
+                                                               grads)
+            d_static_pre += d_pre
             if rec.gate is not None:
                 carry = d_residual if carry is None else d_residual + carry * rec.gate
-        net.finish_block_backward(ctx, grads)
+        net.finish_block_backward(ctx, d_static_pre, grads)
         z_next = z_here
     return grads
 

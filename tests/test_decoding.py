@@ -1,3 +1,4 @@
+import copy
 import tracemalloc
 
 import numpy as np
@@ -5,9 +6,11 @@ import pytest
 
 from blocksep.decoding import (
     BlockFeatures,
+    BlockResult,
     DecoderConfig,
     Session,
     SessionState,
+    block_features,
     consistency_check,
     decode_block,
     decode_session,
@@ -51,6 +54,9 @@ def test_config_validation():
         DecoderConfig(t_silent=0.3, t_resmask=0.2)
     with pytest.raises(ValueError):
         DecoderConfig(max_iterations=0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            DecoderConfig(block_len_s=bad)
 
 
 @pytest.mark.parametrize("n_sources", [0, 1, 2, 3])
@@ -59,6 +65,7 @@ def test_stopping_iterations_equal_sources_plus_one(n_sources):
     est = _flat_oracle([levels])
     state = new_session_state(est.embed_dim)
     result = decode_block(_flat_features(), state, est, CFG)
+    state.commit(result, True)
     assert state.iteration_counts == [n_sources + 1]
     assert state.speaker_count == n_sources
     assert len(result.new_slots) == n_sources
@@ -91,9 +98,10 @@ def test_residual_mean_monotone_within_block():
 def test_known_speaker_silent_block():
     est = _flat_oracle([{"alice": 0.8}, {"alice": 0.0}])
     state = new_session_state(est.embed_dim)
-    decode_block(_flat_features(), state, est, CFG)
+    state.commit(decode_block(_flat_features(), state, est, CFG), True)
     assert state.speaker_count == 1
     result = decode_block(_flat_features(), state, est, CFG)
+    state.commit(result, True)
     # slot survives, mask is all-zero, no new slots
     assert np.all(result.masks[1] == 0)
     assert state.speaker_count == 1
@@ -107,7 +115,7 @@ def test_max_iterations_cap():
     est = _flat_oracle([levels])
     cfg = DecoderConfig(max_iterations=4)
     state = new_session_state(est.embed_dim)
-    decode_block(_flat_features(), state, est, cfg)
+    state.commit(decode_block(_flat_features(), state, est, cfg), True)
     assert state.iteration_counts == [4]
     assert state.speaker_count == 3
 
@@ -136,46 +144,44 @@ class ScriptedEstimator:
         return np.zeros_like(residual), np.ones(self.embed_dim) / np.sqrt(8)
 
 
+def _scripted_block(embeddings, new_z, index):
+    """The decoded, uncommitted block ``index`` that opened a slot for
+    ``new_z``; a scripted handle is the block index."""
+    masks = {slot: np.zeros((T, F)) for slot in range(len(embeddings) + 1)}
+    return BlockResult(index, masks, embeddings + [new_z], [len(embeddings)],
+                       len(embeddings) + 1)
+
+
 def _scripted_state(new_z, n_past=2):
-    """Past blocks whose handles are their indices, as ScriptedEstimator's."""
+    """Past blocks whose handles are their indices, as ScriptedEstimator's,
+    and the next block, which opened the new slot 2."""
     state = SessionState(embeddings=[np.zeros(8), np.ones(8) / np.sqrt(8)],
-                         block_shape=(T, F))
-    for b in range(n_past):
-        state.cache.append(b)
-        state.iteration_counts.append(2)
-    # current block created the new slot 2
-    state.embeddings.append(new_z)
-    state.cache.append(n_past)
-    state.iteration_counts.append(3)
-    return state
+                         iteration_counts=[2] * n_past, cache=list(range(n_past)))
+    return state, _scripted_block(state.embeddings, new_z, n_past)
 
 
 def test_consistency_accepts_zero_history():
     new_z = speaker_embedding("newbie", 8)
     masks = {0: np.zeros((T, F)), 1: np.zeros((T, F)), 2: np.full((T, F), 0.5)}
     est = ScriptedEstimator(new_z, masks)
-    state = _scripted_state(new_z)
-    pre = [state.embeddings[0], state.embeddings[1]]
-    assert consistency_check(state, [2], pre, est, CFG)
+    state, result = _scripted_state(new_z)
+    assert consistency_check(state, result, est, CFG)
 
 
 def test_consistency_rejects_retroactive_presence():
     new_z = speaker_embedding("ghost", 8)
     masks = {0: np.zeros((T, F)), 1: np.full((T, F), 0.5), 2: np.full((T, F), 0.5)}
     est = ScriptedEstimator(new_z, masks)
-    state = _scripted_state(new_z)
-    pre = [state.embeddings[0], state.embeddings[1]]
-    assert not consistency_check(state, [2], pre, est, CFG)
+    state, result = _scripted_state(new_z)
+    assert not consistency_check(state, result, est, CFG)
 
 
 def test_consistency_vacuous_on_first_block():
     new_z = speaker_embedding("first", 8)
     est = ScriptedEstimator(new_z, {0: np.full((T, F), 0.9)})
-    state = SessionState(embeddings=[np.zeros(8)], block_shape=(T, F))
-    state.embeddings.append(new_z)
-    state.cache.append(0)
-    state.iteration_counts.append(2)
-    assert consistency_check(state, [1], [state.embeddings[0]], est, CFG)
+    state = SessionState(embeddings=[np.zeros(8)])
+    result = _scripted_block(state.embeddings, new_z, 0)
+    assert consistency_check(state, result, est, CFG)
 
 
 # --------------------------------------------------------------------------
@@ -388,16 +394,114 @@ def test_estimator_failure_carries_block_context():
         decode_block(_flat_features(), new_session_state(8), wrong_bins, CFG)
     # a consistency re-decode fails in enter_block, or in an estimate: the
     # 5-bin network re-enters blocks a 10-bin network decoded
-    state = _scripted_state(speaker_embedding("newbie", 8))
-    pre = state.embeddings[:2]
+    state, result = _scripted_state(speaker_embedding("newbie", 8))
     with pytest.raises(RuntimeError, match="block 0, enter_block"):
-        consistency_check(state, [2], pre, Exploding(), CFG)
+        consistency_check(state, result, Exploding(), CFG)
     state = new_session_state(8)
-    for _ in range(2):
-        decode_block(_flat_features(), state,
-                     MaskNet(init_params(bins=F, embed_dim=8, hidden=3, proj=4)), CFG)
+    net = MaskNet(init_params(bins=F, embed_dim=8, hidden=3, proj=4))
+    state.commit(decode_block(_flat_features(), state, net, CFG), True)
+    result = decode_block(_flat_features(), state, net, CFG)
     with pytest.raises(RuntimeError, match="block 0, iteration 1: matmul"):
-        consistency_check(state, [], state.embeddings, wrong_bins, CFG)
+        consistency_check(state, result, wrong_bins, CFG)
+
+
+def _same_state(state, other):
+    return (state.iteration_counts == other.iteration_counts
+            and state.cache == other.cache
+            and len(state.embeddings) == len(other.embeddings)
+            and all(np.array_equal(z, w) for z, w in zip(state.embeddings,
+                                                         other.embeddings)))
+
+
+def test_decode_block_and_consistency_check_only_read_the_state():
+    # speaker b debuts in block 1, so its check re-decodes block 0
+    meeting = _fixture_meeting(seed=0, length=30.0)
+    est = OracleMaskEstimator.from_rendered(meeting, STFT, CFG.block_len_s)
+    session = Session(est, CFG, STFT, meeting.mixture.sample_rate,
+                      meeting.mixture.n_samples)
+    blocks = split_blocks(meeting.mixture.samples, session.block_n)
+    session.push(blocks[:, 0])
+    state = session.state
+    before = copy.deepcopy(state)
+    result = decode_block(block_features(blocks[:, 1], STFT), state, est, CFG)
+    assert result.new_slots and _same_state(state, before)
+    consistency_check(state, result, est, CFG)
+    assert _same_state(state, before)
+
+
+class _FailsOnce:
+    """Passes every call on to ``inner``, but the ``nth`` call of ``method``
+    raises instead."""
+
+    def __init__(self, inner, method, nth):
+        self.inner, self.method, self.calls_left = inner, method, nth
+
+    def __getattr__(self, name):
+        attr = getattr(self.inner, name)
+        if name != self.method:
+            return attr
+
+        def call(*args):
+            self.calls_left -= 1
+            if self.calls_left == 0:
+                raise RuntimeError("injected failure")
+            return attr(*args)
+
+        return call
+
+
+def _pushed_retrying(mixture, estimator, cfg, stft_cfg):
+    """Like :func:`_pushed`, but a push that raises is made once more:
+    (the errors, each block's output, the result)."""
+    session = Session(estimator, cfg, stft_cfg, mixture.sample_rate, mixture.n_samples)
+    blocks = split_blocks(mixture.samples, session.block_n)
+    errors, outputs = [], []
+    for b in range(blocks.shape[1]):
+        try:
+            outputs.append(session.push(blocks[:, b]))
+        except RuntimeError as exc:
+            errors.append(str(exc))
+            outputs.append(session.push(blocks[:, b]))
+    return errors, outputs, session.finish()
+
+
+def _assert_same_decode(result, clean):
+    assert sorted(result.streams) == sorted(clean.streams)
+    for slot, sig in clean.streams.items():
+        assert np.array_equal(result.streams[slot].samples, sig.samples)
+    assert _same_state(result.state, clean.state)
+    assert result.activity == clean.activity
+    assert result.consistency_log == clean.consistency_log
+
+
+def test_push_retried_after_a_failed_estimate_equals_a_clean_push():
+    # block 1 estimates the noise slot, then fails on slot 1: the retry must
+    # not start from the noise embedding the failed attempt computed
+    mixture = _noise_mixture(seconds=2.0)
+    cfg = DecoderConfig(block_len_s=1.0)
+    clean_outputs, clean = _pushed(mixture, _tiny_net(STFT), cfg, STFT)
+    errors, outputs, result = _pushed_retrying(
+        mixture, _FailsOnce(_tiny_net(STFT), "estimate", 4), cfg, STFT)
+    assert errors == ["estimator failed in block 1, iteration 2: injected failure"]
+    assert sorted(outputs[1].masks) == sorted(clean_outputs[1].masks) == [0, 1]
+    for slot, mask in clean_outputs[1].masks.items():
+        assert np.array_equal(outputs[1].masks[slot], mask)
+    _assert_same_decode(result, clean)
+
+
+def test_push_retried_after_a_failed_consistency_check_equals_a_clean_push():
+    # the check of speaker b's debut in block 1 fails re-entering block 0
+    meeting = _fixture_meeting(seed=0, length=30.0)
+
+    def oracle():
+        return OracleMaskEstimator.from_rendered(meeting, STFT, CFG.block_len_s)
+
+    _, clean = _pushed(meeting.mixture, oracle(), CFG, STFT)
+    errors, _, result = _pushed_retrying(
+        meeting.mixture, _FailsOnce(oracle(), "enter_block", 1), CFG, STFT)
+    assert errors == ["estimator failed in block 0, enter_block: injected failure"]
+    assert (1, True) in clean.consistency_log
+    _assert_same_decode(result, clean)
 
 
 def _noise_mixture(seconds=1.0, fs=8000):
@@ -444,6 +548,16 @@ def test_decode_rejects_block_shorter_than_stft_window(block_len_s, block_n):
     with pytest.raises(ValueError, match=f"block of {block_n} samples .* 256-sample"):
         decode_session(_noise_mixture(), est, DecoderConfig(block_len_s=block_len_s),
                        StftConfig())
+    assert est.blocks == []
+
+
+def test_session_rejects_stft_violating_overlap_add():
+    # a hop of 96 under a 256-sample sqrt-Hann window: the iSTFT of the
+    # first block's chunks would fail after the block was decoded
+    est = _CountingEstimator()
+    with pytest.raises(ValueError, match="violates overlap-add"):
+        decode_session(_noise_mixture(), est, DecoderConfig(block_len_s=1.0),
+                       StftConfig(256, 96))
     assert est.blocks == []
 
 
@@ -590,6 +704,45 @@ def test_push_rejects_non_finite_block(bad):
     with pytest.raises(ValueError, match="block 0 holds a NaN or infinite sample"):
         session.push(block)
     assert est.blocks == []
+
+
+class _BadProbeEstimator:
+    """A noise mask, then ``bad(residual)`` as the first probe's mask."""
+
+    embed_dim = 4
+
+    def __init__(self, bad):
+        self.bad = bad
+
+    def begin_block(self, index, mag, ipd):
+        self.calls = 0
+        return index
+
+    def estimate(self, residual, z_prev):
+        self.calls += 1
+        mask = np.full_like(residual, 0.3) if self.calls == 1 else self.bad(residual)
+        return mask, np.full(4, 0.5)
+
+
+def _with_nan_bin(residual):
+    mask = np.full_like(residual, 0.5)
+    mask[3, 7] = np.nan
+    return mask
+
+
+@pytest.mark.parametrize("bad, problem", [
+    (lambda residual: np.full(residual.shape[1], 0.5), r"mask of shape \(129,\)"),
+    (_with_nan_bin, "mask holds a NaN"),
+], ids=["one-frame-mask", "nan-bin"])
+def test_push_rejects_a_bad_mask_before_the_block_joins(bad, problem):
+    # a (F,) mask once broadcast through the residual and failed in
+    # apply_mask after the state was written; a NaN bin gave a NaN stream
+    session = Session(_BadProbeEstimator(bad), DecoderConfig(block_len_s=1.0),
+                      STFT, 8000, 16000)
+    with pytest.raises(RuntimeError, match=f"block 0, iteration 2: {problem}"):
+        session.push(np.ones((2, 8000)))
+    assert session.state.n_blocks == 0
+    assert session.activity == [] and session.streams == {}
 
 
 def _retained_bytes_besides_streams(mixture, net):

@@ -138,8 +138,8 @@ def forward_backward(mag, ipd, residual, z_prev, params, d_mask, d_z_out):
     ctx = net.prepare_block(mag, ipd)
     mask, z_out, cache = net.forward(ctx, residual, z_prev)
     grads = params.zeros_like()
-    net.backward(ctx, cache, d_mask, d_z_out, grads)
-    net.finish_block_backward(ctx, grads)
+    _, _, d_static_pre = net.backward(cache, d_mask, d_z_out, grads)
+    net.finish_block_backward(ctx, d_static_pre, grads)
     return mask, z_out, grads
 
 
@@ -301,10 +301,9 @@ def _two_call_reference(params, inp, d_mask, d_z_out):
     g["w_xb"] += p.T @ d_xb
     g["b_b"] += d_xb.sum(axis=0)
     d_pre = (d_xf @ a["w_xf"].T + d_xb @ a["w_xb"].T) * (1.0 - p * p)
-    ctx.d_static_pre = d_pre
     g["w_res"] += residual.T @ d_pre
     g["w_emb_in"] += np.outer(z_prev, d_pre.sum(axis=0))
-    net.finish_block_backward(ctx, g)
+    net.finish_block_backward(ctx, d_pre, g)
     return hf, hb_rev, mask, g
 
 
@@ -320,8 +319,8 @@ def test_joint_recurrence_matches_two_separate_directions(seed):
     ctx = net.prepare_block(mag, ipd)
     mask, _, cache = net.forward(ctx, residual, z_prev)
     grads = params.zeros_like()
-    net.backward(ctx, cache, d_mask, d_z, grads)
-    net.finish_block_backward(ctx, grads)
+    _, _, d_static_pre = net.backward(cache, d_mask, d_z, grads)
+    net.finish_block_backward(ctx, d_static_pre, grads)
 
     hf, hb_rev, ref_mask, ref_grads = _two_call_reference(params, inp, d_mask, d_z)
     h = params.hidden
@@ -402,14 +401,30 @@ def _wrong_hidden(meta):
     return meta
 
 
+def _float_hidden(meta):
+    # the shape table agrees, since 3.0 == 3
+    meta["hidden"] = 3.0
+    meta["shapes"] = [[name, [3.0 if n == 3 else n for n in shape]]
+                      for name, shape in meta["shapes"]]
+    return meta
+
+
+def _stft_not_an_object(meta):
+    meta["stft"] = "oops"
+    return meta
+
+
 @pytest.mark.parametrize("edit", [
     _without("shapes"),
     _without("bins"),
     lambda meta: [meta],
     _renamed_first_param,
     _wrong_hidden,
+    _float_hidden,
+    _stft_not_an_object,
 ], ids=["missing-shapes", "missing-bins", "not-an-object", "unknown-param-name",
-        "dimension-disagrees-with-shapes"])
+        "dimension-disagrees-with-shapes", "non-integer-dimension",
+        "stft-not-an-object"])
 def test_checkpoint_malformed_metadata(tmp_path, edit):
     path = tmp_path / "f.ckpt"
     save_params(_tiny_params(), path)

@@ -30,6 +30,10 @@ def test_weights_validation():
         LossWeights(alpha=-1)
     with pytest.raises(ValueError):
         LossWeights(delta=0)
+    for bad in (np.nan, np.inf):
+        for name in ("alpha", "beta", "delta"):
+            with pytest.raises(ValueError, match="and finite"):
+                LossWeights(**{name: bad})
 
 
 def test_mmse_zero_when_masks_reproduce_targets():

@@ -28,6 +28,12 @@ def test_config_validation():
         TrainConfig(block_len_s=0)
     with pytest.raises(ValueError):
         TrainConfig(learning_rate=-1)
+    # a NaN or infinite rate once trained a non-finite model without an error
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            TrainConfig(block_len_s=bad)
+        with pytest.raises(ValueError, match="non-negative and finite"):
+            TrainConfig(learning_rate=bad)
 
 
 def test_build_train_sample_structure():

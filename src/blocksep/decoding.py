@@ -8,7 +8,9 @@ Each block is decoded and checked without changing the session, then joins
 it and has its streams synthesized; past blocks stay only as re-decode handles.
 """
 
+import numbers
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -30,15 +32,29 @@ class DecoderConfig:
             raise ValueError("thresholds must satisfy 0 < t_silent < t_resmask < 1")
         if not 0 < self.block_len_s < np.inf:
             raise ValueError("block length must be positive and finite")
-        if self.max_iterations < 1:
-            raise ValueError("need at least one iteration per block")
+        cap = self.max_iterations
+        if not isinstance(cap, numbers.Integral) or cap < 1:
+            raise ValueError(f"max_iterations must be an integer of at least 1, not {cap!r}")
 
 
 @dataclass
 class BlockFeatures:
+    """One block's features, as an estimator's ``begin_block`` reads them.
+
+    ``mag`` and ``spec`` come from the reference channel.  ``ipd`` is computed
+    on its first read, from ``spec`` and the STFT of the second channel's
+    samples, and kept: an estimator that never reads it costs no second STFT.
+    """
+
     mag: np.ndarray  # (T, F) reference-channel magnitudes
-    ipd: IpdFeature
     spec: np.ndarray  # (T, F) complex reference-channel spectrogram
+    second: np.ndarray  # the block's second-channel samples
+    stft_cfg: StftConfig
+
+    @cached_property
+    def ipd(self) -> IpdFeature:
+        # the module-level ``ipd`` function, not this property
+        return ipd(self.spec, stft(self.second, self.stft_cfg))
 
 
 @dataclass
@@ -116,8 +132,10 @@ def decode_block(features: BlockFeatures, state: SessionState, estimator,
                  cfg: DecoderConfig) -> BlockResult:
     """Decode the session's next block without changing ``state``.
 
-    The features go to ``begin_block`` once, whose handle the result keeps;
-    each iteration calls ``estimate``.
+    ``begin_block(index, features)`` sees the block once and returns the
+    handle the result keeps; it reads only the features it needs, so the IPD
+    is computed only for an estimator that reads ``features.ipd``.  Each
+    iteration calls ``estimate``.
     Iteration order: the noise slot, then known speaker slots in fixed order
     (conditioned on their stored embeddings), then zero-embedding probes for
     new speakers.  After each non-silent mask the residual is updated as
@@ -127,8 +145,7 @@ def decode_block(features: BlockFeatures, state: SessionState, estimator,
     probe that comes back silent ends the block without creating a slot.
     """
     b = state.n_blocks
-    handle = _call_estimator(b, "begin_block", estimator.begin_block,
-                             b, features.mag, features.ipd)
+    handle = _call_estimator(b, "begin_block", estimator.begin_block, b, features)
     residual = np.ones_like(features.mag)
     masks = {}
     embeddings = []
@@ -201,9 +218,8 @@ class BlockOutput:
 
 
 def block_features(block_samples: np.ndarray, stft_cfg: StftConfig) -> BlockFeatures:
-    s1 = stft(block_samples[0], stft_cfg)
-    s2 = stft(block_samples[1], stft_cfg)
-    return BlockFeatures(np.abs(s1), ipd(s1, s2), s1)
+    spec = stft(block_samples[0], stft_cfg)
+    return BlockFeatures(np.abs(spec), spec, block_samples[1], stft_cfg)
 
 
 class Session:

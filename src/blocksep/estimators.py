@@ -12,13 +12,16 @@ to (source mask, speaker embedding):
   one bidirectional tanh recurrent layer over the block's frames, a sigmoid
   mask head, and a mean-pooled, L2-normalized embedding head.
 
-Both follow one session protocol: ``begin_block(index, mag, ipd)`` hands over
-a block's fixed features once and returns a small handle for the block, then
-each extraction iteration calls ``estimate(residual, z_prev)``; a zero
-``z_prev`` probes for a new speaker.  ``enter_block(handle)`` re-enters a
-past block for a consistency re-decode without its features, resetting the
-per-block call state as ``begin_block`` does.  The handle is all the decoder
-keeps of a past block.
+Both follow one session protocol: ``begin_block(index, features)`` hands over
+a block's :class:`~blocksep.decoding.BlockFeatures` once and returns a small
+handle for the block, then each extraction iteration calls
+``estimate(residual, z_prev)``; a zero ``z_prev`` probes for a new speaker.
+An estimator reads only the features it needs: :class:`MaskNet` reads
+``features.mag`` and ``features.ipd``, the oracle reads none, and the IPD
+(with the second channel's STFT) is computed only when read.
+``enter_block(handle)`` re-enters a past block for a consistency re-decode
+without its features, resetting the per-block call state as ``begin_block``
+does.  The handle is all the decoder keeps of a past block.
 """
 
 import hashlib
@@ -117,15 +120,16 @@ class OracleMaskEstimator:
     noise-first slot convention.  A unit-norm ``z_prev`` selects the speaker
     with the closest fixed embedding; a zero ``z_prev`` probes the strongest
     active source not yet extracted in the block.  A speaker not active in
-    the block yields an all-zero mask.  The block features passed to
-    ``begin_block`` are not used; a block's handle is its index.
+    the block yields an all-zero mask.  ``begin_block`` reads none of the
+    block's features, so an oracle decode never computes the second
+    channel's STFT or the IPD; a block's handle is its index.
     """
 
     embed_dim = DEFAULT_EMBED_DIM
 
     def __init__(self, blocks):
         # The records keep their magnitudes (about 110 MB per 120 s meeting)
-        # although only training reads them; see ROADMAP item 5.
+        # although only training reads them; see ROADMAP item 1.
         self.blocks = blocks
         self.speakers = sorted({s for blk in blocks for s in blk.source_mags})
         self.embeddings = {s: speaker_embedding(s) for s in self.speakers}
@@ -139,7 +143,7 @@ class OracleMaskEstimator:
     def from_rendered(cls, rendered, stft_cfg: StftConfig, block_len_s: float):
         return cls(reference_blocks(rendered, stft_cfg, block_len_s))
 
-    def begin_block(self, index: int, mag, ipd) -> int:
+    def begin_block(self, index: int, features) -> int:
         if not 0 <= index < len(self.blocks):
             raise ValueError(f"block index {index} out of range")
         self.enter_block(index)
@@ -312,8 +316,9 @@ class MaskNet:
 
     # -- session protocol ---------------------------------------------------
 
-    def begin_block(self, index: int, mag: np.ndarray, ipd: IpdFeature) -> BlockContext:
-        self._ctx = BlockContext(None, self.prepare_block(mag, ipd).static_pre)
+    def begin_block(self, index: int, features) -> BlockContext:
+        ctx = self.prepare_block(features.mag, features.ipd)
+        self._ctx = BlockContext(None, ctx.static_pre)
         return self._ctx
 
     def enter_block(self, handle: BlockContext):

@@ -2,7 +2,10 @@
 
 The tanh recurrence over time frames is the only part of the network that
 cannot be expressed as a single BLAS call, so it gets a dedicated kernel: a
-numpy loop with one vector-matrix product per frame.
+numpy loop with one vector-matrix product per frame.  Each step writes in
+place, into its row of the output and into buffers allocated once per call,
+with the same operations in the same order as the plain per-step loop, so
+the results are bit-identical to it; all inputs must share one dtype.
 
 ``MaskNet`` runs its forward and time-reversed backward directions as one
 2H-wide call whose (2H, 2H) weight is block-diagonal, so each step does
@@ -24,22 +27,33 @@ __all__ = [
 ]
 
 
+def _check_one_dtype(**arrays):
+    """Reject inputs of mixed dtypes: the in-place steps would cast silently."""
+    dtypes = {name: a.dtype for name, a in arrays.items()}
+    if len(set(dtypes.values())) > 1:
+        named = ", ".join(f"{name} {dtype}" for name, dtype in dtypes.items())
+        raise TypeError(f"kernel inputs must share one dtype, not {named}")
+
+
 def rnn_seq_forward(x, w_h, h0):
     """Run the recurrence h[t] = tanh(x[t] + h[t-1] @ w_h).
 
     Args:
         x: (T, H) pre-activations from the input path (already includes bias).
         w_h: (H, H) hidden-to-hidden weights.
-        h0: (H,) initial hidden state.
+        h0: (H,) initial hidden state, not modified.
     Returns:
-        (T, H) hidden states.
+        (T, H) hidden states.  All inputs share one dtype, or ``TypeError``.
     """
-    t_len = x.shape[0]
+    _check_one_dtype(x=x, w_h=w_h, h0=h0)
     out = np.empty_like(x)
-    h = h0.copy()
-    for t in range(t_len):
-        h = np.tanh(x[t] + np.dot(h, w_h))
-        out[t] = h
+    buf = np.empty_like(h0)
+    h = h0
+    for x_t, out_t in zip(x, out):
+        np.dot(h, w_h, out=buf)
+        np.add(x_t, buf, out=buf)
+        np.tanh(buf, out=out_t)
+        h = out_t
     return out
 
 
@@ -53,15 +67,21 @@ def rnn_seq_backward(states, w_h, d_states):
     Returns:
         (T, H) gradient w.r.t. the pre-activation input ``x``.  The weight
         gradient is recovered by the caller as ``prev_states.T @ d_pre``.
+        All inputs share one dtype, or ``TypeError``.
     """
-    t_len, h_dim = states.shape
+    _check_one_dtype(states=states, w_h=w_h, d_states=d_states)
+    h_dim = states.shape[1]
     d_pre = np.empty_like(states)
     carry = np.zeros(h_dim, dtype=states.dtype)
-    for t in range(t_len - 1, -1, -1):
-        u = d_states[t] + carry
-        g = u - u * states[t] * states[t]  # u * (1 - s^2), dtype-preserving
-        d_pre[t] = g
-        carry = np.dot(w_h, g)
+    u = np.empty_like(carry)
+    tmp = np.empty_like(carry)
+    for s, d_t, g in zip(states[::-1], d_states[::-1], d_pre[::-1]):
+        np.add(d_t, carry, out=u)
+        # g = u - (u * s) * s, i.e. u * (1 - s^2), dtype-preserving
+        np.multiply(u, s, out=tmp)
+        np.multiply(tmp, s, out=tmp)
+        np.subtract(u, tmp, out=g)
+        np.dot(w_h, g, out=carry)
     return d_pre
 
 

@@ -9,6 +9,7 @@ recursion consumes ideal-ratio masks computed from the references instead of
 the network's own estimates; embeddings always chain across blocks.
 """
 
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -40,8 +41,11 @@ class TrainConfig:
             raise ValueError("block length must be positive and finite")
         if not 0 <= self.learning_rate < np.inf:
             raise ValueError("learning rate must be non-negative and finite")
-        if self.epochs < 0 or self.batch_size < 1:
-            raise ValueError("bad epoch/batch configuration")
+        for name, least in (("epochs", 0), ("batch_size", 1)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < least:
+                raise ValueError(f"bad epoch/batch configuration: {name} must be "
+                                 f"an integer of at least {least}, not {value!r}")
 
 
 @dataclass

@@ -1,6 +1,7 @@
 """Shared helpers: synthetic unroll instances and finite-difference checks."""
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -10,6 +11,15 @@ from blocksep.losses import LossWeights
 from blocksep.training import TrainConfig, TrainSample, unroll, unroll_backward
 
 T, F = 4, 8
+
+
+@dataclass
+class GivenFeatures:
+    """A block's magnitudes and IPD as given, read by an estimator's
+    ``begin_block`` as it reads ``decoding.BlockFeatures``."""
+
+    mag: np.ndarray  # (T, F)
+    ipd: IpdFeature
 
 
 def make_synthetic_sample(seed, t=T, f=F, n_blocks=2, sources=("a", "b"),

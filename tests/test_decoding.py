@@ -4,8 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from blocksep import decoding
 from blocksep.decoding import (
-    BlockFeatures,
     BlockResult,
     DecoderConfig,
     Session,
@@ -16,7 +16,7 @@ from blocksep.decoding import (
     decode_session,
     new_session_state,
 )
-from blocksep.dsp import AudioSignal, IpdFeature, StftConfig, split_blocks
+from blocksep.dsp import AudioSignal, IpdFeature, StftConfig, ipd, split_blocks, stft
 from blocksep.estimators import (
     MaskNet,
     OracleMaskEstimator,
@@ -28,17 +28,15 @@ from blocksep.estimators import (
 from blocksep.metrics import block_speaker_counts
 from blocksep.rttm import Segment
 from blocksep.simulate import MeetingScenario, make_pool, render
+from synthutil import GivenFeatures
 
 T, F = 20, 10
 CFG = DecoderConfig()
 
 
 def _flat_features():
-    return BlockFeatures(
-        mag=np.ones((T, F)),
-        ipd=IpdFeature(np.ones((T, F)), np.zeros((T, F))),
-        spec=np.ones((T, F), dtype=complex),
-    )
+    return GivenFeatures(mag=np.ones((T, F)),
+                         ipd=IpdFeature(np.ones((T, F)), np.zeros((T, F))))
 
 
 def _flat_oracle(levels_per_block, noise_level=0.3):
@@ -54,6 +52,11 @@ def test_config_validation():
         DecoderConfig(t_silent=0.3, t_resmask=0.2)
     with pytest.raises(ValueError):
         DecoderConfig(max_iterations=0)
+    # a NaN cap once let decode_block return after the noise slot, never
+    # probing; a fractional one was accepted too
+    for bad in (np.nan, 2.5):
+        with pytest.raises(ValueError, match="max_iterations must be an integer"):
+            DecoderConfig(max_iterations=bad)
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="positive and finite"):
             DecoderConfig(block_len_s=bad)
@@ -84,7 +87,7 @@ def test_noise_only_block_residual_below_threshold():
 def test_residual_mean_monotone_within_block():
     est = _flat_oracle([{"a": 0.8, "b": 0.6, "c": 0.5}])
     feats = _flat_features()
-    est.begin_block(0, feats.mag, feats.ipd)
+    est.begin_block(0, feats)
     residual = np.ones((T, F))
     means = [residual.mean()]
     for _ in range(4):
@@ -131,7 +134,7 @@ class ScriptedEstimator:
         self.masks_by_block = masks_by_block
         self._block = 0
 
-    def begin_block(self, index, mag, ipd):
+    def begin_block(self, index, features):
         self.enter_block(index)
         return index
 
@@ -297,9 +300,9 @@ class FaultInjectionEstimator:
     def embed_dim(self):
         return self.inner.embed_dim
 
-    def begin_block(self, index: int, mag, ipd):
+    def begin_block(self, index: int, features):
         self._block = index
-        return self.inner.begin_block(index, mag, ipd)
+        return self.inner.begin_block(index, features)
 
     def enter_block(self, handle):
         self._block = handle
@@ -374,7 +377,7 @@ def test_estimator_failure_carries_block_context():
     class Exploding:
         embed_dim = 8
 
-        def begin_block(self, index, mag, ipd):
+        def begin_block(self, index, features):
             pass
 
         def enter_block(self, handle):
@@ -531,13 +534,57 @@ def test_decode_accepts_matching_or_unrecorded_model_stft():
         assert np.array_equal(sig.samples, unrecorded.streams[slot].samples)
 
 
+def _count_calls(monkeypatch, name):
+    """Count the calls of ``decoding.<name>``, a name the decoder resolves at
+    call time."""
+    calls = []
+    inner = getattr(decoding, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(decoding, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind, stfts, ipds", [("oracle", 1, 0), ("net", 2, 1)])
+def test_decode_computes_the_ipd_only_for_an_estimator_that_reads_it(
+        monkeypatch, kind, stfts, ipds):
+    # the oracle reads no features, so no block runs the second channel's
+    # STFT or the IPD; a network reads both once per block, re-decodes none
+    meeting = _fixture_meeting(seed=0, length=30.0)
+    est = (OracleMaskEstimator.from_rendered(meeting, STFT, CFG.block_len_s)
+           if kind == "oracle" else _tiny_net(STFT))
+    stft_calls, ipd_calls = (_count_calls(monkeypatch, name) for name in ("stft", "ipd"))
+    result = decode_session(meeting.mixture, est, CFG, STFT)
+    n_blocks = len(result.activity)
+    assert n_blocks == 3
+    assert (len(stft_calls), len(ipd_calls)) == (stfts * n_blocks, ipds * n_blocks)
+
+
+def test_block_features_ipd_is_computed_once_on_first_read(monkeypatch):
+    block = np.random.default_rng(3).normal(size=(2, 4000))
+    ipd_calls = _count_calls(monkeypatch, "ipd")
+    feats = block_features(block, STFT)
+    assert ipd_calls == []
+    first = feats.ipd
+    assert feats.ipd is first and len(ipd_calls) == 1
+    spec = stft(block[0], STFT)
+    expected = ipd(spec, stft(block[1], STFT))
+    assert np.array_equal(first.cos, expected.cos)
+    assert np.array_equal(first.sin, expected.sin)
+    assert np.array_equal(feats.spec, spec)
+    assert np.array_equal(feats.mag, np.abs(spec))
+
+
 class _CountingEstimator:
     embed_dim = 4
 
     def __init__(self):
         self.blocks = []
 
-    def begin_block(self, index, mag, ipd):
+    def begin_block(self, index, features):
         self.blocks.append(index)
 
 
@@ -587,7 +634,7 @@ class BlockScriptedEstimator:
         z = self.base[speaker] + 0.1 * block * np.eye(8)[0]
         return z / np.linalg.norm(z)
 
-    def begin_block(self, index, mag, ipd):
+    def begin_block(self, index, features):
         self.enter_block(index)
         return index
 
@@ -714,7 +761,7 @@ class _BadProbeEstimator:
     def __init__(self, bad):
         self.bad = bad
 
-    def begin_block(self, index, mag, ipd):
+    def begin_block(self, index, features):
         self.calls = 0
         return index
 

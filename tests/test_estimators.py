@@ -15,6 +15,7 @@ from blocksep.estimators import (
     save_params,
     speaker_embedding,
 )
+from synthutil import GivenFeatures
 
 
 def _flat_ipd(t, f):
@@ -35,7 +36,7 @@ def _oracle_fixture():
 
 
 def _begin(est, index, t=6, f=5):
-    est.begin_block(index, np.ones((t, f)), _flat_ipd(t, f))
+    est.begin_block(index, GivenFeatures(np.ones((t, f)), _flat_ipd(t, f)))
 
 
 def _inp(est, t=6, f=5, z=None):
@@ -148,7 +149,7 @@ def test_masknet_output_contracts():
     net = MaskNet(params)
     for seed in range(5):
         mag, feat, residual, z_prev = _tiny_input(seed, zero_z=seed % 2 == 0)
-        net.begin_block(0, mag, feat)
+        net.begin_block(0, GivenFeatures(mag, feat))
         mask, z = net.estimate(residual, z_prev)
         assert mask.shape == (2, 5)
         assert mask.min() >= 0.0 and mask.max() <= 1.0
@@ -159,9 +160,9 @@ def test_masknet_deterministic():
     params = _tiny_params()
     net = MaskNet(params)
     mag, feat, residual, z_prev = _tiny_input(3)
-    net.begin_block(0, mag, feat)
+    net.begin_block(0, GivenFeatures(mag, feat))
     m1, z1 = net.estimate(residual, z_prev)
-    net.begin_block(0, mag, feat)
+    net.begin_block(0, GivenFeatures(mag, feat))
     m2, z2 = net.estimate(residual, z_prev)
     assert np.array_equal(m1, m2)
     assert np.array_equal(z1, z2)
@@ -174,7 +175,7 @@ def test_masknet_session_uses_each_blocks_features():
     net = MaskNet(params)
     for block, seed in enumerate((5, 6)):
         mag, feat, residual, z_prev = _tiny_input(seed, t=3)
-        net.begin_block(block, mag, feat)
+        net.begin_block(block, GivenFeatures(mag, feat))
         mask, z = net.estimate(residual, z_prev)
         ref = MaskNet(params)
         ref_mask, ref_z, _ = ref.forward(ref.prepare_block(mag, feat), residual, z_prev)
@@ -188,12 +189,12 @@ def test_masknet_reenters_a_block_through_its_handle():
     params = _tiny_params()
     net = MaskNet(params)
     mag, feat, residual, z_prev = _tiny_input(7, t=3)
-    handle = net.begin_block(0, mag, feat)
-    net.begin_block(1, *_tiny_input(8, t=3)[:2])
+    handle = net.begin_block(0, GivenFeatures(mag, feat))
+    net.begin_block(1, GivenFeatures(*_tiny_input(8, t=3)[:2]))
     net.enter_block(handle)
     mask, z = net.estimate(residual, z_prev)
     ref = MaskNet(params)
-    ref.begin_block(0, mag, feat)
+    ref.begin_block(0, GivenFeatures(mag, feat))
     ref_mask, ref_z = ref.estimate(residual, z_prev)
     assert np.array_equal(mask, ref_mask)
     assert np.array_equal(z, ref_z)

@@ -38,3 +38,57 @@ def test_backward_matches_finite_differences():
         xm[idx] -= eps
         fd = (loss(xp) - loss(xm)) / (2 * eps)
         assert fd == pytest.approx(d_x[idx], rel=1e-5)
+
+
+def _forward_loop(x, w_h, h0):
+    """The plain per-step recurrence, allocating every step."""
+    out = np.empty_like(x)
+    h = h0.copy()
+    for t in range(x.shape[0]):
+        h = np.tanh(x[t] + np.dot(h, w_h))
+        out[t] = h
+    return out
+
+
+def _backward_loop(states, w_h, d_states):
+    """The plain per-step backward of :func:`_forward_loop`."""
+    t_len, h_dim = states.shape
+    d_pre = np.empty_like(states)
+    carry = np.zeros(h_dim, dtype=states.dtype)
+    for t in range(t_len - 1, -1, -1):
+        u = d_states[t] + carry
+        g = u - u * states[t] * states[t]
+        d_pre[t] = g
+        carry = np.dot(w_h, g)
+    return d_pre
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_kernels_equal_the_per_step_loop(dtype):
+    # the in-place kernels run the loop's operations in the loop's order;
+    # 2H = 128 as in MaskNet's joint recurrence
+    rng = np.random.default_rng(3)
+    t_len, h_dim = 50, 128
+    x = rng.normal(size=(t_len, h_dim)).astype(dtype)
+    w = (0.1 * rng.normal(size=(h_dim, h_dim))).astype(dtype)
+    h0 = rng.normal(size=h_dim).astype(dtype)
+    h0_before = h0.copy()
+    states = kernels.rnn_seq_forward(x, w, h0)
+    assert states.dtype == dtype
+    assert np.array_equal(states, _forward_loop(x, w, h0))
+    assert np.array_equal(h0, h0_before)
+    d_states = rng.normal(size=(t_len, h_dim)).astype(dtype)
+    d_pre = kernels.rnn_seq_backward(states, w, d_states)
+    assert d_pre.dtype == dtype
+    assert np.array_equal(d_pre, _backward_loop(states, w, d_states))
+
+
+def test_kernels_reject_mixed_dtypes():
+    x = np.zeros((3, 2), dtype=np.float32)
+    w32, w64 = np.zeros((2, 2), dtype=np.float32), np.zeros((2, 2))
+    with pytest.raises(TypeError, match="x float32, w_h float64, h0 float32"):
+        kernels.rnn_seq_forward(x, w64, np.zeros(2, dtype=np.float32))
+    with pytest.raises(TypeError, match="h0 float64"):
+        kernels.rnn_seq_forward(x, w32, np.zeros(2))
+    with pytest.raises(TypeError, match="states float32, w_h float32, d_states float64"):
+        kernels.rnn_seq_backward(x, w32, np.zeros((3, 2)))

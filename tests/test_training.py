@@ -34,6 +34,11 @@ def test_config_validation():
             TrainConfig(block_len_s=bad)
         with pytest.raises(ValueError, match="non-negative and finite"):
             TrainConfig(learning_rate=bad)
+    # batch_size=2.5 once stepped Adam once per epoch on 4 samples, not twice;
+    # epochs=2.5 failed inside train
+    for name, bad in (("batch_size", 2.5), ("epochs", 2.5), ("batch_size", np.nan)):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            TrainConfig(**{name: bad})
 
 
 def test_build_train_sample_structure():

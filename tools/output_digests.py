@@ -3,7 +3,12 @@
     OPENBLAS_NUM_THREADS=1 python3 tools/output_digests.py > digests.txt
 
 Run it from the root of two checkouts and diff the two files: equal lines
-mean those outputs are bit-identical.  Each line is ``name sha256``.  The
+mean those outputs are bit-identical.  Each line is ``name sha256``.  Or
+compare with a saved run in one step:
+
+    OPENBLAS_NUM_THREADS=1 python3 tools/output_digests.py --check digests.txt
+
+which prints each differing line and exits 1 if there is any.  The
 meetings are the 10 of ``benchmarks/workloads.py`` (3 decode_net, 3
 decode_oracle, 4 train), set up and run through that module, which this
 script only imports.  Per meeting it hashes:
@@ -32,6 +37,7 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import argparse  # noqa: E402
 import dataclasses  # noqa: E402
 import hashlib  # noqa: E402
 import sys  # noqa: E402
@@ -170,7 +176,8 @@ def meeting_outputs(workload, seed, workdir, checkpoint):
         yield f"decode.{name}", value
 
 
-def main():
+def digest_lines():
+    """Yield (name, sha256) for every output, in print order."""
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
         for workload in workloads.FULL.values():
@@ -179,15 +186,44 @@ def main():
             for seed in workload.meeting_seeds:
                 prefix = f"{workload.name}/{workloads.item_key(workload, seed)}"
                 for name, value in meeting_outputs(workload, seed, workdir, checkpoint):
-                    print(f"{prefix}/{name} {digest(value)}", flush=True)
+                    yield f"{prefix}/{name}", digest(value)
     for profile in sorted(simulate.PROFILES):
         for n_pool in SAMPLER_POOLS:
             pool = simulate.make_pool(n_pool)
             for length in SAMPLER_LENGTHS_S:
                 draws = [simulate.sample_scenario(profile, length, pool, seed)
                          for seed in SAMPLER_SEEDS]
-                print(f"sampler/{profile}/pool{n_pool}/{length:g}s {digest(draws)}",
-                      flush=True)
+                yield f"sampler/{profile}/pool{n_pool}/{length:g}s", digest(draws)
+
+
+def check(saved_path) -> int:
+    """Compare with a saved run; print each differing line, return the count."""
+    saved = dict(line.split() for line in Path(saved_path).read_text().splitlines()
+                 if line.strip())
+    differ = 0
+    for name, value in digest_lines():
+        expected = saved.pop(name, None)
+        if expected != value:
+            differ += 1
+            print(f"DIFFERS {name} {value} (saved: {expected or 'no such line'})",
+                  flush=True)
+    for name in saved:
+        differ += 1
+        print(f"DIFFERS {name}: saved, but no longer produced", flush=True)
+    print(f"{differ} differing line(s)")
+    return differ
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--check", metavar="FILE",
+                        help="compare with the lines of a saved run instead of "
+                             "printing them; exit 1 if any differs")
+    args = parser.parse_args()
+    if args.check:
+        sys.exit(1 if check(args.check) else 0)
+    for name, value in digest_lines():
+        print(f"{name} {value}", flush=True)
 
 
 if __name__ == "__main__":

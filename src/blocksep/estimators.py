@@ -26,7 +26,6 @@ does.  The handle is all the decoder keeps of a past block.
 
 import hashlib
 import json
-import math
 import struct
 from dataclasses import asdict, dataclass, field
 
@@ -292,14 +291,42 @@ class BlockContext:
 
 @dataclass
 class IterationCache:
-    residual: np.ndarray
-    z_prev: np.ndarray
-    p: np.ndarray
-    states: np.ndarray  # (T, 2H): forward states | time-reversed backward states
-    hcat: np.ndarray
-    mask: np.ndarray
-    z_out: np.ndarray
-    inv_norm: float
+    """What ``MaskNet.backward`` reads of one ``forward`` call, ([B,]) being
+    the call's optional slot axis."""
+
+    residual: np.ndarray  # ([B,] T, F)
+    z_prev: np.ndarray  # ([B,] D)
+    p: np.ndarray  # ([B,] T, P)
+    states: np.ndarray  # (T, [B,] 2H): forward states | time-reversed backward states
+    hcat: np.ndarray  # ([B,] T, 2H)
+    mask: np.ndarray  # ([B,] T, F)
+    z_out: np.ndarray  # ([B,] D)
+    inv_norm: np.ndarray  # ([B,]) reciprocal norm of each embedding
+
+
+def _row_dots(x, y):
+    """float64 ``np.dot`` of each last-axis row pair of ``x`` and ``y``."""
+    rows = zip(x.reshape(-1, x.shape[-1]), y.reshape(-1, y.shape[-1]))
+    return np.array([float(np.dot(a, b)) for a, b in rows]).reshape(x.shape[:-1])
+
+
+def _rows(a):
+    """``a`` with its leading axes merged: (N, last)."""
+    return a.reshape(-1, a.shape[-1])
+
+
+def _time_major(a):
+    """View of a ([B,] T, last) array as (T, [B,] last)."""
+    return np.moveaxis(a, -2, 0)
+
+
+def _join(a, b):
+    """``a`` and ``b`` side by side along the last axis, in a new C-ordered
+    array: ``np.concatenate`` would keep a transposed view's memory order."""
+    out = np.empty(a.shape[:-1] + (a.shape[-1] + b.shape[-1],), dtype=a.dtype)
+    out[..., :a.shape[-1]] = a
+    out[..., a.shape[-1]:] = b
+    return out
 
 
 class MaskNet:
@@ -341,79 +368,95 @@ class MaskNet:
         return BlockContext(feats, static_pre)
 
     def forward(self, ctx: BlockContext, residual: np.ndarray, z_prev: np.ndarray):
+        """One extraction iteration, or B independent ones in lockstep.
+
+        ``residual`` is (T, F) and ``z_prev`` (D,), or both carry a leading
+        slot axis: (B, T, F) and (B, D).  Returns (mask, z_out, cache) with
+        the same leading axis.  The one-iteration call is what a decode
+        runs; its kernel call stays single-sequence.
+        """
         a = self.params.arrays
         dt = self.params.dtype
         r = np.asarray(residual, dtype=dt)
         z = np.asarray(z_prev, dtype=dt)
-        pre = ctx.static_pre + r @ a["w_res"] + z @ a["w_emb_in"]
+        pre = ctx.static_pre + r @ a["w_res"] + (z @ a["w_emb_in"])[..., None, :]
         p = np.tanh(pre)
         xf = p @ a["w_xf"] + a["b_f"]
         xb = p @ a["w_xb"] + a["b_b"]
         # Both directions run as one 2H-wide recurrence; the block-diagonal
-        # weight keeps them independent.
+        # weight keeps them independent.  The kernel steps over its first
+        # axis, so its input is time-major: (T, [B,] 2H).
         h = self.params.hidden
-        states = kernels.rnn_seq_forward(
-            np.concatenate([xf, xb[::-1]], axis=1),
-            _joint_recurrence_weight(a), np.zeros(2 * h, dtype=dt))
-        hcat = np.concatenate([states[:, :h], states[::-1, h:]], axis=1)
+        x = _join(_time_major(xf), _time_major(xb)[::-1])
+        states = kernels.rnn_seq_forward(x, _joint_recurrence_weight(a),
+                                         np.zeros(x.shape[1:], dtype=dt))
+        s = np.moveaxis(states, 0, -2)
+        hcat = _join(s[..., :h], np.flip(s[..., h:], -2))
         mask = expit(hcat @ a["w_mask"] + a["b_mask"])
-        pooled = hcat.mean(axis=0)
+        pooled = hcat.mean(axis=-2)
         e = pooled @ a["w_embed"] + a["b_embed"]
-        # plain-float scalar keeps float32 tensors from promoting to float64
-        inv_norm = 1.0 / math.sqrt(float(np.dot(e, e)) + 1e-12)
-        z_out = e * inv_norm
+        # norms in float64, then one cast, so float32 tensors stay float32
+        inv_norm = (1.0 / np.sqrt(_row_dots(e, e) + 1e-12)).astype(dt)
+        z_out = e * inv_norm[..., None]
         cache = IterationCache(r, z, p, states, hcat, mask, z_out, inv_norm)
         return mask, z_out, cache
 
     def backward(self, cache: IterationCache, d_mask: np.ndarray,
                  d_z_out: np.ndarray, grads: dict):
-        """Accumulate parameter gradients for one iteration.
+        """Accumulate parameter gradients for one ``forward`` call.
 
-        Returns (d_residual, d_z_prev, d_static_pre) to chain gradients through
-        the residual recursion, across blocks and into the block's projection.
+        ``d_mask`` and ``d_z_out`` are shaped like the call's mask and
+        embedding: (T, F) and (D,), or (B, T, F) and (B, D) with one row per
+        slot.  Returns (d_residual, d_z_prev, d_static_pre) to chain
+        gradients through the residual recursion, across blocks and into the
+        block's projection; the first two keep the slot axis, and
+        d_static_pre (T, P) is summed over it.
         """
         a = self.params.arrays
         dt = self.params.dtype
-        t_len = cache.hcat.shape[0]
+        t_len = cache.hcat.shape[-2]
         d_mask = np.asarray(d_mask, dtype=dt)
         d_z_out = np.asarray(d_z_out, dtype=dt)
 
         # embedding head (through the L2 normalization)
-        d_e = (d_z_out - cache.z_out * float(np.dot(cache.z_out, d_z_out)))
-        d_e = d_e * cache.inv_norm
-        pooled = cache.hcat.mean(axis=0)
-        grads["w_embed"] += np.outer(pooled, d_e)
-        grads["b_embed"] += d_e
-        d_hcat = np.tile((a["w_embed"] @ d_e) / t_len, (t_len, 1))
+        along = _row_dots(cache.z_out, d_z_out).astype(dt)
+        d_e = (d_z_out - cache.z_out * along[..., None]) * cache.inv_norm[..., None]
+        pooled = cache.hcat.mean(axis=-2)
+        grads["w_embed"] += _rows(pooled).T @ _rows(d_e)
+        grads["b_embed"] += _rows(d_e).sum(axis=0)
 
-        # mask head
+        # mask head; the pooled embedding's gradient reaches every frame
         d_mask_pre = d_mask * cache.mask * (1.0 - cache.mask)
-        grads["w_mask"] += cache.hcat.T @ d_mask_pre
-        grads["b_mask"] += d_mask_pre.sum(axis=0)
-        d_hcat += d_mask_pre @ a["w_mask"].T
+        grads["w_mask"] += _rows(cache.hcat).T @ _rows(d_mask_pre)
+        grads["b_mask"] += _rows(d_mask_pre).sum(axis=0)
+        d_hcat = (d_mask_pre @ a["w_mask"].T
+                  + ((d_e @ a["w_embed"].T) / t_len)[..., None, :])
 
+        # the recurrence in the kernel's time-major layout
         h = self.params.hidden
         d_x = kernels.rnn_seq_backward(
             cache.states, _joint_recurrence_weight(a),
-            np.concatenate([d_hcat[:, :h], d_hcat[::-1, h:]], axis=1))
-        d_xf, d_xb_rev = d_x[:, :h], d_x[:, h:]
-        prev = np.vstack([np.zeros((1, 2 * h), dtype=dt), cache.states[:-1]])
-        grads["w_hf"] += prev[:, :h].T @ d_xf
-        grads["w_hb"] += prev[:, h:].T @ d_xb_rev
-        d_xb = d_xb_rev[::-1]
-        grads["w_xf"] += cache.p.T @ d_xf
-        grads["b_f"] += d_xf.sum(axis=0)
-        grads["w_xb"] += cache.p.T @ d_xb
-        grads["b_b"] += d_xb.sum(axis=0)
+            _join(_time_major(d_hcat[..., :h]), _time_major(d_hcat[..., h:])[::-1]))
+        prev = np.concatenate([np.zeros_like(cache.states[:1]), cache.states[:-1]])
+        grads["w_hf"] += _rows(prev[..., :h]).T @ _rows(d_x[..., :h])
+        grads["w_hb"] += _rows(prev[..., h:]).T @ _rows(d_x[..., h:])
+        d_xf = np.ascontiguousarray(np.moveaxis(d_x[..., :h], 0, -2))
+        d_xb = np.ascontiguousarray(np.moveaxis(d_x[::-1, ..., h:], 0, -2))
+        p_rows = _rows(cache.p)
+        grads["w_xf"] += p_rows.T @ _rows(d_xf)
+        grads["b_f"] += _rows(d_xf).sum(axis=0)
+        grads["w_xb"] += p_rows.T @ _rows(d_xb)
+        grads["b_b"] += _rows(d_xb).sum(axis=0)
 
         d_p = d_xf @ a["w_xf"].T + d_xb @ a["w_xb"].T
         d_pre = d_p * (1.0 - cache.p * cache.p)
-        grads["w_res"] += cache.residual.T @ d_pre
-        d_pre_sum = d_pre.sum(axis=0)
-        grads["w_emb_in"] += np.outer(cache.z_prev, d_pre_sum)
+        grads["w_res"] += _rows(cache.residual).T @ _rows(d_pre)
+        d_pre_sum = d_pre.sum(axis=-2)
+        grads["w_emb_in"] += _rows(cache.z_prev).T @ _rows(d_pre_sum)
         d_residual = d_pre @ a["w_res"].T
-        d_z_prev = a["w_emb_in"] @ d_pre_sum
-        return d_residual, d_z_prev, d_pre
+        d_z_prev = d_pre_sum @ a["w_emb_in"].T
+        d_static_pre = d_pre.reshape(-1, *d_pre.shape[-2:]).sum(axis=0)
+        return d_residual, d_z_prev, d_static_pre
 
     def finish_block_backward(self, ctx: BlockContext, d_static_pre, grads: dict):
         grads["w_static"] += ctx.features.T @ d_static_pre

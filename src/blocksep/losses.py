@@ -170,9 +170,16 @@ def triplet_loss(embeddings, labels, delta, rng):
         triplets = [triplets[i] for i in sorted(idx)]
     loss = 0.0
     grads = {k: np.zeros_like(embeddings[k]) for k in keys}
+    cosines = {}  # (anchor, other) -> _cosine_with_grads; triplets share pairs
+
+    def cosine(a, b):
+        if (a, b) not in cosines:
+            cosines[(a, b)] = _cosine_with_grads(embeddings[a], embeddings[b])
+        return cosines[(a, b)]
+
     for a, p, n in triplets:
-        s_an, d_an_a, d_an_n = _cosine_with_grads(embeddings[a], embeddings[n])
-        s_ap, d_ap_a, d_ap_p = _cosine_with_grads(embeddings[a], embeddings[p])
+        s_an, d_an_a, d_an_n = cosine(a, n)
+        s_ap, d_ap_a, d_ap_p = cosine(a, p)
         margin = s_an - s_ap + delta
         if margin > 0:
             loss += margin

@@ -7,6 +7,11 @@ appearing sources are matched to the remaining iterations by the
 permutation-invariant loss.  With teacher forcing (the default) the residual
 recursion consumes ideal-ratio masks computed from the references instead of
 the network's own estimates; embeddings always chain across blocks.
+
+Under teacher forcing no slot of a block depends on another, so a block's
+slots run in lockstep: one batched forward and one batched backward per
+block, kept as one record.  Without it each slot needs the previous slot's
+mask, so each slot is its own forward, backward and record.
 """
 
 import numbers
@@ -84,7 +89,10 @@ def build_train_sample(rendered, stft_cfg: StftConfig, block_len_s: float,
 
 @dataclass
 class _IterationRecord:
-    slot: int
+    """One ``net.forward`` call of a block: its slots, in order, are the rows
+    of the call's slot axis."""
+
+    slots: list
     cache: object  # MaskNet.IterationCache
     gate: np.ndarray | None  # clip pass-through region; None under teacher forcing
 
@@ -104,18 +112,39 @@ def _new_source_order(truth, new_sources):
     return sorted(new_sources, key=lambda s: (-means[s], s))
 
 
+def _teacher_forced_residuals(truth, order, slot_source, shape, dtype):
+    """The residual each slot of ``order`` reads under teacher forcing, as
+    (len(order), T, F): ones, minus the ideal masks of the noise and of each
+    active source extracted before it, clipped to [0, 1] after each step."""
+    out = np.empty((len(order),) + shape, dtype=dtype)
+    residual = np.ones(shape)
+    for i, slot in enumerate(order):
+        out[i] = residual
+        if slot == 0:
+            residual = np.clip(residual - truth.noise_irm, 0.0, 1.0)
+        elif slot_source[slot] in truth.active:
+            # a silent source leaves the residual
+            residual = np.clip(residual - truth.irms[slot_source[slot]], 0.0, 1.0)
+    return out
+
+
 def unroll(sample: TrainSample, net: MaskNet, cfg: TrainConfig) -> UnrollResult:
     """Run the network over all blocks/iterations of one sample.
 
-    Each block's features are prepared once, then every iteration runs
-    ``net.forward``; the block contexts and iteration caches are kept for
-    :func:`unroll_backward`.  Iteration counts come from the ground truth:
-    one noise iteration plus one per active-or-known source, consistent with
-    teacher forcing.  A sample of more than ``MAX_BLOCKS`` blocks is
-    rejected.
+    Each block's features are prepared once.  Iteration counts come from the
+    ground truth: one noise iteration plus one per active-or-known source.
+    With teacher forcing, a slot's residual comes from the ground truth and
+    its ``z_prev`` from the previous block, so no slot of a block waits for
+    another: the block's residuals are built first and all its slots run in
+    one batched ``net.forward``, kept as one record.  Without it, each slot
+    reads the residual the previous slot's mask left, so the slots run one
+    by one, one record each with its clip gate.  The block contexts and
+    records are kept for :func:`unroll_backward`.  A sample of more than
+    ``MAX_BLOCKS`` blocks is rejected.
     """
     if sample.n_blocks > MAX_BLOCKS:
         raise ValueError(f"sample has {sample.n_blocks} blocks, cap is {MAX_BLOCKS}")
+    dt = net.params.dtype
     masks, embeddings = {}, {}
     records, contexts, targets = [], [], []
     slot_source = {}  # speaker slot -> source id (grows block by block)
@@ -151,26 +180,25 @@ def unroll(sample: TrainSample, net: MaskNet, cfg: TrainConfig) -> UnrollResult:
 
         ctx = net.prepare_block(mag, feat)
         contexts.append(ctx)
-        block_records = []
-        residual = np.ones_like(mag)
-        for slot in order:
-            z_prev = prev_z.get(slot, zero_z)
-            mask, z_out, cache = net.forward(ctx, residual, z_prev)
-            masks[(b, slot)] = mask
-            embeddings[(b, slot)] = z_out
-            gate = None
-            if cfg.teacher_forcing:
-                if slot == 0:
-                    residual = np.clip(residual - truth.noise_irm, 0.0, 1.0)
-                elif slot_source[slot] in truth.active:
-                    # a silent source leaves the residual
-                    residual = np.clip(residual - truth.irms[slot_source[slot]],
-                                       0.0, 1.0)
-            else:
-                pre_clip = residual - mask
+        z_prevs = np.array([prev_z.get(slot, zero_z) for slot in order], dtype=dt)
+        if cfg.teacher_forcing:
+            residuals = _teacher_forced_residuals(truth, order, slot_source,
+                                                  mag.shape, dt)
+            _, _, cache = net.forward(ctx, residuals, z_prevs)
+            block_records = [_IterationRecord(order, cache, None)]
+        else:
+            block_records = []
+            residual = np.ones_like(mag)
+            for i, slot in enumerate(order):
+                mask, _, cache = net.forward(ctx, residual[None], z_prevs[i:i + 1])
+                pre_clip = residual - mask[0]
                 gate = ((pre_clip > 0.0) & (pre_clip < 1.0)).astype(mask.dtype)
                 residual = np.clip(pre_clip, 0.0, 1.0)
-            block_records.append(_IterationRecord(slot, cache, gate))
+                block_records.append(_IterationRecord([slot], cache, gate))
+        for rec in block_records:
+            for i, slot in enumerate(rec.slots):
+                masks[(b, slot)] = rec.cache.mask[i]
+                embeddings[(b, slot)] = rec.cache.z_out[i]
         records.append(block_records)
         prev_z = {slot: embeddings[(b, slot)] for slot in order}
 
@@ -182,32 +210,34 @@ def unroll(sample: TrainSample, net: MaskNet, cfg: TrainConfig) -> UnrollResult:
 def unroll_backward(result: UnrollResult, net: MaskNet) -> dict:
     """Backpropagate the unrolled loss into parameter gradients.
 
-    Walks blocks and iterations in reverse, chaining embedding gradients
-    across blocks by slot and, where an iteration recorded a clip gate
-    (teacher forcing off), residual gradients through the clip recursion
-    within each block.  Every slot known before a block runs in it, so a
-    slot's ``z_prev`` in block b is its embedding from block b - 1.
+    Walks blocks and records in reverse, one ``net.backward`` per record:
+    one per block under teacher forcing, one per slot without it.  A
+    record's mask and embedding gradients are stacked along its slot axis
+    in the network dtype.  Embedding gradients chain across blocks by slot:
+    every slot known before a block runs in it, so a slot's ``z_prev`` in
+    block b is its embedding from block b - 1.  Where a record holds a clip
+    gate (teacher forcing off), residual gradients chain through the clip
+    recursion within the block.
     """
+    dt = net.params.dtype
     grads = net.params.zeros_like()
     z_next = {}  # slot -> gradient w.r.t. its embedding, from the next block
     for b in range(len(result.records) - 1, -1, -1):
         ctx = result.contexts[b]
         d_static_pre = np.zeros_like(ctx.static_pre)
         z_here = {}
-        carry = None  # gradient w.r.t. the residual produced by iteration i
+        carry = None  # gradient w.r.t. the residual produced by the record
         for rec in reversed(result.records[b]):
-            key = (b, rec.slot)
-            d_mask = result.loss.mask_grads[key]
-            d_z = result.loss.emb_grads.get(key)
-            if d_z is None:
-                d_z = np.zeros_like(result.embeddings[key])
-            if rec.slot in z_next:
-                d_z = d_z + z_next[rec.slot]
+            d_mask = np.array([result.loss.mask_grads[(b, slot)] for slot in rec.slots],
+                              dtype=dt)
+            d_z = np.zeros((len(rec.slots), net.embed_dim), dtype=dt)
+            for row, slot in zip(d_z, rec.slots):
+                row[...] = result.loss.emb_grads.get((b, slot), 0.0) + z_next.get(slot, 0.0)
             if carry is not None:
-                d_mask = d_mask - carry * rec.gate
-            d_residual, z_here[rec.slot], d_pre = net.backward(rec.cache, d_mask, d_z,
-                                                               grads)
+                d_mask -= carry * rec.gate
+            d_residual, d_z_prev, d_pre = net.backward(rec.cache, d_mask, d_z, grads)
             d_static_pre += d_pre
+            z_here.update(zip(rec.slots, d_z_prev))
             if rec.gate is not None:
                 carry = d_residual if carry is None else d_residual + carry * rec.gate
         net.finish_block_backward(ctx, d_static_pre, grads)
@@ -271,7 +301,7 @@ def train(dataset, cfg: TrainConfig, params: ModelParams | None = None):
     opt = Adam(params, cfg.learning_rate)
     history = []
     for epoch in range(cfg.epochs):
-        t0 = time.time()
+        t0 = time.perf_counter()
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, epoch]))
         order = rng.permutation(len(items))
         sums = np.zeros(4)
@@ -299,5 +329,5 @@ def train(dataset, cfg: TrainConfig, params: ModelParams | None = None):
                     accum[k] /= n_accum
                 opt.step(params, accum)
                 accum, n_accum = None, 0
-        history.append(EpochStats(epoch, *(sums / len(items)), time.time() - t0))
+        history.append(EpochStats(epoch, *(sums / len(items)), time.perf_counter() - t0))
     return params, history

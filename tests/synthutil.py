@@ -103,6 +103,13 @@ def instance_is_safe(result, margin=1e-3):
     return True
 
 
+def slot_residuals(result, b):
+    """(slot, residual it read) for each slot of block ``b`` of an unroll, in
+    the order the slots ran, whether a record holds one slot or a block's."""
+    return [(slot, rec.cache.residual[i]) for rec in result.records[b]
+            for i, slot in enumerate(rec.slots)]
+
+
 def run_unroll(sample, params, cfg):
     """Unroll + backward, annotating the result with kink diagnostics."""
     net = MaskNet(params)

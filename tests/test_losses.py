@@ -7,6 +7,7 @@ from blocksep.losses import (
     TRIPLET_CAP,
     BlockTargets,
     LossWeights,
+    _cosine_with_grads,
     mmse_partial_pit,
     noise_mmse,
     resmask_loss,
@@ -319,3 +320,49 @@ def _fd_check(seed):
 @pytest.mark.parametrize("seed", [21, 22, 23])
 def test_total_loss_gradients_match_finite_differences(seed):
     _fd_check(seed)
+
+
+def _triplet_loss_per_triplet(embeddings, labels, delta, rng):
+    """``triplet_loss`` with both cosines recomputed for every triplet."""
+    keys = sorted(embeddings)
+    triplets = [(a, p, n) for a in keys for p in keys
+                if p != a and labels[p] == labels[a]
+                for n in keys if labels[n] != labels[a]]
+    if len(triplets) > TRIPLET_CAP:
+        idx = rng.choice(len(triplets), size=TRIPLET_CAP, replace=False)
+        triplets = [triplets[i] for i in sorted(idx)]
+    loss = 0.0
+    grads = {k: np.zeros_like(embeddings[k]) for k in keys}
+    for a, p, n in triplets:
+        s_an, d_an_a, d_an_n = _cosine_with_grads(embeddings[a], embeddings[n])
+        s_ap, d_ap_a, d_ap_p = _cosine_with_grads(embeddings[a], embeddings[p])
+        margin = s_an - s_ap + delta
+        if margin > 0:
+            loss += margin
+            grads[a] += d_an_a - d_ap_a
+            grads[n] += d_an_n
+            grads[p] -= d_ap_p
+    return loss, grads
+
+
+@pytest.mark.parametrize("n_blocks, dtype", [(2, np.float64), (6, np.float32),
+                                             (6, np.float64)])
+def test_triplet_cosines_once_per_pair_are_bit_identical(n_blocks, dtype):
+    # each (anchor, other) cosine is computed once per call and reused; the
+    # triplets and the gradient sums keep their order, so nothing moves.
+    # 6 blocks of 3 speakers exceed the cap (the sampled path), 2 do not.
+    rng = np.random.default_rng(11)
+    embs, labels = {}, {}
+    for b in range(n_blocks):
+        for s in (1, 2, 3):
+            v = rng.normal(size=8)
+            embs[(b, s)] = (v / np.linalg.norm(v)).astype(dtype)
+            labels[(b, s)] = f"spk{s}"
+    loss, grads = triplet_loss(embs, labels, 0.6, np.random.default_rng(4))
+    ref_loss, ref_grads = _triplet_loss_per_triplet(embs, labels, 0.6,
+                                                    np.random.default_rng(4))
+    assert loss == ref_loss and loss > 0
+    assert sorted(grads) == sorted(ref_grads)
+    for k in grads:
+        assert grads[k].dtype == dtype
+        assert np.array_equal(grads[k], ref_grads[k]), k

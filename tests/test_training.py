@@ -1,3 +1,6 @@
+import itertools
+import time
+
 import numpy as np
 import pytest
 from synthutil import (
@@ -5,6 +8,7 @@ from synthutil import (
     instance_is_safe,
     make_synthetic_sample,
     run_unroll,
+    slot_residuals,
     tiny_config,
     tiny_params,
     tiny_train_params,
@@ -12,7 +16,7 @@ from synthutil import (
 
 from blocksep.dsp import StftConfig
 from blocksep.estimators import MaskNet, OracleMaskEstimator, init_params, save_params
-from blocksep.losses import LossWeights
+from blocksep.losses import total_loss
 from blocksep.simulate import make_pool, render, sample_scenario
 from blocksep.training import (
     MAX_SLOTS,
@@ -20,6 +24,7 @@ from blocksep.training import (
     build_train_sample,
     train,
     unroll,
+    unroll_backward,
 )
 
 
@@ -82,8 +87,8 @@ def test_unroll_target_assembly_invariant():
     cfg = tiny_config()
     params = tiny_params()
     result = unroll(sample, MaskNet(params), cfg)
-    for b, block_records in enumerate(result.records):
-        order = [rec.slot for rec in block_records]
+    for b in range(len(result.records)):
+        order = [slot for slot, _ in slot_residuals(result, b)]
         tgt = result.targets[b]
         assert order[0] == 0  # noise first, always
         n_targets = 1 + len(tgt.known) + len(tgt.new_sources)
@@ -120,7 +125,7 @@ def test_unroll_slot_cap():
     net = MaskNet(tiny_params())
     at_cap = make_synthetic_sample(2, sources=names[:-1])
     assert at_cap.truth[0].active == sorted(names[:-1])
-    assert len(unroll(at_cap, net, cfg).records[0]) == MAX_SLOTS
+    assert len(slot_residuals(unroll(at_cap, net, cfg), 0)) == MAX_SLOTS
     over = make_synthetic_sample(2, sources=names)
     assert over.truth[0].active == sorted(names)
     with pytest.raises(ValueError, match="slot cap"):
@@ -135,8 +140,8 @@ def test_teacher_forcing_residuals_independent_of_params():
     r1 = unroll(sample, MaskNet(tiny_params(seed=1)), cfg)
     r2 = unroll(sample, MaskNet(tiny_params(seed=2)), cfg)
     for b in range(2):
-        for rec1, rec2 in zip(r1.records[b], r2.records[b]):
-            assert np.array_equal(rec1.cache.residual, rec2.cache.residual)
+        for (_, res1), (_, res2) in zip(slot_residuals(r1, b), slot_residuals(r2, b)):
+            assert np.array_equal(res1, res2)
 
 
 def test_teacher_forcing_on_off_structural_difference():
@@ -147,14 +152,14 @@ def test_teacher_forcing_on_off_structural_difference():
     r_on = unroll(sample, MaskNet(params), cfg_on)
     r_off = unroll(sample, MaskNet(params), cfg_off)
     # identical iteration structure
-    assert ([[rec.slot for rec in recs] for recs in r_on.records]
-            == [[rec.slot for rec in recs] for recs in r_off.records])
+    assert ([[slot for slot, _ in slot_residuals(r_on, b)] for b in range(2)]
+            == [[slot for slot, _ in slot_residuals(r_off, b)] for b in range(2)])
     # identical first-iteration inputs, diverging residuals afterwards
-    first_on = r_on.records[0][0].cache.residual
-    first_off = r_off.records[0][0].cache.residual
+    first_on = slot_residuals(r_on, 0)[0][1]
+    first_off = slot_residuals(r_off, 0)[0][1]
     assert np.array_equal(first_on, first_off)
-    later_on = r_on.records[0][1].cache.residual
-    later_off = r_off.records[0][1].cache.residual
+    later_on = slot_residuals(r_on, 0)[1][1]
+    later_off = slot_residuals(r_off, 0)[1][1]
     assert not np.array_equal(later_on, later_off)
 
 
@@ -180,8 +185,8 @@ def test_unroll_gradients_without_teacher_forcing():
         # clip kinks in the residual recursion invalidate FD near 0/1
         safe = True
         for b in range(2):
-            for rec in result.records[b]:
-                pre = rec.cache.residual - result.masks[(b, rec.slot)]
+            for slot, residual in slot_residuals(result, b):
+                pre = residual - result.masks[(b, slot)]
                 if np.any(np.abs(pre) < 1e-3) or np.any(np.abs(pre - 1) < 1e-3):
                     safe = False
         if not safe:
@@ -242,3 +247,92 @@ def test_train_aborts_on_nonfinite_loss():
 def test_train_empty_dataset_rejected():
     with pytest.raises(ValueError, match="empty"):
         train([], tiny_config())
+
+
+def _per_slot_reference(sample, net, lockstep, weights):
+    """Teacher-forced unroll and backward one slot at a time, each slot its
+    own single-iteration ``forward``/``backward``: the loop the lockstep
+    path replaced.  Reads only the slot order and targets of ``lockstep``."""
+    masks, embeddings, caches, contexts = {}, {}, {}, []
+    slot_source, prev_z, orders = {}, {}, []
+    for b in range(sample.n_blocks):
+        truth = sample.truth[b]
+        order = [slot for rec in lockstep.records[b] for slot in rec.slots]
+        fresh = [s for s in truth.active if s not in slot_source.values()]
+        fresh.sort(key=lambda s: (-float(truth.irms[s].mean()), s))
+        slot_source.update(zip([s for s in order if s and s not in slot_source], fresh))
+        ctx = net.prepare_block(sample.mags[b], sample.ipds[b])
+        residual = np.ones_like(sample.mags[b])
+        for slot in order:
+            key = (b, slot)
+            masks[key], embeddings[key], caches[key] = net.forward(
+                ctx, residual, prev_z.get(slot, np.zeros(net.embed_dim)))
+            if slot == 0:
+                residual = np.clip(residual - truth.noise_irm, 0.0, 1.0)
+            elif slot_source[slot] in truth.active:
+                residual = np.clip(residual - truth.irms[slot_source[slot]], 0.0, 1.0)
+        prev_z = {slot: embeddings[(b, slot)] for slot in order}
+        contexts.append(ctx)
+        orders.append(order)
+    # few enough triplets that the generator draws nothing
+    loss = total_loss(masks, sample.mags, lockstep.targets, embeddings, weights,
+                      rng=np.random.default_rng(0))
+    grads = net.params.zeros_like()
+    z_next = {}
+    for b in reversed(range(sample.n_blocks)):
+        d_static_pre = np.zeros_like(contexts[b].static_pre)
+        z_here = {}
+        for slot in reversed(orders[b]):
+            key = (b, slot)
+            d_z = loss.emb_grads.get(key, np.zeros(net.embed_dim)) + z_next.get(slot, 0.0)
+            _, z_here[slot], d_pre = net.backward(caches[key], loss.mask_grads[key],
+                                                  d_z, grads)
+            d_static_pre += d_pre
+        net.finish_block_backward(contexts[b], d_static_pre, grads)
+        z_next = z_here
+    return masks, embeddings, loss, grads
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+def test_lockstep_unroll_equals_a_per_slot_reference(dtype, tol):
+    # three blocks: "c" is new in block 1 (a slot opens mid-sample) and "b"
+    # is silent there (a known slot with a zero target)
+    sample = make_synthetic_sample(21, n_blocks=3, sources=("a", "b", "c"),
+                                   silent=((0, "c"), (1, "b")))
+    cfg = tiny_config()
+    net = MaskNet(tiny_params(seed=3, dtype=dtype))
+    result = unroll(sample, net, cfg)
+    grads = unroll_backward(result, net)
+    # one record, and one forward call, per block
+    assert [len(recs) for recs in result.records] == [1, 1, 1]
+    assert [len(recs[0].slots) for recs in result.records] == [3, 4, 4]
+    masks, embeddings, loss, ref_grads = _per_slot_reference(sample, net, result,
+                                                             cfg.weights)
+
+    def rel(x, ref):
+        return np.max(np.abs(x - ref)) / max(np.max(np.abs(ref)), 1e-300)
+
+    assert sorted(result.masks) == sorted(masks)
+    for key in masks:
+        assert result.masks[key].dtype == dtype
+        assert rel(result.masks[key], masks[key]) <= tol, key
+        assert rel(result.embeddings[key], embeddings[key]) <= tol, key
+    assert result.loss.assignment == loss.assignment
+    for term in ("total", "mmse", "resmask", "triplet"):
+        assert getattr(result.loss, term) == pytest.approx(getattr(loss, term),
+                                                           rel=tol, abs=0.0), term
+    for name in ref_grads:
+        assert grads[name].dtype == dtype
+        assert np.any(ref_grads[name] != 0), name
+        assert rel(grads[name], ref_grads[name]) <= tol, name
+
+
+def test_epoch_seconds_ignore_a_wall_clock_step(monkeypatch):
+    # the wall clock steps back an hour at every read (an NTP correction,
+    # say); each epoch's seconds come from a monotonic clock
+    clock = itertools.count(1e9, -3600.0)
+    monkeypatch.setattr(time, "time", lambda: next(clock))
+    cfg = tiny_config(epochs=2)
+    _, history = train([make_synthetic_sample(0)], cfg, tiny_train_params(cfg))
+    assert [h.epoch for h in history] == [0, 1]
+    assert all(0.0 <= h.seconds < 60.0 for h in history)

@@ -140,7 +140,8 @@ def decode_block(features: BlockFeatures, state: SessionState, estimator,
     (conditioned on their stored embeddings), then zero-embedding probes for
     new speakers.  After each non-silent mask the residual is updated as
     R <- clip(R - M, 0, 1); a mask whose mean falls below ``t_silent`` is
-    zeroed and leaves the residual untouched.  Probing continues while the
+    zeroed and leaves the residual untouched; :class:`Session` synthesizes no
+    chunk for such an all-zero mask.  Probing continues while the
     mean residual is at least ``t_resmask`` and the iteration cap allows; a
     probe that comes back silent ends the block without creating a slot.
     """
@@ -213,7 +214,9 @@ class DecodeResult:
 @dataclass
 class BlockOutput:
     masks: dict  # slot -> (T, F) mask, after the consistency verdict
-    chunks: dict  # slot -> the block's samples of that slot's stream (a view)
+    # slot -> the block's samples of that slot's stream (a view); a silent
+    # slot's chunk holds the zeros its stream was allocated with
+    chunks: dict
     accepted: bool | None  # consistency verdict; None when no check ran
 
 
@@ -231,6 +234,13 @@ class Session:
     estimator's handle for the block, so apart from the output streams its
     memory does not grow with the session length.  Each slot's stream is
     allocated at full session length, as zeros, when the slot opens.
+
+    Only a block's active slots (mask mean at least ``t_silent``, the rule
+    of ``activity``) are synthesized.  A silent slot's mask is all zero (see
+    :func:`decode_block`), so synthesizing it would write only +0.0: the
+    masked spectrum is ±0, overlap-adding ±0 into zeros gives +0 + ±0 = +0,
+    and +0 divided by the positive window sum stays +0.  Its chunk keeps the
+    zeros it was allocated with, the same bytes.
 
     A push that raises leaves the session unchanged and may be retried.  A
     rejected count increase drops the block's new slots, keeps every embedding
@@ -298,15 +308,17 @@ class Session:
                     result.masks.pop(slot)
         state.commit(result, accepted is not False)  # nothing below raises
 
+        active = sorted(slot for slot, m in result.masks.items()
+                        if float(m.mean()) >= cfg.t_silent)
         chunks = {}
         for slot, mask in result.masks.items():
             if slot not in self.streams:
                 self.streams[slot] = np.zeros(self.n_samples)
-            rec = istft(apply_mask(mask, feats.spec), self.stft_cfg)[: stop - start]
             chunk = chunks[slot] = self.streams[slot][start:stop]
-            chunk[: rec.size] = rec
-        self.activity.append(sorted(slot for slot, m in result.masks.items()
-                                    if float(m.mean()) >= cfg.t_silent))
+            if slot in active:  # a silent slot's chunk keeps its exact zeros
+                rec = istft(apply_mask(mask, feats.spec), self.stft_cfg)[: stop - start]
+                chunk[: rec.size] = rec
+        self.activity.append(active)
         return BlockOutput(result.masks, chunks, accepted)
 
     def finish(self) -> DecodeResult:

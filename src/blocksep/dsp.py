@@ -186,11 +186,17 @@ def ipd(spec_ch1: np.ndarray, spec_ch2: np.ndarray) -> IpdFeature:
     if a.shape != b.shape:
         raise ValueError("spectrogram dimensions do not match")
     cross = a * np.conj(b)
-    mag = np.abs(cross)
-    degenerate = (np.abs(a) < _PHASE_EPS) | (np.abs(b) < _PHASE_EPS)
-    safe = np.where(degenerate | (mag < _PHASE_EPS * _PHASE_EPS), 1.0, mag)
-    cos = np.where(degenerate, 1.0, np.real(cross) / safe)
-    sin = np.where(degenerate, 0.0, np.imag(cross) / safe)
+    degenerate = np.abs(a) < _PHASE_EPS
+    degenerate |= np.abs(b) < _PHASE_EPS
+    # set in place: np.where would allocate another (T, F) array per plane
+    safe = np.abs(cross)
+    tiny = safe < _PHASE_EPS * _PHASE_EPS
+    tiny |= degenerate
+    safe[tiny] = 1.0
+    cos = np.real(cross) / safe
+    cos[degenerate] = 1.0
+    sin = np.imag(cross) / safe
+    sin[degenerate] = 0.0
     return IpdFeature(cos=cos, sin=sin)
 
 
@@ -200,7 +206,8 @@ def apply_mask(mask: np.ndarray, mix: np.ndarray) -> np.ndarray:
     mix = np.asarray(mix)
     if mask.shape != mix.shape:
         raise ValueError("mask/spectrogram dimensions do not match")
-    if mask.min() < -1e-9 or mask.max() > 1.0 + 1e-9:
+    # written so that a NaN bin, which fails every comparison, is rejected
+    if not (mask.min() >= -1e-9 and mask.max() <= 1.0 + 1e-9):
         raise ValueError("mask values must lie in [0, 1]")
     return mask * mix
 

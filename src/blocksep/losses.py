@@ -113,7 +113,9 @@ def noise_mmse(masks, mixes, targets):
 
 def resmask_loss(masks, n_blocks):
     """Hinge pushing per-bin mask sums to cover the whole block:
-    sum over blocks and bins of max(1 - sum_i mask_i, 0)."""
+    sum over blocks and bins of max(1 - sum_i mask_i, 0).
+
+    The masks of a block share one read-only gradient array."""
     total = 0.0
     grads = {}
     for b in range(n_blocks):
@@ -127,8 +129,9 @@ def resmask_loss(masks, n_blocks):
         active = deficit > 0
         total += float(deficit[active].sum())
         g = np.where(active, -1.0, 0.0)
+        g.flags.writeable = False  # one gradient shared by the block's masks
         for k in block_keys:
-            grads[k] = g.copy()
+            grads[k] = g
     return total, grads
 
 

@@ -16,7 +16,8 @@ from blocksep.decoding import (
     decode_session,
     new_session_state,
 )
-from blocksep.dsp import AudioSignal, IpdFeature, StftConfig, ipd, split_blocks, stft
+from blocksep.dsp import (AudioSignal, IpdFeature, StftConfig, apply_mask, ipd, istft,
+                          split_blocks, stft)
 from blocksep.estimators import (
     MaskNet,
     OracleMaskEstimator,
@@ -699,6 +700,36 @@ def test_pushed_chunks_concatenate_to_the_session_streams():
     assert result.activity == pushed.activity
     assert result.activity == [sorted(slot for slot, m in out.masks.items()
                                       if m.mean() >= CFG.t_silent) for out in outputs]
+
+
+def test_session_synthesizes_only_active_slots(monkeypatch):
+    # 40 s: speaker slot 1 is silent in block 2, slot 2 in block 3
+    meeting = _fixture_meeting(seed=0, length=40.0)
+    est = OracleMaskEstimator.from_rendered(meeting, STFT, CFG.block_len_s)
+    istft_calls = _count_calls(monkeypatch, "istft")
+    outputs, result = _pushed(meeting.mixture, est, CFG, STFT)
+    assert len(istft_calls) == sum(len(active) for active in result.activity) == 11
+    silent = [(b, slot) for b, out in enumerate(outputs) for slot in out.masks
+              if slot not in result.activity[b]]
+    assert silent == [(2, 1), (3, 2)]
+    for b, slot in silent:
+        assert not outputs[b].masks[slot].any()
+    # the reference synthesizes every slot of every block
+    mixture = meeting.mixture
+    n, block_n = mixture.n_samples, int(round(CFG.block_len_s * mixture.sample_rate))
+    blocks = split_blocks(mixture.samples, block_n)
+    streams = {}
+    for b, out in enumerate(outputs):
+        start, stop = b * block_n, min((b + 1) * block_n, n)
+        spec = stft(blocks[0, b], STFT)
+        for slot, mask in out.masks.items():
+            stream = streams.setdefault(slot, np.zeros(n))
+            rec = istft(apply_mask(mask, spec), STFT)[: stop - start]
+            stream[start:start + rec.size] = rec
+            assert out.chunks[slot].tobytes() == stream[start:stop].tobytes()
+    assert sorted(streams) == sorted(result.streams)
+    for slot, samples in streams.items():
+        assert result.streams[slot].channel(0).tobytes() == samples.tobytes()
 
 
 def test_finished_session_keeps_no_block_handles():

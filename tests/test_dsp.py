@@ -248,6 +248,41 @@ def test_ipd_unit_circle_invariant():
     assert np.allclose(feat.cos**2 + feat.sin**2, 1.0, atol=1e-6)
 
 
+def _ipd_by_where(a, b):
+    """Reference ``ipd``: one ``np.where`` temporary per plane."""
+    cross = a * np.conj(b)
+    mag = np.abs(cross)
+    degenerate = (np.abs(a) < 1e-12) | (np.abs(b) < 1e-12)
+    safe = np.where(degenerate | (mag < 1e-12 * 1e-12), 1.0, mag)
+    cos = np.where(degenerate, 1.0, np.real(cross) / safe)
+    sin = np.where(degenerate, 0.0, np.imag(cross) / safe)
+    return cos, sin
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+def test_ipd_equals_the_where_formula_bytewise(dtype):
+    rng = np.random.default_rng(8)
+    shape = (40, 33)
+
+    def spectrum():
+        spec = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        # magnitudes from zero across the 1e-12 threshold, up to order one
+        scale = 10.0 ** rng.uniform(-14, 0, shape)
+        scale[rng.random(shape) < 0.1] = 0.0
+        near = rng.random(shape) < 0.1
+        scale[near] = 1e-12 * (1 + rng.uniform(-1e-6, 1e-6, near.sum()))
+        return (spec / np.abs(spec) * scale).astype(dtype)
+
+    a, b = spectrum(), spectrum()
+    assert ((np.abs(a) == 0) & (np.abs(b) > 0)).any()
+    assert ((np.abs(b) == 0) & (np.abs(a) > 0)).any()
+    feat = ipd(a, b)
+    cos, sin = _ipd_by_where(a, b)
+    assert feat.cos.dtype == cos.dtype and feat.sin.dtype == sin.dtype
+    assert feat.cos.tobytes() == cos.tobytes()
+    assert feat.sin.tobytes() == sin.tobytes()
+
+
 def test_ipd_shape_mismatch():
     with pytest.raises(ValueError):
         ipd(np.zeros((3, 5), dtype=complex), np.zeros((4, 5), dtype=complex))
@@ -267,6 +302,26 @@ def test_apply_mask_rejects_bad_range():
     spec = np.ones((2, 3), dtype=complex)
     with pytest.raises(ValueError):
         apply_mask(np.full((2, 3), 1.5), spec)
+    # a NaN bin fails every comparison, and must still be rejected
+    for bad in (np.nan, np.inf, -np.inf):
+        mask = np.full((2, 3), 0.5)
+        mask[1, 2] = bad
+        with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+            apply_mask(mask, spec)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 2**31 - 1))
+def test_istft_of_a_zero_mask_is_positive_zero(n_frames, seed):
+    # a decoder skips synthesizing a silent slot because this holds: the
+    # masked spectrum is ±0 and overlap-adding it into zeros gives +0.0
+    cfg = StftConfig(64, 16)
+    rng = np.random.default_rng(seed)
+    shape = (n_frames, cfg.n_bins)
+    spec = -rng.uniform(0, 1e3, shape) - 1j * rng.uniform(0, 1e3, shape)
+    spec[rng.random(shape) < 0.2] *= -1  # some positive parts too
+    out = istft(apply_mask(np.zeros(shape), spec), cfg)
+    assert np.all(out == 0) and not np.signbit(out).any()
 
 
 @settings(max_examples=20, deadline=None)

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from blocksep import losses
 from blocksep.losses import (
     TRIPLET_CAP,
     BlockTargets,
@@ -166,6 +167,39 @@ def test_resmask_cases():
     assert loss == pytest.approx(0.3 * T * F)
     assert np.allclose(grads[(0, 0)], -1.0)
     assert loss >= 0
+
+
+def test_resmask_block_shares_one_read_only_gradient():
+    _, grads = resmask_loss({(0, 0): _mk(0.3), (0, 1): _mk(0.4), (1, 0): _mk(0.5)}, 2)
+    assert grads[(0, 0)] is grads[(0, 1)]
+    assert grads[(1, 0)] is not grads[(0, 0)]
+    with pytest.raises(ValueError, match="read-only"):
+        grads[(0, 1)][0, 0] = 0.0
+
+
+def test_total_loss_mask_grads_equal_per_mask_copies(monkeypatch):
+    # the shared hinge gradient gives the bytes a copy per mask gave
+    rng = np.random.default_rng(4)
+    masks = {(b, s): rng.uniform(0, 1, (T, F)) for b in range(2) for s in range(3)}
+    mixes = [rng.uniform(0.5, 1, (T, F)) for _ in range(2)]
+    targets = [BlockTargets(noise=rng.uniform(0, 1, (T, F)),
+                            known={1: rng.uniform(0, 1, (T, F))},
+                            new_sources=[("x", rng.uniform(0, 1, (T, F)))]),
+               BlockTargets(noise=rng.uniform(0, 1, (T, F)),
+                            known={1: rng.uniform(0, 1, (T, F)),
+                                   2: rng.uniform(0, 1, (T, F))})]
+    embs = {k: rng.normal(size=4) for k in masks}
+    shared = total_loss(masks, mixes, targets, embs, LossWeights(), _rng())
+
+    def copied(masks, n_blocks):
+        loss, grads = resmask_loss(masks, n_blocks)
+        return loss, {k: g.copy() for k, g in grads.items()}
+
+    monkeypatch.setattr(losses, "resmask_loss", copied)
+    ref = total_loss(masks, mixes, targets, embs, LossWeights(), _rng())
+    assert sorted(shared.mask_grads) == sorted(ref.mask_grads) == sorted(masks)
+    for k, g in ref.mask_grads.items():
+        assert shared.mask_grads[k].tobytes() == g.tobytes()
 
 
 def test_triplet_arithmetic():

@@ -9,14 +9,14 @@ it and has its streams synthesized; past blocks stay only as re-decode handles.
 """
 
 import numbers
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .dsp import (AudioSignal, IpdFeature, StftConfig, apply_mask, ipd, istft,
                   split_blocks, stft)
-from .estimators import SILENT_MASK_MEAN
+from .estimators import SILENT_MASK_MEAN, check_model_stft
 
 
 @dataclass
@@ -256,10 +256,7 @@ class Session:
 
     def __init__(self, estimator, cfg: DecoderConfig, stft_cfg: StftConfig,
                  sample_rate: int, n_samples: int):
-        model_stft = getattr(getattr(estimator, "params", None), "stft", None)
-        if model_stft and model_stft != asdict(stft_cfg):
-            raise ValueError(f"model STFT settings {model_stft} differ from the "
-                             f"decode STFT settings {asdict(stft_cfg)}")
+        check_model_stft(getattr(estimator, "params", None), stft_cfg, "decode")
         if not stft_cfg.cola_ok():
             raise ValueError("window/hop violates overlap-add")
         self.block_n = int(round(cfg.block_len_s * sample_rate))
@@ -337,15 +334,19 @@ def decode_session(mixture: AudioSignal, estimator, cfg: DecoderConfig,
     """Decode a whole two-channel session block by block with a
     :class:`Session`.
 
-    Blocks are disjoint in time; the trailing partial block, if any, is
-    zero-padded before decoding and its chunks are trimmed to the session
-    length.  Every block goes through :meth:`Session.push`, so a mixture that
-    is not two-channel, or holds a NaN or infinite sample, raises
-    ``ValueError`` at the first such block, as do the settings
-    :class:`Session` rejects.
+    Blocks are disjoint in time and cut one at a time, as they are pushed:
+    a whole block is a view of the mixture, and only the trailing partial
+    block, if any, is copied, zero-padded; its chunks are trimmed to the
+    session length.  So the decode never copies the whole mixture.  Every
+    block goes through :meth:`Session.push`, so a mixture that is not
+    two-channel, or holds a NaN or infinite sample, raises ``ValueError`` at
+    the first such block, as do the settings :class:`Session` rejects.
     """
     session = Session(estimator, cfg, stft_cfg, mixture.sample_rate, mixture.n_samples)
-    blocks = split_blocks(mixture.samples, session.block_n)  # (2, n_blocks, block_n)
-    for b in range(blocks.shape[1]):
-        session.push(blocks[:, b])
+    block_n = session.block_n
+    for start in range(0, mixture.n_samples, block_n):
+        block = mixture.samples[:, start:start + block_n]
+        if block.shape[1] < block_n:
+            block = split_blocks(block, block_n)[:, 0]
+        session.push(block)
     return session.finish()

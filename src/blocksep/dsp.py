@@ -5,6 +5,7 @@ Everything here is a pure function over immutable arrays; there is no shared
 state, so all of it is safe to call from parallel workers.
 """
 
+import numbers
 import wave
 from dataclasses import dataclass
 
@@ -27,8 +28,10 @@ class AudioSignal:
 
     def __post_init__(self):
         self.samples = np.atleast_2d(np.asarray(self.samples, dtype=np.float64))
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
+        rate = self.sample_rate
+        # NaN and inf fail the range test before int() could see them
+        if not (isinstance(rate, numbers.Real) and 0 < rate < np.inf and rate == int(rate)):
+            raise ValueError(f"sample_rate must be a positive whole number, not {rate!r}")
         if self.samples.ndim != 2:
             raise ValueError("samples must be 1-D (mono) or 2-D (channels, n)")
 

@@ -242,6 +242,16 @@ class ModelParams:
         return {k: np.zeros_like(v) for k, v in self.arrays.items()}
 
 
+def check_model_stft(params, stft_cfg: StftConfig, use: str):
+    """Reject ``params`` whose recorded STFT settings differ from ``stft_cfg``,
+    the settings of the ``use`` (a decode or training); a model that records
+    none, or no model, is not checked."""
+    recorded = getattr(params, "stft", None)
+    if recorded and recorded != asdict(stft_cfg):
+        raise ValueError(f"model STFT settings {recorded} differ from the {use} "
+                         f"STFT settings {asdict(stft_cfg)}")
+
+
 def init_params(bins: int, embed_dim=DEFAULT_EMBED_DIM, hidden=DEFAULT_HIDDEN,
                 proj=DEFAULT_PROJ, seed: int = 0, stft_cfg: StftConfig | None = None,
                 dtype=np.float32) -> ModelParams:

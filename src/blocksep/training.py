@@ -20,8 +20,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dsp import StftConfig, ipd, split_blocks, stft
-from .estimators import MaskNet, ModelParams, init_params, reference_blocks
+from .decoding import block_features
+from .dsp import StftConfig, split_blocks
+# Only for the benchmark, which wraps these names; features run through ``decoding``.
+from .dsp import ipd, stft  # noqa: F401
+from .estimators import (MaskNet, ModelParams, check_model_stft, init_params,
+                         reference_blocks)
 from .losses import BlockTargets, LossWeights, TotalLoss, total_loss
 
 # Most blocks ``unroll`` accepts in one sample (60 s at the default block length).
@@ -75,16 +79,35 @@ class TrainSample:
 
 def build_train_sample(rendered, stft_cfg: StftConfig, block_len_s: float,
                        sample_id: str = "") -> TrainSample:
+    """Cut the mixture into zero-padded blocks and take each block's network
+    input from :func:`~blocksep.decoding.block_features`, as a decode does;
+    only its magnitudes and IPD are kept."""
     block_n = int(round(block_len_s * rendered.mixture.sample_rate))
     mix = split_blocks(rendered.mixture.samples, block_n)  # (2, n_blocks, block_n)
     truth = reference_blocks(rendered, stft_cfg, block_len_s)
     mags, ipds = [], []
     for b in range(len(truth)):
-        s1 = stft(mix[0, b], stft_cfg)
-        s2 = stft(mix[1, b], stft_cfg)
-        mags.append(np.abs(s1))
-        ipds.append(ipd(s1, s2))
+        feats = block_features(mix[:, b], stft_cfg)
+        mags.append(feats.mag)
+        ipds.append(feats.ipd)
     return TrainSample(sample_id, mags, ipds, truth)
+
+
+def check_sample(sample: TrainSample, bins: int):
+    """Reject a sample that :func:`unroll` cannot run on a model of ``bins``
+    bins, naming it: more than ``MAX_BLOCKS`` blocks, more than
+    ``MAX_SLOTS`` slots (the noise slot plus every source active in some
+    block, since slots never close), or blocks of another bin count."""
+    name = f"sample {sample.sample_id!r}"
+    if sample.n_blocks > MAX_BLOCKS:
+        raise ValueError(f"{name} has {sample.n_blocks} blocks, cap is {MAX_BLOCKS}")
+    n_slots = 1 + len(set().union(*(truth.active for truth in sample.truth)))
+    if n_slots > MAX_SLOTS:
+        raise ValueError(f"{name} needs {n_slots} slots, slot cap is {MAX_SLOTS}")
+    for b, mag in enumerate(sample.mags):
+        if mag.shape[-1] != bins:
+            raise ValueError(f"{name} has {mag.shape[-1]} bins in block {b}, "
+                             f"the model {bins}")
 
 
 @dataclass
@@ -139,11 +162,10 @@ def unroll(sample: TrainSample, net: MaskNet, cfg: TrainConfig) -> UnrollResult:
     one batched ``net.forward``, kept as one record.  Without it, each slot
     reads the residual the previous slot's mask left, so the slots run one
     by one, one record each with its clip gate.  The block contexts and
-    records are kept for :func:`unroll_backward`.  A sample of more than
-    ``MAX_BLOCKS`` blocks is rejected.
+    records are kept for :func:`unroll_backward`.  A sample that
+    :func:`check_sample` rejects raises ``ValueError``.
     """
-    if sample.n_blocks > MAX_BLOCKS:
-        raise ValueError(f"sample has {sample.n_blocks} blocks, cap is {MAX_BLOCKS}")
+    check_sample(sample, net.params.bins)
     dt = net.params.dtype
     masks, embeddings = {}, {}
     records, contexts, targets = [], [], []
@@ -157,8 +179,6 @@ def unroll(sample: TrainSample, net: MaskNet, cfg: TrainConfig) -> UnrollResult:
         known_slots = sorted(slot_source)
         new_sources = _new_source_order(
             truth, [s for s in truth.active if s not in slot_source.values()])
-        if 1 + len(known_slots) + len(new_sources) > MAX_SLOTS:
-            raise ValueError("more concurrent sources than slot cap")
         new_slots = list(range(next_slot, next_slot + len(new_sources)))
         next_slot += len(new_sources)
         order = [0] + known_slots + new_slots
@@ -288,7 +308,10 @@ def train(dataset, cfg: TrainConfig, params: ModelParams | None = None):
     decode can check it.  Each epoch shuffles the samples with a seed
     derived from (``cfg.seed``, epoch) and steps Adam every ``batch_size``
     samples; Adam's moments start from zero on every call.  Deterministic
-    given (dataset order, config).  Aborts on a non-finite loss, naming the
+    given (dataset order, config).  Before the first step it rejects, with
+    ``ValueError``, a model whose recorded STFT settings differ from
+    ``cfg.stft`` (a model that records none is not checked) and every sample
+    :func:`check_sample` rejects.  Aborts on a non-finite loss, naming the
     offending sample.  Returns the trained parameters and one
     :class:`EpochStats` per epoch.
     """
@@ -297,6 +320,9 @@ def train(dataset, cfg: TrainConfig, params: ModelParams | None = None):
         raise ValueError("empty training dataset")
     if params is None:
         params = init_params(cfg.stft.n_bins, seed=cfg.seed, stft_cfg=cfg.stft)
+    check_model_stft(params, cfg.stft, "training")
+    for sample in items:
+        check_sample(sample, params.bins)
     net = MaskNet(params)
     opt = Adam(params, cfg.learning_rate)
     history = []

@@ -369,8 +369,13 @@ def test_wav_rejects_wrong_encoding(tmp_path):
 
 
 def test_audio_signal_invariants():
-    with pytest.raises(ValueError):
-        AudioSignal(0, np.zeros(10))
+    # NaN and inf were once accepted (``duration`` read nan and 0.0) and a
+    # decode failed far from the cause; 8000.5 and -1 are no rates either
+    for bad in (0, np.nan, np.inf, 8000.5, -1):
+        with pytest.raises(ValueError, match="positive whole number"):
+            AudioSignal(bad, np.zeros(10))
     sig = AudioSignal(8000, np.zeros(16000))
     assert sig.n_channels == 1
     assert sig.duration == pytest.approx(2.0)
+    for rate in (np.int64(8000), np.int32(8000)):
+        assert AudioSignal(rate, np.zeros(16000)).duration == pytest.approx(2.0)

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import time
 
@@ -14,11 +15,13 @@ from synthutil import (
     tiny_train_params,
 )
 
-from blocksep.dsp import StftConfig
+from blocksep.decoding import block_features
+from blocksep.dsp import StftConfig, split_blocks
 from blocksep.estimators import MaskNet, OracleMaskEstimator, init_params, save_params
 from blocksep.losses import total_loss
 from blocksep.simulate import make_pool, render, sample_scenario
 from blocksep.training import (
+    MAX_BLOCKS,
     MAX_SLOTS,
     TrainConfig,
     build_train_sample,
@@ -56,6 +59,14 @@ def test_build_train_sample_structure():
     assert sample.n_blocks == 2
     t = (5 * 8000 - 256) // 128 + 1
     assert sample.mags[0].shape == (t, 129)
+    # the network input is what ``Session.push`` hands it for the same
+    # zero-padded block
+    blocks = split_blocks(meeting.mixture.samples, 5 * 8000)
+    for b in range(sample.n_blocks):
+        feats = block_features(blocks[:, b], stft_cfg)
+        assert sample.mags[b].tobytes() == feats.mag.tobytes()
+        assert sample.ipds[b].cos.tobytes() == feats.ipd.cos.tobytes()
+        assert sample.ipds[b].sin.tobytes() == feats.ipd.sin.tobytes()
     speakers = sorted(meeting.references)
     for truth in sample.truth:
         # every record holds every speaker of the meeting
@@ -247,6 +258,43 @@ def test_train_aborts_on_nonfinite_loss():
 def test_train_empty_dataset_rejected():
     with pytest.raises(ValueError, match="empty"):
         train([], tiny_config())
+
+
+def test_train_rejects_a_model_with_other_stft():
+    # hop 2 and hop 7 both give 8 bins: such a model once trained, and
+    # still recorded hop 2 for the decode to accept
+    cfg = tiny_config()
+    params = init_params(bins=8, embed_dim=4, hidden=5, proj=6,
+                         stft_cfg=StftConfig(14, 2))
+    before = copy.deepcopy(params.arrays)
+    with pytest.raises(ValueError, match="'hop': 2.*training.*'hop': 7"):
+        train([make_synthetic_sample(0)], cfg, params)
+    assert all(np.array_equal(params.arrays[k], before[k]) for k in before)
+    train([make_synthetic_sample(0)], cfg, tiny_params())  # records none
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_train_checks_every_sample_before_the_first_step(seed):
+    # with these seeds epoch 0 reaches the 7-block sample last, and once
+    # raised only after Adam had changed the caller's params in place
+    cfg = tiny_config(seed=seed, batch_size=1)
+    samples = [make_synthetic_sample(s) for s in range(3)]
+    samples.append(make_synthetic_sample(3, n_blocks=MAX_BLOCKS + 1))
+    params = tiny_train_params(cfg)
+    before = copy.deepcopy(params.arrays)
+    with pytest.raises(ValueError, match=f"has {MAX_BLOCKS + 1} blocks") as err:
+        train(samples, cfg, params)
+    for k in before:
+        assert np.array_equal(params.arrays[k], before[k])
+    assert "sample 'synthetic-3'" in str(err.value)
+
+
+def test_train_names_a_sample_of_another_bin_count():
+    # 9 bins against the model's 8 once failed inside a matmul
+    cfg = tiny_config()
+    samples = [make_synthetic_sample(0), make_synthetic_sample(5, f=9)]
+    with pytest.raises(ValueError, match="'synthetic-5' has 9 bins in block 0, the model 8"):
+        train(samples, cfg, tiny_train_params(cfg))
 
 
 def _per_slot_reference(sample, net, lockstep, weights):

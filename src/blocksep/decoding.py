@@ -14,8 +14,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .dsp import (AudioSignal, IpdFeature, StftConfig, apply_mask, ipd, istft,
-                  split_blocks, stft)
+from .dsp import (AudioSignal, IpdFeature, StftConfig, apply_mask, block_samples,
+                  blocks, check_positive_whole, ipd, istft, stft)
 from .estimators import SILENT_MASK_MEAN, check_model_stft
 
 
@@ -249,7 +249,8 @@ class Session:
     A model (an estimator with ``params``) whose recorded STFT settings
     differ from ``stft_cfg`` is rejected with ``ValueError``; a model that
     records none is not checked.  So is an STFT whose window and hop violate
-    overlap-add, a block shorter than the STFT window, or a session shorter
+    overlap-add, a ``sample_rate`` or ``n_samples`` that is not a positive
+    whole number, a block shorter than the STFT window, or a session shorter
     than one window.  :meth:`push` checks each block before the estimator
     sees it.
     """
@@ -259,7 +260,9 @@ class Session:
         check_model_stft(getattr(estimator, "params", None), stft_cfg, "decode")
         if not stft_cfg.cola_ok():
             raise ValueError("window/hop violates overlap-add")
-        self.block_n = int(round(cfg.block_len_s * sample_rate))
+        check_positive_whole("sample_rate", sample_rate)
+        check_positive_whole("n_samples", n_samples)
+        self.block_n = block_samples(cfg.block_len_s, sample_rate)
         if self.block_n < stft_cfg.window_len:
             raise ValueError(f"block of {self.block_n} samples is shorter than the "
                              f"{stft_cfg.window_len}-sample STFT window")
@@ -269,7 +272,7 @@ class Session:
         self.cfg = cfg
         self.stft_cfg = stft_cfg
         self.sample_rate = sample_rate
-        self.n_samples = n_samples
+        self.n_samples = int(n_samples)  # a whole float such as 16000.0 passes the check
         self.state = new_session_state(estimator.embed_dim)
         self.streams = {}  # slot -> (n_samples,) samples
         self.activity = []
@@ -334,19 +337,16 @@ def decode_session(mixture: AudioSignal, estimator, cfg: DecoderConfig,
     """Decode a whole two-channel session block by block with a
     :class:`Session`.
 
-    Blocks are disjoint in time and cut one at a time, as they are pushed:
-    a whole block is a view of the mixture, and only the trailing partial
-    block, if any, is copied, zero-padded; its chunks are trimmed to the
-    session length.  So the decode never copies the whole mixture.  Every
-    block goes through :meth:`Session.push`, so a mixture that is not
-    two-channel, or holds a NaN or infinite sample, raises ``ValueError`` at
-    the first such block, as do the settings :class:`Session` rejects.
+    Blocks are disjoint in time and cut by :func:`~blocksep.dsp.blocks` one
+    at a time, as they are pushed: a whole block is a view of the mixture,
+    and only the trailing partial block, if any, is copied, zero-padded; its
+    chunks are trimmed to the session length.  So the decode never copies
+    the whole mixture.  Every block goes through :meth:`Session.push`, so a
+    mixture that is not two-channel, or holds a NaN or infinite sample,
+    raises ``ValueError`` at the first such block, as do the settings
+    :class:`Session` rejects.
     """
     session = Session(estimator, cfg, stft_cfg, mixture.sample_rate, mixture.n_samples)
-    block_n = session.block_n
-    for start in range(0, mixture.n_samples, block_n):
-        block = mixture.samples[:, start:start + block_n]
-        if block.shape[1] < block_n:
-            block = split_blocks(block, block_n)[:, 0]
+    for block in blocks(mixture.samples, session.block_n):
         session.push(block)
     return session.finish()

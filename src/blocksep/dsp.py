@@ -19,6 +19,13 @@ _PHASE_EPS = 1e-12
 COLA_TOL = 1e-8  # relative spread allowed in the overlap-added squared window
 
 
+def check_positive_whole(name: str, value) -> None:
+    """Reject a ``value`` that is not a positive whole number, naming it."""
+    # NaN and inf fail the range test before int() could see them
+    if not (isinstance(value, numbers.Real) and 0 < value < np.inf and value == int(value)):
+        raise ValueError(f"{name} must be a positive whole number, not {value!r}")
+
+
 @dataclass
 class AudioSignal:
     """Multi-channel waveform. ``samples`` has shape (channels, n)."""
@@ -28,10 +35,7 @@ class AudioSignal:
 
     def __post_init__(self):
         self.samples = np.atleast_2d(np.asarray(self.samples, dtype=np.float64))
-        rate = self.sample_rate
-        # NaN and inf fail the range test before int() could see them
-        if not (isinstance(rate, numbers.Real) and 0 < rate < np.inf and rate == int(rate)):
-            raise ValueError(f"sample_rate must be a positive whole number, not {rate!r}")
+        check_positive_whole("sample_rate", self.sample_rate)
         if self.samples.ndim != 2:
             raise ValueError("samples must be 1-D (mono) or 2-D (channels, n)")
 
@@ -97,18 +101,29 @@ class StftConfig:
         return bool(sums.min() > 0 and sums.max() - sums.min() <= COLA_TOL * sums.max())
 
 
-def split_blocks(samples: np.ndarray, block_n: int) -> np.ndarray:
-    """Zero-pad the last axis to whole blocks, at least one.
+def block_samples(block_len_s: float, sample_rate: int) -> int:
+    """The samples in one block of ``block_len_s`` seconds: the one rule that
+    decoding, the oracle's ground truth and training cut blocks by."""
+    return int(round(block_len_s * sample_rate))
 
-    Returns a (..., n_blocks, block_n) view of the padded copy.
+
+def blocks(samples: np.ndarray, block_n: int):
+    """Yield the last axis of ``samples`` in blocks of ``block_n``, at least one.
+
+    A whole block is a view of ``samples``.  A trailing partial block, or an
+    input shorter than one block, is a float64 copy zero-padded to
+    ``block_n``: only that one block is ever copied.
     """
     if block_n < 1:
         raise ValueError(f"block length must be at least 1 sample, got {block_n}")
     x = np.asarray(samples)
-    n_blocks = max(1, -(-x.shape[-1] // block_n))
-    padded = np.zeros(x.shape[:-1] + (n_blocks * block_n,))
-    padded[..., : x.shape[-1]] = x
-    return padded.reshape(x.shape[:-1] + (n_blocks, block_n))
+    for start in range(0, max(x.shape[-1], 1), block_n):
+        block = x[..., start:start + block_n]
+        if block.shape[-1] < block_n:
+            padded = np.zeros(x.shape[:-1] + (block_n,))
+            padded[..., : block.shape[-1]] = block
+            block = padded
+        yield block
 
 
 def frame_count(n_samples: int, cfg: StftConfig) -> int:

@@ -33,7 +33,7 @@ import numpy as np
 from scipy.special import expit
 
 from . import kernels
-from .dsp import IpdFeature, StftConfig, split_blocks, stft
+from .dsp import IpdFeature, StftConfig, block_samples, blocks, stft
 
 CHECKPOINT_MAGIC = b"BSPK"
 CHECKPOINT_VERSION = 1
@@ -98,13 +98,15 @@ def block_truth(noise_mag, source_mags) -> BlockTruth:
 def reference_blocks(rendered, stft_cfg: StftConfig, block_len_s: float) -> list:
     """One :class:`BlockTruth` per block of a rendered meeting.
 
-    The signals are zero-padded to whole blocks like the decoder pads the
-    mixture; every record holds every speaker of the meeting.
+    Each reference and the noise are cut on the decoder's block grid by
+    :func:`~blocksep.dsp.blocks`, one block at a time, so only a trailing
+    partial block is copied, zero-padded; every record holds every speaker
+    of the meeting.
     """
-    block_n = int(round(block_len_s * rendered.mixture.sample_rate))
+    block_n = block_samples(block_len_s, rendered.mixture.sample_rate)
 
     def block_mags(sig):
-        return [np.abs(stft(x, stft_cfg)) for x in split_blocks(sig.channel(0), block_n)]
+        return [np.abs(stft(x, stft_cfg)) for x in blocks(sig.channel(0), block_n)]
 
     per_spk = {spk: block_mags(sig) for spk, sig in sorted(rendered.references.items())}
     return [block_truth(noise, {spk: mags[b] for spk, mags in per_spk.items()})

@@ -161,11 +161,13 @@ def block_speaker_counts(timeline: Timeline, block_len_s: float, n_blocks: int):
 
 def counting_accuracy(estimated, truth) -> CountingReport:
     """Exact-match fraction of per-block speaker counts plus the full
-    count-confusion matrix."""
+    count-confusion matrix.  A negative count raises ``ValueError``."""
     est = list(estimated)
     tru = list(truth)
     if len(est) != len(tru):
         raise ValueError("count sequences have different lengths")
+    if min(est + tru, default=0) < 0:
+        raise ValueError(f"speaker counts must not be negative, got {min(est + tru)}")
     if not est:
         return CountingReport(1.0, np.zeros((1, 1), dtype=int))
     size = max(max(est), max(tru)) + 1

@@ -1,5 +1,6 @@
 """Speaker activity timelines and the line-oriented RTTM segment format."""
 
+import math
 from dataclasses import dataclass
 
 __all__ = ["Segment", "Timeline", "write_rttm", "read_rttm"]
@@ -79,12 +80,26 @@ class Timeline:
         return out
 
 
+def _check_field(kind: str, name) -> None:
+    if str(name).split() != [str(name)]:
+        raise ValueError(f"RTTM {kind} must be non-empty and hold no whitespace, "
+                         f"not {name!r}")
+
+
 def write_rttm(path, timelines: dict) -> None:
     """Write ``{session_id: Timeline}`` in RTTM format.
 
     One line per segment:
     ``SPEAKER <file> 1 <tbeg> <tdur> <NA> <NA> <spk> <NA> <NA>``
+
+    An empty session id or speaker name, or one holding whitespace, would
+    not read back as written, so it raises ``ValueError`` before the file
+    is opened.
     """
+    for session, timeline in timelines.items():
+        _check_field("session id", session)
+        for speaker in timeline.speakers():
+            _check_field("speaker name", speaker)
     lines = []
     for session in sorted(timelines):
         for seg in sorted(
@@ -101,7 +116,12 @@ def write_rttm(path, timelines: dict) -> None:
 
 
 def read_rttm(path) -> dict:
-    """Read an RTTM file into ``{session_id: Timeline}``."""
+    """Read an RTTM file into ``{session_id: Timeline}``.
+
+    A line that is not a SPEAKER line, or whose begin time is not a finite
+    number of at least 0 or whose duration is not a positive finite number,
+    raises ``ValueError`` naming ``path:line``.
+    """
     raw = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -112,8 +132,15 @@ def read_rttm(path) -> dict:
             if len(parts) < 8 or parts[0] != "SPEAKER":
                 raise ValueError(f"{path}:{lineno}: not an RTTM SPEAKER line")
             session, tbeg, tdur, speaker = parts[1], parts[3], parts[4], parts[7]
-            start = float(tbeg)
-            raw.setdefault(session, []).append(
-                Segment(speaker, start, start + float(tdur))
-            )
+            try:
+                start, end = float(tbeg), float(tbeg) + float(tdur)
+            except ValueError:
+                start = end = math.nan
+            # NaN fails every comparison, and start < end rejects a duration
+            # too small to move the start as well as a non-positive one
+            if not 0 <= start < end < math.inf:
+                raise ValueError(f"{path}:{lineno}: begin time {tbeg!r} and duration "
+                                 f"{tdur!r} are not a finite time of at least 0 "
+                                 f"and a positive finite duration")
+            raw.setdefault(session, []).append(Segment(speaker, start, end))
     return {session: Timeline(segs) for session, segs in raw.items()}

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .decoding import block_features
-from .dsp import StftConfig, split_blocks
+from .dsp import StftConfig, block_samples, blocks
 # Only for the benchmark, which wraps these names; features run through ``decoding``.
 from .dsp import ipd, stft  # noqa: F401
 from .estimators import (MaskNet, ModelParams, check_model_stft, init_params,
@@ -79,15 +79,18 @@ class TrainSample:
 
 def build_train_sample(rendered, stft_cfg: StftConfig, block_len_s: float,
                        sample_id: str = "") -> TrainSample:
-    """Cut the mixture into zero-padded blocks and take each block's network
-    input from :func:`~blocksep.decoding.block_features`, as a decode does;
-    only its magnitudes and IPD are kept."""
-    block_n = int(round(block_len_s * rendered.mixture.sample_rate))
-    mix = split_blocks(rendered.mixture.samples, block_n)  # (2, n_blocks, block_n)
+    """Cut the mixture on the decoder's block grid, one block at a time, and
+    take each block's network input from
+    :func:`~blocksep.decoding.block_features`, as a decode does; only its
+    magnitudes and IPD are kept.  A whole block is a view of the mixture and
+    only a trailing partial block is copied, zero-padded, so the build never
+    copies the whole mixture.  The ground truth comes from
+    :func:`~blocksep.estimators.reference_blocks`, on the same grid."""
+    block_n = block_samples(block_len_s, rendered.mixture.sample_rate)
     truth = reference_blocks(rendered, stft_cfg, block_len_s)
     mags, ipds = [], []
-    for b in range(len(truth)):
-        feats = block_features(mix[:, b], stft_cfg)
+    for block in blocks(rendered.mixture.samples, block_n):
+        feats = block_features(block, stft_cfg)
         mags.append(feats.mag)
         ipds.append(feats.ipd)
     return TrainSample(sample_id, mags, ipds, truth)
@@ -95,16 +98,31 @@ def build_train_sample(rendered, stft_cfg: StftConfig, block_len_s: float,
 
 def check_sample(sample: TrainSample, bins: int):
     """Reject a sample that :func:`unroll` cannot run on a model of ``bins``
-    bins, naming it: more than ``MAX_BLOCKS`` blocks, more than
-    ``MAX_SLOTS`` slots (the noise slot plus every source active in some
-    block, since slots never close), or blocks of another bin count."""
+    bins, naming it, and the block where one is at fault: magnitudes, IPDs
+    and truth records of different block counts, more than ``MAX_BLOCKS``
+    blocks, more than ``MAX_SLOTS`` slots (the noise slot plus every source
+    active in some block, since slots never close), an IPD plane or a
+    ground-truth magnitude or mask of another shape than its block's
+    magnitudes, or blocks of another bin count."""
     name = f"sample {sample.sample_id!r}"
+    counts = (len(sample.mags), len(sample.ipds), len(sample.truth))
+    if len(set(counts)) > 1:
+        raise ValueError(f"{name} has {counts[0]} blocks of magnitudes, {counts[1]} "
+                         f"of IPD and {counts[2]} of truth")
     if sample.n_blocks > MAX_BLOCKS:
         raise ValueError(f"{name} has {sample.n_blocks} blocks, cap is {MAX_BLOCKS}")
     n_slots = 1 + len(set().union(*(truth.active for truth in sample.truth)))
     if n_slots > MAX_SLOTS:
         raise ValueError(f"{name} needs {n_slots} slots, slot cap is {MAX_SLOTS}")
-    for b, mag in enumerate(sample.mags):
+    for b, (mag, feat, truth) in enumerate(zip(sample.mags, sample.ipds, sample.truth)):
+        parts = [("IPD cos", feat.cos), ("IPD sin", feat.sin),
+                 ("noise magnitude", truth.noise_mag), ("noise mask", truth.noise_irm)]
+        parts += [(f"magnitude of source {s!r}", m) for s, m in truth.source_mags.items()]
+        parts += [(f"mask of source {s!r}", m) for s, m in truth.irms.items()]
+        for part, array in parts:
+            if array.shape != mag.shape:
+                raise ValueError(f"{name} has {part} of shape {array.shape} in block {b}, "
+                                 f"magnitudes of {mag.shape}")
         if mag.shape[-1] != bins:
             raise ValueError(f"{name} has {mag.shape[-1]} bins in block {b}, "
                              f"the model {bins}")

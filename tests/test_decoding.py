@@ -1,5 +1,6 @@
 import copy
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,8 +17,8 @@ from blocksep.decoding import (
     decode_session,
     new_session_state,
 )
-from blocksep.dsp import (AudioSignal, IpdFeature, StftConfig, apply_mask, ipd, istft,
-                          split_blocks, stft)
+from blocksep.dsp import (AudioSignal, IpdFeature, StftConfig, apply_mask, block_samples,
+                          blocks, ipd, istft, stft)
 from blocksep.estimators import (
     MaskNet,
     OracleMaskEstimator,
@@ -29,6 +30,7 @@ from blocksep.estimators import (
 from blocksep.metrics import block_speaker_counts
 from blocksep.rttm import Segment
 from blocksep.simulate import MeetingScenario, make_pool, render
+from blocksep.training import build_train_sample
 from synthutil import GivenFeatures
 
 T, F = 20, 10
@@ -423,11 +425,11 @@ def test_decode_block_and_consistency_check_only_read_the_state():
     est = OracleMaskEstimator.from_rendered(meeting, STFT, CFG.block_len_s)
     session = Session(est, CFG, STFT, meeting.mixture.sample_rate,
                       meeting.mixture.n_samples)
-    blocks = split_blocks(meeting.mixture.samples, session.block_n)
-    session.push(blocks[:, 0])
+    cut = blocks(meeting.mixture.samples, session.block_n)
+    session.push(next(cut))
     state = session.state
     before = copy.deepcopy(state)
-    result = decode_block(block_features(blocks[:, 1], STFT), state, est, CFG)
+    result = decode_block(block_features(next(cut), STFT), state, est, CFG)
     assert result.new_slots and _same_state(state, before)
     consistency_check(state, result, est, CFG)
     assert _same_state(state, before)
@@ -458,14 +460,13 @@ def _pushed_retrying(mixture, estimator, cfg, stft_cfg):
     """Like :func:`_pushed`, but a push that raises is made once more:
     (the errors, each block's output, the result)."""
     session = Session(estimator, cfg, stft_cfg, mixture.sample_rate, mixture.n_samples)
-    blocks = split_blocks(mixture.samples, session.block_n)
     errors, outputs = [], []
-    for b in range(blocks.shape[1]):
+    for block in blocks(mixture.samples, session.block_n):
         try:
-            outputs.append(session.push(blocks[:, b]))
+            outputs.append(session.push(block))
         except RuntimeError as exc:
             errors.append(str(exc))
-            outputs.append(session.push(blocks[:, b]))
+            outputs.append(session.push(block))
     return errors, outputs, session.finish()
 
 
@@ -599,6 +600,27 @@ def test_decode_rejects_block_shorter_than_stft_window(block_len_s, block_n):
     assert est.blocks == []
 
 
+@pytest.mark.parametrize("name, value", [("sample_rate", 8000.5), ("sample_rate", 0),
+                                         ("sample_rate", np.nan), ("n_samples", 16000.5),
+                                         ("n_samples", -1), ("n_samples", np.inf)])
+def test_session_rejects_a_rate_or_length_that_is_no_whole_number(name, value):
+    # a rate of 8000.5 once decoded every block and failed in finish(); a
+    # length of 16000.5 failed in np.zeros at the first push
+    settings = dict(sample_rate=8000, n_samples=16000) | {name: value}
+    est = _CountingEstimator()
+    with pytest.raises(ValueError, match=f"{name} must be a positive whole number"):
+        Session(est, DecoderConfig(block_len_s=1.0), STFT, **settings)
+    assert est.blocks == []
+
+
+def test_session_takes_a_whole_float_length():
+    # 16000.0 once raised a TypeError from np.zeros at the first push
+    session = Session(_HalfMasks(), DecoderConfig(block_len_s=1.0), STFT, 8000, 16000.0)
+    session.push(np.zeros((2, 8000)))
+    session.push(np.zeros((2, 8000)))
+    assert session.finish().streams[0].n_samples == 16000
+
+
 def test_session_rejects_stft_violating_overlap_add():
     # a hop of 96 under a 256-sample sqrt-Hann window: the iSTFT of the
     # first block's chunks would fail after the block was decoded
@@ -679,8 +701,7 @@ def test_rejected_increase_restores_pre_block_embeddings():
 def _pushed(mixture, estimator, cfg, stft_cfg):
     """Push a mixture block by block: (each push's output, the result)."""
     session = Session(estimator, cfg, stft_cfg, mixture.sample_rate, mixture.n_samples)
-    blocks = split_blocks(mixture.samples, session.block_n)
-    outputs = [session.push(blocks[:, b]) for b in range(blocks.shape[1])]
+    outputs = [session.push(block) for block in blocks(mixture.samples, session.block_n)]
     return outputs, session.finish()
 
 
@@ -716,12 +737,12 @@ def test_session_synthesizes_only_active_slots(monkeypatch):
         assert not outputs[b].masks[slot].any()
     # the reference synthesizes every slot of every block
     mixture = meeting.mixture
-    n, block_n = mixture.n_samples, int(round(CFG.block_len_s * mixture.sample_rate))
-    blocks = split_blocks(mixture.samples, block_n)
+    n, block_n = mixture.n_samples, block_samples(CFG.block_len_s, mixture.sample_rate)
     streams = {}
-    for b, out in enumerate(outputs):
+    for b, (out, block) in enumerate(zip(outputs, blocks(mixture.samples, block_n),
+                                         strict=True)):
         start, stop = b * block_n, min((b + 1) * block_n, n)
-        spec = stft(blocks[0, b], STFT)
+        spec = stft(block[0], STFT)
         for slot, mask in out.masks.items():
             stream = streams.setdefault(slot, np.zeros(n))
             rec = istft(apply_mask(mask, spec), STFT)[: stop - start]
@@ -743,7 +764,7 @@ def test_finished_session_keeps_no_block_handles():
 def test_push_past_the_session_end_rejected():
     mixture = _noise_mixture(seconds=1.0)  # one 10 s block, zero-padded
     session = Session(_tiny_net(STFT), CFG, STFT, mixture.sample_rate, mixture.n_samples)
-    block = split_blocks(mixture.samples, session.block_n)[:, 0]
+    block = next(blocks(mixture.samples, session.block_n))
     session.push(block)
     with pytest.raises(ValueError, match="block 1 starts after the session's end"):
         session.push(block)
@@ -755,11 +776,11 @@ def test_push_after_finish_rejected():
     mixture = _noise_mixture(seconds=2.0)
     cfg = DecoderConfig(block_len_s=1.0)
     session = Session(_tiny_net(STFT), cfg, STFT, mixture.sample_rate, mixture.n_samples)
-    blocks = split_blocks(mixture.samples, session.block_n)
-    session.push(blocks[:, 0])
+    cut = blocks(mixture.samples, session.block_n)
+    session.push(next(cut))
     session.finish()
     with pytest.raises(ValueError, match="block 1 pushed after the session finished"):
-        session.push(blocks[:, 1])
+        session.push(next(cut))
 
 
 @pytest.mark.parametrize("shape", [(2, 4000), (2, 12000), (3, 8000), (1, 8000), (8000,)])
@@ -879,4 +900,42 @@ def test_decode_session_transient_memory_does_not_grow_with_length():
     decode_session(_noise_mixture(), est, CFG, STFT)  # warm up numpy's caches
     short, long = (_transient_bytes(_noise_mixture(seconds), est)
                    for seconds in (60.0, 300.0))
+    assert abs(long - short) < 1e6
+
+
+def _noise_and_one_speaker(seconds, fs=4000):
+    """What ``build_train_sample`` reads of a rendered meeting: a two-channel
+    mixture, and the noise and one random "speaker" (only their first
+    channel is read)."""
+    rng = np.random.default_rng(0)
+    noise, speaker = 0.01 * rng.normal(size=(2, int(seconds * fs)))
+    mixture = AudioSignal(fs, noise + 0.1 * rng.normal(size=(2, noise.size)))
+    return SimpleNamespace(mixture=mixture, noise=AudioSignal(fs, noise),
+                           references={"a": AudioSignal(fs, speaker)})
+
+
+# few frames: the sample a build retains grows with its features, not with
+# the signal copies the test is after
+_FEW_FRAMES = StftConfig(256, 256, "rect")
+
+
+def _train_sample_transient_bytes(rendered):
+    """Traced peak minus retained memory of one build, its sample alive."""
+    tracemalloc.start()
+    try:
+        sample = build_train_sample(rendered, _FEW_FRAMES, CFG.block_len_s)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sample.n_blocks == len(sample.truth)
+    return peak - retained
+
+
+def test_build_train_sample_transient_memory_does_not_grow_with_length():
+    # a build once cut the mixture, the noise and each reference into
+    # zero-padded copies of the whole signal, the mixture's kept to the end:
+    # 5.0 MB above what it retains at 60 s, 20.4 MB at 300 s
+    build_train_sample(_noise_and_one_speaker(20.0), _FEW_FRAMES, CFG.block_len_s)  # warm up
+    meetings = [_noise_and_one_speaker(seconds) for seconds in (60.0, 300.0)]
+    short, long = (_train_sample_transient_bytes(m) for m in meetings)
     assert abs(long - short) < 1e6

@@ -8,11 +8,11 @@ from blocksep.dsp import (
     AudioSignal,
     StftConfig,
     apply_mask,
+    blocks,
     ipd,
     istft,
     make_window,
     read_wav,
-    split_blocks,
     stft,
     write_wav,
 )
@@ -81,32 +81,41 @@ def test_stft_random_matches_naive_dft():
         assert np.allclose(spec[i], ref, atol=1e-9)
 
 
-def test_split_blocks_exact_multiple():
+def test_blocks_exact_multiple():
     x = np.arange(12.0)
-    blocks = split_blocks(x, 4)
-    assert blocks.shape == (3, 4)
-    assert np.array_equal(blocks.reshape(-1), x)
+    cut = list(blocks(x, 4))
+    assert len(cut) == 3
+    assert np.array_equal(np.concatenate(cut), x)
+    # a whole block is a view, not a copy
+    assert all(np.shares_memory(block, x) for block in cut)
 
 
-def test_split_blocks_pads_trailing_partial_block():
-    blocks = split_blocks(np.arange(1.0, 6.0), 4)
-    assert np.array_equal(blocks, [[1, 2, 3, 4], [5, 0, 0, 0]])
-    # even an input shorter than one block yields one whole block
-    assert np.array_equal(split_blocks(np.ones(2), 4), [[1, 1, 0, 0]])
+def test_blocks_pads_trailing_partial_block():
+    x = np.arange(1.0, 6.0)
+    cut = list(blocks(x, 4))
+    assert np.array_equal(cut, [[1, 2, 3, 4], [5, 0, 0, 0]])
+    assert np.shares_memory(cut[0], x) and not np.shares_memory(cut[1], x)
+    # even an input shorter than one block, or an empty one, yields one
+    # whole block
+    assert np.array_equal(list(blocks(np.ones(2), 4)), [[1, 1, 0, 0]])
+    assert np.array_equal(list(blocks(np.ones(0), 4)), [[0, 0, 0, 0]])
+    # the padded block is float64 whatever the input
+    assert next(blocks(np.ones(2, dtype=np.int16), 4)).dtype == np.float64
 
 
-def test_split_blocks_two_channels():
+def test_blocks_two_channels():
     x = np.arange(10.0).reshape(2, 5)
-    blocks = split_blocks(x, 3)
-    assert blocks.shape == (2, 2, 3)
-    assert np.array_equal(blocks[1], [[5, 6, 7], [8, 9, 0]])
-    assert np.array_equal(blocks[0, 1], [3, 4, 0])
+    cut = list(blocks(x, 3))
+    assert [block.shape for block in cut] == [(2, 3), (2, 3)]
+    assert np.array_equal(cut[1], [[3, 4, 0], [8, 9, 0]])
+    assert np.array_equal(cut[0], [[0, 1, 2], [5, 6, 7]])
+    assert np.shares_memory(cut[0], x)
 
 
 @pytest.mark.parametrize("block_n", [0, -4])
-def test_split_blocks_rejects_empty_blocks(block_n):
+def test_blocks_rejects_empty_blocks(block_n):
     with pytest.raises(ValueError, match="at least 1 sample"):
-        split_blocks(np.ones(8), block_n)
+        list(blocks(np.ones(8), block_n))
 
 
 def test_istft_zero():

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -298,6 +299,13 @@ def test_counting_length_mismatch():
         counting_accuracy([1], [1, 2])
 
 
+def test_counting_rejects_negative_counts():
+    # -1 once indexed the last column and booked a wrong count as correct
+    for est, truth in (([-1, 1], [1, 1]), ([1, 1], [1, -2])):
+        with pytest.raises(ValueError, match="must not be negative"):
+            counting_accuracy(est, truth)
+
+
 # --------------------------------------------------------------------------
 # RTTM round trip
 # --------------------------------------------------------------------------
@@ -319,6 +327,22 @@ def test_rttm_rejects_garbage(tmp_path):
     path.write_text("NOT-A-LINE foo\n")
     with pytest.raises(ValueError, match="RTTM"):
         read_rttm(path)
+    # a bad time once raised float()'s or Segment's error, without the line
+    good = "SPEAKER s 1 0.5 1.0 <NA> <NA> a <NA> <NA>\n"
+    for tbeg, tdur in [("x", "1.0"), ("0.5", "1,0"), ("-0.5", "1.0"), ("0.5", "0"),
+                       ("0.5", "-1.0"), ("nan", "1.0"), ("0.5", "inf")]:
+        path.write_text(good + f"SPEAKER s 1 {tbeg} {tdur} <NA> <NA> a <NA> <NA>\n")
+        message = f"{path}:2: begin time '{tbeg}' and duration '{tdur}'"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_rttm(path)
+    # a name holding whitespace once wrote a line read back as speaker
+    # '<NA>', which then failed on its times
+    out = tmp_path / "out.rttm"
+    for session, speaker in [("sess 1", "a"), ("", "a"), ("s", "spk a"), ("s", "a\tb"),
+                             ("s", "")]:
+        with pytest.raises(ValueError, match="non-empty and hold no whitespace"):
+            write_rttm(out, {session: Timeline([Segment(speaker, 0.0, 1.0)])})
+        assert not out.exists()
 
 
 @settings(max_examples=15, deadline=None)

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import itertools
 import time
 
@@ -16,7 +17,7 @@ from synthutil import (
 )
 
 from blocksep.decoding import block_features
-from blocksep.dsp import StftConfig, split_blocks
+from blocksep.dsp import IpdFeature, StftConfig, blocks
 from blocksep.estimators import MaskNet, OracleMaskEstimator, init_params, save_params
 from blocksep.losses import total_loss
 from blocksep.simulate import make_pool, render, sample_scenario
@@ -24,6 +25,7 @@ from blocksep.training import (
     MAX_BLOCKS,
     MAX_SLOTS,
     TrainConfig,
+    TrainSample,
     build_train_sample,
     train,
     unroll,
@@ -61,9 +63,10 @@ def test_build_train_sample_structure():
     assert sample.mags[0].shape == (t, 129)
     # the network input is what ``Session.push`` hands it for the same
     # zero-padded block
-    blocks = split_blocks(meeting.mixture.samples, 5 * 8000)
-    for b in range(sample.n_blocks):
-        feats = block_features(blocks[:, b], stft_cfg)
+    cut = list(blocks(meeting.mixture.samples, 5 * 8000))
+    assert len(cut) == sample.n_blocks
+    for b, block in enumerate(cut):
+        feats = block_features(block, stft_cfg)
         assert sample.mags[b].tobytes() == feats.mag.tobytes()
         assert sample.ipds[b].cos.tobytes() == feats.ipd.cos.tobytes()
         assert sample.ipds[b].sin.tobytes() == feats.ipd.sin.tobytes()
@@ -275,18 +278,43 @@ def test_train_rejects_a_model_with_other_stft():
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_train_checks_every_sample_before_the_first_step(seed):
-    # with these seeds epoch 0 reaches the 7-block sample last, and once
-    # raised only after Adam had changed the caller's params in place
+    # with these seeds epoch 0 reaches the bad sample last, and each once
+    # raised only after Adam had changed the caller's params in place: the
+    # 7-block sample with this ValueError, the short truth list with a bare
+    # IndexError, the narrow IPD plane inside a concatenate of prepare_block,
+    # the short mask in a broadcast
     cfg = tiny_config(seed=seed, batch_size=1)
-    samples = [make_synthetic_sample(s) for s in range(3)]
-    samples.append(make_synthetic_sample(3, n_blocks=MAX_BLOCKS + 1))
-    params = tiny_train_params(cfg)
-    before = copy.deepcopy(params.arrays)
-    with pytest.raises(ValueError, match=f"has {MAX_BLOCKS + 1} blocks") as err:
-        train(samples, cfg, params)
-    for k in before:
-        assert np.array_equal(params.arrays[k], before[k])
-    assert "sample 'synthetic-3'" in str(err.value)
+    s = make_synthetic_sample(3)
+    narrow = IpdFeature(s.ipds[1].cos[:, :-1], s.ipds[1].sin[:, :-1])
+    short_noise = dataclasses.replace(s.truth[1], noise_mag=s.truth[1].noise_mag[:-1])
+    short_mask = dataclasses.replace(s.truth[1], irms={**s.truth[1].irms,
+                                                       "a": s.truth[1].irms["a"][:-1]})
+    bad_samples = [
+        (make_synthetic_sample(3, n_blocks=MAX_BLOCKS + 1),
+         f"sample 'synthetic-3' has {MAX_BLOCKS + 1} blocks, cap"),
+        (TrainSample("short-truth", s.mags, s.ipds, s.truth[:1]),
+         "sample 'short-truth' has 2 blocks of magnitudes, 2 of IPD and 1 of truth"),
+        (TrainSample("short-ipds", s.mags, s.ipds[:1], s.truth),
+         "sample 'short-ipds' has 2 blocks of magnitudes, 1 of IPD and 2 of truth"),
+        (TrainSample("narrow-ipd", s.mags, [s.ipds[0], narrow], s.truth),
+         r"sample 'narrow-ipd' has IPD cos of shape \(4, 7\) in block 1, "
+         r"magnitudes of \(4, 8\)"),
+        (TrainSample("narrow-sin", s.mags, [s.ipds[0], IpdFeature(s.ipds[1].cos, narrow.sin)],
+                     s.truth),
+         r"sample 'narrow-sin' has IPD sin of shape \(4, 7\) in block 1"),
+        (TrainSample("short-noise", s.mags, s.ipds, [s.truth[0], short_noise]),
+         r"sample 'short-noise' has noise magnitude of shape \(3, 8\) in block 1"),
+        (TrainSample("short-mask", s.mags, s.ipds, [s.truth[0], short_mask]),
+         r"sample 'short-mask' has mask of source 'a' of shape \(3, 8\) in block 1"),
+    ]
+    for bad, message in bad_samples:
+        samples = [make_synthetic_sample(k) for k in range(3)] + [bad]
+        params = tiny_train_params(cfg)
+        before = copy.deepcopy(params.arrays)
+        with pytest.raises(ValueError, match=message):
+            train(samples, cfg, params)
+        for k in before:
+            assert np.array_equal(params.arrays[k], before[k])
 
 
 def test_train_names_a_sample_of_another_bin_count():

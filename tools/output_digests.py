@@ -52,7 +52,7 @@ import numpy as np  # noqa: E402
 import workloads  # noqa: E402
 
 from blocksep import decoding, estimators, simulate  # noqa: E402
-from blocksep.dsp import split_blocks  # noqa: E402
+from blocksep.dsp import blocks  # noqa: E402
 
 SAMPLER_POOLS = (4, 5, 6)
 SAMPLER_LENGTHS_S = (10.0, 30.0, 60.0, 120.0)
@@ -135,8 +135,7 @@ def pushed_masks(item, estimator, stft_cfg):
     mixture = item.rendered.mixture
     session = decoding.Session(estimator, workloads.DECODER, stft_cfg,
                                mixture.sample_rate, mixture.n_samples)
-    blocks = split_blocks(mixture.samples, session.block_n)
-    return [session.push(blocks[:, b]).masks for b in range(blocks.shape[1])]
+    return [session.push(block).masks for block in blocks(mixture.samples, session.block_n)]
 
 
 def decode_outputs(result, masks, item, workdir):

@@ -98,6 +98,7 @@ class BlockResult:
 
     handle: object  # the estimator's re-decode handle for the block
     masks: dict  # slot -> (T, F) mask
+    means: dict  # slot -> mean of its mask in ``masks``
     embeddings: list  # every slot's embedding after the block, new slots last
     new_slots: list
     iterations: int  # estimate calls, a final silent probe included
@@ -112,20 +113,30 @@ def _call_estimator(block, step, method, *args):
 
 
 def _estimate(estimator, residual, z_prev, block, iteration):
-    """One ``estimate`` call: the mask clipped to [0, 1], the embedding and the
-    mask's mean.  A mask of another shape than ``residual``, or one holding a
-    NaN, raises the ``RuntimeError`` of a failed call."""
+    """One ``estimate`` call: the float64 mask, the embedding and the mask's
+    mean.  A mask with a bin outside [0, 1] comes back clipped into it, as a
+    new array; any other float64 mask is returned as the estimator's array.
+    A mask of another shape than ``residual``, or one holding a NaN, raises
+    the ``RuntimeError`` of a failed call."""
     def checked():
         mask, z = estimator.estimate(residual, z_prev)
-        mask = np.clip(np.asarray(mask, dtype=float), 0.0, 1.0)
+        mask = np.asarray(mask, dtype=float)
         if mask.shape != residual.shape:
             raise ValueError(f"mask of shape {mask.shape}, not {residual.shape}")
+        if not (mask.min() >= 0.0 and mask.max() <= 1.0):  # a NaN fails both
+            mask = np.clip(mask, 0.0, 1.0)
         mean = float(mask.mean())  # NaN iff a bin is: clip maps ±inf into [0, 1]
         if np.isnan(mean):
             raise ValueError("mask holds a NaN")
         return mask, np.asarray(z, dtype=float), mean
 
     return _call_estimator(block, f"iteration {iteration}", checked)
+
+
+def _subtract_mask(residual, mask):
+    """The residual step R <- clip(R - M, 0, 1), in place."""
+    np.subtract(residual, mask, out=residual)
+    np.clip(residual, 0.0, 1.0, out=residual)
 
 
 def decode_block(features: BlockFeatures, state: SessionState, estimator,
@@ -138,28 +149,38 @@ def decode_block(features: BlockFeatures, state: SessionState, estimator,
     iteration calls ``estimate``.
     Iteration order: the noise slot, then known speaker slots in fixed order
     (conditioned on their stored embeddings), then zero-embedding probes for
-    new speakers.  After each non-silent mask the residual is updated as
-    R <- clip(R - M, 0, 1); a mask whose mean falls below ``t_silent`` is
-    zeroed and leaves the residual untouched; :class:`Session` synthesizes no
-    chunk for such an all-zero mask.  Probing continues while the
-    mean residual is at least ``t_resmask`` and the iteration cap allows; a
-    probe that comes back silent ends the block without creating a slot.
+    new speakers.  After each non-silent mask the residual is updated in
+    place as R <- clip(R - M, 0, 1); a mask whose mean falls below
+    ``t_silent`` is replaced by the block's one read-only zero mask and
+    leaves the residual untouched; :class:`Session` synthesizes no chunk for
+    it.  Probing continues while the mean residual is at least ``t_resmask``
+    and the iteration cap allows; a probe that comes back silent ends the
+    block without creating a slot.
+
+    The estimator contract that this relies on: the decoder may keep the mask
+    array ``estimate`` returns (in the result's ``masks``, and from there in
+    :class:`BlockOutput`), and it overwrites the residual it passed once the
+    call returns.  So an estimator must not write a mask it has returned, and
+    must not keep the residual array.  :func:`consistency_check` holds its
+    estimator to the same contract.
     """
     b = state.n_blocks
     handle = _call_estimator(b, "begin_block", estimator.begin_block, b, features)
-    residual = np.ones_like(features.mag)
+    residual = np.ones(features.mag.shape)
+    silent = np.broadcast_to(0.0, residual.shape)  # read-only, shared by silent slots
     masks = {}
+    means = {}
     embeddings = []
     zero_z = np.zeros_like(state.embeddings[0])
 
     for slot, z_prev in enumerate(state.embeddings):
         mask, z, mean = _estimate(estimator, residual, z_prev, b, slot + 1)
         if mean < cfg.t_silent:
-            mask = np.zeros_like(mask)  # silent slot: residual stays unmodified
+            mask, mean = silent, 0.0  # silent slot: residual stays unmodified
         else:
-            residual = np.clip(residual - mask, 0.0, 1.0)
+            _subtract_mask(residual, mask)
         embeddings.append(z)
-        masks[slot] = mask
+        masks[slot], means[slot] = mask, mean
 
     iterations = len(embeddings)
     while (float(residual.mean()) >= cfg.t_resmask
@@ -170,11 +191,11 @@ def decode_block(features: BlockFeatures, state: SessionState, estimator,
             break  # nothing extractable remains; do not open a slot
         slot = len(embeddings)
         embeddings.append(z)
-        masks[slot] = mask
-        residual = np.clip(residual - mask, 0.0, 1.0)
+        masks[slot], means[slot] = mask, mean
+        _subtract_mask(residual, mask)
 
     new_slots = list(range(len(state.embeddings), len(embeddings)))
-    return BlockResult(handle, masks, embeddings, new_slots, iterations)
+    return BlockResult(handle, masks, means, embeddings, new_slots, iterations)
 
 
 def consistency_check(state: SessionState, result: BlockResult, estimator,
@@ -189,15 +210,16 @@ def consistency_check(state: SessionState, result: BlockResult, estimator,
     """
     n_known = len(state.embeddings)
     embeddings = state.embeddings + [result.embeddings[s] for s in result.new_slots]
+    residual = np.empty(result.masks[0].shape)  # refilled for each past block
     for b in range(state.n_blocks):
         _call_estimator(b, "enter_block", estimator.enter_block, state.cache[b])
-        residual = np.ones(result.masks[0].shape)
+        residual.fill(1.0)
         for i, emb in enumerate(embeddings):
             mask, _, mean = _estimate(estimator, residual, emb, b, i + 1)
             if i >= n_known and mean >= cfg.t_resmask:
                 return False
             if mean >= cfg.t_silent:
-                residual = np.clip(residual - mask, 0.0, 1.0)
+                _subtract_mask(residual, mask)
     return True
 
 
@@ -306,10 +328,11 @@ class Session:
             if not accepted:
                 for slot in result.new_slots:
                     result.masks.pop(slot)
+                    result.means.pop(slot)
         state.commit(result, accepted is not False)  # nothing below raises
 
-        active = sorted(slot for slot, m in result.masks.items()
-                        if float(m.mean()) >= cfg.t_silent)
+        active = sorted(slot for slot, mean in result.means.items()
+                        if mean >= cfg.t_silent)
         chunks = {}
         for slot, mask in result.masks.items():
             if slot not in self.streams:

@@ -86,13 +86,17 @@ class BlockTruth:
 
 def block_truth(noise_mag, source_mags) -> BlockTruth:
     """The ground-truth record of one block; the mask denominator adds the
-    sources in sorted id order."""
+    sources in sorted id order.  The masks are read-only: the oracle hands
+    them out uncopied."""
     denom = noise_mag + MASK_EPS
     for s in sorted(source_mags):
         denom = denom + source_mags[s]
     irms = {s: m / denom for s, m in source_mags.items()}
+    noise_irm = noise_mag / denom
+    for mask in (noise_irm, *irms.values()):
+        mask.flags.writeable = False
     active = sorted(s for s, m in irms.items() if float(m.mean()) >= SILENT_MASK_MEAN)
-    return BlockTruth(noise_mag, source_mags, noise_mag / denom, irms, active)
+    return BlockTruth(noise_mag, source_mags, noise_irm, irms, active)
 
 
 def reference_blocks(rendered, stft_cfg: StftConfig, block_len_s: float) -> list:
@@ -120,9 +124,11 @@ class OracleMaskEstimator:
     call in every block returns the noise mask, matching the decoder's
     noise-first slot convention.  A unit-norm ``z_prev`` selects the speaker
     with the closest fixed embedding; a zero ``z_prev`` probes the strongest
-    active source not yet extracted in the block.  A speaker not active in
-    the block yields an all-zero mask.  ``begin_block`` reads none of the
-    block's features, so an oracle decode never computes the second
+    active source not yet extracted in the block.  The masks returned are
+    the records' read-only ground-truth arrays, not copies; a speaker not
+    active in the block yields a read-only all-zero view of the residual's
+    shape, which holds no memory of its own.  ``begin_block`` reads none of
+    the block's features, so an oracle decode never computes the second
     channel's STFT or the IPD; a block's handle is its index.
     """
 
@@ -167,24 +173,22 @@ class OracleMaskEstimator:
         blk = self.blocks[self._block]
         self._calls += 1
         if self._calls == 1:
-            return blk.noise_irm.copy(), self.noise_embedding.copy()
+            return blk.noise_irm, self.noise_embedding.copy()
         if not is_zero_embedding(z_prev):
             spk = self.match_speaker(z_prev)
-            if spk is None:
-                return np.zeros_like(residual), self._fallback.copy()
-            emb = self.embeddings[spk].copy()
-            if spk not in blk.active:
-                return np.zeros_like(residual), emb
+            if spk is None or spk not in blk.active:
+                emb = self._fallback if spk is None else self.embeddings[spk]
+                return np.broadcast_to(0.0, residual.shape), emb.copy()
             self._emitted.add(spk)
-            return blk.irms[spk].copy(), emb
+            return blk.irms[spk], self.embeddings[spk].copy()
         # zero embedding: probe for the strongest active source not yet
         # extracted; of equal mask means, the last in id order
         left = [s for s in blk.active if s not in self._emitted]
         if not left:
-            return np.zeros_like(residual), self._fallback.copy()
+            return np.broadcast_to(0.0, residual.shape), self._fallback.copy()
         best = max(reversed(left), key=lambda s: float(blk.irms[s].mean()))
         self._emitted.add(best)
-        return blk.irms[best].copy(), self.embeddings[best].copy()
+        return blk.irms[best], self.embeddings[best].copy()
 
 
 # ---------------------------------------------------------------------------

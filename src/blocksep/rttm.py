@@ -92,9 +92,11 @@ def write_rttm(path, timelines: dict) -> None:
     One line per segment:
     ``SPEAKER <file> 1 <tbeg> <tdur> <NA> <NA> <spk> <NA> <NA>``
 
-    An empty session id or speaker name, or one holding whitespace, would
-    not read back as written, so it raises ``ValueError`` before the file
-    is opened.
+    Times are written in seconds with 3 decimals.  An empty session id or
+    speaker name, one holding whitespace, or a segment whose written
+    duration would read back as zero (one shorter than 0.5 ms) would not
+    read back as written, so each raises ``ValueError`` before the file is
+    opened.
     """
     for session, timeline in timelines.items():
         _check_field("session id", session)
@@ -105,8 +107,14 @@ def write_rttm(path, timelines: dict) -> None:
         for seg in sorted(
             timelines[session].segments, key=lambda s: (s.start, s.speaker)
         ):
+            tbeg, tdur = f"{seg.start:.3f}", f"{seg.duration:.3f}"
+            # the check of read_rttm, on the times as written
+            if not float(tbeg) < float(tbeg) + float(tdur):
+                raise ValueError(f"RTTM segment of speaker {seg.speaker!r} in session "
+                                 f"{session!r} lasts {seg.duration} s, which is written "
+                                 f"as begin time {tbeg} and duration {tdur}")
             lines.append(
-                f"SPEAKER {session} 1 {seg.start:.3f} {seg.duration:.3f} "
+                f"SPEAKER {session} 1 {tbeg} {tdur} "
                 f"<NA> <NA> {seg.speaker} <NA> <NA>"
             )
     with open(path, "w") as fh:

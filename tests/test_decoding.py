@@ -154,7 +154,8 @@ def _scripted_block(embeddings, new_z, index):
     """The decoded, uncommitted block ``index`` that opened a slot for
     ``new_z``; a scripted handle is the block index."""
     masks = {slot: np.zeros((T, F)) for slot in range(len(embeddings) + 1)}
-    return BlockResult(index, masks, embeddings + [new_z], [len(embeddings)],
+    means = {slot: 0.0 for slot in masks}
+    return BlockResult(index, masks, means, embeddings + [new_z], [len(embeddings)],
                        len(embeddings) + 1)
 
 
@@ -842,6 +843,109 @@ def test_push_rejects_a_bad_mask_before_the_block_joins(bad, problem):
         session.push(np.ones((2, 8000)))
     assert session.state.n_blocks == 0
     assert session.activity == [] and session.streams == {}
+
+
+class _ResidualRecorder:
+    """Oracle wrapper whose masks are the oracle's times 1.3, capped at 1, so
+    that the residual step clips at 0; it records, per block pass, a copy of
+    every residual it is passed and the mask it returned for it."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.embed_dim = inner.embed_dim
+        self.passes = []  # (kind, [(residual, mask), ...]); kind: decode or redecode
+
+    def begin_block(self, index, features):
+        self.passes.append(("decode", []))
+        return self.inner.begin_block(index, features)
+
+    def enter_block(self, handle):
+        self.passes.append(("redecode", []))
+        self.inner.enter_block(handle)
+
+    def estimate(self, residual, z_prev):
+        mask, z = self.inner.estimate(residual, z_prev)
+        mask = np.minimum(1.3 * mask, 1.0)
+        self.passes[-1][1].append((residual.copy(), mask))
+        return mask, z
+
+
+def test_every_loop_updates_the_residual_as_clip_of_residual_minus_mask():
+    # a and b talk from the start and c from 10 s: block 0 opens a and b in
+    # the probe loop; block 1 runs a and b in the known-slot loop, probes c
+    # and re-decodes block 0 in its consistency check
+    pool = make_pool(3, seed=2)
+    a, b, c = (spec.speaker_id for spec in pool)
+    sc = MeetingScenario(
+        profile="B", length_s=20.0, segments=[Segment(a, 0.0, 20.0), Segment(b, 0.0, 20.0),
+                                              Segment(c, 10.0, 20.0)],
+        snr_db=30.0, rt60_s=0.3, mic_delays={a: -2.5, b: 0.5, c: 3.0}, seed=0,
+        sources=list(pool))
+    meeting = render(sc)
+    est = _ResidualRecorder(OracleMaskEstimator.from_rendered(meeting, STFT,
+                                                              CFG.block_len_s))
+    session = Session(est, CFG, STFT, meeting.mixture.sample_rate, meeting.mixture.n_samples)
+    clipped = {"known": 0, "probe": 0, "redecode": 0}  # steps that clipped at 0
+    for block in blocks(meeting.mixture.samples, session.block_n):
+        n_known, first_pass = len(session.state.embeddings), len(est.passes)
+        session.push(block)
+        for kind, calls in est.passes[first_pass:]:
+            assert calls[0][0].tobytes() == np.ones(calls[0][0].shape).tobytes()
+            for i, ((residual, mask), (passed, _)) in enumerate(zip(calls, calls[1:])):
+                if mask.mean() < CFG.t_silent:
+                    assert passed.tobytes() == residual.tobytes()
+                    continue
+                assert passed.tobytes() == np.clip(residual - mask, 0.0, 1.0).tobytes()
+                loop = kind if kind == "redecode" else "probe" if i >= n_known else "known"
+                clipped[loop] += bool((residual - mask < 0).any())
+    assert session.consistency_log == [(1, True)]
+    assert all(clipped.values()), clipped
+
+
+@pytest.mark.parametrize("bins", [(-0.5, 1.5, np.inf), (-0.5,), (1.5,), (np.inf,)])
+def test_a_mask_outside_0_1_is_clipped_and_the_residual_stays_in_it(bins):
+    class OutOfRange:
+        embed_dim = 4
+
+        def begin_block(self, index, features):
+            self.residuals = []
+            return index
+
+        def estimate(self, residual, z_prev):
+            self.residuals.append(residual.copy())
+            if len(self.residuals) == 1:
+                return np.full_like(residual, 0.3), np.full(4, 0.5)
+            if len(self.residuals) == 3:  # silent: ends the block
+                return np.zeros_like(residual), np.full(4, 0.5)
+            mask = np.full_like(residual, 0.3)
+            mask[0, :len(bins)] = bins
+            return mask, np.full(4, 0.5)
+
+    est = OutOfRange()
+    session = Session(est, DecoderConfig(block_len_s=1.0), STFT, 8000, 8000)
+    out = session.push(np.ones((2, 8000)))
+    probe = out.masks[1]
+    assert probe[0, :len(bins)].tolist() == [min(max(v, 0.0), 1.0) for v in bins]
+    assert probe.min() >= 0.0 and probe.max() <= 1.0
+    residual = est.residuals[2]
+    assert residual.min() >= 0.0 and residual.max() <= 1.0
+    assert residual.tobytes() == np.clip(0.7 - probe, 0.0, 1.0).tobytes()
+
+
+def test_an_oracle_decode_cannot_write_ground_truth():
+    meeting = _fixture_meeting(seed=0, length=40.0)
+    est = OracleMaskEstimator.from_rendered(meeting, STFT, CFG.block_len_s)
+    outputs, first = _pushed(meeting.mixture, est, CFG, STFT)
+    # the decode hands out the oracle's own arrays, silent slots included
+    assert any(not mask.any() for out in outputs for mask in out.masks.values())
+    for out in outputs:
+        for mask in out.masks.values():
+            with pytest.raises(ValueError, match="read-only"):
+                mask[0, 0] = 0.5
+    second = decode_session(meeting.mixture, est, CFG, STFT)
+    assert sorted(second.streams) == sorted(first.streams)
+    for slot, sig in first.streams.items():
+        assert second.streams[slot].samples.tobytes() == sig.samples.tobytes()
 
 
 def _retained_bytes_besides_streams(mixture, net):

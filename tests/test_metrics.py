@@ -345,6 +345,19 @@ def test_rttm_rejects_garbage(tmp_path):
         assert not out.exists()
 
 
+def test_rttm_write_rejects_a_segment_too_short_to_read_back(tmp_path):
+    # a 0.4 ms segment was once written with duration 0.000, and read_rttm
+    # rejected the file write_rttm had just written
+    out = tmp_path / "out.rttm"
+    short = Timeline([Segment("alice", 1.0, 3.0), Segment("bob", 2.5, 2.5004)])
+    with pytest.raises(ValueError, match="speaker 'bob' in session 'sess'"):
+        write_rttm(out, {"sess": short})
+    assert not out.exists()
+    tl = Timeline([Segment("alice", 1.0, 3.0), Segment("bob", 0.0, 0.001)])
+    write_rttm(out, {"sess": tl})
+    assert read_rttm(out) == {"sess": tl}
+
+
 @settings(max_examples=15, deadline=None)
 @given(st.integers(0, 2**31 - 1))
 def test_der_relabel_property(seed):

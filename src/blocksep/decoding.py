@@ -33,7 +33,7 @@ class DecoderConfig:
         if not 0 < self.block_len_s < np.inf:
             raise ValueError("block length must be positive and finite")
         cap = self.max_iterations
-        if not isinstance(cap, numbers.Integral) or cap < 1:
+        if not isinstance(cap, numbers.Integral) or isinstance(cap, bool) or cap < 1:
             raise ValueError(f"max_iterations must be an integer of at least 1, not {cap!r}")
 
 
@@ -41,15 +41,21 @@ class DecoderConfig:
 class BlockFeatures:
     """One block's features, as an estimator's ``begin_block`` reads them.
 
-    ``mag`` and ``spec`` come from the reference channel.  ``ipd`` is computed
-    on its first read, from ``spec`` and the STFT of the second channel's
-    samples, and kept: an estimator that never reads it costs no second STFT.
+    ``spec`` is the reference channel's spectrogram.  ``mag`` (its
+    magnitudes) and ``ipd`` are each computed on their first read and kept;
+    ``ipd`` comes from ``spec`` and the STFT of the second channel's
+    samples.  So an estimator that reads neither costs no |X|, no second
+    STFT and no IPD.
     """
 
-    mag: np.ndarray  # (T, F) reference-channel magnitudes
     spec: np.ndarray  # (T, F) complex reference-channel spectrogram
     second: np.ndarray  # the block's second-channel samples
     stft_cfg: StftConfig
+
+    @cached_property
+    def mag(self) -> np.ndarray:
+        """(T, F) reference-channel magnitudes."""
+        return np.abs(self.spec)
 
     @cached_property
     def ipd(self) -> IpdFeature:
@@ -134,9 +140,15 @@ def _estimate(estimator, residual, z_prev, block, iteration):
 
 
 def _subtract_mask(residual, mask):
-    """The residual step R <- clip(R - M, 0, 1), in place."""
+    """The residual step R <- clip(R - M, 0, 1), in place.
+
+    Only the floor is applied: a residual never exceeds 1 and a kept mask is
+    at least 0, so R - M <= 1.  The floor gives +0.0 for -0.0 where the clip
+    keeps -0.0, but R - M is -0.0 only for R = -0.0, and R starts at 1 and
+    stays at least +0.0.
+    """
     np.subtract(residual, mask, out=residual)
-    np.clip(residual, 0.0, 1.0, out=residual)
+    np.maximum(residual, 0.0, out=residual)
 
 
 def decode_block(features: BlockFeatures, state: SessionState, estimator,
@@ -144,9 +156,10 @@ def decode_block(features: BlockFeatures, state: SessionState, estimator,
     """Decode the session's next block without changing ``state``.
 
     ``begin_block(index, features)`` sees the block once and returns the
-    handle the result keeps; it reads only the features it needs, so the IPD
-    is computed only for an estimator that reads ``features.ipd``.  Each
-    iteration calls ``estimate``.
+    handle the result keeps; it reads only the features it needs, so |X| and
+    the IPD are computed only for an estimator that reads ``features.mag``
+    or ``features.ipd``.  The residual takes its shape from
+    ``features.spec``.  Each iteration calls ``estimate``.
     Iteration order: the noise slot, then known speaker slots in fixed order
     (conditioned on their stored embeddings), then zero-embedding probes for
     new speakers.  After each non-silent mask the residual is updated in
@@ -166,7 +179,7 @@ def decode_block(features: BlockFeatures, state: SessionState, estimator,
     """
     b = state.n_blocks
     handle = _call_estimator(b, "begin_block", estimator.begin_block, b, features)
-    residual = np.ones(features.mag.shape)
+    residual = np.ones(features.spec.shape)
     silent = np.broadcast_to(0.0, residual.shape)  # read-only, shared by silent slots
     masks = {}
     means = {}
@@ -243,8 +256,9 @@ class BlockOutput:
 
 
 def block_features(block_samples: np.ndarray, stft_cfg: StftConfig) -> BlockFeatures:
-    spec = stft(block_samples[0], stft_cfg)
-    return BlockFeatures(np.abs(spec), spec, block_samples[1], stft_cfg)
+    """A (2, n) block's features: the reference channel's STFT now, its
+    magnitudes and the IPD when first read."""
+    return BlockFeatures(stft(block_samples[0], stft_cfg), block_samples[1], stft_cfg)
 
 
 class Session:

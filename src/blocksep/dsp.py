@@ -20,9 +20,11 @@ COLA_TOL = 1e-8  # relative spread allowed in the overlap-added squared window
 
 
 def check_positive_whole(name: str, value) -> None:
-    """Reject a ``value`` that is not a positive whole number, naming it."""
+    """Reject a ``value`` that is not a positive whole number, naming it; a
+    bool is no number here."""
     # NaN and inf fail the range test before int() could see them
-    if not (isinstance(value, numbers.Real) and 0 < value < np.inf and value == int(value)):
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and 0 < value < np.inf and value == int(value)):
         raise ValueError(f"{name} must be a positive whole number, not {value!r}")
 
 
@@ -152,9 +154,16 @@ def stft(samples: np.ndarray, cfg: StftConfig) -> np.ndarray:
 def istft(spec: np.ndarray, cfg: StftConfig) -> np.ndarray:
     """Weighted overlap-add inverse of :func:`stft`.
 
-    Output length is (T-1)*hop + window_len.  Requires a config whose squared
-    window overlap-adds to a constant, which makes interior reconstruction
-    exact up to floating point.
+    Output length is (T-1)*hop + window_len; a spectrogram needs at least one
+    frame.  Requires a config whose squared window overlap-adds to a
+    constant, which makes interior reconstruction exact up to floating point.
+
+    The output is normalized one hop-long period at a time, by the squared
+    window summed over the frames that overlap the period, in frame order,
+    and zeroed where that sum is at most 1e-10.  Every frame overlaps each
+    interior period, so they all share one divisor of ``hop`` values; only
+    the k-1 leading and k-1 trailing periods, k = ceil(window_len / hop),
+    get divisors of their own.  No full-length window sum is built.
     """
     if not cfg.cola_ok():
         raise ValueError("window/hop violates overlap-add")
@@ -162,27 +171,51 @@ def istft(spec: np.ndarray, cfg: StftConfig) -> np.ndarray:
     if spec.ndim != 2 or spec.shape[1] != cfg.n_bins:
         raise ValueError("spectrogram bins inconsistent with config")
     n_frames = spec.shape[0]
+    if n_frames == 0:
+        raise ValueError("spectrogram has no frames")
     hop, win = cfg.hop, cfg.window_array()
     frames = np.fft.irfft(spec, n=cfg.window_len, axis=1)
     frames *= win
-    w2 = win * win
     # Overlap-add as k = ceil(window_len / hop) strided adds: column slab j
     # of every frame (up to hop samples wide) lands in out[j*hop : j*hop +
     # n_frames*hop] viewed as (n_frames, hop).  Running j downward sums each
     # sample's frames in increasing frame order, as a per-frame loop would.
     k = -(-cfg.window_len // hop)
     out = np.zeros((n_frames + k - 1) * hop)
-    wsum = np.zeros_like(out)
     span = n_frames * hop
     for j in range(k - 1, -1, -1):
         cols = slice(j * hop, min((j + 1) * hop, cfg.window_len))
         width = cols.stop - cols.start
-        dst = slice(j * hop, j * hop + span)
-        out[dst].reshape(n_frames, hop)[:, :width] += frames[:, cols]
-        wsum[dst].reshape(n_frames, hop)[:, :width] += w2[cols]
-    total = (n_frames - 1) * hop + cfg.window_len
-    out, wsum = out[:total], wsum[:total]
-    return np.divide(out, wsum, out=np.zeros(total), where=wsum > 1e-10)
+        out[j * hop : j * hop + span].reshape(n_frames, hop)[:, :width] += frames[:, cols]
+    # w² zero-padded to k slabs of hop: adding a padding +0.0 to a sum of
+    # squares leaves it unchanged, so each period's divisor equals the
+    # per-frame loop's window sum there, bit for bit
+    slabs = np.zeros((k, hop))
+    slabs.reshape(-1)[: cfg.window_len] = win * win
+
+    def divisors(ps):
+        """(len(ps), hop): w² summed over the frames that overlap each period
+        in ``ps``, in frame order."""
+        d = np.zeros((len(ps), hop))
+        for row, p in zip(d, ps):
+            for j in range(min(p, k - 1), max(p - n_frames, -1), -1):
+                row += slabs[j]
+        return d
+
+    periods = out.reshape(n_frames + k - 1, hop)
+    trail = max(n_frames, k - 1)  # the first trailing period
+    _normalize(periods[: k - 1], divisors(range(k - 1)))
+    _normalize(periods[k - 1 : trail], divisors([k - 1])[0])  # interior: one divisor
+    _normalize(periods[trail:], divisors(range(trail, len(periods))))
+    return out[: (n_frames - 1) * hop + cfg.window_len]
+
+
+def _normalize(rows, divisor):
+    """Divide ``rows`` by ``divisor`` in place where it exceeds 1e-10; zero
+    the rest."""
+    good = divisor > 1e-10
+    rows /= np.where(good, divisor, 1.0)  # faster than np.divide(..., where=good)
+    rows[..., ~good] = 0.0
 
 
 @dataclass

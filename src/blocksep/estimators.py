@@ -17,8 +17,9 @@ a block's :class:`~blocksep.decoding.BlockFeatures` once and returns a small
 handle for the block, then each extraction iteration calls
 ``estimate(residual, z_prev)``; a zero ``z_prev`` probes for a new speaker.
 An estimator reads only the features it needs: :class:`MaskNet` reads
-``features.mag`` and ``features.ipd``, the oracle reads none, and the IPD
-(with the second channel's STFT) is computed only when read.
+``features.mag`` and ``features.ipd``, the oracle reads none, and |X| and
+the IPD (with the second channel's STFT) are computed only when read, so an
+oracle decode computes none of them.
 ``enter_block(handle)`` re-enters a past block for a consistency re-decode
 without its features, resetting the per-block call state as ``begin_block``
 does.  The handle is all the decoder keeps of a past block.
@@ -73,8 +74,9 @@ class BlockTruth:
     """Ground truth of one block, read by the oracle and by training.
 
     Channel-0 reference magnitudes, their ideal ratio masks
-    |X| / (|N| + eps + sum of source magnitudes), and the sources active in
-    the block: those whose mean mask is at least ``SILENT_MASK_MEAN``.
+    |X| / (|N| + eps + sum of source magnitudes), each source mask's mean,
+    and the sources active in the block: those whose mean mask is at least
+    ``SILENT_MASK_MEAN``.
     """
 
     noise_mag: np.ndarray  # (T, F)
@@ -82,12 +84,14 @@ class BlockTruth:
     noise_irm: np.ndarray  # (T, F)
     irms: dict  # source id -> (T, F)
     active: list  # sorted source ids
+    means: dict  # source id -> float mean of its mask in ``irms``
 
 
 def block_truth(noise_mag, source_mags) -> BlockTruth:
     """The ground-truth record of one block; the mask denominator adds the
     sources in sorted id order.  The masks are read-only: the oracle hands
-    them out uncopied."""
+    them out uncopied.  Each source mask is reduced to its mean once, here:
+    the activity test and the oracle's probe both read ``means``."""
     denom = noise_mag + MASK_EPS
     for s in sorted(source_mags):
         denom = denom + source_mags[s]
@@ -95,8 +99,9 @@ def block_truth(noise_mag, source_mags) -> BlockTruth:
     noise_irm = noise_mag / denom
     for mask in (noise_irm, *irms.values()):
         mask.flags.writeable = False
-    active = sorted(s for s, m in irms.items() if float(m.mean()) >= SILENT_MASK_MEAN)
-    return BlockTruth(noise_mag, source_mags, noise_irm, irms, active)
+    means = {s: float(m.mean()) for s, m in irms.items()}
+    active = sorted(s for s, mean in means.items() if mean >= SILENT_MASK_MEAN)
+    return BlockTruth(noise_mag, source_mags, noise_irm, irms, active, means)
 
 
 def reference_blocks(rendered, stft_cfg: StftConfig, block_len_s: float) -> list:
@@ -128,8 +133,9 @@ class OracleMaskEstimator:
     the records' read-only ground-truth arrays, not copies; a speaker not
     active in the block yields a read-only all-zero view of the residual's
     shape, which holds no memory of its own.  ``begin_block`` reads none of
-    the block's features, so an oracle decode never computes the second
-    channel's STFT or the IPD; a block's handle is its index.
+    the block's features, so an oracle decode never computes |X|, the second
+    channel's STFT or the IPD; a block's handle is its index.  A probe ranks
+    sources by the record's ``means``, reducing no mask.
     """
 
     embed_dim = DEFAULT_EMBED_DIM
@@ -186,7 +192,7 @@ class OracleMaskEstimator:
         left = [s for s in blk.active if s not in self._emitted]
         if not left:
             return np.broadcast_to(0.0, residual.shape), self._fallback.copy()
-        best = max(reversed(left), key=lambda s: float(blk.irms[s].mean()))
+        best = max(reversed(left), key=blk.means.__getitem__)
         self._emitted.add(best)
         return blk.irms[best], self.embeddings[best].copy()
 

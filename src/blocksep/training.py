@@ -52,7 +52,8 @@ class TrainConfig:
             raise ValueError("learning rate must be non-negative and finite")
         for name, least in (("epochs", 0), ("batch_size", 1)):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < least:
+            if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
+                    or value < least):
                 raise ValueError(f"bad epoch/batch configuration: {name} must be "
                                  f"an integer of at least {least}, not {value!r}")
 

@@ -15,11 +15,18 @@ T, F = 4, 8
 
 @dataclass
 class GivenFeatures:
-    """A block's magnitudes and IPD as given, read by an estimator's
-    ``begin_block`` as it reads ``decoding.BlockFeatures``."""
+    """A block's magnitudes, IPD and spectrogram as given, read by an
+    estimator's ``begin_block`` and by ``decode_block`` as they read
+    ``decoding.BlockFeatures``.  The spectrogram defaults to the magnitudes
+    at zero phase."""
 
     mag: np.ndarray  # (T, F)
     ipd: IpdFeature
+    spec: np.ndarray | None = None  # (T, F) complex
+
+    def __post_init__(self):
+        if self.spec is None:
+            self.spec = self.mag.astype(complex)
 
 
 def make_synthetic_sample(seed, t=T, f=F, n_blocks=2, sources=("a", "b"),

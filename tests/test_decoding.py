@@ -57,7 +57,8 @@ def test_config_validation():
         DecoderConfig(max_iterations=0)
     # a NaN cap once let decode_block return after the noise slot, never
     # probing; a fractional one was accepted too
-    for bad in (np.nan, 2.5):
+    # and True once stood for a cap of 1
+    for bad in (np.nan, 2.5, True):
         with pytest.raises(ValueError, match="max_iterations must be an integer"):
             DecoderConfig(max_iterations=bad)
     for bad in (np.nan, np.inf):
@@ -555,15 +556,34 @@ def _count_calls(monkeypatch, name):
 def test_decode_computes_the_ipd_only_for_an_estimator_that_reads_it(
         monkeypatch, kind, stfts, ipds):
     # the oracle reads no features, so no block runs the second channel's
-    # STFT or the IPD; a network reads both once per block, re-decodes none
+    # STFT, the IPD or |X|; a network reads each once per block, re-decodes none
     meeting = _fixture_meeting(seed=0, length=30.0)
     est = (OracleMaskEstimator.from_rendered(meeting, STFT, CFG.block_len_s)
            if kind == "oracle" else _tiny_net(STFT))
     stft_calls, ipd_calls = (_count_calls(monkeypatch, name) for name in ("stft", "ipd"))
+    computed = []
+    inner = decoding.decode_block
+
+    def recorded(features, *args):
+        result = inner(features, *args)
+        computed.append(sorted({"mag", "ipd"} & set(features.__dict__)))
+        return result
+
+    monkeypatch.setattr(decoding, "decode_block", recorded)
     result = decode_session(meeting.mixture, est, CFG, STFT)
     n_blocks = len(result.activity)
     assert n_blocks == 3
     assert (len(stft_calls), len(ipd_calls)) == (stfts * n_blocks, ipds * n_blocks)
+    assert computed == [["ipd", "mag"] if ipds else []] * n_blocks
+
+
+def test_block_features_mag_is_computed_once_on_first_read():
+    block = np.random.default_rng(4).normal(size=(2, 4000))
+    feats = block_features(block, STFT)
+    assert "mag" not in feats.__dict__
+    first = feats.mag
+    assert feats.mag is first
+    assert first.tobytes() == np.abs(stft(block[0], STFT)).tobytes()
 
 
 def test_block_features_ipd_is_computed_once_on_first_read(monkeypatch):
@@ -603,7 +623,8 @@ def test_decode_rejects_block_shorter_than_stft_window(block_len_s, block_n):
 
 @pytest.mark.parametrize("name, value", [("sample_rate", 8000.5), ("sample_rate", 0),
                                          ("sample_rate", np.nan), ("n_samples", 16000.5),
-                                         ("n_samples", -1), ("n_samples", np.inf)])
+                                         ("n_samples", -1), ("n_samples", np.inf),
+                                         ("sample_rate", True), ("n_samples", True)])
 def test_session_rejects_a_rate_or_length_that_is_no_whole_number(name, value):
     # a rate of 8000.5 once decoded every block and failed in finish(); a
     # length of 16000.5 failed in np.zeros at the first push
@@ -900,6 +921,26 @@ def test_every_loop_updates_the_residual_as_clip_of_residual_minus_mask():
                 clipped[loop] += bool((residual - mask < 0).any())
     assert session.consistency_log == [(1, True)]
     assert all(clipped.values()), clipped
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_subtract_mask_equals_the_clip_bytewise(seed):
+    # the step applies only the floor; with R in [+0, 1] and M in [0, 1],
+    # -0.0 bins included, that is np.clip(R - M, 0, 1) byte for byte
+    rng = np.random.default_rng(seed)
+    shape = (40, 17)
+    residual = rng.uniform(0.0, 1.0, shape)
+    residual[rng.random(shape) < 0.2] = 0.0
+    residual[rng.random(shape) < 0.2] = 1.0
+    for _ in range(5):
+        mask = rng.uniform(0.0, 1.0, shape)
+        for value in (0.0, 1.0, -0.0):
+            mask[rng.random(shape) < 0.15] = value
+        mask[residual == 0.0] = -0.0  # +0 - (-0) is +0
+        expected = np.clip(residual - mask, 0.0, 1.0)
+        decoding._subtract_mask(residual, mask)
+        assert residual.tobytes() == expected.tobytes()
+        assert (residual == 0.0).any() and not np.signbit(residual).any()
 
 
 @pytest.mark.parametrize("bins", [(-0.5, 1.5, np.inf), (-0.5,), (1.5,), (np.inf,)])

@@ -9,6 +9,7 @@ from blocksep.dsp import (
     StftConfig,
     apply_mask,
     blocks,
+    check_positive_whole,
     ipd,
     istft,
     make_window,
@@ -125,6 +126,12 @@ def test_istft_zero():
     assert out.size == 9 * 64 + 256
 
 
+def test_istft_rejects_a_spectrogram_with_no_frames():
+    # no frames once gave window_len - hop zeros from no input
+    with pytest.raises(ValueError, match="no frames"):
+        istft(np.zeros((0, 129), dtype=complex), StftConfig())
+
+
 def test_istft_rejects_non_cola():
     cfg = StftConfig(window_len=256, hop=96, window="sqrt_hann")
     with pytest.raises(ValueError, match="overlap-add"):
@@ -174,16 +181,20 @@ def _istft_per_frame_loop(spec, cfg):
 
 
 # (256, 3) and (256, 5) are COLA-valid with a hop that does not divide the
-# window, so the last overlap-add slab is partly padding.
+# window, so the last overlap-add slab is partly padding.  (256, 256) rect
+# has one frame per sample (k = 1) and (256, 128) is the training STFT.
 @pytest.mark.parametrize("cfg", [StftConfig(), StftConfig(256, 3, "hann"),
-                                 StftConfig(256, 5, "hann")])
+                                 StftConfig(256, 5, "hann"),
+                                 StftConfig(256, 256, "rect"), StftConfig(256, 128)])
 def test_istft_matches_per_frame_overlap_add(cfg):
     rng = np.random.default_rng(3)
     spec = stft(rng.normal(size=2000), cfg)
-    # also frame counts below the number of frames a sample overlaps
-    for n_frames in (spec.shape[0], 2, 1):
+    # k frames overlap each interior sample; also frame counts around k, where
+    # the periods that every frame overlaps first appear, and below it
+    k = -(-cfg.window_len // cfg.hop)
+    for n_frames in {spec.shape[0], 2, 1, k - 1, k, k + 1} - {0}:
         got = istft(spec[:n_frames], cfg)
-        assert np.array_equal(got, _istft_per_frame_loop(spec[:n_frames], cfg))
+        assert got.tobytes() == _istft_per_frame_loop(spec[:n_frames], cfg).tobytes()
 
 
 def _interior_roundtrip_error(x, cfg):
@@ -388,3 +399,11 @@ def test_audio_signal_invariants():
     assert sig.duration == pytest.approx(2.0)
     for rate in (np.int64(8000), np.int32(8000)):
         assert AudioSignal(rate, np.zeros(16000)).duration == pytest.approx(2.0)
+
+
+def test_a_bool_is_no_whole_number():
+    # AudioSignal(True, x) once kept sample_rate=True
+    with pytest.raises(ValueError, match="rate must be a positive whole number"):
+        check_positive_whole("rate", True)
+    with pytest.raises(ValueError, match="sample_rate must be a positive whole number"):
+        AudioSignal(True, np.zeros(10))

@@ -103,6 +103,15 @@ def test_oracle_probe_tie_goes_to_the_last_speaker_id():
     assert np.allclose(z, speaker_embedding("bob"))
 
 
+def test_block_truth_reduces_each_source_mask_to_its_mean_once():
+    _, s1, s2, noise = _oracle_fixture()
+    truth = block_truth(noise, {"alice": s1, "bob": s2, "carl": np.zeros_like(s1)})
+    assert sorted(truth.means) == ["alice", "bob", "carl"]
+    for s, mask in truth.irms.items():
+        assert truth.means[s] == float(mask.mean())
+    assert truth.active == ["alice", "bob"]
+
+
 def test_oracle_block_index_validation():
     est, *_ = _oracle_fixture()
     with pytest.raises(ValueError, match="block index"):

@@ -46,7 +46,9 @@ def test_config_validation():
             TrainConfig(learning_rate=bad)
     # batch_size=2.5 once stepped Adam once per epoch on 4 samples, not twice;
     # epochs=2.5 failed inside train
-    for name, bad in (("batch_size", 2.5), ("epochs", 2.5), ("batch_size", np.nan)):
+    # and True once stood for 1
+    for name, bad in (("batch_size", 2.5), ("epochs", 2.5), ("batch_size", np.nan),
+                      ("epochs", True), ("batch_size", True)):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             TrainConfig(**{name: bad})
 

@@ -4,14 +4,14 @@ The network is unrolled over a meeting's blocks and extraction iterations:
 iteration 0 of every block targets the noise magnitude, known speaker slots
 keep their fixed targets (zeros while the speaker is silent), and newly
 appearing sources are matched to the remaining iterations by the
-permutation-invariant loss.  With teacher forcing (the default) the residual
-recursion consumes ideal-ratio masks computed from the references instead of
-the network's own estimates; embeddings always chain across blocks.
+permutation-invariant loss.  The residual recursion is teacher-forced: it
+takes the decoder's residual step, but with the ideal ratio masks of the
+references, not the network's own estimates.  Embeddings chain across
+blocks.
 
-Under teacher forcing no slot of a block depends on another, so a block's
-slots run in lockstep: one batched forward and one batched backward per
-block, kept as one record.  Without it each slot needs the previous slot's
-mask, so each slot is its own forward, backward and record.
+No slot of a block then depends on another, so a block's slots run in
+lockstep: one batched forward and one batched backward per block, kept as
+one record.
 """
 
 import numbers
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decoding import block_features
+from .decoding import _subtract_mask, block_features
 from .dsp import StftConfig, block_samples, blocks
 # Only for the benchmark, which wraps these names; features run through ``decoding``.
 from .dsp import ipd, stft  # noqa: F401
@@ -41,7 +41,6 @@ class TrainConfig:
     epochs: int = 30
     batch_size: int = 8  # excerpts accumulated per optimizer step
     weights: LossWeights = field(default_factory=LossWeights)
-    teacher_forcing: bool = True
     seed: int = 0
     stft: StftConfig = field(default_factory=lambda: StftConfig(256, 128))
 
@@ -100,16 +99,18 @@ def build_train_sample(rendered, stft_cfg: StftConfig, block_len_s: float,
 def check_sample(sample: TrainSample, bins: int):
     """Reject a sample that :func:`unroll` cannot run on a model of ``bins``
     bins, naming it, and the block where one is at fault: magnitudes, IPDs
-    and truth records of different block counts, more than ``MAX_BLOCKS``
-    blocks, more than ``MAX_SLOTS`` slots (the noise slot plus every source
-    active in some block, since slots never close), an IPD plane or a
-    ground-truth magnitude or mask of another shape than its block's
-    magnitudes, or blocks of another bin count."""
+    and truth records of different block counts, no blocks, more than
+    ``MAX_BLOCKS`` blocks, more than ``MAX_SLOTS`` slots (the noise slot plus
+    every source active in some block, since slots never close), an IPD
+    plane or a ground-truth magnitude or mask of another shape than its
+    block's magnitudes, or blocks of another bin count."""
     name = f"sample {sample.sample_id!r}"
     counts = (len(sample.mags), len(sample.ipds), len(sample.truth))
     if len(set(counts)) > 1:
         raise ValueError(f"{name} has {counts[0]} blocks of magnitudes, {counts[1]} "
                          f"of IPD and {counts[2]} of truth")
+    if sample.n_blocks == 0:
+        raise ValueError(f"{name} has no blocks")
     if sample.n_blocks > MAX_BLOCKS:
         raise ValueError(f"{name} has {sample.n_blocks} blocks, cap is {MAX_BLOCKS}")
     n_slots = 1 + len(set().union(*(truth.active for truth in sample.truth)))
@@ -131,12 +132,11 @@ def check_sample(sample: TrainSample, bins: int):
 
 @dataclass
 class _IterationRecord:
-    """One ``net.forward`` call of a block: its slots, in order, are the rows
+    """A block's one ``net.forward`` call: its slots, in order, are the rows
     of the call's slot axis."""
 
     slots: list
     cache: object  # MaskNet.IterationCache
-    gate: np.ndarray | None  # clip pass-through region; None under teacher forcing
 
 
 @dataclass
@@ -145,28 +145,29 @@ class UnrollResult:
     masks: dict  # (block, slot) -> mask
     embeddings: dict  # (block, slot) -> embedding
     targets: list
-    records: list = field(default_factory=list)  # per block: [_IterationRecord], in order
+    records: list = field(default_factory=list)  # per block: _IterationRecord
     contexts: list = field(default_factory=list)  # per block: BlockContext
 
 
 def _new_source_order(truth, new_sources):
-    means = {s: float(truth.irms[s].mean()) for s in new_sources}
-    return sorted(new_sources, key=lambda s: (-means[s], s))
+    return sorted(new_sources, key=lambda s: (-truth.means[s], s))
 
 
 def _teacher_forced_residuals(truth, order, slot_source, shape, dtype):
     """The residual each slot of ``order`` reads under teacher forcing, as
     (len(order), T, F): ones, minus the ideal masks of the noise and of each
-    active source extracted before it, clipped to [0, 1] after each step."""
+    active source extracted before it, one float64 buffer stepped in place
+    by the decoder's R <- clip(R - M, 0, 1).  Ideal masks lie in [0, 1] and
+    are never -0.0, which that step's floor-only form needs."""
     out = np.empty((len(order),) + shape, dtype=dtype)
     residual = np.ones(shape)
     for i, slot in enumerate(order):
         out[i] = residual
         if slot == 0:
-            residual = np.clip(residual - truth.noise_irm, 0.0, 1.0)
+            _subtract_mask(residual, truth.noise_irm)
         elif slot_source[slot] in truth.active:
             # a silent source leaves the residual
-            residual = np.clip(residual - truth.irms[slot_source[slot]], 0.0, 1.0)
+            _subtract_mask(residual, truth.irms[slot_source[slot]])
     return out
 
 
@@ -175,12 +176,10 @@ def unroll(sample: TrainSample, net: MaskNet, cfg: TrainConfig) -> UnrollResult:
 
     Each block's features are prepared once.  Iteration counts come from the
     ground truth: one noise iteration plus one per active-or-known source.
-    With teacher forcing, a slot's residual comes from the ground truth and
-    its ``z_prev`` from the previous block, so no slot of a block waits for
-    another: the block's residuals are built first and all its slots run in
-    one batched ``net.forward``, kept as one record.  Without it, each slot
-    reads the residual the previous slot's mask left, so the slots run one
-    by one, one record each with its clip gate.  The block contexts and
+    A slot's residual comes from the ground truth and its ``z_prev`` from
+    the previous block, so no slot of a block waits for another: the block's
+    residuals are built first and all its slots run in one batched
+    ``net.forward``, kept as the block's one record.  The block contexts and
     records are kept for :func:`unroll_backward`.  A sample that
     :func:`check_sample` rejects raises ``ValueError``.
     """
@@ -220,25 +219,12 @@ def unroll(sample: TrainSample, net: MaskNet, cfg: TrainConfig) -> UnrollResult:
         ctx = net.prepare_block(mag, feat)
         contexts.append(ctx)
         z_prevs = np.array([prev_z.get(slot, zero_z) for slot in order], dtype=dt)
-        if cfg.teacher_forcing:
-            residuals = _teacher_forced_residuals(truth, order, slot_source,
-                                                  mag.shape, dt)
-            _, _, cache = net.forward(ctx, residuals, z_prevs)
-            block_records = [_IterationRecord(order, cache, None)]
-        else:
-            block_records = []
-            residual = np.ones_like(mag)
-            for i, slot in enumerate(order):
-                mask, _, cache = net.forward(ctx, residual[None], z_prevs[i:i + 1])
-                pre_clip = residual - mask[0]
-                gate = ((pre_clip > 0.0) & (pre_clip < 1.0)).astype(mask.dtype)
-                residual = np.clip(pre_clip, 0.0, 1.0)
-                block_records.append(_IterationRecord([slot], cache, gate))
-        for rec in block_records:
-            for i, slot in enumerate(rec.slots):
-                masks[(b, slot)] = rec.cache.mask[i]
-                embeddings[(b, slot)] = rec.cache.z_out[i]
-        records.append(block_records)
+        residuals = _teacher_forced_residuals(truth, order, slot_source, mag.shape, dt)
+        _, _, cache = net.forward(ctx, residuals, z_prevs)
+        records.append(_IterationRecord(order, cache))
+        for i, slot in enumerate(order):
+            masks[(b, slot)] = cache.mask[i]
+            embeddings[(b, slot)] = cache.z_out[i]
         prev_z = {slot: embeddings[(b, slot)] for slot in order}
 
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x54524950]))
@@ -249,38 +235,26 @@ def unroll(sample: TrainSample, net: MaskNet, cfg: TrainConfig) -> UnrollResult:
 def unroll_backward(result: UnrollResult, net: MaskNet) -> dict:
     """Backpropagate the unrolled loss into parameter gradients.
 
-    Walks blocks and records in reverse, one ``net.backward`` per record:
-    one per block under teacher forcing, one per slot without it.  A
-    record's mask and embedding gradients are stacked along its slot axis
-    in the network dtype.  Embedding gradients chain across blocks by slot:
+    Walks the blocks in reverse, one ``net.backward`` per block.  A block's
+    mask and embedding gradients are stacked along its record's slot axis in
+    the network dtype.  Embedding gradients chain across blocks by slot:
     every slot known before a block runs in it, so a slot's ``z_prev`` in
-    block b is its embedding from block b - 1.  Where a record holds a clip
-    gate (teacher forcing off), residual gradients chain through the clip
-    recursion within the block.
+    block b is its embedding from block b - 1.  The residuals come from the
+    ground truth, so no gradient flows into them.
     """
     dt = net.params.dtype
     grads = net.params.zeros_like()
     z_next = {}  # slot -> gradient w.r.t. its embedding, from the next block
     for b in range(len(result.records) - 1, -1, -1):
-        ctx = result.contexts[b]
-        d_static_pre = np.zeros_like(ctx.static_pre)
-        z_here = {}
-        carry = None  # gradient w.r.t. the residual produced by the record
-        for rec in reversed(result.records[b]):
-            d_mask = np.array([result.loss.mask_grads[(b, slot)] for slot in rec.slots],
-                              dtype=dt)
-            d_z = np.zeros((len(rec.slots), net.embed_dim), dtype=dt)
-            for row, slot in zip(d_z, rec.slots):
-                row[...] = result.loss.emb_grads.get((b, slot), 0.0) + z_next.get(slot, 0.0)
-            if carry is not None:
-                d_mask -= carry * rec.gate
-            d_residual, d_z_prev, d_pre = net.backward(rec.cache, d_mask, d_z, grads)
-            d_static_pre += d_pre
-            z_here.update(zip(rec.slots, d_z_prev))
-            if rec.gate is not None:
-                carry = d_residual if carry is None else d_residual + carry * rec.gate
+        rec, ctx = result.records[b], result.contexts[b]
+        d_mask = np.array([result.loss.mask_grads[(b, slot)] for slot in rec.slots],
+                          dtype=dt)
+        d_z = np.zeros((len(rec.slots), net.embed_dim), dtype=dt)
+        for row, slot in zip(d_z, rec.slots):
+            row[...] = result.loss.emb_grads.get((b, slot), 0.0) + z_next.get(slot, 0.0)
+        _, d_z_prev, d_static_pre = net.backward(rec.cache, d_mask, d_z, grads)
         net.finish_block_backward(ctx, d_static_pre, grads)
-        z_next = z_here
+        z_next = dict(zip(rec.slots, d_z_prev))
     return grads
 
 
@@ -327,12 +301,12 @@ def train(dataset, cfg: TrainConfig, params: ModelParams | None = None):
     decode can check it.  Each epoch shuffles the samples with a seed
     derived from (``cfg.seed``, epoch) and steps Adam every ``batch_size``
     samples; Adam's moments start from zero on every call.  Deterministic
-    given (dataset order, config).  Before the first step it rejects, with
-    ``ValueError``, a model whose recorded STFT settings differ from
-    ``cfg.stft`` (a model that records none is not checked) and every sample
-    :func:`check_sample` rejects.  Aborts on a non-finite loss, naming the
-    offending sample.  Returns the trained parameters and one
-    :class:`EpochStats` per epoch.
+    given (dataset order, config) at one BLAS thread count.  Before the
+    first step it rejects, with ``ValueError``, a model whose recorded STFT
+    settings differ from ``cfg.stft`` (a model that records none is not
+    checked) and every sample :func:`check_sample` rejects.  Aborts on a
+    non-finite loss, naming the offending sample.  Returns the trained
+    parameters and one :class:`EpochStats` per epoch.
     """
     items = list(dataset)
     if not items:

@@ -59,7 +59,6 @@ def tiny_config(**kw):
         epochs=1,
         batch_size=1,
         weights=LossWeights(alpha=0.3, beta=0.4, delta=0.2),
-        teacher_forcing=True,
         seed=0,
         stft=StftConfig(14, 7),  # 8 bins, matching the synthetic samples
     )
@@ -112,9 +111,9 @@ def instance_is_safe(result, margin=1e-3):
 
 def slot_residuals(result, b):
     """(slot, residual it read) for each slot of block ``b`` of an unroll, in
-    the order the slots ran, whether a record holds one slot or a block's."""
-    return [(slot, rec.cache.residual[i]) for rec in result.records[b]
-            for i, slot in enumerate(rec.slots)]
+    the order the slots ran."""
+    rec = result.records[b]
+    return [(slot, rec.cache.residual[i]) for i, slot in enumerate(rec.slots)]
 
 
 def run_unroll(sample, params, cfg):

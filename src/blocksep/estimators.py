@@ -314,15 +314,16 @@ class BlockContext:
 @dataclass
 class IterationCache:
     """What ``MaskNet.backward`` reads of one ``forward`` call, ([B,]) being
-    the call's optional slot axis."""
+    the call's optional slot axis.  The heads' ([B,] T, 2H) input, a
+    permuted copy of ``states``, is not kept: ``backward`` rebuilds it,
+    byte-equal, with :func:`_hidden_concat`."""
 
-    residual: np.ndarray  # ([B,] T, F)
-    z_prev: np.ndarray  # ([B,] D)
-    p: np.ndarray  # ([B,] T, P)
+    residual: np.ndarray  # ([B,] T, F) residual mask the call read
+    z_prev: np.ndarray  # ([B,] D) previous embedding the call read
+    p: np.ndarray  # ([B,] T, P) tanh of the input projection
     states: np.ndarray  # (T, [B,] 2H): forward states | time-reversed backward states
-    hcat: np.ndarray  # ([B,] T, 2H)
     mask: np.ndarray  # ([B,] T, F)
-    z_out: np.ndarray  # ([B,] D)
+    z_out: np.ndarray  # ([B,] D) unit-norm embedding
     inv_norm: np.ndarray  # ([B,]) reciprocal norm of each embedding
 
 
@@ -349,6 +350,14 @@ def _join(a, b):
     out[..., :a.shape[-1]] = a
     out[..., a.shape[-1]:] = b
     return out
+
+
+def _hidden_concat(states, h):
+    """The heads' input from the kernel's (T, [B,] 2H) ``states``: each
+    frame's forward state beside its backward state, as a new C-ordered
+    ([B,] T, 2H) array."""
+    s = np.moveaxis(states, 0, -2)
+    return _join(s[..., :h], np.flip(s[..., h:], -2))
 
 
 class MaskNet:
@@ -412,15 +421,14 @@ class MaskNet:
         x = _join(_time_major(xf), _time_major(xb)[::-1])
         states = kernels.rnn_seq_forward(x, _joint_recurrence_weight(a),
                                          np.zeros(x.shape[1:], dtype=dt))
-        s = np.moveaxis(states, 0, -2)
-        hcat = _join(s[..., :h], np.flip(s[..., h:], -2))
+        hcat = _hidden_concat(states, h)
         mask = expit(hcat @ a["w_mask"] + a["b_mask"])
         pooled = hcat.mean(axis=-2)
         e = pooled @ a["w_embed"] + a["b_embed"]
         # norms in float64, then one cast, so float32 tensors stay float32
         inv_norm = (1.0 / np.sqrt(_row_dots(e, e) + 1e-12)).astype(dt)
         z_out = e * inv_norm[..., None]
-        cache = IterationCache(r, z, p, states, hcat, mask, z_out, inv_norm)
+        cache = IterationCache(r, z, p, states, mask, z_out, inv_norm)
         return mask, z_out, cache
 
     def backward(self, cache: IterationCache, d_mask: np.ndarray,
@@ -429,56 +437,70 @@ class MaskNet:
 
         ``d_mask`` and ``d_z_out`` are shaped like the call's mask and
         embedding: (T, F) and (D,), or (B, T, F) and (B, D) with one row per
-        slot.  Returns (d_residual, d_z_prev, d_static_pre) to chain
-        gradients through the residual recursion, across blocks and into the
-        block's projection; the first two keep the slot axis, and
-        d_static_pre (T, P) is summed over it.
+        slot.  Returns (d_z_prev, d_static_pre) to chain gradients across
+        blocks and into the block's projection: d_z_prev keeps the slot
+        axis, d_static_pre (T, P) is summed over it.  No gradient flows into
+        the residual; its every reader takes it from the ground truth.
+        Each intermediate is dropped once its last reader has run.
         """
         a = self.params.arrays
         dt = self.params.dtype
-        t_len = cache.hcat.shape[-2]
+        h = self.params.hidden
+        t_len = cache.states.shape[0]
         d_mask = np.asarray(d_mask, dtype=dt)
         d_z_out = np.asarray(d_z_out, dtype=dt)
+        hcat = _hidden_concat(cache.states, h)
 
         # embedding head (through the L2 normalization)
         along = _row_dots(cache.z_out, d_z_out).astype(dt)
         d_e = (d_z_out - cache.z_out * along[..., None]) * cache.inv_norm[..., None]
-        pooled = cache.hcat.mean(axis=-2)
+        pooled = hcat.mean(axis=-2)
         grads["w_embed"] += _rows(pooled).T @ _rows(d_e)
         grads["b_embed"] += _rows(d_e).sum(axis=0)
 
         # mask head; the pooled embedding's gradient reaches every frame
-        d_mask_pre = d_mask * cache.mask * (1.0 - cache.mask)
-        grads["w_mask"] += _rows(cache.hcat).T @ _rows(d_mask_pre)
+        d_mask_pre = d_mask * cache.mask
+        d_mask_pre *= 1.0 - cache.mask
+        grads["w_mask"] += _rows(hcat).T @ _rows(d_mask_pre)
+        del hcat
         grads["b_mask"] += _rows(d_mask_pre).sum(axis=0)
-        d_hcat = (d_mask_pre @ a["w_mask"].T
-                  + ((d_e @ a["w_embed"].T) / t_len)[..., None, :])
+        d_hcat = d_mask_pre @ a["w_mask"].T
+        del d_mask_pre
+        d_hcat += ((d_e @ a["w_embed"].T) / t_len)[..., None, :]
 
         # the recurrence in the kernel's time-major layout
-        h = self.params.hidden
-        d_x = kernels.rnn_seq_backward(
-            cache.states, _joint_recurrence_weight(a),
-            _join(_time_major(d_hcat[..., :h]), _time_major(d_hcat[..., h:])[::-1]))
+        d_in = _join(_time_major(d_hcat[..., :h]), _time_major(d_hcat[..., h:])[::-1])
+        del d_hcat
+        d_x = kernels.rnn_seq_backward(cache.states, _joint_recurrence_weight(a), d_in)
+        del d_in
         prev = np.concatenate([np.zeros_like(cache.states[:1]), cache.states[:-1]])
         grads["w_hf"] += _rows(prev[..., :h]).T @ _rows(d_x[..., :h])
         grads["w_hb"] += _rows(prev[..., h:]).T @ _rows(d_x[..., h:])
+        del prev
         d_xf = np.ascontiguousarray(np.moveaxis(d_x[..., :h], 0, -2))
         d_xb = np.ascontiguousarray(np.moveaxis(d_x[::-1, ..., h:], 0, -2))
+        del d_x
         p_rows = _rows(cache.p)
         grads["w_xf"] += p_rows.T @ _rows(d_xf)
         grads["b_f"] += _rows(d_xf).sum(axis=0)
         grads["w_xb"] += p_rows.T @ _rows(d_xb)
         grads["b_b"] += _rows(d_xb).sum(axis=0)
 
-        d_p = d_xf @ a["w_xf"].T + d_xb @ a["w_xb"].T
-        d_pre = d_p * (1.0 - cache.p * cache.p)
+        d_pre = d_xf @ a["w_xf"].T
+        del d_xf
+        d_pre += d_xb @ a["w_xb"].T
+        del d_xb
+        # times tanh's slope, 1 - p^2, in place
+        tanh_slope = np.multiply(cache.p, cache.p)
+        np.subtract(1.0, tanh_slope, out=tanh_slope)
+        d_pre *= tanh_slope
+        del tanh_slope
         grads["w_res"] += _rows(cache.residual).T @ _rows(d_pre)
         d_pre_sum = d_pre.sum(axis=-2)
         grads["w_emb_in"] += _rows(cache.z_prev).T @ _rows(d_pre_sum)
-        d_residual = d_pre @ a["w_res"].T
         d_z_prev = d_pre_sum @ a["w_emb_in"].T
         d_static_pre = d_pre.reshape(-1, *d_pre.shape[-2:]).sum(axis=0)
-        return d_residual, d_z_prev, d_static_pre
+        return d_z_prev, d_static_pre
 
     def finish_block_backward(self, ctx: BlockContext, d_static_pre, grads: dict):
         grads["w_static"] += ctx.features.T @ d_static_pre

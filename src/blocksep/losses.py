@@ -2,10 +2,15 @@
 the permutation-variant noise term, the residual hinge that drives source
 counting, and the cosine triplet loss over speaker embeddings.
 
-All functions return the loss together with analytic gradients with respect
-to their direct inputs (masks, embeddings).  Gradients are keyed by
+:func:`total_loss` returns the weighted loss together with analytic
+gradients with respect to its direct inputs (masks, embeddings), keyed by
 ``(block, slot)`` where slot 0 is the noise slot and slots >= 1 are speaker
-slots.  The hinge subgradient at the kink is 0 (one-sided).
+slots.  It runs one block at a time, composing the per-block pieces
+:func:`mmse_partial_pit` (the speaker targets) and :func:`resmask_loss`
+(the hinge) with the permutation-variant noise term: each mask's gradient
+is built once, in place, and stored in the mask's own dtype, and no
+per-mask array outlives its block but the gradient.  The hinge subgradient at the kink is 0
+(one-sided).
 """
 
 from dataclasses import dataclass, field
@@ -45,99 +50,76 @@ def _sq(err):
     return float(np.sum(err * err))
 
 
-def mmse_partial_pit(masks, mixes, targets):
-    """Utterance-level masked MSE over speaker slots, permutation-invariant
-    only for newly appearing sources.
+def mmse_partial_pit(masks, mix, tgt):
+    """One block's speaker targets, permutation-invariant only for newly
+    appearing sources.
 
     Args:
-        masks: {(block, slot): (T, F)} with slot >= 1 (the noise slot is
-            handled by :func:`noise_mmse`).
-        mixes: per-block mixture magnitudes.
-        targets: per-block :class:`BlockTargets`.  Known slots keep their
+        masks: {slot: (T, F)} the block's speaker masks, slots >= 1 (the
+            noise slot's target is always the block's noise magnitude).
+        mix: the block's mixture magnitude.
+        tgt: the block's :class:`BlockTargets`.  Known slots keep their
             targets and are never re-permuted, matching the slot-persistence
-            rule; each block's new slots and new sources must match in number.
+            rule; the block's new slots and new sources must match in number.
     Returns:
-        (loss, assignment, grads) where grads maps (block, slot) to the
-        gradient w.r.t. that mask.  The new-source assignment minimizes the
-        summed squared error by a linear assignment.
+        (assignment, targets): the source id of each new slot, and a
+        (slot, target magnitude) pair per speaker slot, known slots first,
+        each group in slot order: the order the loss sums their errors.  The
+        new-source assignment minimizes the summed squared error by a linear
+        assignment.
     """
+    slots = sorted(masks)
+    new_slots = [s for s in slots if s not in tgt.known]
+    if len(tgt.new_sources) > len(new_slots):
+        raise ValueError("more new sources than free slots")
+    if len(tgt.new_sources) < len(new_slots):
+        raise ValueError("more new slots than new sources")
+    targets = [(s, tgt.known[s]) for s in slots if s in tgt.known]
     assignment = {}
-    errors = {}
-    for b, (mix, tgt) in enumerate(zip(mixes, targets)):
-        block_slots = sorted(slot for (bb, slot) in masks if bb == b and slot >= 1)
-        new_slots = [s for s in block_slots if s not in tgt.known]
-        if len(tgt.new_sources) > len(new_slots):
-            raise ValueError("more new sources than free slots")
-        if len(tgt.new_sources) < len(new_slots):
-            raise ValueError("more new slots than new sources")
-        for slot in block_slots:
-            if slot in tgt.known:
-                errors[(b, slot)] = masks[(b, slot)] * mix - tgt.known[slot]
-        if new_slots:
-            est = [masks[(b, s)] * mix for s in new_slots]
-            cost = np.array([[_sq(e - ref) for _, ref in tgt.new_sources]
-                             for e in est])
-            # A non-finite cost would stop the solver; the loss stays non-finite.
-            rows, cols = linear_sum_assignment(np.where(np.isfinite(cost), cost, 0.0))
-            for i, j in zip(rows, cols):
-                src_id, ref = tgt.new_sources[j]
-                assignment[new_slots[i]] = src_id
-                errors[(b, new_slots[i])] = est[i] - ref
-    if not errors:
-        return 0.0, assignment, {}
-    total = 0.0  # not sum(): it compensates from Python 3.12 on
-    for err in errors.values():
-        total += _sq(err)
-    n_inst = len(errors)
-    loss = total / n_inst
-    grads = {(b, slot): (2.0 / n_inst) * mixes[b] * err
-             for (b, slot), err in errors.items()}
-    return loss, assignment, grads
+    if new_slots:
+        cost = np.empty((len(new_slots), len(tgt.new_sources)))
+        for i, s in enumerate(new_slots):
+            est = masks[s] * mix
+            cost[i] = [_sq(est - ref) for _, ref in tgt.new_sources]
+        # A non-finite cost would stop the solver; the loss stays non-finite.
+        rows, cols = linear_sum_assignment(np.where(np.isfinite(cost), cost, 0.0))
+        for i, j in zip(rows, cols):
+            src_id, ref = tgt.new_sources[j]
+            assignment[new_slots[i]] = src_id
+            targets.append((new_slots[i], ref))
+    return assignment, targets
 
 
-def noise_mmse(masks, mixes, targets):
-    """Permutation-variant masked MSE for the noise slot (slot 0, every block)."""
-    n_blocks = len(mixes)
-    total = 0.0
-    grads = {}
-    for b, (mix, tgt) in enumerate(zip(mixes, targets)):
-        if (b, 0) not in masks:
-            raise ValueError(f"missing noise mask for block {b}")
-        if tgt.noise is None:
-            raise ValueError(f"missing noise target for block {b}")
-        err = masks[(b, 0)] * mix - tgt.noise
-        total += _sq(err)
-        grads[(b, 0)] = (2.0 / n_blocks) * mix * err
-    return total / n_blocks, grads
+def resmask_loss(masks):
+    """Hinge pushing one block's per-bin mask sum to cover the block:
+    the sum over bins of max(1 - sum_i mask_i, 0), for ``masks`` the block's
+    masks in slot order.
+
+    Returns the loss and its gradient, the same for every mask of the block:
+    a float64 array of -1 where the hinge is active, else 0."""
+    s = np.zeros_like(masks[0])
+    for m in masks:
+        s = s + m
+    deficit = np.subtract(1.0, s, out=s)
+    active = deficit > 0
+    return float(deficit[active].sum()), np.where(active, -1.0, 0.0)
 
 
-def resmask_loss(masks, n_blocks):
-    """Hinge pushing per-bin mask sums to cover the whole block:
-    sum over blocks and bins of max(1 - sum_i mask_i, 0).
-
-    The masks of a block share one read-only gradient array."""
-    total = 0.0
-    grads = {}
-    for b in range(n_blocks):
-        block_keys = sorted(k for k in masks if k[0] == b)
-        if not block_keys:
-            raise ValueError(f"block {b} has no masks")
-        s = np.zeros_like(masks[block_keys[0]])
-        for k in block_keys:
-            s = s + masks[k]
-        deficit = 1.0 - s
-        active = deficit > 0
-        total += float(deficit[active].sum())
-        g = np.where(active, -1.0, 0.0)
-        g.flags.writeable = False  # one gradient shared by the block's masks
-        for k in block_keys:
-            grads[k] = g
-    return total, grads
+def _mask_grad(mask, mix, target, scale, hinge):
+    """A masked MSE term's squared error and the mask's whole gradient:
+    ``hinge`` + ``scale`` * err for err = mask * |X| - target, ``scale``
+    holding (2/n)|X|.  The gradient is built in the float64 error's buffer
+    and returned in the mask's dtype."""
+    err = mask * mix - target
+    sq = _sq(err)
+    err *= scale
+    err += hinge
+    return sq, err.astype(mask.dtype, copy=False)
 
 
-def _cosine_with_grads(a, b):
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
+def _cosine_with_grads(a, b, na, nb):
+    """Cosine of ``a`` and ``b``, whose norms are ``na`` and ``nb``, and its
+    gradients with respect to both."""
     s = float(np.dot(a, b) / (na * nb))
     da = b / (na * nb) - s * a / (na * na)
     db = a / (na * nb) - s * b / (nb * nb)
@@ -157,8 +139,9 @@ def triplet_loss(embeddings, labels, delta, rng):
         (loss, grads keyed like ``embeddings``).
     """
     keys = sorted(embeddings)
+    norms = {k: np.linalg.norm(embeddings[k]) for k in keys}
     for k in keys:
-        if np.linalg.norm(embeddings[k]) < 1e-8:
+        if norms[k] < 1e-8:
             raise ValueError(f"zero-norm embedding at {k}")
     triplets = []
     for a in keys:
@@ -177,7 +160,8 @@ def triplet_loss(embeddings, labels, delta, rng):
 
     def cosine(a, b):
         if (a, b) not in cosines:
-            cosines[(a, b)] = _cosine_with_grads(embeddings[a], embeddings[b])
+            cosines[(a, b)] = _cosine_with_grads(embeddings[a], embeddings[b],
+                                                 norms[a], norms[b])
         return cosines[(a, b)]
 
     for a, p, n in triplets:
@@ -194,6 +178,9 @@ def triplet_loss(embeddings, labels, delta, rng):
 
 @dataclass
 class TotalLoss:
+    """The weighted loss, its terms and its gradients.  Each mask gradient
+    has its mask's dtype: float32 for the default network."""
+
     total: float
     mmse: float  # speaker term + noise term combined
     resmask: float
@@ -206,15 +193,52 @@ class TotalLoss:
 def total_loss(masks, mixes, targets, embeddings, weights: LossWeights, rng):
     """Weighted multi-task objective over one unrolled sample.
 
-    Speaker slots take their triplet labels from the permutation-invariant
-    assignment.  Noise-slot embeddings are excluded from the triplet term;
-    ``rng`` samples its triplets beyond ``TRIPLET_CAP``.  Every mask gets a
-    gradient.
+    Runs block by block: each block's speaker targets
+    (:func:`mmse_partial_pit`), noise term (slot 0 against the block's
+    noise magnitude) and hinge (:func:`resmask_loss`) are taken together,
+    and each of its masks gets its whole gradient at once, alpha * hinge +
+    (2/n)|X| * err, built in the float64 error's buffer and stored in the
+    mask's dtype.  n is the
+    block count for the noise slot and the speaker-mask count for a speaker
+    slot; ``mixes`` are float64.  Speaker slots take their triplet labels
+    from the permutation-invariant assignment.  Noise-slot embeddings are
+    excluded from the triplet term; ``rng`` samples its triplets beyond
+    ``TRIPLET_CAP``.  Every mask gets a gradient.
     """
-    spk_masks = {k: v for k, v in masks.items() if k[1] >= 1}
-    l_spk, assignment, g_spk = mmse_partial_pit(spk_masks, mixes, targets)
-    l_noise, g_noise = noise_mmse(masks, mixes, targets)
-    l_res, g_res = resmask_loss(masks, len(mixes))
+    n_blocks = len(mixes)
+    if len(targets) != n_blocks:
+        raise ValueError(f"{len(targets)} block targets for {n_blocks} blocks")
+    by_block = [{} for _ in range(n_blocks)]
+    for (b, slot), mask in masks.items():
+        if not 0 <= b < n_blocks:
+            raise ValueError(f"mask {(b, slot)} lies outside the {n_blocks} blocks")
+        by_block[b][slot] = mask
+    n_spk = sum(slot >= 1 for _, slot in masks)
+    # running float sums, not sum(): it compensates from Python 3.12 on
+    sq_spk = sq_noise = l_res = 0.0
+    assignment, mask_grads = {}, {}
+    for b, (block, mix, tgt) in enumerate(zip(by_block, mixes, targets)):
+        if not block:
+            raise ValueError(f"block {b} has no masks")
+        new, spk_targets = mmse_partial_pit(
+            {slot: m for slot, m in block.items() if slot >= 1}, mix, tgt)
+        if 0 not in block:
+            raise ValueError(f"missing noise mask for block {b}")
+        if tgt.noise is None:
+            raise ValueError(f"missing noise target for block {b}")
+        assignment.update(new)
+        loss, hinge = resmask_loss([block[slot] for slot in sorted(block)])
+        l_res += loss
+        hinge *= weights.alpha
+        sq, mask_grads[(b, 0)] = _mask_grad(block[0], mix, tgt.noise,
+                                            (2.0 / n_blocks) * mix, hinge)
+        sq_noise += sq
+        scale = (2.0 / n_spk) * mix if spk_targets else None
+        for slot, target in spk_targets:
+            sq, mask_grads[(b, slot)] = _mask_grad(block[slot], mix, target, scale, hinge)
+            sq_spk += sq
+    l_spk = sq_spk / n_spk if n_spk else 0.0
+    l_noise = sq_noise / n_blocks
 
     emb_labeled = {k: v for k, v in embeddings.items()
                    if k[1] >= 1 and k[1] in assignment}
@@ -222,14 +246,6 @@ def total_loss(masks, mixes, targets, embeddings, weights: LossWeights, rng):
     l_trip, g_trip = triplet_loss(emb_labeled, key_labels, weights.delta, rng)
 
     total = l_spk + l_noise + weights.alpha * l_res + weights.beta * l_trip
-    mask_grads = {}
-    for k in masks:
-        g = weights.alpha * g_res[k]
-        if k in g_spk:
-            g = g + g_spk[k]
-        if k in g_noise:
-            g = g + g_noise[k]
-        mask_grads[k] = g
     emb_grads = {k: weights.beta * g for k, g in g_trip.items()}
     return TotalLoss(total, l_spk + l_noise, l_res, l_trip, assignment,
                      mask_grads, emb_grads)

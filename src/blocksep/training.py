@@ -237,10 +237,12 @@ def unroll_backward(result: UnrollResult, net: MaskNet) -> dict:
 
     Walks the blocks in reverse, one ``net.backward`` per block.  A block's
     mask and embedding gradients are stacked along its record's slot axis in
-    the network dtype.  Embedding gradients chain across blocks by slot:
-    every slot known before a block runs in it, so a slot's ``z_prev`` in
-    block b is its embedding from block b - 1.  The residuals come from the
-    ground truth, so no gradient flows into them.
+    the network dtype, which the loss already stores the mask gradients in;
+    the mask stack lives only for its block's ``backward`` call.  Embedding
+    gradients chain across blocks by slot: every slot known before a block
+    runs in it, so a slot's ``z_prev`` in block b is its embedding from
+    block b - 1.  The residuals come from the ground truth, so no gradient
+    flows into them.
     """
     dt = net.params.dtype
     grads = net.params.zeros_like()
@@ -252,7 +254,8 @@ def unroll_backward(result: UnrollResult, net: MaskNet) -> dict:
         d_z = np.zeros((len(rec.slots), net.embed_dim), dtype=dt)
         for row, slot in zip(d_z, rec.slots):
             row[...] = result.loss.emb_grads.get((b, slot), 0.0) + z_next.get(slot, 0.0)
-        _, d_z_prev, d_static_pre = net.backward(rec.cache, d_mask, d_z, grads)
+        d_z_prev, d_static_pre = net.backward(rec.cache, d_mask, d_z, grads)
+        del d_mask
         net.finish_block_backward(ctx, d_static_pre, grads)
         z_next = dict(zip(rec.slots, d_z_prev))
     return grads

@@ -1,5 +1,9 @@
 import copy
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -35,6 +39,7 @@ from synthutil import GivenFeatures
 
 T, F = 20, 10
 CFG = DecoderConfig()
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _flat_features():
@@ -1084,3 +1089,40 @@ def test_build_train_sample_transient_memory_does_not_grow_with_length():
     meetings = [_noise_and_one_speaker(seconds) for seconds in (60.0, 300.0)]
     short, long = (_train_sample_transient_bytes(m) for m in meetings)
     assert abs(long - short) < 1e6
+
+
+# Decodes a 20 s profile-A meeting with a fixed-seed float32 network of the
+# default sizes, so that its products have the shapes of a real decode's,
+# and prints a digest of each stream, in slot order.
+_DECODE_DIGEST_SCRIPT = """
+import hashlib
+from blocksep.decoding import DecoderConfig, decode_session
+from blocksep.dsp import StftConfig
+from blocksep.estimators import MaskNet, init_params
+from blocksep.simulate import make_pool, render, sample_scenario
+
+stft_cfg = StftConfig(256, 128)
+meeting = render(sample_scenario("A", 20.0, make_pool(4, seed=0), seed=1))
+net = MaskNet(init_params(stft_cfg.n_bins, seed=7, stft_cfg=stft_cfg))
+result = decode_session(meeting.mixture, net, DecoderConfig(), stft_cfg)
+for slot, sig in sorted(result.streams.items()):
+    print(slot, hashlib.sha256(sig.samples.tobytes()).hexdigest())
+"""
+
+
+def _decode_digests(blas_threads):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = str(blas_threads)
+    proc = subprocess.run([sys.executable, "-c", _DECODE_DIGEST_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_decode_streams_do_not_depend_on_the_blas_thread_count():
+    # BLAS may split a product's rows across threads; a decode's streams
+    # stay byte-equal at 1 and 2 threads (training's gradients do not)
+    one, two = _decode_digests(1), _decode_digests(2)
+    assert len(one) >= 2
+    assert one == two

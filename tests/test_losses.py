@@ -1,16 +1,16 @@
+import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from blocksep import losses
 from blocksep.losses import (
     TRIPLET_CAP,
     BlockTargets,
     LossWeights,
     _cosine_with_grads,
     mmse_partial_pit,
-    noise_mmse,
     resmask_loss,
     total_loss,
     triplet_loss,
@@ -25,6 +25,23 @@ def _rng():
 
 def _mk(val):
     return np.full((T, F), float(val))
+
+
+_NO_HINGE_NO_TRIPLET = LossWeights(alpha=0.0, beta=0.0)
+
+
+def _speaker_term(spk_masks, mixes, targets):
+    """``total_loss`` reduced to its speaker term: each block's noise mask
+    is all ones and its noise target the mixture, so the noise error is 0,
+    and the hinge and triplet weights are 0.  Returns (loss, assignment,
+    speaker-mask gradients)."""
+    masks = dict(spk_masks)
+    for b, mix in enumerate(mixes):
+        masks[(b, 0)] = np.ones_like(mix)
+    targets = [dataclasses.replace(t, noise=mix.copy()) for t, mix in zip(targets, mixes)]
+    res = total_loss(masks, mixes, targets, {}, _NO_HINGE_NO_TRIPLET, _rng())
+    return (res.mmse, res.assignment,
+            {k: g for k, g in res.mask_grads.items() if k[1] >= 1})
 
 
 def test_weights_validation():
@@ -43,7 +60,7 @@ def test_mmse_zero_when_masks_reproduce_targets():
     mix = rng.uniform(0.1, 1.0, (T, F))
     mask = rng.uniform(0, 1, (T, F))
     targets = [BlockTargets(noise=_mk(0), known={}, new_sources=[("a", mask * mix)])]
-    loss, assign, grads = mmse_partial_pit({(0, 1): mask}, [mix], targets)
+    loss, assign, grads = _speaker_term({(0, 1): mask}, [mix], targets)
     assert loss == pytest.approx(0.0, abs=1e-12)
     assert assign == {1: "a"}
     assert np.allclose(grads[(0, 1)], 0.0)
@@ -60,7 +77,7 @@ def test_mmse_picks_swapped_permutation():
         new_sources=[("a", m2 * mix), ("b", m1 * mix)],
     )]
     masks = {(0, 1): m1, (0, 2): m2}
-    loss, assign, _ = mmse_partial_pit(masks, [mix], targets)
+    loss, assign, _ = _speaker_term(masks, [mix], targets)
     assert assign == {1: "b", 2: "a"}
     # loss equals the swapped-assignment MSE, brute-forced independently
     costs = []
@@ -74,7 +91,7 @@ def test_mmse_picks_swapped_permutation():
 def test_mmse_silent_known_slot_contributes_zero():
     mix = _mk(0.8)
     targets = [BlockTargets(noise=_mk(0), known={1: np.zeros((T, F))})]
-    loss, _, grads = mmse_partial_pit({(0, 1): np.zeros((T, F))}, [mix], targets)
+    loss, _, grads = _speaker_term({(0, 1): np.zeros((T, F))}, [mix], targets)
     assert loss == 0.0
     assert np.allclose(grads[(0, 1)], 0.0)
 
@@ -84,14 +101,18 @@ def test_mmse_too_many_new_sources():
     targets = [BlockTargets(noise=_mk(0), known={},
                             new_sources=[("a", mix), ("b", mix)])]
     with pytest.raises(ValueError, match="more new sources"):
-        mmse_partial_pit({(0, 1): _mk(0.5)}, [mix], targets)
+        mmse_partial_pit({1: _mk(0.5)}, mix, targets[0])
+    with pytest.raises(ValueError, match="more new sources than free slots"):
+        _speaker_term({(0, 1): _mk(0.5)}, [mix], targets)
 
 
 def test_mmse_too_few_new_sources():
     mix = _mk(1.0)
     targets = [BlockTargets(noise=_mk(0), known={}, new_sources=[("a", mix)])]
     with pytest.raises(ValueError, match="more new slots"):
-        mmse_partial_pit({(0, 1): _mk(0.5), (0, 2): _mk(0.3)}, [mix], targets)
+        mmse_partial_pit({1: _mk(0.5), 2: _mk(0.3)}, mix, targets[0])
+    with pytest.raises(ValueError, match="more new slots than new sources"):
+        _speaker_term({(0, 1): _mk(0.5), (0, 2): _mk(0.3)}, [mix], targets)
 
 
 def test_mmse_slot_persistence_across_blocks():
@@ -107,7 +128,7 @@ def test_mmse_slot_persistence_across_blocks():
         # mask now matches "b" better
         BlockTargets(noise=_mk(0), known={1: ref_a, 2: ref_b}),
     ]
-    _, assign, _ = mmse_partial_pit(masks, [mix, mix], targets)
+    _, assign, _ = _speaker_term(masks, [mix, mix], targets)
     assert assign == {1: "a", 2: "b"}
 
 
@@ -118,7 +139,7 @@ def test_permutation_optimality_exhaustive():
         masks = {(0, i + 1): rng.uniform(0, 1, (T, F)) for i in range(n)}
         refs = [(f"s{i}", rng.uniform(0, 1, (T, F)) * mix) for i in range(n)]
         targets = [BlockTargets(noise=_mk(0), known={}, new_sources=refs)]
-        loss, assign, _ = mmse_partial_pit(masks, [mix], targets)
+        loss, assign, _ = _speaker_term(masks, [mix], targets)
         ref_by_id = dict(refs)
         best = min(
             sum(
@@ -136,70 +157,167 @@ def test_permutation_optimality_exhaustive():
         assert chosen == pytest.approx(best)
 
 
+def _noise_term(mask, mix, noise):
+    """``total_loss`` of one block holding only its noise mask, hinge and
+    triplet weights 0: (loss, gradient)."""
+    res = total_loss({(0, 0): mask}, [mix], [BlockTargets(noise=noise)], {},
+                     _NO_HINGE_NO_TRIPLET, _rng())
+    return res.mmse, res.mask_grads[(0, 0)]
+
+
 def test_noise_mmse_cases():
     v = 0.6
     mix = _mk(v)
     # perfect mask: all-ones mask on Y == target
-    loss, grads = noise_mmse({(0, 0): np.ones((T, F))}, [mix],
-                             [BlockTargets(noise=mix.copy())])
+    loss, grad = _noise_term(np.ones((T, F)), mix, mix.copy())
     assert loss == pytest.approx(0.0)
-    assert np.allclose(grads[(0, 0)], 0.0)
+    assert np.allclose(grad, 0.0)
     # all-zero mask, uniform target v: loss = v^2 * T * F
-    loss, _ = noise_mmse({(0, 0): np.zeros((T, F))}, [mix],
-                         [BlockTargets(noise=mix.copy())])
+    loss, _ = _noise_term(np.zeros((T, F)), mix, mix.copy())
     assert loss == pytest.approx(v * v * T * F)
 
 
 def test_noise_mmse_missing_target():
-    with pytest.raises(ValueError, match="noise target"):
-        noise_mmse({(0, 0): _mk(1.0)}, [_mk(1.0)], [BlockTargets(noise=None)])
+    with pytest.raises(ValueError, match="missing noise target for block 0"):
+        _noise_term(_mk(1.0), _mk(1.0), None)
+
+
+def test_total_loss_reaches_every_term_error():
+    mix = _mk(1.0)
+    weights = LossWeights()
+    with pytest.raises(ValueError, match="missing noise mask for block 1"):
+        total_loss({(0, 0): _mk(0.5), (1, 1): _mk(0.5)}, [mix, mix],
+                   [BlockTargets(noise=mix), BlockTargets(noise=mix, known={1: mix})],
+                   {}, weights, _rng())
+    with pytest.raises(ValueError, match="block 1 has no masks"):
+        total_loss({(0, 0): _mk(0.5)}, [mix, mix],
+                   [BlockTargets(noise=mix), BlockTargets(noise=mix)], {}, weights, _rng())
+    with pytest.raises(ValueError, match="1 block targets for 2 blocks"):
+        # the second block's masks once got no MSE gradient
+        total_loss({(0, 0): _mk(0.5), (1, 0): _mk(0.5)}, [mix, mix],
+                   [BlockTargets(noise=mix)], {}, weights, _rng())
+    with pytest.raises(ValueError, match=r"mask \(2, 0\) lies outside the 2 blocks"):
+        total_loss({(0, 0): _mk(0.5), (1, 0): _mk(0.5), (2, 0): _mk(0.5)}, [mix, mix],
+                   [BlockTargets(noise=mix), BlockTargets(noise=mix)], {}, weights, _rng())
 
 
 def test_resmask_cases():
     # masks summing to exactly 1 -> 0
-    loss, _ = resmask_loss({(0, 0): _mk(0.4), (0, 1): _mk(0.6)}, 1)
+    loss, _ = resmask_loss([_mk(0.4), _mk(0.6)])
     assert loss == pytest.approx(0.0)
     # masks summing above 1 -> 0 (hinge)
-    loss, _ = resmask_loss({(0, 0): _mk(0.8), (0, 1): _mk(0.7)}, 1)
+    loss, grad = resmask_loss([_mk(0.8), _mk(0.7)])
     assert loss == pytest.approx(0.0)
+    assert np.array_equal(grad, np.zeros((T, F)))
     # uniform sum 0.7 -> 0.3 per bin
-    loss, grads = resmask_loss({(0, 0): _mk(0.3), (0, 1): _mk(0.4)}, 1)
+    loss, grad = resmask_loss([_mk(0.3), _mk(0.4)])
     assert loss == pytest.approx(0.3 * T * F)
-    assert np.allclose(grads[(0, 0)], -1.0)
+    assert grad.dtype == np.float64 and np.array_equal(grad, np.full((T, F), -1.0))
     assert loss >= 0
 
 
-def test_resmask_block_shares_one_read_only_gradient():
-    _, grads = resmask_loss({(0, 0): _mk(0.3), (0, 1): _mk(0.4), (1, 0): _mk(0.5)}, 2)
-    assert grads[(0, 0)] is grads[(0, 1)]
-    assert grads[(1, 0)] is not grads[(0, 0)]
-    with pytest.raises(ValueError, match="read-only"):
-        grads[(0, 1)][0, 0] = 0.0
-
-
-def test_total_loss_mask_grads_equal_per_mask_copies(monkeypatch):
-    # the shared hinge gradient gives the bytes a copy per mask gave
-    rng = np.random.default_rng(4)
-    masks = {(b, s): rng.uniform(0, 1, (T, F)) for b in range(2) for s in range(3)}
+def _masks_and_targets(rng, dtype):
+    """Two blocks of three slots: block 0 opens slot 2 for source "x",
+    block 1 knows slots 1 and 2.  The first frame of each mixture is 0, so
+    its errors are scaled to signed zeros."""
+    masks = {(b, s): rng.uniform(0, 0.6, (T, F)).astype(dtype)
+             for b in range(2) for s in range(3)}
     mixes = [rng.uniform(0.5, 1, (T, F)) for _ in range(2)]
+    for mix in mixes:
+        mix[0] = 0.0
     targets = [BlockTargets(noise=rng.uniform(0, 1, (T, F)),
                             known={1: rng.uniform(0, 1, (T, F))},
                             new_sources=[("x", rng.uniform(0, 1, (T, F)))]),
                BlockTargets(noise=rng.uniform(0, 1, (T, F)),
                             known={1: rng.uniform(0, 1, (T, F)),
                                    2: rng.uniform(0, 1, (T, F))})]
-    embs = {k: rng.normal(size=4) for k in masks}
-    shared = total_loss(masks, mixes, targets, embs, LossWeights(), _rng())
+    return masks, mixes, targets
 
-    def copied(masks, n_blocks):
-        loss, grads = resmask_loss(masks, n_blocks)
-        return loss, {k: g.copy() for k, g in grads.items()}
 
-    monkeypatch.setattr(losses, "resmask_loss", copied)
-    ref = total_loss(masks, mixes, targets, embs, LossWeights(), _rng())
-    assert sorted(shared.mask_grads) == sorted(ref.mask_grads) == sorted(masks)
-    for k, g in ref.mask_grads.items():
-        assert shared.mask_grads[k].tobytes() == g.tobytes()
+def _float64_mask_grads(masks, mixes, targets, assignment, alpha):
+    """alpha * g_res + (2/n)|X| * err per mask in float64, then cast to the
+    mask's dtype: g_res is -1 where the block's mask sum (in the masks'
+    dtype) is below 1, n is the block count for the noise slot and the
+    speaker-mask count for a speaker slot, err = mask * |X| - target."""
+    n_spk = sum(slot >= 1 for _, slot in masks)
+    grads = {}
+    for b, (mix, tgt) in enumerate(zip(mixes, targets)):
+        keys = sorted(k for k in masks if k[0] == b)
+        mask_sum = np.zeros_like(masks[keys[0]])
+        for k in keys:
+            mask_sum = mask_sum + masks[k]
+        g_res = np.where(1.0 - mask_sum > 0, -1.0, 0.0)
+        sources = dict(tgt.new_sources)
+        for k in keys:
+            slot = k[1]
+            if slot == 0:
+                target, n = tgt.noise, len(mixes)
+            else:
+                target = tgt.known[slot] if slot in tgt.known else sources[assignment[slot]]
+                n = n_spk
+            err = masks[k] * mix - target
+            grads[k] = (alpha * g_res + (2.0 / n) * mix * err).astype(masks[k].dtype)
+    return grads
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("alpha", [0.1, 0.0])
+def test_total_loss_mask_grads_are_the_float64_formula_in_the_mask_dtype(dtype, alpha):
+    # each gradient is built once, in place, in its mask's dtype; its bytes
+    # are those of the formula summed in float64, then cast
+    masks, mixes, targets = _masks_and_targets(np.random.default_rng(4), dtype)
+    embs = {k: np.random.default_rng(k).normal(size=4) for k in masks}
+    res = total_loss(masks, mixes, targets, embs, LossWeights(alpha=alpha), _rng())
+    assert res.assignment == {2: "x"}
+    ref = _float64_mask_grads(masks, mixes, targets, res.assignment, alpha)
+    assert sorted(res.mask_grads) == sorted(ref) == sorted(masks)
+    for k, g in ref.items():
+        assert res.mask_grads[k].dtype == dtype, k
+        assert res.mask_grads[k].tobytes() == g.tobytes(), k
+    # the signed zeros the first frames hold are the formula's
+    assert np.signbit(res.mask_grads[(1, 1)][0]).any() == np.signbit(ref[(1, 1)][0]).any()
+
+
+def _slots_sample(n_slots, t=200, f=129, dtype=np.float32):
+    """Two blocks of ``n_slots`` slots: every speaker source is new in
+    block 0 and known in block 1; embeddings are non-zero."""
+    rng = np.random.default_rng(n_slots)
+    spk = range(1, n_slots)
+    masks = {(b, s): rng.uniform(0, 0.3, (t, f)).astype(dtype)
+             for b in range(2) for s in range(n_slots)}
+    mixes = [rng.uniform(0.1, 1, (t, f)) for _ in range(2)]
+    sources = {s: rng.uniform(0, 1, (t, f)) for s in spk}
+    targets = [BlockTargets(noise=rng.uniform(0, 1, (t, f)),
+                            new_sources=[(f"s{s}", sources[s]) for s in spk]),
+               BlockTargets(noise=rng.uniform(0, 1, (t, f)), known=sources)]
+    embs = {k: rng.normal(size=8) for k in masks}
+    return masks, mixes, targets, embs
+
+
+def _loss_transient_bytes(sample):
+    """Traced peak of one ``total_loss`` call above its entry, less the
+    bytes of the mask gradients it returns."""
+    total_loss(*sample, LossWeights(), _rng())  # warm up numpy's caches
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        res = total_loss(*sample, LossWeights(), _rng())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - entry - sum(g.nbytes for g in res.mask_grads.values())
+
+
+def test_total_loss_transient_memory_does_not_grow_with_slots():
+    # the loss once kept float64 errors and per-term gradients of every
+    # mask beside the summed gradients it returned: 9.0 one-mask float64
+    # arrays above those at 3 slots, 15.1 at 6; one pass per block needs
+    # about 3.5 at either
+    one_mask = 200 * 129 * 8  # bytes of one float64 (T, F) array
+    three, six = (_loss_transient_bytes(_slots_sample(n)) for n in (3, 6))
+    assert three <= 5 * one_mask
+    assert six <= 5 * one_mask
+    assert abs(six - three) < one_mask
 
 
 def test_triplet_arithmetic():
@@ -302,10 +420,19 @@ def test_total_loss_weight_zero_reduces_to_mmse():
     w0 = LossWeights(alpha=0.0, beta=0.0)
     res = total_loss(masks, mixes, targets, embs, w0, _rng())
     assert res.total == pytest.approx(res.mmse)
-    spk = {k: v for k, v in masks.items() if k[1] >= 1}
-    l_spk, _, _ = mmse_partial_pit(spk, mixes, targets)
-    l_noise, _ = noise_mmse(masks, mixes, targets)
+    # speaker errors against the assigned or known targets, averaged over
+    # the 4 speaker masks; noise errors averaged over the 2 blocks
+    refs = dict(targets[0].new_sources)
+    spk_targets = {(0, s): refs[res.assignment[s]] for s in (1, 2)}
+    spk_targets.update({(1, s): t for s, t in targets[1].known.items()})
+    l_spk = sum(np.sum((masks[k] * mixes[k[0]] - t) ** 2)
+                for k, t in spk_targets.items()) / 4
+    l_noise = sum(np.sum((masks[(b, 0)] * mixes[b] - targets[b].noise) ** 2)
+                  for b in range(2)) / 2
     assert res.mmse == pytest.approx(l_spk + l_noise)
+    # the weights leave the terms alone
+    res_w = total_loss(masks, mixes, targets, embs, LossWeights(0.37, 0.53), _rng())
+    assert (res_w.mmse, res_w.resmask) == (res.mmse, res.resmask)
 
 
 def test_total_loss_all_zero_components():
@@ -357,7 +484,8 @@ def test_total_loss_gradients_match_finite_differences(seed):
 
 
 def _triplet_loss_per_triplet(embeddings, labels, delta, rng):
-    """``triplet_loss`` with both cosines recomputed for every triplet."""
+    """``triplet_loss`` with both cosines, and the norms they divide by,
+    recomputed for every triplet."""
     keys = sorted(embeddings)
     triplets = [(a, p, n) for a in keys for p in keys
                 if p != a and labels[p] == labels[a]
@@ -367,9 +495,13 @@ def _triplet_loss_per_triplet(embeddings, labels, delta, rng):
         triplets = [triplets[i] for i in sorted(idx)]
     loss = 0.0
     grads = {k: np.zeros_like(embeddings[k]) for k in keys}
+    def cosine(x, y):
+        ex, ey = embeddings[x], embeddings[y]
+        return _cosine_with_grads(ex, ey, np.linalg.norm(ex), np.linalg.norm(ey))
+
     for a, p, n in triplets:
-        s_an, d_an_a, d_an_n = _cosine_with_grads(embeddings[a], embeddings[n])
-        s_ap, d_ap_a, d_ap_p = _cosine_with_grads(embeddings[a], embeddings[p])
+        s_an, d_an_a, d_an_n = cosine(a, n)
+        s_ap, d_ap_a, d_ap_p = cosine(a, p)
         margin = s_an - s_ap + delta
         if margin > 0:
             loss += margin

@@ -328,8 +328,8 @@ def _per_slot_reference(sample, net, lockstep, weights):
         for slot in reversed(orders[b]):
             key = (b, slot)
             d_z = loss.emb_grads.get(key, np.zeros(net.embed_dim)) + z_next.get(slot, 0.0)
-            _, z_here[slot], d_pre = net.backward(caches[key], loss.mask_grads[key],
-                                                  d_z, grads)
+            z_here[slot], d_pre = net.backward(caches[key], loss.mask_grads[key],
+                                               d_z, grads)
             d_static_pre += d_pre
         net.finish_block_backward(contexts[b], d_static_pre, grads)
         z_next = z_here

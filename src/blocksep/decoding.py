@@ -16,7 +16,7 @@ import numpy as np
 
 from .dsp import (AudioSignal, IpdFeature, StftConfig, apply_mask, block_samples,
                   blocks, check_positive_whole, ipd, istft, stft)
-from .estimators import SILENT_MASK_MEAN, check_model_stft
+from .estimators import SILENT_MASK_MEAN, CheckedMask, check_mask, check_model_stft
 
 
 @dataclass
@@ -120,21 +120,25 @@ def _call_estimator(block, step, method, *args):
 
 def _estimate(estimator, residual, z_prev, block, iteration):
     """One ``estimate`` call: the float64 mask, the embedding and the mask's
-    mean.  A mask with a bin outside [0, 1] comes back clipped into it, as a
-    new array; any other float64 mask is returned as the estimator's array.
-    A mask of another shape than ``residual``, or one holding a NaN, raises
-    the ``RuntimeError`` of a failed call."""
+    mean.  A bare array goes through :func:`~blocksep.estimators.check_mask`:
+    a mask with a bin outside [0, 1] comes back clipped into it, as a new
+    array, and any other float64 mask as the estimator's array, made
+    read-only.  A :class:`~blocksep.estimators.CheckedMask` passed that check
+    where it was made, so its values and mean are taken as they are, without
+    reducing the mask again.  A mask of another shape than ``residual``, a
+    bare one holding a NaN, or a record whose array is writeable raises the
+    ``RuntimeError`` of a failed call."""
     def checked():
         mask, z = estimator.estimate(residual, z_prev)
-        mask = np.asarray(mask, dtype=float)
-        if mask.shape != residual.shape:
-            raise ValueError(f"mask of shape {mask.shape}, not {residual.shape}")
-        if not (mask.min() >= 0.0 and mask.max() <= 1.0):  # a NaN fails both
-            mask = np.clip(mask, 0.0, 1.0)
-        mean = float(mask.mean())  # NaN iff a bin is: clip maps ±inf into [0, 1]
-        if np.isnan(mean):
-            raise ValueError("mask holds a NaN")
-        return mask, np.asarray(z, dtype=float), mean
+        record = isinstance(mask, CheckedMask)
+        values = mask.values if record else np.asarray(mask, dtype=float)
+        if values.shape != residual.shape:
+            raise ValueError(f"mask of shape {values.shape}, not {residual.shape}")
+        if not record:
+            mask = check_mask(values)
+        elif values.flags.writeable:
+            raise ValueError("checked mask with a writeable array")
+        return mask.values, np.asarray(z, dtype=float), mask.mean
 
     return _call_estimator(block, f"iteration {iteration}", checked)
 
@@ -174,8 +178,12 @@ def decode_block(features: BlockFeatures, state: SessionState, estimator,
     array ``estimate`` returns (in the result's ``masks``, and from there in
     :class:`BlockOutput`), and it overwrites the residual it passed once the
     call returns.  So an estimator must not write a mask it has returned, and
-    must not keep the residual array.  :func:`consistency_check` holds its
-    estimator to the same contract.
+    must not keep the residual array.  A mask may come as a bare array,
+    checked by :func:`_estimate` on every call and made read-only, or as a
+    :class:`~blocksep.estimators.CheckedMask` record with a read-only array,
+    whose check and mean were made once, where the record was made; a record
+    is returned as often as the estimator likes.  :func:`consistency_check`
+    holds its estimator to the same contract.
     """
     b = state.n_blocks
     handle = _call_estimator(b, "begin_block", estimator.begin_block, b, features)

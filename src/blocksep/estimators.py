@@ -16,6 +16,11 @@ Both follow one session protocol: ``begin_block(index, features)`` hands over
 a block's :class:`~blocksep.decoding.BlockFeatures` once and returns a small
 handle for the block, then each extraction iteration calls
 ``estimate(residual, z_prev)``; a zero ``z_prev`` probes for a new speaker.
+``estimate`` returns ``(mask, embedding)``.  The mask is a bare array, which
+the decoder passes through :func:`check_mask` on every call, or a
+:class:`CheckedMask` that already passed it where it was made, whose mean the
+decoder takes as it is: :class:`MaskNet` returns fresh arrays, the oracle
+the records it checked at set-up.
 An estimator reads only the features it needs: :class:`MaskNet` reads
 ``features.mag`` and ``features.ipd``, the oracle reads none, and |X| and
 the IPD (with the second channel's STFT) are computed only when read, so an
@@ -52,6 +57,36 @@ MASK_EPS = 1e-8
 _LOG_FLOOR = 1e-5
 
 
+@dataclass(frozen=True)
+class CheckedMask:
+    """A mask that :func:`check_mask` passed: read-only float64 ``values`` in
+    [0, 1] and their ``mean``.  The decoder takes ``mean`` as it is and
+    checks only the array's shape and that it is read-only, so a record
+    comes from :func:`check_mask`; the one made by hand is
+    :func:`block_truth`'s all-zero record, a read-only zero view of mean 0."""
+
+    values: np.ndarray  # read-only
+    mean: float
+
+
+def check_mask(mask) -> CheckedMask:
+    """The one check of a mask, made once per mask where it is made.
+
+    The mask is taken as float64; if a bin lies outside [0, 1] it is
+    clipped into it, as a new array, and otherwise the record keeps the
+    array itself (``mask`` when that is float64).  Either way the array is
+    made read-only.  A mask holding a NaN raises ``ValueError``.
+    """
+    mask = np.asarray(mask, dtype=float)
+    if not (mask.min() >= 0.0 and mask.max() <= 1.0):  # a NaN fails both
+        mask = np.clip(mask, 0.0, 1.0)
+    mean = float(mask.mean())  # NaN iff a bin is: clip maps ±inf into [0, 1]
+    if np.isnan(mean):
+        raise ValueError("mask holds a NaN")
+    mask.flags.writeable = False
+    return CheckedMask(mask, mean)
+
+
 def speaker_embedding(speaker_id: str, dim: int = DEFAULT_EMBED_DIM) -> np.ndarray:
     """Deterministic unit-norm embedding derived from the speaker id."""
     digest = hashlib.sha256(speaker_id.encode()).digest()
@@ -74,34 +109,42 @@ class BlockTruth:
     """Ground truth of one block, read by the oracle and by training.
 
     Channel-0 reference magnitudes, their ideal ratio masks
-    |X| / (|N| + eps + sum of source magnitudes), each source mask's mean,
-    and the sources active in the block: those whose mean mask is at least
-    ``SILENT_MASK_MEAN``.
+    |X| / (|N| + eps + sum of source magnitudes) as :class:`CheckedMask`
+    records (read-only values and mean), one read-only all-zero record for
+    a silent slot, and the sources active in the block: those whose mean
+    mask is at least ``SILENT_MASK_MEAN``.
     """
 
     noise_mag: np.ndarray  # (T, F)
     source_mags: dict  # source id -> (T, F)
-    noise_irm: np.ndarray  # (T, F)
-    irms: dict  # source id -> (T, F)
+    noise_irm: CheckedMask  # (T, F) values
+    irms: dict  # source id -> CheckedMask of (T, F) values
+    silent: CheckedMask  # (T, F) zeros, a view that holds no memory
     active: list  # sorted source ids
-    means: dict  # source id -> float mean of its mask in ``irms``
+
+
+def _truth_mask(mask, name) -> CheckedMask:
+    try:
+        return check_mask(mask)
+    except ValueError as exc:
+        raise ValueError(f"ground-truth mask of {name}: {exc}") from exc
 
 
 def block_truth(noise_mag, source_mags) -> BlockTruth:
     """The ground-truth record of one block; the mask denominator adds the
-    sources in sorted id order.  The masks are read-only: the oracle hands
-    them out uncopied.  Each source mask is reduced to its mean once, here:
-    the activity test and the oracle's probe both read ``means``."""
+    sources in sorted id order.  Each mask goes through :func:`check_mask`
+    once, here, so the oracle hands out the records as they are and the
+    activity test reads their means.  A mask holding a NaN, as from a
+    non-finite magnitude, raises ``ValueError`` naming the noise or the
+    source."""
     denom = noise_mag + MASK_EPS
     for s in sorted(source_mags):
         denom = denom + source_mags[s]
-    irms = {s: m / denom for s, m in source_mags.items()}
-    noise_irm = noise_mag / denom
-    for mask in (noise_irm, *irms.values()):
-        mask.flags.writeable = False
-    means = {s: float(m.mean()) for s, m in irms.items()}
-    active = sorted(s for s, mean in means.items() if mean >= SILENT_MASK_MEAN)
-    return BlockTruth(noise_mag, source_mags, noise_irm, irms, active, means)
+    noise_irm = _truth_mask(noise_mag / denom, "the noise")
+    irms = {s: _truth_mask(m / denom, f"source {s!r}") for s, m in source_mags.items()}
+    silent = CheckedMask(np.broadcast_to(0.0, denom.shape), 0.0)
+    active = sorted(s for s, mask in irms.items() if mask.mean >= SILENT_MASK_MEAN)
+    return BlockTruth(noise_mag, source_mags, noise_irm, irms, silent, active)
 
 
 def reference_blocks(rendered, stft_cfg: StftConfig, block_len_s: float) -> list:
@@ -130,12 +173,13 @@ class OracleMaskEstimator:
     noise-first slot convention.  A unit-norm ``z_prev`` selects the speaker
     with the closest fixed embedding; a zero ``z_prev`` probes the strongest
     active source not yet extracted in the block.  The masks returned are
-    the records' read-only ground-truth arrays, not copies; a speaker not
-    active in the block yields a read-only all-zero view of the residual's
-    shape, which holds no memory of its own.  ``begin_block`` reads none of
-    the block's features, so an oracle decode never computes |X|, the second
-    channel's STFT or the IPD; a block's handle is its index.  A probe ranks
-    sources by the record's ``means``, reducing no mask.
+    the blocks' :class:`CheckedMask` records, checked once at set-up, not
+    copies, and the embeddings are read-only and not copied either, so a
+    call allocates nothing; a speaker not active in the block yields the
+    block's all-zero record.
+    ``begin_block`` reads none of the block's features, so an oracle decode
+    never computes |X|, the second channel's STFT or the IPD; a block's
+    handle is its index.  A probe ranks sources by the records' means.
     """
 
     embed_dim = DEFAULT_EMBED_DIM
@@ -148,6 +192,8 @@ class OracleMaskEstimator:
         self.embeddings = {s: speaker_embedding(s) for s in self.speakers}
         self.noise_embedding = speaker_embedding("__noise__")
         self._fallback = speaker_embedding("__none__")
+        for z in (self.noise_embedding, self._fallback, *self.embeddings.values()):
+            z.flags.writeable = False
         self._block = 0
         self._calls = 0
         self._emitted = set()
@@ -179,22 +225,21 @@ class OracleMaskEstimator:
         blk = self.blocks[self._block]
         self._calls += 1
         if self._calls == 1:
-            return blk.noise_irm, self.noise_embedding.copy()
+            return blk.noise_irm, self.noise_embedding
         if not is_zero_embedding(z_prev):
             spk = self.match_speaker(z_prev)
             if spk is None or spk not in blk.active:
-                emb = self._fallback if spk is None else self.embeddings[spk]
-                return np.broadcast_to(0.0, residual.shape), emb.copy()
+                return blk.silent, self._fallback if spk is None else self.embeddings[spk]
             self._emitted.add(spk)
-            return blk.irms[spk], self.embeddings[spk].copy()
+            return blk.irms[spk], self.embeddings[spk]
         # zero embedding: probe for the strongest active source not yet
         # extracted; of equal mask means, the last in id order
         left = [s for s in blk.active if s not in self._emitted]
         if not left:
-            return np.broadcast_to(0.0, residual.shape), self._fallback.copy()
-        best = max(reversed(left), key=blk.means.__getitem__)
+            return blk.silent, self._fallback
+        best = max(reversed(left), key=lambda s: blk.irms[s].mean)
         self._emitted.add(best)
-        return blk.irms[best], self.embeddings[best].copy()
+        return blk.irms[best], self.embeddings[best]
 
 
 # ---------------------------------------------------------------------------

@@ -118,9 +118,9 @@ def check_sample(sample: TrainSample, bins: int):
         raise ValueError(f"{name} needs {n_slots} slots, slot cap is {MAX_SLOTS}")
     for b, (mag, feat, truth) in enumerate(zip(sample.mags, sample.ipds, sample.truth)):
         parts = [("IPD cos", feat.cos), ("IPD sin", feat.sin),
-                 ("noise magnitude", truth.noise_mag), ("noise mask", truth.noise_irm)]
+                 ("noise magnitude", truth.noise_mag), ("noise mask", truth.noise_irm.values)]
         parts += [(f"magnitude of source {s!r}", m) for s, m in truth.source_mags.items()]
-        parts += [(f"mask of source {s!r}", m) for s, m in truth.irms.items()]
+        parts += [(f"mask of source {s!r}", m.values) for s, m in truth.irms.items()]
         for part, array in parts:
             if array.shape != mag.shape:
                 raise ValueError(f"{name} has {part} of shape {array.shape} in block {b}, "
@@ -150,7 +150,7 @@ class UnrollResult:
 
 
 def _new_source_order(truth, new_sources):
-    return sorted(new_sources, key=lambda s: (-truth.means[s], s))
+    return sorted(new_sources, key=lambda s: (-truth.irms[s].mean, s))
 
 
 def _teacher_forced_residuals(truth, order, slot_source, shape, dtype):
@@ -164,10 +164,10 @@ def _teacher_forced_residuals(truth, order, slot_source, shape, dtype):
     for i, slot in enumerate(order):
         out[i] = residual
         if slot == 0:
-            _subtract_mask(residual, truth.noise_irm)
+            _subtract_mask(residual, truth.noise_irm.values)
         elif slot_source[slot] in truth.active:
             # a silent source leaves the residual
-            _subtract_mask(residual, truth.irms[slot_source[slot]])
+            _subtract_mask(residual, truth.irms[slot_source[slot]].values)
     return out
 
 

@@ -24,9 +24,11 @@ from blocksep.decoding import (
 from blocksep.dsp import (AudioSignal, IpdFeature, StftConfig, apply_mask, block_samples,
                           blocks, ipd, istft, stft)
 from blocksep.estimators import (
+    CheckedMask,
     MaskNet,
     OracleMaskEstimator,
     block_truth,
+    check_mask,
     init_params,
     is_zero_embedding,
     speaker_embedding,
@@ -101,8 +103,9 @@ def test_residual_mean_monotone_within_block():
     means = [residual.mean()]
     for _ in range(4):
         mask, _ = est.estimate(residual, np.zeros(est.embed_dim))
-        if mask.mean() >= CFG.t_silent:
-            residual = np.clip(residual - mask, 0, 1)
+        assert mask.mean == float(mask.values.mean())
+        if mask.mean >= CFG.t_silent:
+            residual = np.clip(residual - mask.values, 0, 1)
         means.append(residual.mean())
     assert all(b <= a + 1e-12 for a, b in zip(means, means[1:]))
 
@@ -130,6 +133,28 @@ def test_max_iterations_cap():
     state.commit(decode_block(_flat_features(), state, est, cfg), True)
     assert state.iteration_counts == [4]
     assert state.speaker_count == 3
+
+
+@pytest.mark.parametrize("cap, found", [(6, 5), (7, 6)])
+def test_the_iteration_cap_counts_known_slots_so_a_sixth_speaker_is_never_probed(cap, found):
+    # cause 1 of the oracle undercount: ``max_iterations`` counts the known
+    # slots' iterations too, so once 5 speakers are known the default cap
+    # of 6 leaves no probe, however loud a 6th speaker is
+    five = {s: 0.9 for s in "abcde"}
+    est = _flat_oracle([{**five, "f": 0.5}, {**five, "f": 2.0}])
+    cfg = DecoderConfig(max_iterations=cap)
+    state = new_session_state(est.embed_dim)
+    first = decode_block(_flat_features(), state, est, cfg)
+    state.commit(first, True)
+    assert (first.iterations, state.speaker_count) == (6, 5)  # f, the weakest, unprobed
+    second = decode_block(_flat_features(), state, est, cfg)
+    state.commit(second, True)
+    assert second.iterations == found + 1
+    assert state.speaker_count == found
+    # f holds 2.0 / 6.8 of every bin of block 1, well above ``t_resmask``
+    assert est.blocks[1].irms["f"].mean > 0.29 > CFG.t_resmask
+    if cap == CFG.max_iterations:
+        assert second.new_slots == [] and len(second.masks) == 6
 
 
 class ScriptedEstimator:
@@ -298,7 +323,7 @@ class FaultInjectionEstimator:
         self.first_fraction = first_fraction
         if victim is None:
             irms = inner.blocks[split_block].irms
-            means = {s: float(m.mean()) for s, m in irms.items()}
+            means = {s: m.mean for s, m in irms.items()}
             victim = max(sorted(means), key=lambda s: means[s])
         self.victim = victim
         self.spurious_embedding = speaker_embedding(f"__split_{victim}__",
@@ -328,7 +353,8 @@ class FaultInjectionEstimator:
 
     def estimate(self, residual, z_prev):
         b = self._block
-        victim_irm = self.inner.blocks[b].irms.get(self.victim)
+        victim = self.inner.blocks[b].irms.get(self.victim)
+        victim_irm = None if victim is None else victim.values
         if self._is_spurious(z_prev):
             self.inner._calls += 1
             if b < self.split_block:
@@ -859,16 +885,60 @@ def _with_nan_bin(residual):
 @pytest.mark.parametrize("bad, problem", [
     (lambda residual: np.full(residual.shape[1], 0.5), r"mask of shape \(129,\)"),
     (_with_nan_bin, "mask holds a NaN"),
-], ids=["one-frame-mask", "nan-bin"])
+    (lambda residual: check_mask(np.full(residual.shape[1], 0.5)),
+     r"mask of shape \(129,\)"),
+    (lambda residual: CheckedMask(np.full_like(residual, 0.5), 0.5),
+     "checked mask with a writeable array"),
+], ids=["one-frame-mask", "nan-bin", "one-frame-record", "writeable-record"])
 def test_push_rejects_a_bad_mask_before_the_block_joins(bad, problem):
     # a (F,) mask once broadcast through the residual and failed in
-    # apply_mask after the state was written; a NaN bin gave a NaN stream
+    # apply_mask after the state was written; a NaN bin gave a NaN stream.
+    # A record's mean is taken unchecked, so its array must stay as checked
     session = Session(_BadProbeEstimator(bad), DecoderConfig(block_len_s=1.0),
                       STFT, 8000, 16000)
     with pytest.raises(RuntimeError, match=f"block 0, iteration 2: {problem}"):
         session.push(np.ones((2, 8000)))
     assert session.state.n_blocks == 0
     assert session.activity == [] and session.streams == {}
+
+
+class _BareMasks:
+    """Oracle wrapper that hands out each record's array, counting its
+    estimates."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.embed_dim = inner.embed_dim
+        self.calls = 0
+
+    def begin_block(self, index, features):
+        return self.inner.begin_block(index, features)
+
+    def enter_block(self, handle):
+        self.inner.enter_block(handle)
+
+    def estimate(self, residual, z_prev):
+        self.calls += 1
+        mask, z = self.inner.estimate(residual, z_prev)
+        return mask.values, z
+
+
+def test_a_decode_checks_each_bare_mask_once_and_no_oracle_record(monkeypatch):
+    # the oracle's records were checked at set-up; a bare array is checked
+    # on every estimate, re-decodes included, and decodes to the same bytes
+    meeting = _fixture_meeting(seed=0, length=30.0)
+    records = OracleMaskEstimator.from_rendered(meeting, STFT, CFG.block_len_s)
+    bare = _BareMasks(OracleMaskEstimator.from_rendered(meeting, STFT, CFG.block_len_s))
+    checks = _count_calls(monkeypatch, "check_mask")
+    by_record = decode_session(meeting.mixture, records, CFG, STFT)
+    assert checks == []
+    by_array = decode_session(meeting.mixture, bare, CFG, STFT)
+    assert by_array.consistency_log == by_record.consistency_log == [(1, True), (2, True)]
+    assert len(checks) == bare.calls > sum(by_array.state.iteration_counts)
+    assert by_array.state.iteration_counts == by_record.state.iteration_counts
+    assert sorted(by_array.streams) == sorted(by_record.streams)
+    for slot, sig in by_record.streams.items():
+        assert by_array.streams[slot].samples.tobytes() == sig.samples.tobytes()
 
 
 class _ResidualRecorder:
@@ -891,7 +961,7 @@ class _ResidualRecorder:
 
     def estimate(self, residual, z_prev):
         mask, z = self.inner.estimate(residual, z_prev)
-        mask = np.minimum(1.3 * mask, 1.0)
+        mask = np.minimum(1.3 * mask.values, 1.0)
         self.passes[-1][1].append((residual.copy(), mask))
         return mask, z
 

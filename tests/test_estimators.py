@@ -10,6 +10,7 @@ from blocksep.estimators import (
     MaskNet,
     OracleMaskEstimator,
     block_truth,
+    check_mask,
     init_params,
     load_params,
     save_params,
@@ -49,17 +50,20 @@ def test_oracle_noise_first_then_ratio_masks():
     _begin(est, 0)
     noise_mask, z_noise = est.estimate(*_inp(est))
     denom = s1 + s2 + noise + 1e-8
-    assert np.allclose(noise_mask, noise / denom)
+    assert np.allclose(noise_mask.values, noise / denom)
+    assert noise_mask.mean == float(noise_mask.values.mean())
     assert np.linalg.norm(z_noise) == pytest.approx(1.0)
     # probe with zero embedding: strongest remaining source (alice)
     m1, z1 = est.estimate(*_inp(est))
-    assert np.allclose(m1, s1 / denom)
+    assert np.allclose(m1.values, s1 / denom)
     assert np.allclose(z1, speaker_embedding("alice"))
     m2, z2 = est.estimate(*_inp(est))
-    assert np.allclose(m2, s2 / denom)
+    assert np.allclose(m2.values, s2 / denom)
     assert np.allclose(z2, speaker_embedding("bob"))
+    for mask in (m1, m2):
+        assert mask.mean == float(mask.values.mean())
     # masks sum with the noise mask to <= 1 + eps per bin
-    assert np.max(noise_mask + m1 + m2) <= 1.0 + 1e-8
+    assert np.max(noise_mask.values + m1.values + m2.values) <= 1.0 + 1e-8
 
 
 def test_oracle_single_source_ratio_mask():
@@ -70,7 +74,8 @@ def test_oracle_single_source_ratio_mask():
     _begin(est, 0, t, f)
     est.estimate(*_inp(est, t, f))  # noise slot
     mask, _ = est.estimate(*_inp(est, t, f))
-    assert np.allclose(mask, s / (s + n + 1e-8))
+    assert np.allclose(mask.values, s / (s + n + 1e-8))
+    assert mask.mean == float(mask.values.mean())
 
 
 def test_oracle_silent_speaker_gives_zero_mask():
@@ -78,7 +83,8 @@ def test_oracle_silent_speaker_gives_zero_mask():
     _begin(est, 1)
     est.estimate(*_inp(est))  # noise
     mask, z = est.estimate(*_inp(est, z=speaker_embedding("alice")))
-    assert np.all(mask == 0)
+    assert mask.values.shape == (6, 5) and np.all(mask.values == 0)
+    assert mask.mean == 0.0
     assert np.allclose(z, speaker_embedding("alice"))
 
 
@@ -89,7 +95,8 @@ def test_oracle_probe_exhaustion_returns_silence():
     est.estimate(*_inp(est))
     est.estimate(*_inp(est))
     mask, _ = est.estimate(*_inp(est))  # nothing left to extract
-    assert np.all(mask == 0)
+    assert mask.values.shape == (6, 5) and np.all(mask.values == 0)
+    assert mask.mean == 0.0
 
 
 def test_oracle_probe_tie_goes_to_the_last_speaker_id():
@@ -106,10 +113,91 @@ def test_oracle_probe_tie_goes_to_the_last_speaker_id():
 def test_block_truth_reduces_each_source_mask_to_its_mean_once():
     _, s1, s2, noise = _oracle_fixture()
     truth = block_truth(noise, {"alice": s1, "bob": s2, "carl": np.zeros_like(s1)})
-    assert sorted(truth.means) == ["alice", "bob", "carl"]
-    for s, mask in truth.irms.items():
-        assert truth.means[s] == float(mask.mean())
+    assert sorted(truth.irms) == ["alice", "bob", "carl"]
+    for mask in (truth.noise_irm, truth.silent, *truth.irms.values()):
+        assert mask.mean == float(mask.values.mean())
+        assert mask.values.shape == noise.shape and not mask.values.flags.writeable
+    assert truth.silent.mean == 0.0 and not truth.silent.values.any()
     assert truth.active == ["alice", "bob"]
+
+
+def test_the_oracle_hands_out_its_records_and_allocates_no_mask():
+    est, *_ = _oracle_fixture()
+    _begin(est, 1)
+    truth = est.blocks[1]
+    residual, zero = _inp(est)
+    out = [est.estimate(residual, zero),  # the noise slot
+           est.estimate(residual, speaker_embedding("alice")),  # silent in block 1
+           est.estimate(residual, zero),  # probes bob
+           est.estimate(residual, zero)]  # nothing left
+    expected = (truth.noise_irm, truth.silent, truth.irms["bob"], truth.silent)
+    assert all(mask is record for (mask, _), record in zip(out, expected))
+    for _, z in out:
+        with pytest.raises(ValueError, match="read-only"):
+            z[0] = 1.0
+
+
+@pytest.mark.parametrize("bad, value, name", [
+    ("noise", np.inf, "the noise"), ("bob", np.inf, "source 'bob'"),
+    # a NaN magnitude spoils every mask of its bin; the noise's is checked first
+    ("bob", np.nan, "the noise"),
+])
+def test_block_truth_rejects_a_mask_that_holds_a_nan(bad, value, name):
+    # a non-finite magnitude once gave a NaN mask that the decode rejected
+    # mid-session and training met as a non-finite loss
+    _, s1, s2, noise = _oracle_fixture()
+    mags = {"noise": noise.copy(), "alice": s1, "bob": s2.copy()}
+    mags[bad][2, 3] = value
+    with (np.errstate(invalid="ignore"),
+          pytest.raises(ValueError, match=f"ground-truth mask of {name}: mask holds a NaN")):
+        block_truth(mags.pop("noise"), mags)
+
+
+def _parent_inline_check(mask):
+    """The mask check ``decoding._estimate`` made inline before ``check_mask``."""
+    mask = np.asarray(mask, dtype=float)
+    if not (mask.min() >= 0.0 and mask.max() <= 1.0):
+        mask = np.clip(mask, 0.0, 1.0)
+    mean = float(mask.mean())
+    if np.isnan(mean):
+        raise ValueError("mask holds a NaN")
+    return mask, mean
+
+
+def _check_mask_inputs():
+    rng = np.random.default_rng(5)
+    inside = rng.uniform(0.0, 1.0, (7, 9))
+    inside[0, :3] = (0.0, 1.0, -0.0)
+    for bins in [(-0.5,), (1.5,), (np.inf,), (-np.inf,), (-0.5, 1.5, np.inf, -np.inf)]:
+        mask = inside.copy()
+        mask[1, :len(bins)] = bins
+        yield "outside", mask
+    yield "float32", inside.astype(np.float32)
+    yield "inside", inside
+
+
+@pytest.mark.parametrize("kind, mask", list(_check_mask_inputs()))
+def test_check_mask_equals_the_parent_inline_check(kind, mask):
+    expected, mean = _parent_inline_check(mask.copy())
+    checked = check_mask(mask)
+    assert checked.values.tobytes() == expected.tobytes()
+    assert checked.values.dtype == np.float64 and checked.values.shape == mask.shape
+    assert checked.mean == mean
+    assert not checked.values.flags.writeable
+    # an in-range float64 mask is kept as the same array; any other is copied
+    assert (checked.values is mask) == (kind == "inside")
+    if kind != "inside":
+        assert mask.flags.writeable and not np.shares_memory(checked.values, mask)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_check_mask_rejects_a_nan(dtype):
+    mask = np.full((4, 3), 0.5, dtype=dtype)
+    mask[2, 1] = np.nan
+    with pytest.raises(ValueError, match="mask holds a NaN"):
+        _parent_inline_check(mask)
+    with pytest.raises(ValueError, match="mask holds a NaN"):
+        check_mask(mask)
 
 
 def test_oracle_block_index_validation():

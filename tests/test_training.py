@@ -79,7 +79,7 @@ def test_build_train_sample_structure():
         for spk in truth.active:
             assert spk in truth.source_mags
         # oracle masks and noise mask sum to at most 1
-        total = truth.noise_irm + sum(truth.irms.values())
+        total = truth.noise_irm.values + sum(m.values for m in truth.irms.values())
         assert total.max() <= 1.0 + 1e-8
 
 
@@ -92,8 +92,12 @@ def test_train_sample_and_oracle_read_the_same_truth():
     for mine, theirs in zip(truth, blocks):
         assert mine.active == theirs.active
         assert np.array_equal(mine.noise_mag, theirs.noise_mag)
-        assert np.array_equal(mine.noise_irm, theirs.noise_irm)
-        for a, b in ((mine.source_mags, theirs.source_mags), (mine.irms, theirs.irms)):
+        assert np.array_equal(mine.noise_irm.values, theirs.noise_irm.values)
+        assert mine.noise_irm.mean == theirs.noise_irm.mean
+        assert all(mine.irms[s].mean == theirs.irms[s].mean for s in mine.irms)
+        irms = ({s: m.values for s, m in mine.irms.items()},
+                {s: m.values for s, m in theirs.irms.items()})
+        for a, b in ((mine.source_mags, theirs.source_mags), irms):
             assert sorted(a) == sorted(b)
             assert all(np.array_equal(a[s], b[s]) for s in a)
 
@@ -249,8 +253,9 @@ def test_train_checks_every_sample_before_the_first_step(seed):
     s = make_synthetic_sample(3)
     narrow = IpdFeature(s.ipds[1].cos[:, :-1], s.ipds[1].sin[:, :-1])
     short_noise = dataclasses.replace(s.truth[1], noise_mag=s.truth[1].noise_mag[:-1])
-    short_mask = dataclasses.replace(s.truth[1], irms={**s.truth[1].irms,
-                                                       "a": s.truth[1].irms["a"][:-1]})
+    a = s.truth[1].irms["a"]
+    short_mask = dataclasses.replace(
+        s.truth[1], irms={**s.truth[1].irms, "a": dataclasses.replace(a, values=a.values[:-1])})
     bad_samples = [
         (make_synthetic_sample(3, n_blocks=MAX_BLOCKS + 1),
          f"sample 'synthetic-3' has {MAX_BLOCKS + 1} blocks, cap"),
@@ -300,7 +305,7 @@ def _per_slot_reference(sample, net, lockstep, weights):
         truth = sample.truth[b]
         order = lockstep.records[b].slots
         fresh = [s for s in truth.active if s not in slot_source.values()]
-        fresh.sort(key=lambda s: (-float(truth.irms[s].mean()), s))
+        fresh.sort(key=lambda s: (-float(truth.irms[s].values.mean()), s))
         slot_source.update(zip([s for s in order if s and s not in slot_source], fresh))
         ctx = net.prepare_block(sample.mags[b], sample.ipds[b])
         residual = np.ones_like(sample.mags[b])
@@ -311,9 +316,10 @@ def _per_slot_reference(sample, net, lockstep, weights):
             masks[key], embeddings[key], caches[key] = net.forward(
                 ctx, residual, prev_z.get(slot, np.zeros(net.embed_dim)))
             if slot == 0:
-                residual = np.clip(residual - truth.noise_irm, 0.0, 1.0)
+                residual = np.clip(residual - truth.noise_irm.values, 0.0, 1.0)
             elif slot_source[slot] in truth.active:
-                residual = np.clip(residual - truth.irms[slot_source[slot]], 0.0, 1.0)
+                residual = np.clip(residual - truth.irms[slot_source[slot]].values,
+                                   0.0, 1.0)
         prev_z = {slot: embeddings[(b, slot)] for slot in order}
         contexts.append(ctx)
         orders.append(order)

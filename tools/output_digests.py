@@ -120,13 +120,15 @@ def flat_train_sample(sample):
     truth = sample.truth
     return TrainSample(sample.sample_id, sample.mags, sample.ipds,
                        [t.noise_mag for t in truth], [t.source_mags for t in truth],
-                       [t.irms for t in truth], [t.noise_irm for t in truth],
+                       [{s: m.values for s, m in t.irms.items()} for t in truth],
+                       [t.noise_irm.values for t in truth],
                        [t.active for t in truth])
 
 
 def oracle_irms(est):
     """Noise and speaker IRMs per block."""
-    return [{"noise": blk.noise_irm, "speakers": {s: blk.irms[s] for s in est.speakers}}
+    return [{"noise": blk.noise_irm.values,
+             "speakers": {s: blk.irms[s].values for s in est.speakers}}
             for blk in est.blocks]
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .dsp import (AudioSignal, IpdFeature, StftConfig, apply_mask, block_samples,
                   blocks, check_positive_whole, ipd, istft, stft)
-from .estimators import SILENT_MASK_MEAN, CheckedMask, check_mask, check_model_stft
+from .estimators import SILENT_MASK_MEAN, CheckedMask, check_model_stft
 
 
 @dataclass
@@ -103,8 +103,7 @@ class BlockResult:
     """One decoded block that has not joined the session yet."""
 
     handle: object  # the estimator's re-decode handle for the block
-    masks: dict  # slot -> (T, F) mask
-    means: dict  # slot -> mean of its mask in ``masks``
+    masks: dict  # slot -> CheckedMask of (T, F) values
     embeddings: list  # every slot's embedding after the block, new slots last
     new_slots: list
     iterations: int  # estimate calls, a final silent probe included
@@ -119,26 +118,24 @@ def _call_estimator(block, step, method, *args):
 
 
 def _estimate(estimator, residual, z_prev, block, iteration):
-    """One ``estimate`` call: the float64 mask, the embedding and the mask's
-    mean.  A bare array goes through :func:`~blocksep.estimators.check_mask`:
-    a mask with a bin outside [0, 1] comes back clipped into it, as a new
-    array, and any other float64 mask as the estimator's array, made
-    read-only.  A :class:`~blocksep.estimators.CheckedMask` passed that check
-    where it was made, so its values and mean are taken as they are, without
-    reducing the mask again.  A mask of another shape than ``residual``, a
-    bare one holding a NaN, or a record whose array is writeable raises the
-    ``RuntimeError`` of a failed call."""
+    """One ``estimate`` call, held to the estimator contract (see
+    :mod:`blocksep.estimators`): the mask record and the float64 embedding.
+    A mask that is not a read-only ``CheckedMask`` of ``residual``'s shape,
+    or an embedding that is not a finite vector of ``z_prev``'s shape,
+    raises the ``RuntimeError`` of a failed call."""
     def checked():
         mask, z = estimator.estimate(residual, z_prev)
-        record = isinstance(mask, CheckedMask)
-        values = mask.values if record else np.asarray(mask, dtype=float)
-        if values.shape != residual.shape:
-            raise ValueError(f"mask of shape {values.shape}, not {residual.shape}")
-        if not record:
-            mask = check_mask(values)
-        elif values.flags.writeable:
+        if not isinstance(mask, CheckedMask):
+            raise ValueError(f"mask of type {type(mask).__name__}, not CheckedMask")
+        if mask.values.shape != residual.shape:
+            raise ValueError(f"mask of shape {mask.values.shape}, not {residual.shape}")
+        if mask.values.flags.writeable:
             raise ValueError("checked mask with a writeable array")
-        return mask.values, np.asarray(z, dtype=float), mask.mean
+        z = np.asarray(z, dtype=float)
+        if z.shape != z_prev.shape or not np.isfinite(z).all():
+            raise ValueError(f"embedding of shape {z.shape} is not a finite "
+                             f"{z_prev.shape} vector")
+        return mask, z
 
     return _call_estimator(block, f"iteration {iteration}", checked)
 
@@ -155,68 +152,61 @@ def _subtract_mask(residual, mask):
     np.maximum(residual, 0.0, out=residual)
 
 
+def _extract(estimator, residual, embeddings, block, cfg):
+    """The extraction loop over known slots: one estimate per embedding in
+    ``embeddings``, conditioned on it.  Yields each ``(mask, z)``; resumed,
+    it steps ``residual`` past a mask whose mean is at least ``t_silent``."""
+    for i, z_prev in enumerate(embeddings):
+        mask, z = _estimate(estimator, residual, z_prev, block, i + 1)
+        yield mask, z
+        if mask.mean >= cfg.t_silent:
+            _subtract_mask(residual, mask.values)
+
+
 def decode_block(features: BlockFeatures, state: SessionState, estimator,
                  cfg: DecoderConfig) -> BlockResult:
     """Decode the session's next block without changing ``state``.
 
     ``begin_block(index, features)`` sees the block once and returns the
-    handle the result keeps; it reads only the features it needs, so |X| and
-    the IPD are computed only for an estimator that reads ``features.mag``
-    or ``features.ipd``.  The residual takes its shape from
-    ``features.spec``.  Each iteration calls ``estimate``.
-    Iteration order: the noise slot, then known speaker slots in fixed order
-    (conditioned on their stored embeddings), then zero-embedding probes for
-    new speakers.  After each non-silent mask the residual is updated in
-    place as R <- clip(R - M, 0, 1); a mask whose mean falls below
-    ``t_silent`` is replaced by the block's one read-only zero mask and
-    leaves the residual untouched; :class:`Session` synthesizes no chunk for
-    it.  Probing continues while the mean residual is at least ``t_resmask``
-    and the iteration cap allows; a probe that comes back silent ends the
-    block without creating a slot.
-
-    The estimator contract that this relies on: the decoder may keep the mask
-    array ``estimate`` returns (in the result's ``masks``, and from there in
-    :class:`BlockOutput`), and it overwrites the residual it passed once the
-    call returns.  So an estimator must not write a mask it has returned, and
-    must not keep the residual array.  A mask may come as a bare array,
-    checked by :func:`_estimate` on every call and made read-only, or as a
-    :class:`~blocksep.estimators.CheckedMask` record with a read-only array,
-    whose check and mean were made once, where the record was made; a record
-    is returned as often as the estimator likes.  :func:`consistency_check`
-    holds its estimator to the same contract.
+    handle the result keeps.  The residual takes its shape from
+    ``features.spec``.  Iteration order: the noise slot, then known speaker
+    slots in fixed order (conditioned on their stored embeddings), both by
+    :func:`_extract`, then zero-embedding probes for new speakers.  After
+    each non-silent mask the residual is updated in place as
+    R <- clip(R - M, 0, 1); a mask whose mean falls below ``t_silent`` is
+    replaced by the block's one read-only zero record and leaves the
+    residual untouched; :class:`Session` synthesizes no chunk for it.
+    Probing continues while the mean residual is at least ``t_resmask`` and
+    the iteration cap allows; a probe that comes back silent ends the block
+    without creating a slot.  Each ``estimate`` call is held to the
+    estimator contract (see :mod:`blocksep.estimators`).
     """
     b = state.n_blocks
     handle = _call_estimator(b, "begin_block", estimator.begin_block, b, features)
     residual = np.ones(features.spec.shape)
-    silent = np.broadcast_to(0.0, residual.shape)  # read-only, shared by silent slots
+    silent = CheckedMask(np.broadcast_to(0.0, residual.shape), 0.0)
     masks = {}
-    means = {}
     embeddings = []
     zero_z = np.zeros_like(state.embeddings[0])
 
-    for slot, z_prev in enumerate(state.embeddings):
-        mask, z, mean = _estimate(estimator, residual, z_prev, b, slot + 1)
-        if mean < cfg.t_silent:
-            mask, mean = silent, 0.0  # silent slot: residual stays unmodified
-        else:
-            _subtract_mask(residual, mask)
+    for slot, (mask, z) in enumerate(_extract(estimator, residual, state.embeddings,
+                                              b, cfg)):
+        masks[slot] = mask if mask.mean >= cfg.t_silent else silent
         embeddings.append(z)
-        masks[slot], means[slot] = mask, mean
 
     iterations = len(embeddings)
     while (float(residual.mean()) >= cfg.t_resmask
            and iterations < cfg.max_iterations):
-        mask, z, mean = _estimate(estimator, residual, zero_z, b, iterations + 1)
+        mask, z = _estimate(estimator, residual, zero_z, b, iterations + 1)
         iterations += 1
-        if mean < cfg.t_silent:
+        if mask.mean < cfg.t_silent:
             break  # nothing extractable remains; do not open a slot
-        slot = len(embeddings)
+        masks[len(embeddings)] = mask
         embeddings.append(z)
-        masks[slot], means[slot] = mask, mean
-        _subtract_mask(residual, mask)
+        _subtract_mask(residual, mask.values)
 
     new_slots = list(range(len(state.embeddings), len(embeddings)))
-    return BlockResult(handle, masks, means, embeddings, new_slots, iterations)
+    return BlockResult(handle, masks, embeddings, new_slots, iterations)
 
 
 def consistency_check(state: SessionState, result: BlockResult, estimator,
@@ -227,20 +217,18 @@ def consistency_check(state: SessionState, result: BlockResult, estimator,
     ``t_resmask`` (per-block mean) in every past block, i.e. the new speaker
     is not retroactively present.  The first block of a session has no past,
     so an increase there is vacuously accepted.  Each past block is re-entered
-    through its handle in ``state.cache``, at the (T, F) of ``result``.
+    through its handle in ``state.cache``, at the (T, F) of ``result``, and
+    re-decoded by :func:`_extract`, as :func:`decode_block` runs known slots.
     """
     n_known = len(state.embeddings)
     embeddings = state.embeddings + [result.embeddings[s] for s in result.new_slots]
-    residual = np.empty(result.masks[0].shape)  # refilled for each past block
+    residual = np.empty(result.masks[0].values.shape)  # refilled for each past block
     for b in range(state.n_blocks):
         _call_estimator(b, "enter_block", estimator.enter_block, state.cache[b])
         residual.fill(1.0)
-        for i, emb in enumerate(embeddings):
-            mask, _, mean = _estimate(estimator, residual, emb, b, i + 1)
-            if i >= n_known and mean >= cfg.t_resmask:
+        for i, (mask, _) in enumerate(_extract(estimator, residual, embeddings, b, cfg)):
+            if i >= n_known and mask.mean >= cfg.t_resmask:
                 return False
-            if mean >= cfg.t_silent:
-                _subtract_mask(residual, mask)
     return True
 
 
@@ -256,7 +244,7 @@ class DecodeResult:
 
 @dataclass
 class BlockOutput:
-    masks: dict  # slot -> (T, F) mask, after the consistency verdict
+    masks: dict  # slot -> CheckedMask of (T, F) values, after the consistency verdict
     # slot -> the block's samples of that slot's stream (a view); a silent
     # slot's chunk holds the zeros its stream was allocated with
     chunks: dict
@@ -286,7 +274,9 @@ class Session:
     and +0 divided by the positive window sum stays +0.  Its chunk keeps the
     zeros it was allocated with, the same bytes.
 
-    A push that raises leaves the session unchanged and may be retried.  A
+    The estimator is held to the estimator contract (see
+    :mod:`blocksep.estimators`).  A push that raises leaves the session
+    unchanged and may be retried.  A
     rejected count increase drops the block's new slots, keeps every embedding
     as before the block and counts the rejected probes in its iterations.
 
@@ -350,19 +340,18 @@ class Session:
             if not accepted:
                 for slot in result.new_slots:
                     result.masks.pop(slot)
-                    result.means.pop(slot)
         state.commit(result, accepted is not False)  # nothing below raises
 
-        active = sorted(slot for slot, mean in result.means.items()
-                        if mean >= cfg.t_silent)
+        active = sorted(slot for slot, rec in result.masks.items()
+                        if rec.mean >= cfg.t_silent)
         chunks = {}
-        for slot, mask in result.masks.items():
+        for slot, rec in result.masks.items():
             if slot not in self.streams:
                 self.streams[slot] = np.zeros(self.n_samples)
             chunk = chunks[slot] = self.streams[slot][start:stop]
             if slot in active:  # a silent slot's chunk keeps its exact zeros
-                rec = istft(apply_mask(mask, feats.spec), self.stft_cfg)[: stop - start]
-                chunk[: rec.size] = rec
+                out = istft(apply_mask(rec.values, feats.spec), self.stft_cfg)[: stop - start]
+                chunk[: out.size] = out
         self.activity.append(active)
         return BlockOutput(result.masks, chunks, accepted)
 

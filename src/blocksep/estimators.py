@@ -12,22 +12,24 @@ to (source mask, speaker embedding):
   one bidirectional tanh recurrent layer over the block's frames, a sigmoid
   mask head, and a mean-pooled, L2-normalized embedding head.
 
-Both follow one session protocol: ``begin_block(index, features)`` hands over
-a block's :class:`~blocksep.decoding.BlockFeatures` once and returns a small
-handle for the block, then each extraction iteration calls
-``estimate(residual, z_prev)``; a zero ``z_prev`` probes for a new speaker.
-``estimate`` returns ``(mask, embedding)``.  The mask is a bare array, which
-the decoder passes through :func:`check_mask` on every call, or a
-:class:`CheckedMask` that already passed it where it was made, whose mean the
-decoder takes as it is: :class:`MaskNet` returns fresh arrays, the oracle
-the records it checked at set-up.
-An estimator reads only the features it needs: :class:`MaskNet` reads
-``features.mag`` and ``features.ipd``, the oracle reads none, and |X| and
-the IPD (with the second channel's STFT) are computed only when read, so an
-oracle decode computes none of them.
-``enter_block(handle)`` re-enters a past block for a consistency re-decode
-without its features, resetting the per-block call state as ``begin_block``
-does.  The handle is all the decoder keeps of a past block.
+The estimator contract, which the decoder (:mod:`blocksep.decoding`) checks
+at each call:
+
+* ``begin_block(index, features)`` hands over a block's
+  :class:`~blocksep.decoding.BlockFeatures` once and returns a small handle,
+  all the decoder keeps of the block; ``enter_block(handle)`` re-enters it
+  for a consistency re-decode, resetting the per-block call state as
+  ``begin_block`` does.  An estimator reads only the features it needs
+  (:class:`MaskNet` ``features.mag`` and ``features.ipd``, the oracle
+  none), and |X| and the IPD are computed only when read.
+* Each extraction iteration calls ``estimate(residual, z_prev)``; a zero
+  ``z_prev`` probes for a new speaker.  It returns ``(mask, embedding)``:
+  a :class:`CheckedMask` of the residual's shape, made by
+  :func:`check_mask` (:class:`MaskNet` checks each fresh mask, the oracle
+  returns records checked at set-up), and a finite ``(embed_dim,)`` vector.
+* The decoder overwrites the residual once the call returns and may keep
+  every mask it is given: an estimator keeps no residual and writes no
+  mask it has returned.
 """
 
 import hashlib
@@ -60,10 +62,10 @@ _LOG_FLOOR = 1e-5
 @dataclass(frozen=True)
 class CheckedMask:
     """A mask that :func:`check_mask` passed: read-only float64 ``values`` in
-    [0, 1] and their ``mean``.  The decoder takes ``mean`` as it is and
-    checks only the array's shape and that it is read-only, so a record
-    comes from :func:`check_mask`; the one made by hand is
-    :func:`block_truth`'s all-zero record, a read-only zero view of mean 0."""
+    [0, 1] and their ``mean``, the one mask type of the estimator contract
+    (see the module docstring).  The decoder takes ``mean`` as it is, so a
+    record comes from :func:`check_mask`; the ones made by hand are all-zero
+    records of silent slots, a read-only zero view of mean 0."""
 
     values: np.ndarray  # read-only
     mean: float
@@ -123,25 +125,29 @@ class BlockTruth:
     active: list  # sorted source ids
 
 
-def _truth_mask(mask, name) -> CheckedMask:
-    try:
-        return check_mask(mask)
-    except ValueError as exc:
-        raise ValueError(f"ground-truth mask of {name}: {exc}") from exc
-
-
 def block_truth(noise_mag, source_mags) -> BlockTruth:
     """The ground-truth record of one block; the mask denominator adds the
     sources in sorted id order.  Each mask goes through :func:`check_mask`
     once, here, so the oracle hands out the records as they are and the
-    activity test reads their means.  A mask holding a NaN, as from a
-    non-finite magnitude, raises ``ValueError`` naming the noise or the
-    source."""
+    activity test reads their means.  A mask holding a NaN raises
+    ``ValueError`` naming the first non-finite magnitude, the noise's and
+    then the sources' in id order (a NaN magnitude spoils every mask of its
+    bin), or else the mask."""
     denom = noise_mag + MASK_EPS
     for s in sorted(source_mags):
         denom = denom + source_mags[s]
-    noise_irm = _truth_mask(noise_mag / denom, "the noise")
-    irms = {s: _truth_mask(m / denom, f"source {s!r}") for s, m in source_mags.items()}
+    mags = {"the noise": noise_mag} | {f"source {s!r}": source_mags[s]
+                                       for s in sorted(source_mags)}
+
+    def truth_mask(name):
+        try:
+            return check_mask(mags[name] / denom)
+        except ValueError as exc:
+            name = next((n for n, m in mags.items() if not np.isfinite(m).all()), name)
+            raise ValueError(f"ground-truth mask of {name}: {exc}") from exc
+
+    noise_irm = truth_mask("the noise")
+    irms = {s: truth_mask(f"source {s!r}") for s in source_mags}
     silent = CheckedMask(np.broadcast_to(0.0, denom.shape), 0.0)
     active = sorted(s for s, mask in irms.items() if mask.mean >= SILENT_MASK_MEAN)
     return BlockTruth(noise_mag, source_mags, noise_irm, irms, silent, active)
@@ -429,7 +435,7 @@ class MaskNet:
 
     def estimate(self, residual: np.ndarray, z_prev: np.ndarray):
         mask, z_out, _ = self.forward(self._ctx, residual, z_prev)
-        return mask, z_out
+        return check_mask(mask), z_out
 
     # -- network core -------------------------------------------------------
 

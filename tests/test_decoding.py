@@ -1,5 +1,6 @@
 import copy
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -9,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from blocksep import decoding
+from blocksep import decoding, estimators
 from blocksep.decoding import (
     BlockResult,
     DecoderConfig,
@@ -89,7 +90,7 @@ def test_noise_only_block_residual_below_threshold():
     est = _flat_oracle([{}])
     state = new_session_state(est.embed_dim)
     result = decode_block(_flat_features(), state, est, CFG)
-    noise_mask = result.masks[0]
+    noise_mask = result.masks[0].values
     residual = np.clip(1.0 - noise_mask, 0, 1)
     assert residual.mean() < CFG.t_resmask
     assert state.speaker_count == 0
@@ -118,7 +119,7 @@ def test_known_speaker_silent_block():
     result = decode_block(_flat_features(), state, est, CFG)
     state.commit(result, True)
     # slot survives, mask is all-zero, no new slots
-    assert np.all(result.masks[1] == 0)
+    assert np.all(result.masks[1].values == 0)
     assert state.speaker_count == 1
     assert state.iteration_counts == [2, 2]
     # embeddings keep tracking the same speaker
@@ -157,6 +158,22 @@ def test_the_iteration_cap_counts_known_slots_so_a_sixth_speaker_is_never_probed
         assert second.new_slots == [] and len(second.masks) == 6
 
 
+def test_the_probe_loop_stops_on_the_residual_before_a_quiet_active_speaker():
+    # cause 2 of the oracle undercount: after a dominant speaker the
+    # residual mean is below ``t_resmask``, so a quiet speaker who is active
+    # (mask mean at least ``t_silent``) is never probed
+    est = _flat_oracle([{"a": 5.0, "b": 0.4}])
+    truth = est.blocks[0]
+    assert truth.active == ["a", "b"]
+    assert CFG.t_silent <= truth.irms["b"].mean == pytest.approx(0.070, abs=1e-3)
+    left = 1.0 - truth.noise_irm.mean - truth.irms["a"].mean
+    assert left == pytest.approx(0.070, abs=1e-3) and left < CFG.t_resmask
+    state = new_session_state(est.embed_dim)
+    result = decode_block(_flat_features(), state, est, CFG)
+    state.commit(result, True)
+    assert (result.iterations, state.speaker_count) == (2, 1)
+
+
 class ScriptedEstimator:
     """Returns canned masks: known embeddings get silence, the probed slot's
     embedding gets a per-block scripted mask."""
@@ -177,16 +194,15 @@ class ScriptedEstimator:
 
     def estimate(self, residual, z_prev):
         if np.allclose(z_prev, self.new_z):
-            return self.masks_by_block[self._block].copy(), self.new_z.copy()
-        return np.zeros_like(residual), np.ones(self.embed_dim) / np.sqrt(8)
+            return check_mask(self.masks_by_block[self._block].copy()), self.new_z.copy()
+        return check_mask(np.zeros_like(residual)), np.ones(self.embed_dim) / np.sqrt(8)
 
 
 def _scripted_block(embeddings, new_z, index):
     """The decoded, uncommitted block ``index`` that opened a slot for
     ``new_z``; a scripted handle is the block index."""
-    masks = {slot: np.zeros((T, F)) for slot in range(len(embeddings) + 1)}
-    means = {slot: 0.0 for slot in masks}
-    return BlockResult(index, masks, means, embeddings + [new_z], [len(embeddings)],
+    masks = {slot: check_mask(np.zeros((T, F))) for slot in range(len(embeddings) + 1)}
+    return BlockResult(index, masks, embeddings + [new_z], [len(embeddings)],
                        len(embeddings) + 1)
 
 
@@ -359,21 +375,21 @@ class FaultInjectionEstimator:
             self.inner._calls += 1
             if b < self.split_block:
                 # consistency re-decode path: the spurious speaker "was there"
-                return victim_irm.copy(), self.spurious_embedding.copy()
-            return ((1.0 - self.first_fraction) * victim_irm,
+                return check_mask(victim_irm.copy()), self.spurious_embedding.copy()
+            return (check_mask((1.0 - self.first_fraction) * victim_irm),
                     self.spurious_embedding.copy())
         if b >= self.split_block and victim_irm is not None:
             if self._is_victim(z_prev):
                 self.inner._calls += 1
                 self.inner._emitted.add(self.victim)
-                return (self.first_fraction * victim_irm,
+                return (check_mask(self.first_fraction * victim_irm),
                         self.inner.embeddings[self.victim].copy())
             if (is_zero_embedding(z_prev) and self.inner._calls > 0
                     and self.victim in self.inner._emitted
                     and b not in self._spur_emitted):
                 self.inner._calls += 1
                 self._spur_emitted.add(b)
-                return ((1.0 - self.first_fraction) * victim_irm,
+                return (check_mask((1.0 - self.first_fraction) * victim_irm),
                         self.spurious_embedding.copy())
         return self.inner.estimate(residual, z_prev)
 
@@ -523,7 +539,7 @@ def test_push_retried_after_a_failed_estimate_equals_a_clean_push():
     assert errors == ["estimator failed in block 1, iteration 2: injected failure"]
     assert sorted(outputs[1].masks) == sorted(clean_outputs[1].masks) == [0, 1]
     for slot, mask in clean_outputs[1].masks.items():
-        assert np.array_equal(outputs[1].masks[slot], mask)
+        assert np.array_equal(outputs[1].masks[slot].values, mask.values)
     _assert_same_decode(result, clean)
 
 
@@ -721,12 +737,12 @@ class BlockScriptedEstimator:
         b = self._block
         self._calls += 1
         if self._calls == 1:
-            return np.full_like(residual, 0.3), speaker_embedding("noise", 8)
+            return check_mask(np.full_like(residual, 0.3)), speaker_embedding("noise", 8)
         if is_zero_embedding(z_prev):
             spk = self._left.pop(0)
         else:
             spk = max(self.base, key=lambda s: float(np.dot(z_prev, self.base[s])))
-        return (np.full_like(residual, self.levels[b].get(spk, 0.0)),
+        return (check_mask(np.full_like(residual, self.levels[b].get(spk, 0.0))),
                 self.embedding(spk, b))
 
 
@@ -773,7 +789,7 @@ def test_pushed_chunks_concatenate_to_the_session_streams():
         assert np.array_equal(pushed.streams[slot].samples, sig.samples)
     assert result.activity == pushed.activity
     assert result.activity == [sorted(slot for slot, m in out.masks.items()
-                                      if m.mean() >= CFG.t_silent) for out in outputs]
+                                      if m.values.mean() >= CFG.t_silent) for out in outputs]
 
 
 def test_session_synthesizes_only_active_slots(monkeypatch):
@@ -787,7 +803,7 @@ def test_session_synthesizes_only_active_slots(monkeypatch):
               if slot not in result.activity[b]]
     assert silent == [(2, 1), (3, 2)]
     for b, slot in silent:
-        assert not outputs[b].masks[slot].any()
+        assert not outputs[b].masks[slot].values.any()
     # the reference synthesizes every slot of every block
     mixture = meeting.mixture
     n, block_n = mixture.n_samples, block_samples(CFG.block_len_s, mixture.sample_rate)
@@ -798,7 +814,7 @@ def test_session_synthesizes_only_active_slots(monkeypatch):
         spec = stft(block[0], STFT)
         for slot, mask in out.masks.items():
             stream = streams.setdefault(slot, np.zeros(n))
-            rec = istft(apply_mask(mask, spec), STFT)[: stop - start]
+            rec = istft(apply_mask(mask.values, spec), STFT)[: stop - start]
             stream[start:start + rec.size] = rec
             assert out.chunks[slot].tobytes() == stream[start:stop].tobytes()
     assert sorted(streams) == sorted(result.streams)
@@ -859,12 +875,14 @@ def test_push_rejects_non_finite_block(bad):
 
 
 class _BadProbeEstimator:
-    """A noise mask, then ``bad(residual)`` as the first probe's mask."""
+    """A noise mask, then ``bad(residual)`` as the first probe's mask and
+    ``z`` as every embedding."""
 
     embed_dim = 4
 
-    def __init__(self, bad):
-        self.bad = bad
+    def __init__(self, bad=lambda residual: check_mask(np.full_like(residual, 0.5)),
+                 z=np.full(4, 0.5)):
+        self.bad, self.z = bad, z
 
     def begin_block(self, index, features):
         self.calls = 0
@@ -872,18 +890,27 @@ class _BadProbeEstimator:
 
     def estimate(self, residual, z_prev):
         self.calls += 1
-        mask = np.full_like(residual, 0.3) if self.calls == 1 else self.bad(residual)
-        return mask, np.full(4, 0.5)
+        if self.calls == 1:
+            return check_mask(np.full_like(residual, 0.3)), self.z
+        return self.bad(residual), self.z
 
 
 def _with_nan_bin(residual):
     mask = np.full_like(residual, 0.5)
     mask[3, 7] = np.nan
-    return mask
+    return check_mask(mask)
+
+
+def _push_fails_before_the_block_joins(estimator, problem, iteration):
+    session = Session(estimator, DecoderConfig(block_len_s=1.0), STFT, 8000, 16000)
+    with pytest.raises(RuntimeError, match=f"block 0, iteration {iteration}: {problem}"):
+        session.push(np.ones((2, 8000)))
+    assert session.state.n_blocks == 0
+    assert session.activity == [] and session.streams == {}
 
 
 @pytest.mark.parametrize("bad, problem", [
-    (lambda residual: np.full(residual.shape[1], 0.5), r"mask of shape \(129,\)"),
+    (lambda residual: np.full(residual.shape[1], 0.5), "mask of type ndarray, not CheckedMask"),
     (_with_nan_bin, "mask holds a NaN"),
     (lambda residual: check_mask(np.full(residual.shape[1], 0.5)),
      r"mask of shape \(129,\)"),
@@ -893,52 +920,51 @@ def _with_nan_bin(residual):
 def test_push_rejects_a_bad_mask_before_the_block_joins(bad, problem):
     # a (F,) mask once broadcast through the residual and failed in
     # apply_mask after the state was written; a NaN bin gave a NaN stream.
-    # A record's mean is taken unchecked, so its array must stay as checked
-    session = Session(_BadProbeEstimator(bad), DecoderConfig(block_len_s=1.0),
-                      STFT, 8000, 16000)
-    with pytest.raises(RuntimeError, match=f"block 0, iteration 2: {problem}"):
-        session.push(np.ones((2, 8000)))
-    assert session.state.n_blocks == 0
-    assert session.activity == [] and session.streams == {}
+    # Only a record is a mask, and its mean is taken unchecked, so its array
+    # must stay as checked
+    _push_fails_before_the_block_joins(_BadProbeEstimator(bad), problem, 2)
+
+
+@pytest.mark.parametrize("z", [np.array([0.5, np.nan, 0.5, 0.5]), np.full(4, np.inf),
+                               np.full(5, 0.5), np.full((1, 4), 0.5)],
+                         ids=["nan", "inf", "five", "row"])
+def test_push_rejects_a_bad_embedding_before_the_block_joins(z):
+    # a NaN embedding once joined the session silently; a (5,) one returned
+    # by block 0 failed only in block 1, and the error named block 1
+    problem = re.escape(f"embedding of shape {z.shape} is not a finite (4,) vector")
+    _push_fails_before_the_block_joins(_BadProbeEstimator(z=z), problem, 1)
 
 
 class _BareMasks:
-    """Oracle wrapper that hands out each record's array, counting its
-    estimates."""
+    """Oracle wrapper that hands out each record's bare array."""
 
     def __init__(self, inner):
         self.inner = inner
         self.embed_dim = inner.embed_dim
-        self.calls = 0
 
     def begin_block(self, index, features):
         return self.inner.begin_block(index, features)
 
-    def enter_block(self, handle):
-        self.inner.enter_block(handle)
-
     def estimate(self, residual, z_prev):
-        self.calls += 1
         mask, z = self.inner.estimate(residual, z_prev)
         return mask.values, z
 
 
-def test_a_decode_checks_each_bare_mask_once_and_no_oracle_record(monkeypatch):
-    # the oracle's records were checked at set-up; a bare array is checked
-    # on every estimate, re-decodes included, and decodes to the same bytes
+def test_an_oracle_decode_checks_no_mask_and_a_bare_mask_is_rejected(monkeypatch):
+    # the oracle's records were checked at set-up, so a decode, re-decodes
+    # included, checks no mask; a bare array is no record, whatever it holds
     meeting = _fixture_meeting(seed=0, length=30.0)
     records = OracleMaskEstimator.from_rendered(meeting, STFT, CFG.block_len_s)
     bare = _BareMasks(OracleMaskEstimator.from_rendered(meeting, STFT, CFG.block_len_s))
-    checks = _count_calls(monkeypatch, "check_mask")
-    by_record = decode_session(meeting.mixture, records, CFG, STFT)
+    checks = []
+    check = estimators.check_mask
+    monkeypatch.setattr(estimators, "check_mask",
+                        lambda mask: checks.append(mask) or check(mask))
+    result = decode_session(meeting.mixture, records, CFG, STFT)
+    assert result.consistency_log == [(1, True), (2, True)]
     assert checks == []
-    by_array = decode_session(meeting.mixture, bare, CFG, STFT)
-    assert by_array.consistency_log == by_record.consistency_log == [(1, True), (2, True)]
-    assert len(checks) == bare.calls > sum(by_array.state.iteration_counts)
-    assert by_array.state.iteration_counts == by_record.state.iteration_counts
-    assert sorted(by_array.streams) == sorted(by_record.streams)
-    for slot, sig in by_record.streams.items():
-        assert by_array.streams[slot].samples.tobytes() == sig.samples.tobytes()
+    with pytest.raises(RuntimeError, match="block 0, iteration 1: mask of type ndarray"):
+        decode_session(meeting.mixture, bare, CFG, STFT)
 
 
 class _ResidualRecorder:
@@ -963,7 +989,7 @@ class _ResidualRecorder:
         mask, z = self.inner.estimate(residual, z_prev)
         mask = np.minimum(1.3 * mask.values, 1.0)
         self.passes[-1][1].append((residual.copy(), mask))
-        return mask, z
+        return check_mask(mask), z
 
 
 def test_every_loop_updates_the_residual_as_clip_of_residual_minus_mask():
@@ -1030,17 +1056,17 @@ def test_a_mask_outside_0_1_is_clipped_and_the_residual_stays_in_it(bins):
         def estimate(self, residual, z_prev):
             self.residuals.append(residual.copy())
             if len(self.residuals) == 1:
-                return np.full_like(residual, 0.3), np.full(4, 0.5)
+                return check_mask(np.full_like(residual, 0.3)), np.full(4, 0.5)
             if len(self.residuals) == 3:  # silent: ends the block
-                return np.zeros_like(residual), np.full(4, 0.5)
+                return check_mask(np.zeros_like(residual)), np.full(4, 0.5)
             mask = np.full_like(residual, 0.3)
             mask[0, :len(bins)] = bins
-            return mask, np.full(4, 0.5)
+            return check_mask(mask), np.full(4, 0.5)
 
     est = OutOfRange()
     session = Session(est, DecoderConfig(block_len_s=1.0), STFT, 8000, 8000)
     out = session.push(np.ones((2, 8000)))
-    probe = out.masks[1]
+    probe = out.masks[1].values
     assert probe[0, :len(bins)].tolist() == [min(max(v, 0.0), 1.0) for v in bins]
     assert probe.min() >= 0.0 and probe.max() <= 1.0
     residual = est.residuals[2]
@@ -1053,11 +1079,11 @@ def test_an_oracle_decode_cannot_write_ground_truth():
     est = OracleMaskEstimator.from_rendered(meeting, STFT, CFG.block_len_s)
     outputs, first = _pushed(meeting.mixture, est, CFG, STFT)
     # the decode hands out the oracle's own arrays, silent slots included
-    assert any(not mask.any() for out in outputs for mask in out.masks.values())
+    assert any(not mask.values.any() for out in outputs for mask in out.masks.values())
     for out in outputs:
         for mask in out.masks.values():
             with pytest.raises(ValueError, match="read-only"):
-                mask[0, 0] = 0.5
+                mask.values[0, 0] = 0.5
     second = decode_session(meeting.mixture, est, CFG, STFT)
     assert sorted(second.streams) == sorted(first.streams)
     for slot, sig in first.streams.items():
@@ -1097,7 +1123,7 @@ class _HalfMasks:
         pass
 
     def estimate(self, residual, z_prev):
-        return np.full_like(residual, 0.5), np.ones(self.embed_dim)
+        return check_mask(np.full_like(residual, 0.5)), np.ones(self.embed_dim)
 
 
 def _transient_bytes(mixture, estimator):

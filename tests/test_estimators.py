@@ -139,8 +139,9 @@ def test_the_oracle_hands_out_its_records_and_allocates_no_mask():
 
 @pytest.mark.parametrize("bad, value, name", [
     ("noise", np.inf, "the noise"), ("bob", np.inf, "source 'bob'"),
-    # a NaN magnitude spoils every mask of its bin; the noise's is checked first
-    ("bob", np.nan, "the noise"),
+    # a NaN magnitude spoils every mask of its bin, the noise's, checked
+    # first, included; the error names the magnitude
+    ("bob", np.nan, "source 'bob'"), ("noise", np.nan, "the noise"),
 ])
 def test_block_truth_rejects_a_mask_that_holds_a_nan(bad, value, name):
     # a non-finite magnitude once gave a NaN mask that the decode rejected
@@ -248,8 +249,10 @@ def test_masknet_output_contracts():
         mag, feat, residual, z_prev = _tiny_input(seed, zero_z=seed % 2 == 0)
         net.begin_block(0, GivenFeatures(mag, feat))
         mask, z = net.estimate(residual, z_prev)
-        assert mask.shape == (2, 5)
-        assert mask.min() >= 0.0 and mask.max() <= 1.0
+        assert mask.values.shape == (2, 5)
+        assert mask.values.min() >= 0.0 and mask.values.max() <= 1.0
+        assert mask.values.dtype == np.float64 and not mask.values.flags.writeable
+        assert mask.mean == float(mask.values.mean())
         assert np.linalg.norm(z) == pytest.approx(1.0, abs=1e-6)
 
 
@@ -261,7 +264,7 @@ def test_masknet_deterministic():
     m1, z1 = net.estimate(residual, z_prev)
     net.begin_block(0, GivenFeatures(mag, feat))
     m2, z2 = net.estimate(residual, z_prev)
-    assert np.array_equal(m1, m2)
+    assert np.array_equal(m1.values, m2.values)
     assert np.array_equal(z1, z2)
 
 
@@ -276,7 +279,7 @@ def test_masknet_session_uses_each_blocks_features():
         mask, z = net.estimate(residual, z_prev)
         ref = MaskNet(params)
         ref_mask, ref_z, _ = ref.forward(ref.prepare_block(mag, feat), residual, z_prev)
-        assert np.array_equal(mask, ref_mask)
+        assert np.array_equal(mask.values, ref_mask)
         assert np.array_equal(z, ref_z)
 
 
@@ -293,7 +296,7 @@ def test_masknet_reenters_a_block_through_its_handle():
     ref = MaskNet(params)
     ref.begin_block(0, GivenFeatures(mag, feat))
     ref_mask, ref_z = ref.estimate(residual, z_prev)
-    assert np.array_equal(mask, ref_mask)
+    assert np.array_equal(mask.values, ref_mask.values)
     assert np.array_equal(z, ref_z)
     # the handle keeps the (T, P) projection, not the (T, 3F) features
     assert handle.features is None

@@ -20,9 +20,9 @@ script only imports.  Per meeting it hashes:
   decode by the trained network;
 * every decode: the streams, the per-block masks, the final embeddings,
   the counts, the consistency log and the DER/SDR/counting scores.  The
-  masks are what ``Session.push`` returns for each block after its verdict,
-  from a second decode of the meeting; everything else is read from the
-  ``decode_session`` result.
+  masks are the values of the records ``Session.push`` returns for each
+  block after its verdict, from a second decode of the meeting; everything
+  else is read from the ``decode_session`` result.
 
 Then it hashes ``sample_scenario`` draws, one line per (profile, pool size,
 length) over ``SAMPLER_SEEDS`` seeds, so that a change to the scenario
@@ -133,11 +133,13 @@ def oracle_irms(est):
 
 
 def pushed_masks(item, estimator, stft_cfg):
-    """Per block, {slot: mask} after the verdict, as ``Session.push`` returns."""
+    """Per block, {slot: mask values} after the verdict: the ``.values`` of
+    each ``CheckedMask`` record that ``Session.push`` returns."""
     mixture = item.rendered.mixture
     session = decoding.Session(estimator, workloads.DECODER, stft_cfg,
                                mixture.sample_rate, mixture.n_samples)
-    return [session.push(block).masks for block in blocks(mixture.samples, session.block_n)]
+    return [{slot: rec.values for slot, rec in session.push(block).masks.items()}
+            for block in blocks(mixture.samples, session.block_n)]
 
 
 def decode_outputs(result, masks, item, workdir):

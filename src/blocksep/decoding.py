@@ -272,7 +272,9 @@ class Session:
     :func:`decode_block`), so synthesizing it would write only +0.0: the
     masked spectrum is ±0, overlap-adding ±0 into zeros gives +0 + ±0 = +0,
     and +0 divided by the positive window sum stays +0.  Its chunk keeps the
-    zeros it was allocated with, the same bytes.
+    zeros it was allocated with, the same bytes.  An active slot's record
+    goes to :func:`~blocksep.dsp.apply_mask` as it is, which does not scan
+    its range again.
 
     The estimator is held to the estimator contract (see
     :mod:`blocksep.estimators`).  A push that raises leaves the session
@@ -350,7 +352,7 @@ class Session:
                 self.streams[slot] = np.zeros(self.n_samples)
             chunk = chunks[slot] = self.streams[slot][start:stop]
             if slot in active:  # a silent slot's chunk keeps its exact zeros
-                out = istft(apply_mask(rec.values, feats.spec), self.stft_cfg)[: stop - start]
+                out = istft(apply_mask(rec, feats.spec), self.stft_cfg)[: stop - start]
                 chunk[: out.size] = out
         self.activity.append(active)
         return BlockOutput(result.masks, chunks, accepted)

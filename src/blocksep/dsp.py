@@ -1,8 +1,10 @@
-"""Time-frequency analysis/synthesis, the two-channel phase feature, masking,
-and 16-bit PCM WAV I/O.
+"""Time-frequency analysis/synthesis, the two-channel phase feature, masking
+(with the checked mask record every estimator returns), and 16-bit PCM WAV
+I/O.
 
-Everything here is a pure function over immutable arrays; there is no shared
-state, so all of it is safe to call from parallel workers.
+Everything here is a pure function over immutable arrays, but for
+:func:`check_mask`, which makes the array it keeps read-only; there is no
+shared state, so all of it is safe to call from parallel workers.
 """
 
 import numbers
@@ -251,15 +253,52 @@ def ipd(spec_ch1: np.ndarray, spec_ch2: np.ndarray) -> IpdFeature:
     return IpdFeature(cos=cos, sin=sin)
 
 
-def apply_mask(mask: np.ndarray, mix: np.ndarray) -> np.ndarray:
-    """Scale mixture magnitudes by a [0, 1] mask, keeping the mixture phase."""
-    mask = np.asarray(mask)
+@dataclass(frozen=True)
+class CheckedMask:
+    """A mask that :func:`check_mask` passed: read-only float64 ``values`` in
+    [0, 1] and their ``mean``, the one mask type of the estimator contract
+    (see :mod:`blocksep.estimators`).  The decoder takes ``mean`` as it is,
+    and :func:`apply_mask` the ``values``, so a record comes from
+    :func:`check_mask`; the ones made by hand are all-zero records of
+    silent slots, a read-only zero view of mean 0."""
+
+    values: np.ndarray  # read-only
+    mean: float
+
+
+def check_mask(mask) -> CheckedMask:
+    """The one check of a mask, made once per mask where it is made.
+
+    The mask is taken as float64; if a bin lies outside [0, 1] it is
+    clipped into it, as a new array, and otherwise the record keeps the
+    array itself (``mask`` when that is float64).  Either way the array is
+    made read-only.  A mask holding a NaN raises ``ValueError``.
+    """
+    mask = np.asarray(mask, dtype=float)
+    if not (mask.min() >= 0.0 and mask.max() <= 1.0):  # a NaN fails both
+        mask = np.clip(mask, 0.0, 1.0)
+    mean = float(mask.mean())  # NaN iff a bin is: clip maps ±inf into [0, 1]
+    if np.isnan(mean):
+        raise ValueError("mask holds a NaN")
+    mask.flags.writeable = False
+    return CheckedMask(mask, mean)
+
+
+def apply_mask(mask, mix: np.ndarray) -> np.ndarray:
+    """Scale mixture magnitudes by a [0, 1] mask, keeping the mixture phase.
+
+    A :class:`CheckedMask` is taken as it is: :func:`check_mask` already
+    checked its range.  A bare array is range-checked here."""
+    if isinstance(mask, CheckedMask):
+        mask = mask.values
+    else:
+        mask = np.asarray(mask)
+        # written so that a NaN bin, which fails every comparison, is rejected
+        if not (mask.min() >= -1e-9 and mask.max() <= 1.0 + 1e-9):
+            raise ValueError("mask values must lie in [0, 1]")
     mix = np.asarray(mix)
     if mask.shape != mix.shape:
         raise ValueError("mask/spectrogram dimensions do not match")
-    # written so that a NaN bin, which fails every comparison, is rejected
-    if not (mask.min() >= -1e-9 and mask.max() <= 1.0 + 1e-9):
-        raise ValueError("mask values must lie in [0, 1]")
     return mask * mix
 
 

@@ -41,7 +41,10 @@ import numpy as np
 from scipy.special import expit
 
 from . import kernels
-from .dsp import IpdFeature, StftConfig, block_samples, blocks, stft
+# ``CheckedMask`` and ``check_mask`` live with the masking in ``dsp``; the
+# estimator contract names them from here.
+from .dsp import (CheckedMask, IpdFeature, StftConfig, block_samples, blocks, check_mask,
+                  stft)
 
 CHECKPOINT_MAGIC = b"BSPK"
 CHECKPOINT_VERSION = 1
@@ -57,36 +60,6 @@ SILENT_MASK_MEAN = 0.05
 # Added to the ratio-mask denominator so all-zero bins stay finite.
 MASK_EPS = 1e-8
 _LOG_FLOOR = 1e-5
-
-
-@dataclass(frozen=True)
-class CheckedMask:
-    """A mask that :func:`check_mask` passed: read-only float64 ``values`` in
-    [0, 1] and their ``mean``, the one mask type of the estimator contract
-    (see the module docstring).  The decoder takes ``mean`` as it is, so a
-    record comes from :func:`check_mask`; the ones made by hand are all-zero
-    records of silent slots, a read-only zero view of mean 0."""
-
-    values: np.ndarray  # read-only
-    mean: float
-
-
-def check_mask(mask) -> CheckedMask:
-    """The one check of a mask, made once per mask where it is made.
-
-    The mask is taken as float64; if a bin lies outside [0, 1] it is
-    clipped into it, as a new array, and otherwise the record keeps the
-    array itself (``mask`` when that is float64).  Either way the array is
-    made read-only.  A mask holding a NaN raises ``ValueError``.
-    """
-    mask = np.asarray(mask, dtype=float)
-    if not (mask.min() >= 0.0 and mask.max() <= 1.0):  # a NaN fails both
-        mask = np.clip(mask, 0.0, 1.0)
-    mean = float(mask.mean())  # NaN iff a bin is: clip maps ±inf into [0, 1]
-    if np.isnan(mean):
-        raise ValueError("mask holds a NaN")
-    mask.flags.writeable = False
-    return CheckedMask(mask, mean)
 
 
 def speaker_embedding(speaker_id: str, dim: int = DEFAULT_EMBED_DIM) -> np.ndarray:
@@ -365,11 +338,13 @@ class BlockContext:
 @dataclass
 class IterationCache:
     """What ``MaskNet.backward`` reads of one ``forward`` call, ([B,]) being
-    the call's optional slot axis.  The heads' ([B,] T, 2H) input, a
-    permuted copy of ``states``, is not kept: ``backward`` rebuilds it,
-    byte-equal, with :func:`_hidden_concat`."""
+    the call's optional slot axis, held from the call until its caller
+    drops it (training: with the sample's unroll, after its backward).  Nothing of
+    the call's size ([B,] T, F) is kept but the mask: the residual the call
+    read is the caller's, handed to ``backward`` again, and the heads'
+    ([B,] T, 2H) input, a permuted copy of ``states``, is rebuilt byte-equal
+    by ``backward`` with :func:`_hidden_concat`."""
 
-    residual: np.ndarray  # ([B,] T, F) residual mask the call read
     z_prev: np.ndarray  # ([B,] D) previous embedding the call read
     p: np.ndarray  # ([B,] T, P) tanh of the input projection
     states: np.ndarray  # (T, [B,] 2H): forward states | time-reversed backward states
@@ -479,20 +454,24 @@ class MaskNet:
         # norms in float64, then one cast, so float32 tensors stay float32
         inv_norm = (1.0 / np.sqrt(_row_dots(e, e) + 1e-12)).astype(dt)
         z_out = e * inv_norm[..., None]
-        cache = IterationCache(r, z, p, states, mask, z_out, inv_norm)
+        cache = IterationCache(z, p, states, mask, z_out, inv_norm)
         return mask, z_out, cache
 
-    def backward(self, cache: IterationCache, d_mask: np.ndarray,
+    def backward(self, cache: IterationCache, residual: np.ndarray, d_mask: np.ndarray,
                  d_z_out: np.ndarray, grads: dict):
         """Accumulate parameter gradients for one ``forward`` call.
 
-        ``d_mask`` and ``d_z_out`` are shaped like the call's mask and
-        embedding: (T, F) and (D,), or (B, T, F) and (B, D) with one row per
-        slot.  Returns (d_z_prev, d_static_pre) to chain gradients across
-        blocks and into the block's projection: d_z_prev keeps the slot
-        axis, d_static_pre (T, P) is summed over it.  No gradient flows into
-        the residual; its every reader takes it from the ground truth.
-        Each intermediate is dropped once its last reader has run.
+        ``residual`` is the residual the call read, which the cache does not
+        keep; only the ``w_res`` gradient reads it.  ``d_mask`` and
+        ``d_z_out`` are shaped like the call's mask and embedding: (T, F)
+        and (D,), or (B, T, F) and (B, D) with one row per slot.  Arrays
+        already in the network dtype are read as they are, not copied.
+        Returns (d_z_prev, d_static_pre) to chain gradients across blocks
+        and into the block's projection: d_z_prev keeps the slot axis,
+        d_static_pre (T, P) is summed over it.  No gradient flows into the
+        residual; its every reader takes it from the ground truth.  Each
+        intermediate is dropped once its last reader has run, and nothing
+        the call allocates outlives it but what it returns.
         """
         a = self.params.arrays
         dt = self.params.dtype
@@ -500,6 +479,10 @@ class MaskNet:
         t_len = cache.states.shape[0]
         d_mask = np.asarray(d_mask, dtype=dt)
         d_z_out = np.asarray(d_z_out, dtype=dt)
+        # the mask head's sigmoid slope first, so that its temporary is
+        # gone before the heads' input is rebuilt
+        d_mask_pre = d_mask * cache.mask
+        d_mask_pre *= 1.0 - cache.mask
         hcat = _hidden_concat(cache.states, h)
 
         # embedding head (through the L2 normalization)
@@ -510,8 +493,6 @@ class MaskNet:
         grads["b_embed"] += _rows(d_e).sum(axis=0)
 
         # mask head; the pooled embedding's gradient reaches every frame
-        d_mask_pre = d_mask * cache.mask
-        d_mask_pre *= 1.0 - cache.mask
         grads["w_mask"] += _rows(hcat).T @ _rows(d_mask_pre)
         del hcat
         grads["b_mask"] += _rows(d_mask_pre).sum(axis=0)
@@ -546,7 +527,7 @@ class MaskNet:
         np.subtract(1.0, tanh_slope, out=tanh_slope)
         d_pre *= tanh_slope
         del tanh_slope
-        grads["w_res"] += _rows(cache.residual).T @ _rows(d_pre)
+        grads["w_res"] += _rows(np.asarray(residual, dtype=dt)).T @ _rows(d_pre)
         d_pre_sum = d_pre.sum(axis=-2)
         grads["w_emb_in"] += _rows(cache.z_prev).T @ _rows(d_pre_sum)
         d_z_prev = d_pre_sum @ a["w_emb_in"].T

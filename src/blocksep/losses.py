@@ -7,9 +7,11 @@ gradients with respect to its direct inputs (masks, embeddings), keyed by
 ``(block, slot)`` where slot 0 is the noise slot and slots >= 1 are speaker
 slots.  It runs one block at a time, composing the per-block pieces
 :func:`mmse_partial_pit` (the speaker targets) and :func:`resmask_loss`
-(the hinge) with the permutation-variant noise term: each mask's gradient
-is built once, in place, and stored in the mask's own dtype, and no
-per-mask array outlives its block but the gradient.  The hinge subgradient at the kink is 0
+(the hinge) with the permutation-variant noise term.  Each block's mask
+gradients are written into one (B, T, F) stack in the masks' dtype, one row
+per mask in the order the block's masks were given, and each row is built
+once, in place; the stacks are what the loss holds, and no other per-mask
+array outlives its block.  The hinge subgradient at the kink is 0
 (one-sided).
 """
 
@@ -38,8 +40,9 @@ class LossWeights:
 @dataclass
 class BlockTargets:
     """Targets for one block: noise magnitude, per-known-slot magnitudes
-    (zeros for a silent slot), and reference magnitudes for sources that
-    appear for the first time in this block."""
+    (for a silent slot a read-only zero view, which holds no memory), and
+    reference magnitudes for sources that appear for the first time in this
+    block."""
 
     noise: np.ndarray
     known: dict = field(default_factory=dict)  # slot -> (T, F) target
@@ -99,22 +102,29 @@ def resmask_loss(masks):
     a float64 array of -1 where the hinge is active, else 0."""
     s = np.zeros_like(masks[0])
     for m in masks:
-        s = s + m
+        np.add(s, m, out=s)
     deficit = np.subtract(1.0, s, out=s)
     active = deficit > 0
     return float(deficit[active].sum()), np.where(active, -1.0, 0.0)
 
 
-def _mask_grad(mask, mix, target, scale, hinge):
-    """A masked MSE term's squared error and the mask's whole gradient:
-    ``hinge`` + ``scale`` * err for err = mask * |X| - target, ``scale``
-    holding (2/n)|X|.  The gradient is built in the float64 error's buffer
-    and returned in the mask's dtype."""
-    err = mask * mix - target
+def _mask_grad(mask, mix, target, scale, hinge, out):
+    """A masked MSE term's squared error, writing the mask's whole gradient
+    into ``out``: ``hinge`` + ``scale`` * err for err = mask * |X| - target,
+    ``scale`` holding (2/n)|X|.  A float64 gradient is built in ``out``
+    itself; any other is built in a float64 error and cast into ``out``,
+    the rounding of ``astype``."""
+    if out.dtype == np.float64:
+        err = np.multiply(mask, mix, out=out)
+        err -= target
+    else:
+        err = mask * mix - target
     sq = _sq(err)
     err *= scale
     err += hinge
-    return sq, err.astype(mask.dtype, copy=False)
+    if err is not out:
+        out[...] = err
+    return sq
 
 
 def _cosine_with_grads(a, b, na, nb):
@@ -178,16 +188,22 @@ def triplet_loss(embeddings, labels, delta, rng):
 
 @dataclass
 class TotalLoss:
-    """The weighted loss, its terms and its gradients.  Each mask gradient
-    has its mask's dtype: float32 for the default network."""
+    """The weighted loss, its terms and its gradients.
+
+    The mask gradients are held once, in ``block_grads``: one (B, T, F)
+    stack per block in its masks' dtype (float32 for the default network),
+    its rows in the order the block's masks were given.  ``mask_grads``
+    maps each ``(block, slot)`` to its row, a view, so a stack lives as
+    long as it or any of its rows is referenced."""
 
     total: float
     mmse: float  # speaker term + noise term combined
     resmask: float
     triplet: float
     assignment: dict
-    mask_grads: dict
+    mask_grads: dict  # (block, slot) -> row of the block's stack
     emb_grads: dict
+    block_grads: list  # per block: (B, T, F) stack; None once unroll_backward took it
 
 
 def total_loss(masks, mixes, targets, embeddings, weights: LossWeights, rng):
@@ -197,8 +213,8 @@ def total_loss(masks, mixes, targets, embeddings, weights: LossWeights, rng):
     (:func:`mmse_partial_pit`), noise term (slot 0 against the block's
     noise magnitude) and hinge (:func:`resmask_loss`) are taken together,
     and each of its masks gets its whole gradient at once, alpha * hinge +
-    (2/n)|X| * err, built in the float64 error's buffer and stored in the
-    mask's dtype.  n is the
+    (2/n)|X| * err, computed in float64 and written into its row of the
+    block's gradient stack (see :class:`TotalLoss`).  n is the
     block count for the noise slot and the speaker-mask count for a speaker
     slot; ``mixes`` are float64.  Speaker slots take their triplet labels
     from the permutation-invariant assignment.  Noise-slot embeddings are
@@ -216,7 +232,7 @@ def total_loss(masks, mixes, targets, embeddings, weights: LossWeights, rng):
     n_spk = sum(slot >= 1 for _, slot in masks)
     # running float sums, not sum(): it compensates from Python 3.12 on
     sq_spk = sq_noise = l_res = 0.0
-    assignment, mask_grads = {}, {}
+    assignment, mask_grads, block_grads = {}, {}, []
     for b, (block, mix, tgt) in enumerate(zip(by_block, mixes, targets)):
         if not block:
             raise ValueError(f"block {b} has no masks")
@@ -230,13 +246,17 @@ def total_loss(masks, mixes, targets, embeddings, weights: LossWeights, rng):
         loss, hinge = resmask_loss([block[slot] for slot in sorted(block)])
         l_res += loss
         hinge *= weights.alpha
-        sq, mask_grads[(b, 0)] = _mask_grad(block[0], mix, tgt.noise,
-                                            (2.0 / n_blocks) * mix, hinge)
-        sq_noise += sq
-        scale = (2.0 / n_spk) * mix if spk_targets else None
+        stack = np.empty((len(block),) + mix.shape,
+                         dtype=np.result_type(*block.values()))
+        block_grads.append(stack)
+        rows = dict(zip(block, stack))  # slot -> its row, in the order given
+        mask_grads.update(((b, slot), row) for slot, row in rows.items())
+        scale = (2.0 / n_blocks) * mix
+        sq_noise += _mask_grad(block[0], mix, tgt.noise, scale, hinge, rows[0])
+        if spk_targets:  # the speaker scale takes the noise scale's buffer
+            np.multiply(2.0 / n_spk, mix, out=scale)
         for slot, target in spk_targets:
-            sq, mask_grads[(b, slot)] = _mask_grad(block[slot], mix, target, scale, hinge)
-            sq_spk += sq
+            sq_spk += _mask_grad(block[slot], mix, target, scale, hinge, rows[slot])
     l_spk = sq_spk / n_spk if n_spk else 0.0
     l_noise = sq_noise / n_blocks
 
@@ -248,4 +268,4 @@ def total_loss(masks, mixes, targets, embeddings, weights: LossWeights, rng):
     total = l_spk + l_noise + weights.alpha * l_res + weights.beta * l_trip
     emb_grads = {k: weights.beta * g for k, g in g_trip.items()}
     return TotalLoss(total, l_spk + l_noise, l_res, l_trip, assignment,
-                     mask_grads, emb_grads)
+                     mask_grads, emb_grads, block_grads)

@@ -2,7 +2,7 @@
 
 The network is unrolled over a meeting's blocks and extraction iterations:
 iteration 0 of every block targets the noise magnitude, known speaker slots
-keep their fixed targets (zeros while the speaker is silent), and newly
+keep their fixed targets (a zero view while the speaker is silent), and newly
 appearing sources are matched to the remaining iterations by the
 permutation-invariant loss.  The residual recursion is teacher-forced: it
 takes the decoder's residual step, but with the ideal ratio masks of the
@@ -133,9 +133,13 @@ def check_sample(sample: TrainSample, bins: int):
 @dataclass
 class _IterationRecord:
     """A block's one ``net.forward`` call: its slots, in order, are the rows
-    of the call's slot axis."""
+    of the call's slot axis.  The residuals the call read are not kept; the
+    block's truth and its slots' sources rebuild them, byte-equal, with
+    :func:`_teacher_forced_residuals`."""
 
     slots: list
+    truth: object  # the block's BlockTruth
+    slot_source: dict  # speaker slot -> source id, for every speaker slot of the block
     cache: object  # MaskNet.IterationCache
 
 
@@ -153,12 +157,15 @@ def _new_source_order(truth, new_sources):
     return sorted(new_sources, key=lambda s: (-truth.irms[s].mean, s))
 
 
-def _teacher_forced_residuals(truth, order, slot_source, shape, dtype):
+def _teacher_forced_residuals(truth, order, slot_source, dtype):
     """The residual each slot of ``order`` reads under teacher forcing, as
-    (len(order), T, F): ones, minus the ideal masks of the noise and of each
-    active source extracted before it, one float64 buffer stepped in place
-    by the decoder's R <- clip(R - M, 0, 1).  Ideal masks lie in [0, 1] and
-    are never -0.0, which that step's floor-only form needs."""
+    (len(order), T, F) in ``dtype``: ones, minus the ideal masks of the
+    noise and of each active source extracted before it, one float64 (T, F)
+    buffer stepped in place by the decoder's R <- clip(R - M, 0, 1).  Ideal
+    masks lie in [0, 1] and are never -0.0, which that step's floor-only
+    form needs.  Built by :func:`unroll` for a block's forward and again by
+    :func:`unroll_backward` for its backward, about 0.5 ms per 10 s block."""
+    shape = truth.noise_mag.shape
     out = np.empty((len(order),) + shape, dtype=dtype)
     residual = np.ones(shape)
     for i, slot in enumerate(order):
@@ -179,9 +186,13 @@ def unroll(sample: TrainSample, net: MaskNet, cfg: TrainConfig) -> UnrollResult:
     A slot's residual comes from the ground truth and its ``z_prev`` from
     the previous block, so no slot of a block waits for another: the block's
     residuals are built first and all its slots run in one batched
-    ``net.forward``, kept as the block's one record.  The block contexts and
-    records are kept for :func:`unroll_backward`.  A sample that
-    :func:`check_sample` rejects raises ``ValueError``.
+    ``net.forward``, kept as the block's one record.
+
+    What the result holds until it is dropped, for :func:`unroll_backward`:
+    per block its context, its record's forward cache, and its (B, T, F)
+    stack of mask gradients in the loss.  The residuals live only for their
+    block's forward; a silent known slot's target is a read-only zero view.
+    A sample that :func:`check_sample` rejects raises ``ValueError``.
     """
     check_sample(sample, net.params.bins)
     dt = net.params.dtype
@@ -207,7 +218,7 @@ def unroll(sample: TrainSample, net: MaskNet, cfg: TrainConfig) -> UnrollResult:
             if src in truth.active:
                 known_targets[slot] = truth.source_mags[src]
             else:
-                known_targets[slot] = np.zeros_like(mag)
+                known_targets[slot] = np.broadcast_to(0.0, mag.shape)
         targets.append(BlockTargets(
             noise=truth.noise_mag,
             known=known_targets,
@@ -219,9 +230,10 @@ def unroll(sample: TrainSample, net: MaskNet, cfg: TrainConfig) -> UnrollResult:
         ctx = net.prepare_block(mag, feat)
         contexts.append(ctx)
         z_prevs = np.array([prev_z.get(slot, zero_z) for slot in order], dtype=dt)
-        residuals = _teacher_forced_residuals(truth, order, slot_source, mag.shape, dt)
+        residuals = _teacher_forced_residuals(truth, order, slot_source, dt)
         _, _, cache = net.forward(ctx, residuals, z_prevs)
-        records.append(_IterationRecord(order, cache))
+        del residuals
+        records.append(_IterationRecord(order, truth, dict(slot_source), cache))
         for i, slot in enumerate(order):
             masks[(b, slot)] = cache.mask[i]
             embeddings[(b, slot)] = cache.z_out[i]
@@ -236,26 +248,34 @@ def unroll_backward(result: UnrollResult, net: MaskNet) -> dict:
     """Backpropagate the unrolled loss into parameter gradients.
 
     Walks the blocks in reverse, one ``net.backward`` per block.  A block's
-    mask and embedding gradients are stacked along its record's slot axis in
-    the network dtype, which the loss already stores the mask gradients in;
-    the mask stack lives only for its block's ``backward`` call.  Embedding
-    gradients chain across blocks by slot: every slot known before a block
-    runs in it, so a slot's ``z_prev`` in block b is its embedding from
-    block b - 1.  The residuals come from the ground truth, so no gradient
-    flows into them.
+    mask gradients are the loss's (B, T, F) stack for the block, whose rows
+    :func:`unroll` gave in its record's slot order, in the network dtype;
+    ``backward`` takes it as it is.  The block's teacher-forced residuals
+    are rebuilt from its record for the call and live only as long as it.
+    Embedding gradients chain across blocks by slot: every slot known before
+    a block runs in it, so a slot's ``z_prev`` in block b is its embedding
+    from block b - 1.  The residuals come from the ground truth, so no
+    gradient flows into them.
+
+    The result's mask gradients are consumed: once a block's ``backward``
+    has run, its stack and its rows in ``result.loss.mask_grads`` are
+    dropped, so a result is backpropagated once.
     """
     dt = net.params.dtype
     grads = net.params.zeros_like()
     z_next = {}  # slot -> gradient w.r.t. its embedding, from the next block
     for b in range(len(result.records) - 1, -1, -1):
         rec, ctx = result.records[b], result.contexts[b]
-        d_mask = np.array([result.loss.mask_grads[(b, slot)] for slot in rec.slots],
-                          dtype=dt)
         d_z = np.zeros((len(rec.slots), net.embed_dim), dtype=dt)
         for row, slot in zip(d_z, rec.slots):
             row[...] = result.loss.emb_grads.get((b, slot), 0.0) + z_next.get(slot, 0.0)
-        d_z_prev, d_static_pre = net.backward(rec.cache, d_mask, d_z, grads)
-        del d_mask
+        residuals = _teacher_forced_residuals(rec.truth, rec.slots, rec.slot_source, dt)
+        d_z_prev, d_static_pre = net.backward(rec.cache, residuals,
+                                              result.loss.block_grads[b], d_z, grads)
+        del residuals
+        result.loss.block_grads[b] = None
+        for slot in rec.slots:
+            del result.loss.mask_grads[(b, slot)]
         net.finish_block_backward(ctx, d_static_pre, grads)
         z_next = dict(zip(rec.slots, d_z_prev))
     return grads
@@ -308,8 +328,9 @@ def train(dataset, cfg: TrainConfig, params: ModelParams | None = None):
     first step it rejects, with ``ValueError``, a model whose recorded STFT
     settings differ from ``cfg.stft`` (a model that records none is not
     checked) and every sample :func:`check_sample` rejects.  Aborts on a
-    non-finite loss, naming the offending sample.  Returns the trained
-    parameters and one :class:`EpochStats` per epoch.
+    non-finite loss, naming the offending sample.  One sample's unroll is
+    held at a time: it is dropped before the next sample's.  Returns the
+    trained parameters and one :class:`EpochStats` per epoch.
     """
     items = list(dataset)
     if not items:
@@ -346,6 +367,7 @@ def train(dataset, cfg: TrainConfig, params: ModelParams | None = None):
             n_accum += 1
             sums += (result.loss.total, result.loss.mmse,
                      result.loss.resmask, result.loss.triplet)
+            del result  # else its caches live through the next sample's unroll
             if n_accum == cfg.batch_size or pos == len(order) - 1:
                 for k in accum:
                     accum[k] /= n_accum

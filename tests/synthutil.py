@@ -8,7 +8,8 @@ import numpy as np
 from blocksep.dsp import IpdFeature, StftConfig
 from blocksep.estimators import MaskNet, block_truth, init_params
 from blocksep.losses import LossWeights
-from blocksep.training import TrainConfig, TrainSample, unroll, unroll_backward
+from blocksep.training import (TrainConfig, TrainSample, _teacher_forced_residuals, unroll,
+                               unroll_backward)
 
 T, F = 4, 8
 
@@ -111,9 +112,13 @@ def instance_is_safe(result, margin=1e-3):
 
 def slot_residuals(result, b):
     """(slot, residual it read) for each slot of block ``b`` of an unroll, in
-    the order the slots ran."""
+    the order the slots ran, in the network dtype: the residuals that
+    ``unroll_backward`` rebuilds from the block's record, by the helper
+    ``unroll`` builds them with."""
     rec = result.records[b]
-    return [(slot, rec.cache.residual[i]) for i, slot in enumerate(rec.slots)]
+    residuals = _teacher_forced_residuals(rec.truth, rec.slots, rec.slot_source,
+                                          rec.cache.mask.dtype)
+    return list(zip(rec.slots, residuals))
 
 
 def run_unroll(sample, params, cfg):

@@ -6,9 +6,11 @@ from hypothesis import strategies as st
 from blocksep.dsp import (
     COLA_TOL,
     AudioSignal,
+    CheckedMask,
     StftConfig,
     apply_mask,
     blocks,
+    check_mask,
     check_positive_whole,
     ipd,
     istft,
@@ -328,6 +330,18 @@ def test_apply_mask_rejects_bad_range():
         mask[1, 2] = bad
         with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
             apply_mask(mask, spec)
+
+
+def test_apply_mask_takes_a_checked_mask_as_it_is():
+    spec = stft(np.random.default_rng(9).normal(size=1024), StftConfig())
+    mask = np.random.default_rng(10).uniform(0.0, 1.0, spec.shape)
+    assert apply_mask(check_mask(mask), spec).tobytes() == (mask * spec).tobytes()
+    # check_mask checked the record's range, so it is not scanned again
+    trusted = CheckedMask(np.full((2, 3), 1.5), 1.5)
+    assert np.array_equal(apply_mask(trusted, np.ones((2, 3), dtype=complex)),
+                          np.full((2, 3), 1.5 + 0j))
+    with pytest.raises(ValueError, match="dimensions"):
+        apply_mask(check_mask(np.zeros((2, 3))), np.ones((3, 2), dtype=complex))
 
 
 @settings(max_examples=30, deadline=None)

@@ -237,7 +237,7 @@ def forward_backward(mag, ipd, residual, z_prev, params, d_mask, d_z_out):
     ctx = net.prepare_block(mag, ipd)
     mask, z_out, cache = net.forward(ctx, residual, z_prev)
     grads = params.zeros_like()
-    _, d_static_pre = net.backward(cache, d_mask, d_z_out, grads)
+    _, d_static_pre = net.backward(cache, residual, d_mask, d_z_out, grads)
     net.finish_block_backward(ctx, d_static_pre, grads)
     return mask, z_out, grads
 
@@ -420,7 +420,7 @@ def test_joint_recurrence_matches_two_separate_directions(seed):
     ctx = net.prepare_block(mag, ipd)
     mask, _, cache = net.forward(ctx, residual, z_prev)
     grads = params.zeros_like()
-    _, d_static_pre = net.backward(cache, d_mask, d_z, grads)
+    _, d_static_pre = net.backward(cache, residual, d_mask, d_z, grads)
     net.finish_block_backward(ctx, d_static_pre, grads)
 
     hf, hb_rev, ref_mask, ref_grads = _two_call_reference(params, inp, d_mask, d_z)

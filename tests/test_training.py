@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import itertools
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -162,6 +163,80 @@ def test_teacher_forcing_residuals_independent_of_params():
     for b in range(2):
         for (_, res1), (_, res2) in zip(slot_residuals(r1, b), slot_residuals(r2, b)):
             assert np.array_equal(res1, res2)
+
+
+def _wide_sample(seed):
+    """Three 100 x 129 blocks, so that one (T, F) array outweighs the small
+    Python objects of an unroll: "c" opens in block 1, and "b" is silent in
+    blocks 1 and 2, a known slot with a zero target."""
+    return make_synthetic_sample(seed, t=100, f=129, n_blocks=3, sources=("a", "b", "c"),
+                                 silent=((0, "c"), (1, "b"), (2, "b")))
+
+
+def _array_bytes(arrays):
+    """Bytes of the distinct buffers under ``arrays``."""
+    bases = {}
+    for a in arrays:
+        while isinstance(a.base, np.ndarray):
+            a = a.base
+        bases[id(a)] = a.nbytes
+    return sum(bases.values())
+
+
+def test_unroll_holds_each_training_tensor_once():
+    # the unroll once also held each block's residual stack in its cache
+    # and a float64 zero target per silent known slot, and the backward
+    # stacked a copy of the block's mask gradients
+    sample, cfg = _wide_sample(5), tiny_config()
+    net = MaskNet(tiny_params(f=129, dtype=np.float32))
+    unroll_backward(unroll(sample, net, cfg), net)  # warm up numpy's caches
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        result = unroll(sample, net, cfg)
+        left = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        unroll_backward(result, net)
+        backward_peak = tracemalloc.get_traced_memory()[1] - left
+    finally:
+        tracemalloc.stop()
+    # what the backward reads: the forward caches, the block contexts and
+    # the loss's gradient stacks, one per block in the record's slot order
+    needed = _array_bytes(
+        [getattr(rec.cache, f) for rec in result.records
+         for f in ("z_prev", "p", "states", "mask", "z_out", "inv_norm")]
+        + [a for ctx in result.contexts for a in (ctx.features, ctx.static_pre)])
+    one_tf = 100 * 129 * 4  # one float32 (T, F) array
+    block_array = 4 * one_tf  # one block's (B, T, F) float32 array, B = 4
+    stacks = sum(len(rec.slots) * one_tf for rec in result.records)
+    assert 0 <= (left - entry) - needed - stacks < one_tf
+    slot_b = {src: slot for slot, src in result.records[0].slot_source.items()}["b"]
+    silent = [tgt.known[slot_b] for tgt in result.targets[1:]]
+    assert [t.strides for t in silent] == [(0, 0), (0, 0)]
+    assert all(not t.flags.writeable and not t.any() for t in silent)
+    # the backward adds the block's rebuilt residuals and a few temporaries
+    assert backward_peak <= 3.5 * block_array
+    assert result.loss.block_grads == [None] * 3 and result.loss.mask_grads == {}
+
+
+def test_train_holds_one_sample_unroll_at_a_time():
+    # the epoch loop once kept a sample's unroll alive through the next
+    # sample's unroll
+    cfg = tiny_config()
+    samples = [_wide_sample(6), _wide_sample(7)]
+
+    def epoch_peak(dataset):
+        params = tiny_params(f=129, dtype=np.float32)
+        tracemalloc.start()
+        try:
+            train(dataset, cfg, params)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    epoch_peak(samples)  # warm up numpy's caches
+    one, two = epoch_peak(samples[:1]), epoch_peak(samples)
+    assert two - one < 100 * 129 * 4
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 4])
@@ -331,10 +406,10 @@ def _per_slot_reference(sample, net, lockstep, weights):
     for b in reversed(range(sample.n_blocks)):
         d_static_pre = np.zeros_like(contexts[b].static_pre)
         z_here = {}
-        for slot in reversed(orders[b]):
+        for slot, residual in reversed(list(zip(orders[b], residuals[b]))):
             key = (b, slot)
             d_z = loss.emb_grads.get(key, np.zeros(net.embed_dim)) + z_next.get(slot, 0.0)
-            z_here[slot], d_pre = net.backward(caches[key], loss.mask_grads[key],
+            z_here[slot], d_pre = net.backward(caches[key], residual, loss.mask_grads[key],
                                                d_z, grads)
             d_static_pre += d_pre
         net.finish_block_backward(contexts[b], d_static_pre, grads)

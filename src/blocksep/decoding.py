@@ -313,6 +313,7 @@ class Session:
         self.streams = {}  # slot -> (n_samples,) samples
         self.activity = []
         self.consistency_log = []
+        self._finished = False
 
     def push(self, block_samples: np.ndarray) -> BlockOutput:
         """Decode the next (2, block_n) block; the last one is zero-padded.
@@ -324,7 +325,7 @@ class Session:
         b = state.n_blocks
         start = b * self.block_n
         stop = min(start + self.block_n, self.n_samples)
-        if len(state.cache) != b:
+        if self._finished:
             raise ValueError(f"block {b} pushed after the session finished")
         if start >= self.n_samples:
             raise ValueError(f"block {b} starts after the session's end")
@@ -360,6 +361,7 @@ class Session:
     def finish(self) -> DecodeResult:
         """End the session: nothing re-decodes its blocks any more, so their
         handles go."""
+        self._finished = True
         self.state.cache.clear()
         streams = {slot: AudioSignal(self.sample_rate, samples)
                    for slot, samples in self.streams.items()}

@@ -78,6 +78,10 @@ class StftConfig:
     window: str = "sqrt_hann"
 
     def __post_init__(self):
+        for name in ("window_len", "hop"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
         if not (0 < self.hop <= self.window_len):
             raise ValueError("hop must satisfy 0 < hop <= window_len")
         make_window(self.window, self.window_len)  # validates the name

@@ -17,8 +17,9 @@ at each call:
 
 * ``begin_block(index, features)`` hands over a block's
   :class:`~blocksep.decoding.BlockFeatures` once and returns a small handle,
-  all the decoder keeps of the block; ``enter_block(handle)`` re-enters it
-  for a consistency re-decode, resetting the per-block call state as
+  all the decoder keeps of the block (:class:`MaskNet`'s is its (T, P)
+  static projection); ``enter_block(handle)`` re-enters it for a
+  consistency re-decode, resetting the per-block call state as
   ``begin_block`` does.  An estimator reads only the features it needs
   (:class:`MaskNet` ``features.mag`` and ``features.ipd``, the oracle
   none), and |X| and the IPD are computed only when read.
@@ -324,18 +325,6 @@ def _joint_recurrence_weight(arrays) -> np.ndarray:
 
 
 @dataclass
-class BlockContext:
-    """A block's static projection and the features it was computed from.
-
-    A decode handle holds the static projection only: ``forward`` reads
-    nothing else, and the features are needed only to train.
-    """
-
-    features: np.ndarray | None  # (T, 3F) normalized static features
-    static_pre: np.ndarray  # (T, P)
-
-
-@dataclass
 class IterationCache:
     """What ``MaskNet.backward`` reads of one ``forward`` call, ([B,]) being
     the call's optional slot axis, held from the call until its caller
@@ -392,7 +381,7 @@ class MaskNet:
     def __init__(self, params: ModelParams):
         params.validate_finite()
         self.params = params
-        self._ctx = None  # BlockContext of the current block
+        self._static_pre = None  # (T, P) projection of the current block
 
     @property
     def embed_dim(self):
@@ -400,31 +389,33 @@ class MaskNet:
 
     # -- session protocol ---------------------------------------------------
 
-    def begin_block(self, index: int, features) -> BlockContext:
-        ctx = self.prepare_block(features.mag, features.ipd)
-        self._ctx = BlockContext(None, ctx.static_pre)
-        return self._ctx
+    def begin_block(self, index: int, features) -> np.ndarray:
+        self._static_pre = self.prepare_block(features.mag, features.ipd)
+        return self._static_pre
 
-    def enter_block(self, handle: BlockContext):
-        self._ctx = handle
+    def enter_block(self, handle: np.ndarray):
+        self._static_pre = handle
 
     def estimate(self, residual: np.ndarray, z_prev: np.ndarray):
-        mask, z_out, _ = self.forward(self._ctx, residual, z_prev)
+        mask, z_out, _ = self.forward(self._static_pre, residual, z_prev)
         return check_mask(mask), z_out
 
     # -- network core -------------------------------------------------------
 
-    def prepare_block(self, mag: np.ndarray, ipd: IpdFeature) -> BlockContext:
-        dt = self.params.dtype
+    def _static_features(self, mag: np.ndarray, ipd: IpdFeature) -> np.ndarray:
+        """(T, 3F) input of the static projection: block-normalized log |X|, IPD."""
         logmag = np.log(np.asarray(mag, dtype=np.float64) + _LOG_FLOOR)
         mu, sigma = logmag.mean(), logmag.std() + 1e-5
-        feats = np.concatenate(
-            [(logmag - mu) / sigma, ipd.cos, ipd.sin], axis=1
-        ).astype(dt)
-        static_pre = feats @ self.params.arrays["w_static"] + self.params.arrays["b_static"]
-        return BlockContext(feats, static_pre)
+        return np.concatenate([(logmag - mu) / sigma, ipd.cos, ipd.sin], axis=1,
+                              dtype=self.params.dtype)
 
-    def forward(self, ctx: BlockContext, residual: np.ndarray, z_prev: np.ndarray):
+    def prepare_block(self, mag: np.ndarray, ipd: IpdFeature) -> np.ndarray:
+        """The (T, P) static projection, all ``forward`` reads of the block:
+        its handle.  The (T, 3F) features are dropped on return."""
+        a = self.params.arrays
+        return self._static_features(mag, ipd) @ a["w_static"] + a["b_static"]
+
+    def forward(self, static_pre: np.ndarray, residual: np.ndarray, z_prev: np.ndarray):
         """One extraction iteration, or B independent ones in lockstep.
 
         ``residual`` is (T, F) and ``z_prev`` (D,), or both carry a leading
@@ -436,7 +427,7 @@ class MaskNet:
         dt = self.params.dtype
         r = np.asarray(residual, dtype=dt)
         z = np.asarray(z_prev, dtype=dt)
-        pre = ctx.static_pre + r @ a["w_res"] + (z @ a["w_emb_in"])[..., None, :]
+        pre = static_pre + r @ a["w_res"] + (z @ a["w_emb_in"])[..., None, :]
         p = np.tanh(pre)
         xf = p @ a["w_xf"] + a["b_f"]
         xb = p @ a["w_xb"] + a["b_b"]
@@ -534,8 +525,11 @@ class MaskNet:
         d_static_pre = d_pre.reshape(-1, *d_pre.shape[-2:]).sum(axis=0)
         return d_z_prev, d_static_pre
 
-    def finish_block_backward(self, ctx: BlockContext, d_static_pre, grads: dict):
-        grads["w_static"] += ctx.features.T @ d_static_pre
+    def finish_block_backward(self, mag: np.ndarray, ipd: IpdFeature, d_static_pre,
+                              grads: dict):
+        """Accumulate the static projection's gradients.  The block's
+        features are rebuilt byte-equal for the ``w_static`` product only."""
+        grads["w_static"] += self._static_features(mag, ipd).T @ d_static_pre
         grads["b_static"] += d_static_pre.sum(axis=0)
 
 

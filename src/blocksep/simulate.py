@@ -128,8 +128,8 @@ def sample_scenario(profile: str, length_s: float, pool, seed: int) -> MeetingSc
         raise ValueError(
             f"speaker pool must hold at least {prof.max_concurrent} distinct speakers"
         )
-    if length_s < HEAD_LEN_S:
-        raise ValueError(f"scenario length must be at least {HEAD_LEN_S} s")
+    if not HEAD_LEN_S <= length_s < np.inf:
+        raise ValueError(f"scenario length must be finite and at least {HEAD_LEN_S} s")
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5343454E]))
     by_id = {s.speaker_id: s for s in pool}

@@ -134,23 +134,22 @@ def check_sample(sample: TrainSample, bins: int):
 class _IterationRecord:
     """A block's one ``net.forward`` call: its slots, in order, are the rows
     of the call's slot axis.  The residuals the call read are not kept; the
-    block's truth and its slots' sources rebuild them, byte-equal, with
-    :func:`_teacher_forced_residuals`."""
+    sample's truth of the block and its slots' sources rebuild them,
+    byte-equal, with :func:`_teacher_forced_residuals`."""
 
     slots: list
-    truth: object  # the block's BlockTruth
     slot_source: dict  # speaker slot -> source id, for every speaker slot of the block
     cache: object  # MaskNet.IterationCache
 
 
 @dataclass
 class UnrollResult:
+    sample: TrainSample  # a reference, no memory: unroll_backward reads its blocks
     loss: TotalLoss
     masks: dict  # (block, slot) -> mask
     embeddings: dict  # (block, slot) -> embedding
     targets: list
-    records: list = field(default_factory=list)  # per block: _IterationRecord
-    contexts: list = field(default_factory=list)  # per block: BlockContext
+    records: list  # per block: _IterationRecord
 
 
 def _new_source_order(truth, new_sources):
@@ -189,15 +188,16 @@ def unroll(sample: TrainSample, net: MaskNet, cfg: TrainConfig) -> UnrollResult:
     ``net.forward``, kept as the block's one record.
 
     What the result holds until it is dropped, for :func:`unroll_backward`:
-    per block its context, its record's forward cache, and its (B, T, F)
-    stack of mask gradients in the loss.  The residuals live only for their
-    block's forward; a silent known slot's target is a read-only zero view.
+    per block its record's forward cache and its (B, T, F) stack of mask
+    gradients in the loss.  The block's (T, P) static projection and the
+    residuals live only for the block's forward; a silent known slot's
+    target is a read-only zero view.
     A sample that :func:`check_sample` rejects raises ``ValueError``.
     """
     check_sample(sample, net.params.bins)
     dt = net.params.dtype
     masks, embeddings = {}, {}
-    records, contexts, targets = [], [], []
+    records, targets = [], []
     slot_source = {}  # speaker slot -> source id (grows block by block)
     prev_z = {}  # slot -> embedding emitted in the previous block
     zero_z = np.zeros(net.embed_dim)  # z_prev of a slot new in this block
@@ -227,13 +227,11 @@ def unroll(sample: TrainSample, net: MaskNet, cfg: TrainConfig) -> UnrollResult:
         for slot, src in zip(new_slots, new_sources):
             slot_source[slot] = src
 
-        ctx = net.prepare_block(mag, feat)
-        contexts.append(ctx)
         z_prevs = np.array([prev_z.get(slot, zero_z) for slot in order], dtype=dt)
         residuals = _teacher_forced_residuals(truth, order, slot_source, dt)
-        _, _, cache = net.forward(ctx, residuals, z_prevs)
+        _, _, cache = net.forward(net.prepare_block(mag, feat), residuals, z_prevs)
         del residuals
-        records.append(_IterationRecord(order, truth, dict(slot_source), cache))
+        records.append(_IterationRecord(order, dict(slot_source), cache))
         for i, slot in enumerate(order):
             masks[(b, slot)] = cache.mask[i]
             embeddings[(b, slot)] = cache.z_out[i]
@@ -241,7 +239,7 @@ def unroll(sample: TrainSample, net: MaskNet, cfg: TrainConfig) -> UnrollResult:
 
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x54524950]))
     loss = total_loss(masks, sample.mags, targets, embeddings, cfg.weights, rng=rng)
-    return UnrollResult(loss, masks, embeddings, targets, records, contexts)
+    return UnrollResult(sample, loss, masks, embeddings, targets, records)
 
 
 def unroll_backward(result: UnrollResult, net: MaskNet) -> dict:
@@ -250,8 +248,9 @@ def unroll_backward(result: UnrollResult, net: MaskNet) -> dict:
     Walks the blocks in reverse, one ``net.backward`` per block.  A block's
     mask gradients are the loss's (B, T, F) stack for the block, whose rows
     :func:`unroll` gave in its record's slot order, in the network dtype;
-    ``backward`` takes it as it is.  The block's teacher-forced residuals
-    are rebuilt from its record for the call and live only as long as it.
+    ``backward`` takes it as it is.  From ``result.sample`` and the record,
+    the block's residuals are rebuilt for that call and its static features
+    for ``finish_block_backward``; each lives only as long as its call.
     Embedding gradients chain across blocks by slot: every slot known before
     a block runs in it, so a slot's ``z_prev`` in block b is its embedding
     from block b - 1.  The residuals come from the ground truth, so no
@@ -263,20 +262,21 @@ def unroll_backward(result: UnrollResult, net: MaskNet) -> dict:
     """
     dt = net.params.dtype
     grads = net.params.zeros_like()
+    sample = result.sample
     z_next = {}  # slot -> gradient w.r.t. its embedding, from the next block
     for b in range(len(result.records) - 1, -1, -1):
-        rec, ctx = result.records[b], result.contexts[b]
+        rec = result.records[b]
         d_z = np.zeros((len(rec.slots), net.embed_dim), dtype=dt)
         for row, slot in zip(d_z, rec.slots):
             row[...] = result.loss.emb_grads.get((b, slot), 0.0) + z_next.get(slot, 0.0)
-        residuals = _teacher_forced_residuals(rec.truth, rec.slots, rec.slot_source, dt)
+        residuals = _teacher_forced_residuals(sample.truth[b], rec.slots, rec.slot_source, dt)
         d_z_prev, d_static_pre = net.backward(rec.cache, residuals,
                                               result.loss.block_grads[b], d_z, grads)
         del residuals
         result.loss.block_grads[b] = None
         for slot in rec.slots:
             del result.loss.mask_grads[(b, slot)]
-        net.finish_block_backward(ctx, d_static_pre, grads)
+        net.finish_block_backward(sample.mags[b], sample.ipds[b], d_static_pre, grads)
         z_next = dict(zip(rec.slots, d_z_prev))
     return grads
 

@@ -116,8 +116,8 @@ def slot_residuals(result, b):
     ``unroll_backward`` rebuilds from the block's record, by the helper
     ``unroll`` builds them with."""
     rec = result.records[b]
-    residuals = _teacher_forced_residuals(rec.truth, rec.slots, rec.slot_source,
-                                          rec.cache.mask.dtype)
+    residuals = _teacher_forced_residuals(result.sample.truth[b], rec.slots,
+                                          rec.slot_source, rec.cache.mask.dtype)
     return list(zip(rec.slots, residuals))
 
 

@@ -852,6 +852,18 @@ def test_push_after_finish_rejected():
         session.push(next(cut))
 
 
+def test_push_after_finish_before_any_push_rejected():
+    # a session finished before its first push once took a push and
+    # decoded block 0 into the state of the result it had returned
+    mixture = _noise_mixture(seconds=2.0)
+    cfg = DecoderConfig(block_len_s=1.0)
+    session = Session(_tiny_net(STFT), cfg, STFT, mixture.sample_rate, mixture.n_samples)
+    result = session.finish()
+    with pytest.raises(ValueError, match="block 0 pushed after the session finished"):
+        session.push(next(blocks(mixture.samples, session.block_n)))
+    assert result.state.n_blocks == 0 and result.state.cache == []
+
+
 @pytest.mark.parametrize("shape", [(2, 4000), (2, 12000), (3, 8000), (1, 8000), (8000,)])
 def test_push_rejects_block_of_another_shape(shape):
     # a short block once set the session's block shape, a long one lost its

@@ -43,6 +43,16 @@ def test_stft_shape_contract():
     assert spec.shape == ((n - 128) // 32 + 1, 65)
 
 
+@pytest.mark.parametrize("window_len, hop, name", [
+    (256, 64.0, "hop"), (256.0, 64, "window_len"), (True, 1, "window_len"),
+    (256, True, "hop")])
+def test_stft_config_rejects_a_non_integer_size(window_len, hop, name):
+    # a float hop once failed with a numpy TypeError in cola_ok, and a bool
+    # window length was accepted
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        StftConfig(window_len, hop)
+
+
 def test_stft_too_short():
     with pytest.raises(ValueError, match="input too short"):
         stft(np.zeros(100), StftConfig(window_len=256, hop=64))

@@ -83,6 +83,14 @@ def test_scenario_validation(pool):
         sample_scenario("Q", 60.0, pool, seed=0)
 
 
+@pytest.mark.parametrize("length_s", [np.nan, np.inf])
+def test_scenario_rejects_a_non_finite_length(pool, length_s):
+    # a NaN length once came back as a scenario that failed only in render,
+    # and an infinite one never left the body loop
+    with pytest.raises(ValueError, match="scenario length must be finite"):
+        sample_scenario("B", length_s, pool, seed=0)
+
+
 def test_scenario_segment_bounds(pool):
     sc = sample_scenario("B", 30.0, pool, seed=5)
     for seg in sc.segments:

@@ -200,12 +200,12 @@ def test_unroll_holds_each_training_tensor_once():
         backward_peak = tracemalloc.get_traced_memory()[1] - left
     finally:
         tracemalloc.stop()
-    # what the backward reads: the forward caches, the block contexts and
-    # the loss's gradient stacks, one per block in the record's slot order
+    # what the backward reads: the forward caches and the loss's gradient
+    # stacks, one per block in the record's slot order; the block's static
+    # features and projection are not held
     needed = _array_bytes(
         [getattr(rec.cache, f) for rec in result.records
-         for f in ("z_prev", "p", "states", "mask", "z_out", "inv_norm")]
-        + [a for ctx in result.contexts for a in (ctx.features, ctx.static_pre)])
+         for f in ("z_prev", "p", "states", "mask", "z_out", "inv_norm")])
     one_tf = 100 * 129 * 4  # one float32 (T, F) array
     block_array = 4 * one_tf  # one block's (B, T, F) float32 array, B = 4
     stacks = sum(len(rec.slots) * one_tf for rec in result.records)
@@ -321,7 +321,7 @@ def test_train_checks_every_sample_before_the_first_step(seed):
     # with these seeds epoch 0 reaches the bad sample last, and each once
     # raised only after Adam had changed the caller's params in place: the
     # 7-block sample with this ValueError, the short truth list with a bare
-    # IndexError, the narrow IPD plane inside a concatenate of prepare_block,
+    # IndexError, the narrow IPD plane inside the static features' concatenate,
     # the short mask in a broadcast, the sample with no blocks with a bare
     # ZeroDivisionError in the noise loss
     cfg = tiny_config(seed=seed, batch_size=1)
@@ -374,7 +374,7 @@ def _per_slot_reference(sample, net, lockstep, weights):
     clip(R - M, 0, 1) in a fresh array: the loop the lockstep path replaced.
     Reads only the slot order and targets of ``lockstep``.  Also returns, per
     block, the float64 residual each slot read."""
-    masks, embeddings, caches, contexts = {}, {}, {}, []
+    masks, embeddings, caches = {}, {}, {}
     slot_source, prev_z, orders, residuals = {}, {}, [], []
     for b in range(sample.n_blocks):
         truth = sample.truth[b]
@@ -382,21 +382,20 @@ def _per_slot_reference(sample, net, lockstep, weights):
         fresh = [s for s in truth.active if s not in slot_source.values()]
         fresh.sort(key=lambda s: (-float(truth.irms[s].values.mean()), s))
         slot_source.update(zip([s for s in order if s and s not in slot_source], fresh))
-        ctx = net.prepare_block(sample.mags[b], sample.ipds[b])
+        static_pre = net.prepare_block(sample.mags[b], sample.ipds[b])
         residual = np.ones_like(sample.mags[b])
         residuals.append([])
         for slot in order:
             residuals[-1].append(residual)
             key = (b, slot)
             masks[key], embeddings[key], caches[key] = net.forward(
-                ctx, residual, prev_z.get(slot, np.zeros(net.embed_dim)))
+                static_pre, residual, prev_z.get(slot, np.zeros(net.embed_dim)))
             if slot == 0:
                 residual = np.clip(residual - truth.noise_irm.values, 0.0, 1.0)
             elif slot_source[slot] in truth.active:
                 residual = np.clip(residual - truth.irms[slot_source[slot]].values,
                                    0.0, 1.0)
         prev_z = {slot: embeddings[(b, slot)] for slot in order}
-        contexts.append(ctx)
         orders.append(order)
     # few enough triplets that the generator draws nothing
     loss = total_loss(masks, sample.mags, lockstep.targets, embeddings, weights,
@@ -404,7 +403,7 @@ def _per_slot_reference(sample, net, lockstep, weights):
     grads = net.params.zeros_like()
     z_next = {}
     for b in reversed(range(sample.n_blocks)):
-        d_static_pre = np.zeros_like(contexts[b].static_pre)
+        d_static_pre = 0.0
         z_here = {}
         for slot, residual in reversed(list(zip(orders[b], residuals[b]))):
             key = (b, slot)
@@ -412,7 +411,7 @@ def _per_slot_reference(sample, net, lockstep, weights):
             z_here[slot], d_pre = net.backward(caches[key], residual, loss.mask_grads[key],
                                                d_z, grads)
             d_static_pre += d_pre
-        net.finish_block_backward(contexts[b], d_static_pre, grads)
+        net.finish_block_backward(sample.mags[b], sample.ipds[b], d_static_pre, grads)
         z_next = z_here
     return masks, embeddings, loss, grads, residuals
 

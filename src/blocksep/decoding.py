@@ -10,12 +10,11 @@ it and has its streams synthesized; past blocks stay only as re-decode handles.
 
 import numbers
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .dsp import (AudioSignal, IpdFeature, StftConfig, apply_mask, block_samples,
-                  blocks, check_positive_whole, ipd, istft, stft)
+                  blocks, check_positive_whole, check_real_samples, ipd, istft, stft)
 from .estimators import SILENT_MASK_MEAN, CheckedMask, check_model_stft
 
 
@@ -42,23 +41,25 @@ class BlockFeatures:
     """One block's features, as an estimator's ``begin_block`` reads them.
 
     ``spec`` is the reference channel's spectrogram.  ``mag`` (its
-    magnitudes) and ``ipd`` are each computed on their first read and kept;
-    ``ipd`` comes from ``spec`` and the STFT of the second channel's
-    samples.  So an estimator that reads neither costs no |X|, no second
-    STFT and no IPD.
+    magnitudes) and ``ipd`` are computed on each read and not kept: the
+    reader holds them as long as it needs them, and a push holds them no
+    longer than ``begin_block`` does.  ``ipd`` comes from ``spec`` and the
+    STFT of the second channel's samples.  So an estimator that reads
+    neither costs no |X|, no second STFT and no IPD.
     """
 
     spec: np.ndarray  # (T, F) complex reference-channel spectrogram
     second: np.ndarray  # the block's second-channel samples
     stft_cfg: StftConfig
 
-    @cached_property
+    @property
     def mag(self) -> np.ndarray:
-        """(T, F) reference-channel magnitudes."""
+        """(T, F) reference-channel magnitudes, new on each read."""
         return np.abs(self.spec)
 
-    @cached_property
+    @property
     def ipd(self) -> IpdFeature:
+        """The IPD planes, new on each read."""
         # the module-level ``ipd`` function, not this property
         return ipd(self.spec, stft(self.second, self.stft_cfg))
 
@@ -253,7 +254,7 @@ class BlockOutput:
 
 def block_features(block_samples: np.ndarray, stft_cfg: StftConfig) -> BlockFeatures:
     """A (2, n) block's features: the reference channel's STFT now, its
-    magnitudes and the IPD when first read."""
+    magnitudes and the IPD when read."""
     return BlockFeatures(stft(block_samples[0], stft_cfg), block_samples[1], stft_cfg)
 
 
@@ -265,7 +266,10 @@ class Session:
     blocks change only the embeddings.  The session then keeps only the
     estimator's handle for the block, so apart from the output streams its
     memory does not grow with the session length.  Each slot's stream is
-    allocated at full session length, as zeros, when the slot opens.
+    allocated at full session length, as zeros, when the slot opens.  Within
+    a push, the block's reference spectrogram is held until its chunks are
+    synthesized, while |X|, the second channel's spectrum and the IPD live
+    only inside the estimator's ``begin_block`` (see :class:`BlockFeatures`).
 
     Only a block's active slots (mask mean at least ``t_silent``, the rule
     of ``activity``) are synthesized.  A silent slot's mask is all zero (see
@@ -319,7 +323,8 @@ class Session:
         """Decode the next (2, block_n) block; the last one is zero-padded.
 
         Raises ``ValueError`` after :meth:`finish`, past the session's end,
-        and for a block of another shape or with a NaN or infinite sample.
+        and for a block of another shape, of complex or boolean samples, or
+        with a NaN or infinite sample.
         """
         state, cfg = self.state, self.cfg
         b = state.n_blocks
@@ -332,6 +337,7 @@ class Session:
         if np.shape(block_samples) != (2, self.block_n):
             raise ValueError(f"block {b} has shape {np.shape(block_samples)}, "
                              f"not (2, {self.block_n})")
+        check_real_samples(f"block {b}", block_samples)
         if not np.isfinite(block_samples).all():
             raise ValueError(f"block {b} holds a NaN or infinite sample")
         feats = block_features(block_samples, self.stft_cfg)

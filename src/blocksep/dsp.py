@@ -19,6 +19,9 @@ DEFAULT_SAMPLE_RATE = 8000
 # inter-channel phase feature.
 _PHASE_EPS = 1e-12
 COLA_TOL = 1e-8  # relative spread allowed in the overlap-added squared window
+# Frames that stft and istft transform at a time: a 10 s block's 1247
+# frames at the default STFT would be a 2.55 MB (T, window_len) matrix.
+CHUNK_FRAMES = 128
 
 
 def check_positive_whole(name: str, value) -> None:
@@ -30,6 +33,14 @@ def check_positive_whole(name: str, value) -> None:
         raise ValueError(f"{name} must be a positive whole number, not {value!r}")
 
 
+def check_real_samples(name: str, samples) -> None:
+    """Reject complex or boolean ``samples``, naming their dtype: taken as
+    float64 they would keep only the real part, or read as 0 and 1."""
+    dtype = np.asarray(samples).dtype
+    if dtype.kind in "bc":
+        raise ValueError(f"{name} must be real numbers, not {dtype}")
+
+
 @dataclass
 class AudioSignal:
     """Multi-channel waveform. ``samples`` has shape (channels, n)."""
@@ -38,6 +49,7 @@ class AudioSignal:
     samples: np.ndarray
 
     def __post_init__(self):
+        check_real_samples("samples", self.samples)
         self.samples = np.atleast_2d(np.asarray(self.samples, dtype=np.float64))
         check_positive_whole("sample_rate", self.sample_rate)
         if self.samples.ndim != 2:
@@ -142,7 +154,10 @@ def stft(samples: np.ndarray, cfg: StftConfig) -> np.ndarray:
     """Short-time Fourier transform of one channel.
 
     Returns a (T, F) complex array with T = floor((n - window)/hop) + 1 and
-    F = window_len/2 + 1.  No padding or centering is applied.
+    F = window_len/2 + 1.  No padding or centering is applied.  Frames are
+    windowed and transformed ``CHUNK_FRAMES`` at a time into the output, so
+    no (T, window_len) matrix is built; each frame's transform is the one a
+    single call over all frames gives, byte for byte.
     """
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 1:
@@ -154,7 +169,12 @@ def stft(samples: np.ndarray, cfg: StftConfig) -> np.ndarray:
     frames = np.lib.stride_tricks.as_strided(
         x, shape=(n_frames, cfg.window_len), strides=(stride * cfg.hop, stride)
     )
-    return np.fft.rfft(frames * cfg.window_array(), axis=1)
+    win = cfg.window_array()
+    out = np.empty((n_frames, cfg.n_bins), dtype=np.complex128)
+    for start in range(0, n_frames, CHUNK_FRAMES):
+        rows = slice(start, start + CHUNK_FRAMES)
+        out[rows] = np.fft.rfft(frames[rows] * win, axis=1)
+    return out
 
 
 def istft(spec: np.ndarray, cfg: StftConfig) -> np.ndarray:
@@ -169,7 +189,10 @@ def istft(spec: np.ndarray, cfg: StftConfig) -> np.ndarray:
     and zeroed where that sum is at most 1e-10.  Every frame overlaps each
     interior period, so they all share one divisor of ``hop`` values; only
     the k-1 leading and k-1 trailing periods, k = ceil(window_len / hop),
-    get divisors of their own.  No full-length window sum is built.
+    get divisors of their own.  No full-length window sum is built, and
+    frames are inverted, windowed and overlap-added ``CHUNK_FRAMES`` at a
+    time, so no (T, window_len) matrix is built either; chunks run in frame
+    order, so each sample still sums its frames in increasing frame order.
     """
     if not cfg.cola_ok():
         raise ValueError("window/hop violates overlap-add")
@@ -180,19 +203,22 @@ def istft(spec: np.ndarray, cfg: StftConfig) -> np.ndarray:
     if n_frames == 0:
         raise ValueError("spectrogram has no frames")
     hop, win = cfg.hop, cfg.window_array()
-    frames = np.fft.irfft(spec, n=cfg.window_len, axis=1)
-    frames *= win
-    # Overlap-add as k = ceil(window_len / hop) strided adds: column slab j
-    # of every frame (up to hop samples wide) lands in out[j*hop : j*hop +
-    # n_frames*hop] viewed as (n_frames, hop).  Running j downward sums each
-    # sample's frames in increasing frame order, as a per-frame loop would.
+    # Overlap-add as k = ceil(window_len / hop) strided adds per chunk: column
+    # slab j of a chunk's frames (up to hop samples wide) lands in
+    # out[(first + j)*hop : (first + j + rows)*hop] viewed as (rows, hop).
+    # Running j downward sums each sample's frames of the chunk in
+    # increasing frame order, as a per-frame loop would.
     k = -(-cfg.window_len // hop)
     out = np.zeros((n_frames + k - 1) * hop)
-    span = n_frames * hop
-    for j in range(k - 1, -1, -1):
-        cols = slice(j * hop, min((j + 1) * hop, cfg.window_len))
-        width = cols.stop - cols.start
-        out[j * hop : j * hop + span].reshape(n_frames, hop)[:, :width] += frames[:, cols]
+    for first in range(0, n_frames, CHUNK_FRAMES):
+        frames = np.fft.irfft(spec[first:first + CHUNK_FRAMES], n=cfg.window_len, axis=1)
+        frames *= win
+        span = len(frames) * hop
+        for j in range(k - 1, -1, -1):
+            cols = slice(j * hop, min((j + 1) * hop, cfg.window_len))
+            width = cols.stop - cols.start
+            start = (first + j) * hop
+            out[start : start + span].reshape(len(frames), hop)[:, :width] += frames[:, cols]
     # w² zero-padded to k slabs of hop: adding a padding +0.0 to a sum of
     # squares leaves it unchanged, so each period's divisor equals the
     # per-frame loop's window sum there, bit for bit
@@ -237,22 +263,30 @@ def ipd(spec_ch1: np.ndarray, spec_ch2: np.ndarray) -> IpdFeature:
 
     Bins where either channel has magnitude below 1e-12 are mapped to zero
     phase difference (cos=1, sin=0) so the feature stays finite everywhere.
+    The cross spectrum is conj(b)·a, in that operand order, computed in
+    place of the conjugate; the sine plane is divided in place of the
+    magnitudes.  So besides the two planes only the cross spectrum and one
+    boolean plane are held at once.
     """
     a = np.asarray(spec_ch1)
     b = np.asarray(spec_ch2)
     if a.shape != b.shape:
         raise ValueError("spectrogram dimensions do not match")
-    cross = a * np.conj(b)
     degenerate = np.abs(a) < _PHASE_EPS
     degenerate |= np.abs(b) < _PHASE_EPS
+    # the complex product is not commutative bit for bit, so its order is
+    # fixed here, not left to numpy's in-place reuse of temporaries
+    cross = np.conj(b, dtype=np.result_type(a, b))
+    cross *= a
     # set in place: np.where would allocate another (T, F) array per plane
     safe = np.abs(cross)
     tiny = safe < _PHASE_EPS * _PHASE_EPS
     tiny |= degenerate
     safe[tiny] = 1.0
+    del tiny
     cos = np.real(cross) / safe
     cos[degenerate] = 1.0
-    sin = np.imag(cross) / safe
+    sin = np.divide(np.imag(cross), safe, out=safe)
     sin[degenerate] = 0.0
     return IpdFeature(cos=cos, sin=sin)
 

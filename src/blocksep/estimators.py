@@ -21,8 +21,9 @@ at each call:
   static projection); ``enter_block(handle)`` re-enters it for a
   consistency re-decode, resetting the per-block call state as
   ``begin_block`` does.  An estimator reads only the features it needs
-  (:class:`MaskNet` ``features.mag`` and ``features.ipd``, the oracle
-  none), and |X| and the IPD are computed only when read.
+  (:class:`MaskNet` ``features.ipd``, then ``features.mag``; the oracle
+  none).  |X| and the IPD are computed when read, not kept past
+  ``begin_block``.
 * Each extraction iteration calls ``estimate(residual, z_prev)``; a zero
   ``z_prev`` probes for a new speaker.  It returns ``(mask, embedding)``:
   a :class:`CheckedMask` of the residual's shape, made by
@@ -390,7 +391,9 @@ class MaskNet:
     # -- session protocol ---------------------------------------------------
 
     def begin_block(self, index: int, features) -> np.ndarray:
-        self._static_pre = self.prepare_block(features.mag, features.ipd)
+        # the IPD first: its temporaries then peak without |X| beside them
+        ipd = features.ipd
+        self._static_pre = self.prepare_block(features.mag, ipd)
         return self._static_pre
 
     def enter_block(self, handle: np.ndarray):
@@ -403,11 +406,14 @@ class MaskNet:
     # -- network core -------------------------------------------------------
 
     def _static_features(self, mag: np.ndarray, ipd: IpdFeature) -> np.ndarray:
-        """(T, 3F) input of the static projection: block-normalized log |X|, IPD."""
-        logmag = np.log(np.asarray(mag, dtype=np.float64) + _LOG_FLOOR)
+        """(T, 3F) input of the static projection: block-normalized log |X|, IPD.
+        The log-magnitudes are taken and normalized in one float64 array."""
+        logmag = np.asarray(mag, dtype=np.float64) + _LOG_FLOOR
+        np.log(logmag, out=logmag)
         mu, sigma = logmag.mean(), logmag.std() + 1e-5
-        return np.concatenate([(logmag - mu) / sigma, ipd.cos, ipd.sin], axis=1,
-                              dtype=self.params.dtype)
+        logmag -= mu
+        logmag /= sigma
+        return np.concatenate([logmag, ipd.cos, ipd.sin], axis=1, dtype=self.params.dtype)
 
     def prepare_block(self, mag: np.ndarray, ipd: IpdFeature) -> np.ndarray:
         """The (T, P) static projection, all ``forward`` reads of the block:
@@ -428,7 +434,8 @@ class MaskNet:
         r = np.asarray(residual, dtype=dt)
         z = np.asarray(z_prev, dtype=dt)
         pre = static_pre + r @ a["w_res"] + (z @ a["w_emb_in"])[..., None, :]
-        p = np.tanh(pre)
+        del r
+        p = np.tanh(pre, out=pre)
         xf = p @ a["w_xf"] + a["b_f"]
         xb = p @ a["w_xb"] + a["b_b"]
         # Both directions run as one 2H-wide recurrence; the block-diagonal
@@ -436,10 +443,14 @@ class MaskNet:
         # axis, so its input is time-major: (T, [B,] 2H).
         h = self.params.hidden
         x = _join(_time_major(xf), _time_major(xb)[::-1])
+        del xf, xb
         states = kernels.rnn_seq_forward(x, _joint_recurrence_weight(a),
                                          np.zeros(x.shape[1:], dtype=dt))
+        del x
         hcat = _hidden_concat(states, h)
-        mask = expit(hcat @ a["w_mask"] + a["b_mask"])
+        mask = hcat @ a["w_mask"]
+        mask += a["b_mask"]
+        expit(mask, out=mask)
         pooled = hcat.mean(axis=-2)
         e = pooled @ a["w_embed"] + a["b_embed"]
         # norms in float64, then one cast, so float32 tensors stay float32

@@ -23,7 +23,7 @@ from blocksep.decoding import (
     new_session_state,
 )
 from blocksep.dsp import (AudioSignal, IpdFeature, StftConfig, apply_mask, block_samples,
-                          blocks, ipd, istft, stft)
+                          blocks, frame_count, ipd, istft, stft)
 from blocksep.estimators import (
     CheckedMask,
     MaskNet,
@@ -603,7 +603,8 @@ def _count_calls(monkeypatch, name):
 def test_decode_computes_the_ipd_only_for_an_estimator_that_reads_it(
         monkeypatch, kind, stfts, ipds):
     # the oracle reads no features, so no block runs the second channel's
-    # STFT, the IPD or |X|; a network reads each once per block, re-decodes none
+    # STFT, the IPD or |X|; a network reads each once per block, re-decodes
+    # none, and the features keep neither past its begin_block
     meeting = _fixture_meeting(seed=0, length=30.0)
     est = (OracleMaskEstimator.from_rendered(meeting, STFT, CFG.block_len_s)
            if kind == "oracle" else _tiny_net(STFT))
@@ -621,31 +622,33 @@ def test_decode_computes_the_ipd_only_for_an_estimator_that_reads_it(
     n_blocks = len(result.activity)
     assert n_blocks == 3
     assert (len(stft_calls), len(ipd_calls)) == (stfts * n_blocks, ipds * n_blocks)
-    assert computed == [["ipd", "mag"] if ipds else []] * n_blocks
+    assert computed == [[]] * n_blocks
 
 
-def test_block_features_mag_is_computed_once_on_first_read():
+def test_block_features_mag_is_computed_on_each_read_and_not_kept():
     block = np.random.default_rng(4).normal(size=(2, 4000))
     feats = block_features(block, STFT)
-    assert "mag" not in feats.__dict__
     first = feats.mag
-    assert feats.mag is first
-    assert first.tobytes() == np.abs(stft(block[0], STFT)).tobytes()
+    second = feats.mag
+    assert second is not first and "mag" not in feats.__dict__
+    assert first.tobytes() == second.tobytes() == np.abs(stft(block[0], STFT)).tobytes()
 
 
-def test_block_features_ipd_is_computed_once_on_first_read(monkeypatch):
+def test_block_features_ipd_is_computed_on_each_read_and_not_kept(monkeypatch):
     block = np.random.default_rng(3).normal(size=(2, 4000))
     ipd_calls = _count_calls(monkeypatch, "ipd")
     feats = block_features(block, STFT)
     assert ipd_calls == []
     first = feats.ipd
-    assert feats.ipd is first and len(ipd_calls) == 1
+    second = feats.ipd
+    assert second is not first and len(ipd_calls) == 2
+    assert "ipd" not in feats.__dict__
     spec = stft(block[0], STFT)
     expected = ipd(spec, stft(block[1], STFT))
-    assert np.array_equal(first.cos, expected.cos)
-    assert np.array_equal(first.sin, expected.sin)
+    for got in (first, second):
+        assert got.cos.tobytes() == expected.cos.tobytes()
+        assert got.sin.tobytes() == expected.sin.tobytes()
     assert np.array_equal(feats.spec, spec)
-    assert np.array_equal(feats.mag, np.abs(spec))
 
 
 class _CountingEstimator:
@@ -886,6 +889,17 @@ def test_push_rejects_non_finite_block(bad):
     assert est.blocks == []
 
 
+@pytest.mark.parametrize("dtype", [np.complex128, np.bool_])
+def test_push_rejects_a_complex_or_boolean_block(dtype):
+    # a complex block once decoded its real part after a ComplexWarning, and
+    # a boolean one as 0 and 1
+    est = _CountingEstimator()
+    session = Session(est, DecoderConfig(block_len_s=1.0), STFT, 8000, 16000)
+    with pytest.raises(ValueError, match=f"block 0 must be real numbers, not {np.dtype(dtype)}"):
+        session.push(np.ones((2, 8000), dtype=dtype))
+    assert est.blocks == []
+
+
 class _BadProbeEstimator:
     """A noise mask, then ``bad(residual)`` as the first probe's mask and
     ``z`` as every embedding."""
@@ -1121,6 +1135,29 @@ def test_session_memory_besides_streams_does_not_grow_with_length():
     decode_session(_noise_mixture(), net, CFG, STFT)  # warm up numpy's caches
     short, long = (_retained_bytes_besides_streams(m, net) for m in mixtures)
     assert abs(long - short) < 1e6
+
+
+def test_a_network_push_holds_its_block_working_set_once():
+    # what a default-size float32 network decode holds above its result is
+    # one push's working set: 8.4 one-block (T, F) float64 arrays.  It was
+    # 12.5 while the block's |X| and IPD stayed alive to the end of the push
+    # and the STFT, iSTFT and forward held more temporaries; the bound
+    # leaves 1.6 arrays (2.1 MB) of margin
+    stft_cfg = StftConfig()
+    net = MaskNet(init_params(stft_cfg.n_bins, stft_cfg=stft_cfg))
+    meeting = _fixture_meeting(seed=0, length=30.0)
+    decode_session(meeting.mixture, net, CFG, stft_cfg)  # warm up numpy's caches
+    tracemalloc.start()
+    try:
+        result = decode_session(meeting.mixture, net, CFG, stft_cfg)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result.activity) == 3
+    block_n = block_samples(CFG.block_len_s, meeting.mixture.sample_rate)
+    block = np.zeros((frame_count(block_n, stft_cfg), stft_cfg.n_bins))
+    assert block.shape == (1247, 129)
+    assert peak - retained <= 10 * block.nbytes
 
 
 class _HalfMasks:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blocksep.dsp import (
+    CHUNK_FRAMES,
     COLA_TOL,
     AudioSignal,
     CheckedMask,
@@ -51,6 +52,24 @@ def test_stft_config_rejects_a_non_integer_size(window_len, hop, name):
     # window length was accepted
     with pytest.raises(ValueError, match=f"{name} must be an integer"):
         StftConfig(window_len, hop)
+
+
+# frame counts around the chunk size, where a chunk ends or a short one
+# follows, and one frame
+CHUNKED_FRAME_COUNTS = (1, CHUNK_FRAMES - 1, CHUNK_FRAMES, CHUNK_FRAMES + 1,
+                        2 * CHUNK_FRAMES + 3)
+
+
+@pytest.mark.parametrize("hop", [64, 128])
+@pytest.mark.parametrize("n_frames", CHUNKED_FRAME_COUNTS)
+def test_stft_equals_one_transform_of_all_frames(hop, n_frames):
+    cfg = StftConfig(256, hop)
+    x = np.random.default_rng(n_frames).normal(size=(n_frames - 1) * hop + 256)
+    frames = np.lib.stride_tricks.sliding_window_view(x, 256)[::hop]
+    expected = np.fft.rfft(frames * cfg.window_array(), axis=1)
+    got = stft(x, cfg)
+    assert got.shape == (n_frames, 129)
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_stft_too_short():
@@ -209,6 +228,15 @@ def test_istft_matches_per_frame_overlap_add(cfg):
         assert got.tobytes() == _istft_per_frame_loop(spec[:n_frames], cfg).tobytes()
 
 
+@pytest.mark.parametrize("hop", [64, 128])
+@pytest.mark.parametrize("n_frames", CHUNKED_FRAME_COUNTS)
+def test_istft_across_chunks_matches_per_frame_overlap_add(hop, n_frames):
+    cfg = StftConfig(256, hop)
+    rng = np.random.default_rng(n_frames)
+    spec = rng.normal(size=(n_frames, 129)) + 1j * rng.normal(size=(n_frames, 129))
+    assert istft(spec, cfg).tobytes() == _istft_per_frame_loop(spec, cfg).tobytes()
+
+
 def _interior_roundtrip_error(x, cfg):
     y = istft(stft(x, cfg), cfg)
     w = cfg.window_len
@@ -282,7 +310,7 @@ def test_ipd_unit_circle_invariant():
 
 def _ipd_by_where(a, b):
     """Reference ``ipd``: one ``np.where`` temporary per plane."""
-    cross = a * np.conj(b)
+    cross = np.multiply(np.conj(b), a)
     mag = np.abs(cross)
     degenerate = (np.abs(a) < 1e-12) | (np.abs(b) < 1e-12)
     safe = np.where(degenerate | (mag < 1e-12 * 1e-12), 1.0, mag)
@@ -313,6 +341,19 @@ def test_ipd_equals_the_where_formula_bytewise(dtype):
     assert feat.cos.dtype == cos.dtype and feat.sin.dtype == sin.dtype
     assert feat.cos.tobytes() == cos.tobytes()
     assert feat.sin.tobytes() == sin.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(10, 129), (1247, 129)])
+def test_ipd_takes_the_cross_spectrum_as_conj_b_times_a(shape):
+    # the complex product is not commutative bit for bit: a * conj(b) once
+    # gave conj(b) * a above numpy's 256 KB temporary-elision threshold, as
+    # at (1247, 129), and a * conj(b) below it, as at (10, 129)
+    rng = np.random.default_rng(9)
+    a, b = (rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(2))
+    cross = np.multiply(np.conj(b), a)
+    feat = ipd(a, b)
+    assert feat.cos.tobytes() == (cross.real / np.abs(cross)).tobytes()
+    assert feat.sin.tobytes() == (cross.imag / np.abs(cross)).tobytes()
 
 
 def test_ipd_shape_mismatch():
@@ -423,6 +464,16 @@ def test_audio_signal_invariants():
     assert sig.duration == pytest.approx(2.0)
     for rate in (np.int64(8000), np.int32(8000)):
         assert AudioSignal(rate, np.zeros(16000)).duration == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("samples", [np.array([[0.5 + 0.5j, 1j]]), np.array([True, False]),
+                                     [1 + 0j, 2 + 0j]])
+def test_audio_signal_rejects_complex_or_boolean_samples(samples):
+    # a complex mixture once kept its real part after only a ComplexWarning,
+    # and a boolean one read as 0 and 1
+    dtype = np.asarray(samples).dtype
+    with pytest.raises(ValueError, match=f"samples must be real numbers, not {dtype}"):
+        AudioSignal(8000, samples)
 
 
 def test_a_bool_is_no_whole_number():

@@ -14,7 +14,10 @@ decode_oracle, 4 train), set up and run through that module, which this
 script only imports.  Per meeting it hashes:
 
 * the scenario's dataclass fields and the rendered audio;
-* decode meetings: the oracle's ideal ratio masks (decode_oracle);
+* decode meetings: the oracle's ideal ratio masks (decode_oracle); per
+  block, the float64 |X| and IPD planes that ``MaskNet.begin_block`` reads
+  and the static-projection handle it returns (decode_net), so the
+  features show here before the network casts them to float32;
 * train meetings: the ``TrainSample`` arrays, in the flat layout of
   :class:`TrainSample` below, then one epoch's params and losses, and the
   decode by the trained network;
@@ -52,7 +55,7 @@ import numpy as np  # noqa: E402
 import workloads  # noqa: E402
 
 from blocksep import decoding, estimators, simulate  # noqa: E402
-from blocksep.dsp import blocks  # noqa: E402
+from blocksep.dsp import block_samples, blocks  # noqa: E402
 
 SAMPLER_POOLS = (4, 5, 6)
 SAMPLER_LENGTHS_S = (10.0, 30.0, 60.0, 120.0)
@@ -132,6 +135,20 @@ def oracle_irms(est):
             for blk in est.blocks]
 
 
+def net_block_inputs(item, stft_cfg):
+    """Per block, the digest of the float64 |X|, the IPD planes and the
+    network's handle for them, features made as a decode makes them."""
+    mixture = item.rendered.mixture
+    block_n = block_samples(workloads.DECODER.block_len_s, mixture.sample_rate)
+    out = []
+    for b, block in enumerate(blocks(mixture.samples, block_n)):
+        feats = decoding.block_features(block, stft_cfg)
+        ipd = feats.ipd
+        out.append(digest({"mag": feats.mag, "ipd": ipd,
+                           "handle": item.estimator.begin_block(b, feats)}))
+    return out
+
+
 def pushed_masks(item, estimator, stft_cfg):
     """Per block, {slot: mask values} after the verdict: the ``.values`` of
     each ``CheckedMask`` record that ``Session.push`` returns."""
@@ -159,6 +176,7 @@ def decode_outputs(result, masks, item, workdir):
 
 def meeting_outputs(workload, seed, workdir, checkpoint):
     item = workloads.set_up(workload, seed, checkpoint)
+    stft_cfg = workloads.decode_stft(workload)
     yield "scenario", item.rendered.scenario
     yield "audio", rendered_outputs(item.rendered)
     if workload.kind == "train":
@@ -171,8 +189,9 @@ def meeting_outputs(workload, seed, workdir, checkpoint):
     else:
         if workload.estimator == "oracle":
             yield "oracle_irms", oracle_irms(item.estimator)
+        else:
+            yield "block_inputs", net_block_inputs(item, stft_cfg)
         estimator = item.estimator
-    stft_cfg = workloads.decode_stft(workload)
     result = workloads.decode(item, estimator, stft_cfg)
     masks = pushed_masks(item, estimator, stft_cfg)
     for name, value in decode_outputs(result, masks, item, workdir).items():
@@ -200,20 +219,23 @@ def digest_lines():
 
 
 def check(saved_path) -> int:
-    """Compare with a saved run; print each differing line, return the count."""
+    """Compare with a saved run; print each differing line, return the count.
+    The summary also counts the new lines, which the saved run lacks."""
     saved = dict(line.split() for line in Path(saved_path).read_text().splitlines()
                  if line.strip())
-    differ = 0
+    n_saved = len(saved)
+    differ = new = 0
     for name, value in digest_lines():
         expected = saved.pop(name, None)
         if expected != value:
             differ += 1
+            new += expected is None
             print(f"DIFFERS {name} {value} (saved: {expected or 'no such line'})",
                   flush=True)
     for name in saved:
         differ += 1
         print(f"DIFFERS {name}: saved, but no longer produced", flush=True)
-    print(f"{differ} differing line(s)")
+    print(f"{differ} differing line(s): {differ - new} of the {n_saved} saved, {new} new")
     return differ
 
 

@@ -34,6 +34,8 @@ class DecoderConfig:
         cap = self.max_iterations
         if not isinstance(cap, numbers.Integral) or isinstance(cap, bool) or cap < 1:
             raise ValueError(f"max_iterations must be an integer of at least 1, not {cap!r}")
+        if not isinstance(self.consistency_check, bool):
+            raise ValueError(f"consistency_check must be a bool, not {self.consistency_check!r}")
 
 
 @dataclass

@@ -36,6 +36,7 @@ at each call:
 
 import hashlib
 import json
+import numbers
 import struct
 from dataclasses import asdict, dataclass, field
 
@@ -228,8 +229,12 @@ class OracleMaskEstimator:
 # ---------------------------------------------------------------------------
 
 def param_shapes(bins: int, embed_dim: int, hidden: int, proj: int) -> dict:
-    """Name -> shape of every parameter tensor, in checkpoint order."""
-    f, d, h, p = bins, embed_dim, hidden, proj
+    """Name -> shape of every parameter tensor, in checkpoint order.  Every
+    size must be a positive integer: any ``numbers.Integral`` but a bool."""
+    f, d, h, p = sizes = bins, embed_dim, hidden, proj
+    if not all(isinstance(n, numbers.Integral) and not isinstance(n, bool) and n > 0
+               for n in sizes):
+        raise ValueError(f"network sizes must be positive integers, not {sizes}")
     return {
         "w_static": (3 * f, p), "b_static": (p,), "w_res": (f, p),
         "w_emb_in": (d, p),
@@ -586,8 +591,6 @@ def load_params(path) -> ModelParams:
     try:
         shapes = [(name, shape) for name, shape in meta["shapes"]]
         dims = [meta[k] for k in ("bins", "embed_dim", "hidden", "proj")]
-        if not all(type(d) is int and d > 0 for d in dims):
-            raise ValueError("dimensions must be positive integers")
         expected = [(name, list(shape)) for name, shape in param_shapes(*dims).items()]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError("corrupt checkpoint") from exc

@@ -3,16 +3,15 @@ the permutation-variant noise term, the residual hinge that drives source
 counting, and the cosine triplet loss over speaker embeddings.
 
 :func:`total_loss` returns the weighted loss together with analytic
-gradients with respect to its direct inputs (masks, embeddings), keyed by
-``(block, slot)`` where slot 0 is the noise slot and slots >= 1 are speaker
-slots.  It runs one block at a time, composing the per-block pieces
-:func:`mmse_partial_pit` (the speaker targets) and :func:`resmask_loss`
-(the hinge) with the permutation-variant noise term.  Each block's mask
-gradients are written into one (B, T, F) stack in the masks' dtype, one row
-per mask in the order the block's masks were given, and each row is built
-once, in place; the stacks are what the loss holds, and no other per-mask
-array outlives its block.  The hinge subgradient at the kink is 0
-(one-sided).
+gradients with respect to its direct inputs, the masks and embeddings.
+Inputs and gradients share one per-block layout: per block a ``{slot:
+array}`` dict, slot 0 the noise slot and slots >= 1 speaker slots.  It runs
+one block at a time, composing the per-block pieces :func:`mmse_partial_pit`
+(the speaker targets) and :func:`resmask_loss` (the hinge) with the
+permutation-variant noise term.  Each block's mask gradients are written
+into one (B, T, F) stack in the masks' dtype, one row per mask in the order
+the block's masks were given, each row once; no other per-mask array
+outlives its block.  The hinge subgradient at the kink is 0 (one-sided).
 """
 
 from dataclasses import dataclass, field
@@ -111,19 +110,13 @@ def resmask_loss(masks):
 def _mask_grad(mask, mix, target, scale, hinge, out):
     """A masked MSE term's squared error, writing the mask's whole gradient
     into ``out``: ``hinge`` + ``scale`` * err for err = mask * |X| - target,
-    ``scale`` holding (2/n)|X|.  A float64 gradient is built in ``out``
-    itself; any other is built in a float64 error and cast into ``out``,
-    the rounding of ``astype``."""
-    if out.dtype == np.float64:
-        err = np.multiply(mask, mix, out=out)
-        err -= target
-    else:
-        err = mask * mix - target
+    ``scale`` holding (2/n)|X|, built in a float64 error and cast into
+    ``out``, the rounding of ``astype``."""
+    err = mask * mix - target
     sq = _sq(err)
     err *= scale
     err += hinge
-    if err is not out:
-        out[...] = err
+    out[...] = err
     return sq
 
 
@@ -188,52 +181,49 @@ def triplet_loss(embeddings, labels, delta, rng):
 
 @dataclass
 class TotalLoss:
-    """The weighted loss, its terms and its gradients.
+    """The weighted loss, its terms and its gradients, per block.
 
-    The mask gradients are held once, in ``block_grads``: one (B, T, F)
-    stack per block in its masks' dtype (float32 for the default network),
-    its rows in the order the block's masks were given.  ``mask_grads``
-    maps each ``(block, slot)`` to its row, a view, so a stack lives as
-    long as it or any of its rows is referenced."""
+    A block's mask gradients are one (B, T, F) stack in its masks' dtype
+    (float32 for the default network), its rows in the order the block's
+    masks were given; its embedding gradients are a ``{slot: gradient}``
+    dict over the slots the triplet term labels."""
 
     total: float
     mmse: float  # speaker term + noise term combined
     resmask: float
     triplet: float
     assignment: dict
-    mask_grads: dict  # (block, slot) -> row of the block's stack
-    emb_grads: dict
+    emb_grads: list  # per block: {slot: (D,) gradient}
     block_grads: list  # per block: (B, T, F) stack; None once unroll_backward took it
 
 
 def total_loss(masks, mixes, targets, embeddings, weights: LossWeights, rng):
     """Weighted multi-task objective over one unrolled sample.
 
-    Runs block by block: each block's speaker targets
-    (:func:`mmse_partial_pit`), noise term (slot 0 against the block's
-    noise magnitude) and hinge (:func:`resmask_loss`) are taken together,
-    and each of its masks gets its whole gradient at once, alpha * hinge +
-    (2/n)|X| * err, computed in float64 and written into its row of the
-    block's gradient stack (see :class:`TotalLoss`).  n is the
-    block count for the noise slot and the speaker-mask count for a speaker
-    slot; ``mixes`` are float64.  Speaker slots take their triplet labels
-    from the permutation-invariant assignment.  Noise-slot embeddings are
-    excluded from the triplet term; ``rng`` samples its triplets beyond
+    ``masks`` and ``embeddings`` hold one ``{slot: array}`` dict per block,
+    as ``mixes`` (float64) and ``targets`` hold one entry per block; a
+    block-count mismatch raises ``ValueError``.  Runs block by block: each
+    block's speaker targets (:func:`mmse_partial_pit`), noise term (slot 0
+    against the block's noise magnitude) and hinge (:func:`resmask_loss`,
+    in sorted slot order) are taken together, and each of its masks gets its
+    whole gradient at once, alpha * hinge + (2/n)|X| * err, computed in
+    float64 and written into its row of the block's gradient stack (see
+    :class:`TotalLoss`).  n is the block count for the noise slot and the
+    speaker-mask count for a speaker slot.  Speaker slots take their triplet
+    labels from the permutation-invariant assignment.  Noise-slot embeddings
+    are excluded from the triplet term; ``rng`` samples its triplets beyond
     ``TRIPLET_CAP``.  Every mask gets a gradient.
     """
     n_blocks = len(mixes)
-    if len(targets) != n_blocks:
-        raise ValueError(f"{len(targets)} block targets for {n_blocks} blocks")
-    by_block = [{} for _ in range(n_blocks)]
-    for (b, slot), mask in masks.items():
-        if not 0 <= b < n_blocks:
-            raise ValueError(f"mask {(b, slot)} lies outside the {n_blocks} blocks")
-        by_block[b][slot] = mask
-    n_spk = sum(slot >= 1 for _, slot in masks)
+    for name, per_block in (("block targets", targets), ("mask blocks", masks),
+                            ("embedding blocks", embeddings)):
+        if len(per_block) != n_blocks:
+            raise ValueError(f"{len(per_block)} {name} for {n_blocks} blocks")
+    n_spk = sum(slot >= 1 for block in masks for slot in block)
     # running float sums, not sum(): it compensates from Python 3.12 on
     sq_spk = sq_noise = l_res = 0.0
-    assignment, mask_grads, block_grads = {}, {}, []
-    for b, (block, mix, tgt) in enumerate(zip(by_block, mixes, targets)):
+    assignment, block_grads = {}, []
+    for b, (block, mix, tgt) in enumerate(zip(masks, mixes, targets)):
         if not block:
             raise ValueError(f"block {b} has no masks")
         new, spk_targets = mmse_partial_pit(
@@ -250,7 +240,6 @@ def total_loss(masks, mixes, targets, embeddings, weights: LossWeights, rng):
                          dtype=np.result_type(*block.values()))
         block_grads.append(stack)
         rows = dict(zip(block, stack))  # slot -> its row, in the order given
-        mask_grads.update(((b, slot), row) for slot, row in rows.items())
         scale = (2.0 / n_blocks) * mix
         sq_noise += _mask_grad(block[0], mix, tgt.noise, scale, hinge, rows[0])
         if spk_targets:  # the speaker scale takes the noise scale's buffer
@@ -260,12 +249,15 @@ def total_loss(masks, mixes, targets, embeddings, weights: LossWeights, rng):
     l_spk = sq_spk / n_spk if n_spk else 0.0
     l_noise = sq_noise / n_blocks
 
-    emb_labeled = {k: v for k, v in embeddings.items()
-                   if k[1] >= 1 and k[1] in assignment}
+    # triplet_loss pairs embeddings across blocks, so it takes (block, slot) keys
+    emb_labeled = {(b, slot): z for b, block in enumerate(embeddings)
+                   for slot, z in block.items() if slot >= 1 and slot in assignment}
     key_labels = {k: assignment[k[1]] for k in emb_labeled}
     l_trip, g_trip = triplet_loss(emb_labeled, key_labels, weights.delta, rng)
 
     total = l_spk + l_noise + weights.alpha * l_res + weights.beta * l_trip
-    emb_grads = {k: weights.beta * g for k, g in g_trip.items()}
+    emb_grads = [{} for _ in embeddings]
+    for (b, slot), g in g_trip.items():
+        emb_grads[b][slot] = weights.beta * g
     return TotalLoss(total, l_spk + l_noise, l_res, l_trip, assignment,
-                     mask_grads, emb_grads, block_grads)
+                     emb_grads, block_grads)

@@ -49,11 +49,11 @@ class TrainConfig:
             raise ValueError("block length must be positive and finite")
         if not 0 <= self.learning_rate < np.inf:
             raise ValueError("learning rate must be non-negative and finite")
-        for name, least in (("epochs", 0), ("batch_size", 1)):
+        for name, least in (("epochs", 0), ("batch_size", 1), ("seed", 0)):
             value = getattr(self, name)
             if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
                     or value < least):
-                raise ValueError(f"bad epoch/batch configuration: {name} must be "
+                raise ValueError(f"bad training configuration: {name} must be "
                                  f"an integer of at least {least}, not {value!r}")
 
 
@@ -146,8 +146,8 @@ class _IterationRecord:
 class UnrollResult:
     sample: TrainSample  # a reference, no memory: unroll_backward reads its blocks
     loss: TotalLoss
-    masks: dict  # (block, slot) -> mask
-    embeddings: dict  # (block, slot) -> embedding
+    masks: list  # per block: {slot: (T, F) mask}, in the record's slot order
+    embeddings: list  # per block: {slot: (D,) embedding}, likewise
     targets: list
     records: list  # per block: _IterationRecord
 
@@ -188,15 +188,15 @@ def unroll(sample: TrainSample, net: MaskNet, cfg: TrainConfig) -> UnrollResult:
     ``net.forward``, kept as the block's one record.
 
     What the result holds until it is dropped, for :func:`unroll_backward`:
-    per block its record's forward cache and its (B, T, F) stack of mask
-    gradients in the loss.  The block's (T, P) static projection and the
-    residuals live only for the block's forward; a silent known slot's
-    target is a read-only zero view.
-    A sample that :func:`check_sample` rejects raises ``ValueError``.
+    per block its record's forward cache, whose rows the block's mask and
+    embedding dicts view, and its (B, T, F) stack of mask gradients in the
+    loss.  The block's (T, P) static projection and the residuals live only
+    for the block's forward; a silent known slot's target is a read-only
+    zero view.  A sample that :func:`check_sample` rejects raises ``ValueError``.
     """
     check_sample(sample, net.params.bins)
     dt = net.params.dtype
-    masks, embeddings = {}, {}
+    masks, embeddings = [], []
     records, targets = [], []
     slot_source = {}  # speaker slot -> source id (grows block by block)
     prev_z = {}  # slot -> embedding emitted in the previous block
@@ -232,10 +232,9 @@ def unroll(sample: TrainSample, net: MaskNet, cfg: TrainConfig) -> UnrollResult:
         _, _, cache = net.forward(net.prepare_block(mag, feat), residuals, z_prevs)
         del residuals
         records.append(_IterationRecord(order, dict(slot_source), cache))
-        for i, slot in enumerate(order):
-            masks[(b, slot)] = cache.mask[i]
-            embeddings[(b, slot)] = cache.z_out[i]
-        prev_z = {slot: embeddings[(b, slot)] for slot in order}
+        masks.append(dict(zip(order, cache.mask)))
+        prev_z = dict(zip(order, cache.z_out))
+        embeddings.append(prev_z)
 
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x54524950]))
     loss = total_loss(masks, sample.mags, targets, embeddings, cfg.weights, rng=rng)
@@ -257,9 +256,12 @@ def unroll_backward(result: UnrollResult, net: MaskNet) -> dict:
     gradient flows into them.
 
     The result's mask gradients are consumed: once a block's ``backward``
-    has run, its stack and its rows in ``result.loss.mask_grads`` are
-    dropped, so a result is backpropagated once.
+    has run, its stack is dropped.  So a result is backpropagated once; a
+    second call raises ``ValueError`` before any ``backward`` runs.
     """
+    if any(g is None for g in result.loss.block_grads):
+        raise ValueError("unroll result already backpropagated: its mask gradients "
+                         "are consumed")
     dt = net.params.dtype
     grads = net.params.zeros_like()
     sample = result.sample
@@ -268,14 +270,12 @@ def unroll_backward(result: UnrollResult, net: MaskNet) -> dict:
         rec = result.records[b]
         d_z = np.zeros((len(rec.slots), net.embed_dim), dtype=dt)
         for row, slot in zip(d_z, rec.slots):
-            row[...] = result.loss.emb_grads.get((b, slot), 0.0) + z_next.get(slot, 0.0)
+            row[...] = result.loss.emb_grads[b].get(slot, 0.0) + z_next.get(slot, 0.0)
         residuals = _teacher_forced_residuals(sample.truth[b], rec.slots, rec.slot_source, dt)
         d_z_prev, d_static_pre = net.backward(rec.cache, residuals,
                                               result.loss.block_grads[b], d_z, grads)
         del residuals
         result.loss.block_grads[b] = None
-        for slot in rec.slots:
-            del result.loss.mask_grads[(b, slot)]
         net.finish_block_backward(sample.mags[b], sample.ipds[b], d_static_pre, grads)
         z_next = dict(zip(rec.slots, d_z_prev))
     return grads

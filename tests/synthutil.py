@@ -82,22 +82,20 @@ def tiny_train_params(cfg, hidden=5, proj=6):
 def instance_is_safe(result, margin=1e-3):
     """Reject instances whose loss sits within ``margin`` of a hinge kink or
     a permutation tie, where finite differences are undefined."""
-    n_blocks = len(result.targets)
-    for b in range(n_blocks):
-        total = sum(m for (bb, _), m in result.masks.items() if bb == b)
+    for block in result.masks:
+        total = sum(block.values())
         if np.any(np.abs(1.0 - total) < margin):
             return False
     # permutation tie: best vs runner-up assignment cost for new sources
-    for b, tgt in enumerate(result.targets):
+    for b, (block, tgt) in enumerate(zip(result.masks, result.targets)):
         if len(tgt.new_sources) < 2:
             continue
-        slots = sorted(s for (bb, s) in result.masks
-                       if bb == b and s >= 1 and s not in tgt.known)
+        slots = sorted(s for s in block if s >= 1 and s not in tgt.known)
         costs = []
         for perm in itertools.permutations(range(len(tgt.new_sources))):
             c = 0.0
             for slot, idx in zip(slots, perm):
-                est = result.masks[(b, slot)] * result.loss_mix[b]
+                est = block[slot] * result.loss_mix[b]
                 c += float(np.sum((est - tgt.new_sources[idx][1]) ** 2))
             costs.append(c)
         costs.sort()
@@ -133,7 +131,8 @@ def run_unroll(sample, params, cfg):
 
 def _triplet_margins(result, cfg):
     labels = dict(result.loss.assignment)
-    keys = sorted(k for k in result.embeddings if k[1] >= 1 and k[1] in labels)
+    keys = sorted((b, s) for b, block in enumerate(result.embeddings)
+                  for s in block if s >= 1 and s in labels)
     margins = []
     for a in keys:
         for p in keys:
@@ -142,7 +141,7 @@ def _triplet_margins(result, cfg):
             for n in keys:
                 if labels[n[1]] == labels[a[1]]:
                     continue
-                ea, ep, en = (result.embeddings[k] for k in (a, p, n))
+                ea, ep, en = (result.embeddings[b][s] for b, s in (a, p, n))
 
                 def cos(x, y):
                     return float(x @ y / (np.linalg.norm(x) * np.linalg.norm(y)))

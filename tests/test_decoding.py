@@ -72,6 +72,10 @@ def test_config_validation():
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="positive and finite"):
             DecoderConfig(block_len_s=bad)
+    # "no" was accepted, and the check ran
+    for bad in ("no", 0, None):
+        with pytest.raises(ValueError, match="consistency_check must be a bool"):
+            DecoderConfig(consistency_check=bad)
 
 
 @pytest.mark.parametrize("n_sources", [0, 1, 2, 3])

@@ -444,6 +444,17 @@ def test_checkpoint_roundtrip_bitexact(tmp_path):
         assert np.array_equal(loaded.arrays[k], params.arrays[k])
 
 
+def test_init_params_rejects_the_sizes_load_params_rejects():
+    # bins=0 once gave a model of (0, 64) weights, hidden=0 a ZeroDivisionError
+    sizes = dict(bins=5, embed_dim=4, hidden=3, proj=4)
+    for name, bad in (("bins", 0), ("hidden", 0), ("embed_dim", -2), ("proj", 2.5),
+                      ("bins", True)):
+        with pytest.raises(ValueError, match="network sizes must be positive integers"):
+            init_params(**{**sizes, name: bad})
+    params = init_params(**{**sizes, "bins": np.int64(5)})  # as StftConfig.n_bins may be
+    assert params.bins == 5
+
+
 def test_checkpoint_truncated(tmp_path):
     params = _tiny_params()
     path = tmp_path / "c.ckpt"

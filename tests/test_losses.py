@@ -30,18 +30,24 @@ def _mk(val):
 _NO_HINGE_NO_TRIPLET = LossWeights(alpha=0.0, beta=0.0)
 
 
+def _grads_by_slot(masks, res):
+    """Per block, {slot: its row of the block's gradient stack}: the rows
+    follow the order the block's masks were given."""
+    return [dict(zip(block, stack)) for block, stack in zip(masks, res.block_grads)]
+
+
 def _speaker_term(spk_masks, mixes, targets):
     """``total_loss`` reduced to its speaker term: each block's noise mask
     is all ones and its noise target the mixture, so the noise error is 0,
-    and the hinge and triplet weights are 0.  Returns (loss, assignment,
-    speaker-mask gradients)."""
-    masks = dict(spk_masks)
-    for b, mix in enumerate(mixes):
-        masks[(b, 0)] = np.ones_like(mix)
+    and the hinge and triplet weights are 0.  ``spk_masks`` holds a
+    ``{slot: mask}`` dict per block.  Returns (loss, assignment, per block
+    the speaker-mask gradients by slot)."""
+    masks = [{**block, 0: np.ones_like(mix)} for block, mix in zip(spk_masks, mixes)]
     targets = [dataclasses.replace(t, noise=mix.copy()) for t, mix in zip(targets, mixes)]
-    res = total_loss(masks, mixes, targets, {}, _NO_HINGE_NO_TRIPLET, _rng())
+    res = total_loss(masks, mixes, targets, [{} for _ in mixes], _NO_HINGE_NO_TRIPLET,
+                     _rng())
     return (res.mmse, res.assignment,
-            {k: g for k, g in res.mask_grads.items() if k[1] >= 1})
+            [{s: g for s, g in grads.items() if s >= 1} for grads in _grads_by_slot(masks, res)])
 
 
 def test_weights_validation():
@@ -60,10 +66,10 @@ def test_mmse_zero_when_masks_reproduce_targets():
     mix = rng.uniform(0.1, 1.0, (T, F))
     mask = rng.uniform(0, 1, (T, F))
     targets = [BlockTargets(noise=_mk(0), known={}, new_sources=[("a", mask * mix)])]
-    loss, assign, grads = _speaker_term({(0, 1): mask}, [mix], targets)
+    loss, assign, grads = _speaker_term([{1: mask}], [mix], targets)
     assert loss == pytest.approx(0.0, abs=1e-12)
     assert assign == {1: "a"}
-    assert np.allclose(grads[(0, 1)], 0.0)
+    assert np.allclose(grads[0][1], 0.0)
 
 
 def test_mmse_picks_swapped_permutation():
@@ -76,8 +82,7 @@ def test_mmse_picks_swapped_permutation():
         noise=_mk(0), known={},
         new_sources=[("a", m2 * mix), ("b", m1 * mix)],
     )]
-    masks = {(0, 1): m1, (0, 2): m2}
-    loss, assign, _ = _speaker_term(masks, [mix], targets)
+    loss, assign, _ = _speaker_term([{1: m1, 2: m2}], [mix], targets)
     assert assign == {1: "b", 2: "a"}
     # loss equals the swapped-assignment MSE, brute-forced independently
     costs = []
@@ -91,9 +96,9 @@ def test_mmse_picks_swapped_permutation():
 def test_mmse_silent_known_slot_contributes_zero():
     mix = _mk(0.8)
     targets = [BlockTargets(noise=_mk(0), known={1: np.zeros((T, F))})]
-    loss, _, grads = _speaker_term({(0, 1): np.zeros((T, F))}, [mix], targets)
+    loss, _, grads = _speaker_term([{1: np.zeros((T, F))}], [mix], targets)
     assert loss == 0.0
-    assert np.allclose(grads[(0, 1)], 0.0)
+    assert np.allclose(grads[0][1], 0.0)
 
 
 def test_mmse_too_many_new_sources():
@@ -103,7 +108,7 @@ def test_mmse_too_many_new_sources():
     with pytest.raises(ValueError, match="more new sources"):
         mmse_partial_pit({1: _mk(0.5)}, mix, targets[0])
     with pytest.raises(ValueError, match="more new sources than free slots"):
-        _speaker_term({(0, 1): _mk(0.5)}, [mix], targets)
+        _speaker_term([{1: _mk(0.5)}], [mix], targets)
 
 
 def test_mmse_too_few_new_sources():
@@ -112,15 +117,14 @@ def test_mmse_too_few_new_sources():
     with pytest.raises(ValueError, match="more new slots"):
         mmse_partial_pit({1: _mk(0.5), 2: _mk(0.3)}, mix, targets[0])
     with pytest.raises(ValueError, match="more new slots than new sources"):
-        _speaker_term({(0, 1): _mk(0.5), (0, 2): _mk(0.3)}, [mix], targets)
+        _speaker_term([{1: _mk(0.5), 2: _mk(0.3)}], [mix], targets)
 
 
 def test_mmse_slot_persistence_across_blocks():
     rng = np.random.default_rng(2)
     mix = rng.uniform(0.5, 1.0, (T, F))
     ref_a, ref_b = 0.7 * mix, 0.2 * mix
-    masks = {(0, 1): _mk(0.7), (0, 2): _mk(0.2),
-             (1, 1): _mk(0.2), (1, 2): _mk(0.7)}
+    masks = [{1: _mk(0.7), 2: _mk(0.2)}, {1: _mk(0.2), 2: _mk(0.7)}]
     targets = [
         BlockTargets(noise=_mk(0), known={},
                      new_sources=[("a", ref_a), ("b", ref_b)]),
@@ -136,14 +140,14 @@ def test_permutation_optimality_exhaustive():
     rng = np.random.default_rng(3)
     for n in (2, 3, 4):
         mix = rng.uniform(0.3, 1.0, (T, F))
-        masks = {(0, i + 1): rng.uniform(0, 1, (T, F)) for i in range(n)}
+        masks = {i + 1: rng.uniform(0, 1, (T, F)) for i in range(n)}
         refs = [(f"s{i}", rng.uniform(0, 1, (T, F)) * mix) for i in range(n)]
         targets = [BlockTargets(noise=_mk(0), known={}, new_sources=refs)]
-        loss, assign, _ = _speaker_term(masks, [mix], targets)
+        loss, assign, _ = _speaker_term([masks], [mix], targets)
         ref_by_id = dict(refs)
         best = min(
             sum(
-                float(np.sum((masks[(0, i + 1)] * mix
+                float(np.sum((masks[i + 1] * mix
                               - ref_by_id[f"s{p[i]}"]) ** 2))
                 for i in range(n)
             )
@@ -151,7 +155,7 @@ def test_permutation_optimality_exhaustive():
         )
         assert loss * n == pytest.approx(best)
         chosen = sum(
-            float(np.sum((masks[(0, s)] * mix - ref_by_id[assign[s]]) ** 2))
+            float(np.sum((masks[s] * mix - ref_by_id[assign[s]]) ** 2))
             for s in assign
         )
         assert chosen == pytest.approx(best)
@@ -160,9 +164,9 @@ def test_permutation_optimality_exhaustive():
 def _noise_term(mask, mix, noise):
     """``total_loss`` of one block holding only its noise mask, hinge and
     triplet weights 0: (loss, gradient)."""
-    res = total_loss({(0, 0): mask}, [mix], [BlockTargets(noise=noise)], {},
+    res = total_loss([{0: mask}], [mix], [BlockTargets(noise=noise)], [{}],
                      _NO_HINGE_NO_TRIPLET, _rng())
-    return res.mmse, res.mask_grads[(0, 0)]
+    return res.mmse, res.block_grads[0][0]
 
 
 def test_noise_mmse_cases():
@@ -185,20 +189,22 @@ def test_noise_mmse_missing_target():
 def test_total_loss_reaches_every_term_error():
     mix = _mk(1.0)
     weights = LossWeights()
+    two_targets = [BlockTargets(noise=mix), BlockTargets(noise=mix)]
     with pytest.raises(ValueError, match="missing noise mask for block 1"):
-        total_loss({(0, 0): _mk(0.5), (1, 1): _mk(0.5)}, [mix, mix],
+        total_loss([{0: _mk(0.5)}, {1: _mk(0.5)}], [mix, mix],
                    [BlockTargets(noise=mix), BlockTargets(noise=mix, known={1: mix})],
-                   {}, weights, _rng())
+                   [{}, {}], weights, _rng())
     with pytest.raises(ValueError, match="block 1 has no masks"):
-        total_loss({(0, 0): _mk(0.5)}, [mix, mix],
-                   [BlockTargets(noise=mix), BlockTargets(noise=mix)], {}, weights, _rng())
+        total_loss([{0: _mk(0.5)}, {}], [mix, mix], two_targets, [{}, {}], weights, _rng())
     with pytest.raises(ValueError, match="1 block targets for 2 blocks"):
         # the second block's masks once got no MSE gradient
-        total_loss({(0, 0): _mk(0.5), (1, 0): _mk(0.5)}, [mix, mix],
-                   [BlockTargets(noise=mix)], {}, weights, _rng())
-    with pytest.raises(ValueError, match=r"mask \(2, 0\) lies outside the 2 blocks"):
-        total_loss({(0, 0): _mk(0.5), (1, 0): _mk(0.5), (2, 0): _mk(0.5)}, [mix, mix],
-                   [BlockTargets(noise=mix), BlockTargets(noise=mix)], {}, weights, _rng())
+        total_loss([{0: _mk(0.5)}, {0: _mk(0.5)}], [mix, mix],
+                   [BlockTargets(noise=mix)], [{}, {}], weights, _rng())
+    # a third block of masks once raised "mask (2, 0) lies outside the 2 blocks"
+    with pytest.raises(ValueError, match="3 mask blocks for 2 blocks"):
+        total_loss([{0: _mk(0.5)}] * 3, [mix, mix], two_targets, [{}, {}], weights, _rng())
+    with pytest.raises(ValueError, match="1 embedding blocks for 2 blocks"):
+        total_loss([{0: _mk(0.5)}] * 2, [mix, mix], two_targets, [{}], weights, _rng())
 
 
 def test_resmask_cases():
@@ -220,8 +226,8 @@ def _masks_and_targets(rng, dtype):
     """Two blocks of three slots: block 0 opens slot 2 for source "x",
     block 1 knows slots 1 and 2.  The first frame of each mixture is 0, so
     its errors are scaled to signed zeros."""
-    masks = {(b, s): rng.uniform(0, 0.6, (T, F)).astype(dtype)
-             for b in range(2) for s in range(3)}
+    masks = [{s: rng.uniform(0, 0.6, (T, F)).astype(dtype) for s in range(3)}
+             for _ in range(2)]
     mixes = [rng.uniform(0.5, 1, (T, F)) for _ in range(2)]
     for mix in mixes:
         mix[0] = 0.0
@@ -238,25 +244,27 @@ def _float64_mask_grads(masks, mixes, targets, assignment, alpha):
     """alpha * g_res + (2/n)|X| * err per mask in float64, then cast to the
     mask's dtype: g_res is -1 where the block's mask sum (in the masks'
     dtype) is below 1, n is the block count for the noise slot and the
-    speaker-mask count for a speaker slot, err = mask * |X| - target."""
-    n_spk = sum(slot >= 1 for _, slot in masks)
-    grads = {}
-    for b, (mix, tgt) in enumerate(zip(mixes, targets)):
-        keys = sorted(k for k in masks if k[0] == b)
-        mask_sum = np.zeros_like(masks[keys[0]])
-        for k in keys:
-            mask_sum = mask_sum + masks[k]
+    speaker-mask count for a speaker slot, err = mask * |X| - target.  The
+    mask sum runs in sorted slot order.  Returns a {slot: gradient} dict per
+    block."""
+    n_spk = sum(slot >= 1 for block in masks for slot in block)
+    grads = []
+    for block, mix, tgt in zip(masks, mixes, targets):
+        slots = sorted(block)
+        mask_sum = np.zeros_like(block[slots[0]])
+        for slot in slots:
+            mask_sum = mask_sum + block[slot]
         g_res = np.where(1.0 - mask_sum > 0, -1.0, 0.0)
         sources = dict(tgt.new_sources)
-        for k in keys:
-            slot = k[1]
+        grads.append({})
+        for slot in slots:
             if slot == 0:
                 target, n = tgt.noise, len(mixes)
             else:
                 target = tgt.known[slot] if slot in tgt.known else sources[assignment[slot]]
                 n = n_spk
-            err = masks[k] * mix - target
-            grads[k] = (alpha * g_res + (2.0 / n) * mix * err).astype(masks[k].dtype)
+            err = block[slot] * mix - target
+            grads[-1][slot] = (alpha * g_res + (2.0 / n) * mix * err).astype(block[slot].dtype)
     return grads
 
 
@@ -266,16 +274,39 @@ def test_total_loss_mask_grads_are_the_float64_formula_in_the_mask_dtype(dtype, 
     # each gradient is built once, in place, in its mask's dtype; its bytes
     # are those of the formula summed in float64, then cast
     masks, mixes, targets = _masks_and_targets(np.random.default_rng(4), dtype)
-    embs = {k: np.random.default_rng(k).normal(size=4) for k in masks}
+    embs = [{s: np.random.default_rng((b, s)).normal(size=4) for s in block}
+            for b, block in enumerate(masks)]
     res = total_loss(masks, mixes, targets, embs, LossWeights(alpha=alpha), _rng())
     assert res.assignment == {2: "x"}
     ref = _float64_mask_grads(masks, mixes, targets, res.assignment, alpha)
-    assert sorted(res.mask_grads) == sorted(ref) == sorted(masks)
-    for k, g in ref.items():
-        assert res.mask_grads[k].dtype == dtype, k
-        assert res.mask_grads[k].tobytes() == g.tobytes(), k
+    got = _grads_by_slot(masks, res)
+    assert [stack.dtype for stack in res.block_grads] == [dtype, dtype]
+    assert [list(g) for g in got] == [list(g) for g in ref] == [[0, 1, 2]] * 2
+    for b, block in enumerate(ref):
+        for slot, g in block.items():
+            assert got[b][slot].tobytes() == g.tobytes(), (b, slot)
     # the signed zeros the first frames hold are the formula's
-    assert np.signbit(res.mask_grads[(1, 1)][0]).any() == np.signbit(ref[(1, 1)][0]).any()
+    assert np.signbit(got[1][1][0]).any() == np.signbit(ref[1][1][0]).any()
+
+
+def test_total_loss_stack_rows_follow_the_given_slot_order():
+    # a block given as slots 0, 2, 1: row i of its stack is the gradient of
+    # the i-th slot given, while the hinge sums the masks in slot order 0,
+    # 1, 2, which rounds otherwise in float32 at some bins near a sum of 1
+    rng = np.random.default_rng(9)
+    m0, m2 = (rng.uniform(0.2, 0.4, (T, F)).astype(np.float32) for _ in range(2))
+    m1 = (1.0 - m0 - m2 + rng.uniform(-1e-7, 1e-7, (T, F))).astype(np.float32)
+    assert np.any(((m0 + m1) + m2 < 1) != ((m0 + m2) + m1 < 1))
+    masks = [{0: m0, 2: m2, 1: m1}]
+    mixes = [rng.uniform(0.5, 1, (T, F))]
+    targets = [BlockTargets(noise=rng.uniform(0, 1, (T, F)),
+                            known={1: rng.uniform(0, 1, (T, F)), 2: rng.uniform(0, 1, (T, F))})]
+    res = total_loss(masks, mixes, targets, [{}], LossWeights(alpha=0.3, beta=0.0), _rng())
+    ref = _float64_mask_grads(masks, mixes, targets, {}, 0.3)[0]
+    assert res.block_grads[0].shape == (3, T, F)
+    for row, slot in zip(res.block_grads[0], (0, 2, 1)):
+        assert row.tobytes() == ref[slot].tobytes(), slot
+    assert res.resmask == resmask_loss([m0, m1, m2])[0]
 
 
 def _slots_sample(n_slots, t=200, f=129, dtype=np.float32):
@@ -283,20 +314,20 @@ def _slots_sample(n_slots, t=200, f=129, dtype=np.float32):
     block 0 and known in block 1; embeddings are non-zero."""
     rng = np.random.default_rng(n_slots)
     spk = range(1, n_slots)
-    masks = {(b, s): rng.uniform(0, 0.3, (t, f)).astype(dtype)
-             for b in range(2) for s in range(n_slots)}
+    masks = [{s: rng.uniform(0, 0.3, (t, f)).astype(dtype) for s in range(n_slots)}
+             for _ in range(2)]
     mixes = [rng.uniform(0.1, 1, (t, f)) for _ in range(2)]
     sources = {s: rng.uniform(0, 1, (t, f)) for s in spk}
     targets = [BlockTargets(noise=rng.uniform(0, 1, (t, f)),
                             new_sources=[(f"s{s}", sources[s]) for s in spk]),
                BlockTargets(noise=rng.uniform(0, 1, (t, f)), known=sources)]
-    embs = {k: rng.normal(size=8) for k in masks}
+    embs = [{s: rng.normal(size=8) for s in block} for block in masks]
     return masks, mixes, targets, embs
 
 
 def _loss_transient_bytes(sample):
     """Traced peak of one ``total_loss`` call above its entry, less the
-    bytes of the mask gradients it returns."""
+    bytes of the mask-gradient stacks it returns."""
     total_loss(*sample, LossWeights(), _rng())  # warm up numpy's caches
     tracemalloc.start()
     try:
@@ -305,7 +336,7 @@ def _loss_transient_bytes(sample):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak - entry - sum(g.nbytes for g in res.mask_grads.values())
+    return peak - entry - sum(stack.nbytes for stack in res.block_grads)
 
 
 def test_total_loss_transient_memory_does_not_grow_with_slots():
@@ -392,14 +423,14 @@ def test_triplet_cap_is_deterministic():
 def _random_instance(seed):
     rng = np.random.default_rng(seed)
     mixes = [rng.uniform(0.3, 1.0, (T, F)) for _ in range(2)]
-    masks = {}
-    embs = {}
+    masks = [{}, {}]
+    embs = [{}, {}]
     for b in range(2):
         for s in range(3):  # slot 0 noise, slots 1..2 speakers
-            masks[(b, s)] = rng.uniform(0.05, 0.95, (T, F))
+            masks[b][s] = rng.uniform(0.05, 0.95, (T, F))
             if s >= 1:
                 v = rng.normal(size=5)
-                embs[(b, s)] = v / np.linalg.norm(v) * rng.uniform(0.8, 1.2)
+                embs[b][s] = v / np.linalg.norm(v) * rng.uniform(0.8, 1.2)
     targets = [
         BlockTargets(
             noise=rng.uniform(0, 0.5, (T, F)),
@@ -425,9 +456,9 @@ def test_total_loss_weight_zero_reduces_to_mmse():
     refs = dict(targets[0].new_sources)
     spk_targets = {(0, s): refs[res.assignment[s]] for s in (1, 2)}
     spk_targets.update({(1, s): t for s, t in targets[1].known.items()})
-    l_spk = sum(np.sum((masks[k] * mixes[k[0]] - t) ** 2)
-                for k, t in spk_targets.items()) / 4
-    l_noise = sum(np.sum((masks[(b, 0)] * mixes[b] - targets[b].noise) ** 2)
+    l_spk = sum(np.sum((masks[b][s] * mixes[b] - t) ** 2)
+                for (b, s), t in spk_targets.items()) / 4
+    l_noise = sum(np.sum((masks[b][0] * mixes[b] - targets[b].noise) ** 2)
                   for b in range(2)) / 2
     assert res.mmse == pytest.approx(l_spk + l_noise)
     # the weights leave the terms alone
@@ -437,9 +468,9 @@ def test_total_loss_weight_zero_reduces_to_mmse():
 
 def test_total_loss_all_zero_components():
     mix = _mk(0.5)
-    masks = {(0, 0): np.ones((T, F)), (0, 1): np.ones((T, F))}
+    masks = [{0: np.ones((T, F)), 1: np.ones((T, F))}]
     v = np.ones(4) / 2.0
-    embs = {(0, 1): v}
+    embs = [{1: v}]
     targets = [BlockTargets(noise=mix.copy(), known={},
                             new_sources=[("a", mix.copy())])]
     res = total_loss(masks, mixes=[mix], targets=targets, embeddings=embs,
@@ -456,26 +487,31 @@ def _fd_check(seed):
     def value(m, e):
         return total_loss(m, mixes, targets, e, weights, _rng()).total
 
+    def copy(per_block):
+        return [{s: v.copy() for s, v in block.items()} for block in per_block]
+
     res = total_loss(masks, mixes, targets, embs, weights, _rng())
+    mask_grads = _grads_by_slot(masks, res)
     eps = 1e-6
-    for key in masks:
-        g = res.mask_grads[key]
-        for idx in [(0, 0), (1, 2), (2, 3)]:
-            mp = {k: v.copy() for k, v in masks.items()}
-            mm = {k: v.copy() for k, v in masks.items()}
-            mp[key][idx] += eps
-            mm[key][idx] -= eps
-            fd = (value(mp, embs) - value(mm, embs)) / (2 * eps)
-            assert fd == pytest.approx(g[idx], rel=1e-4, abs=1e-7)
-    for key in embs:
-        g = res.emb_grads[key]
-        for idx in (0, 3):
-            ep = {k: v.copy() for k, v in embs.items()}
-            em = {k: v.copy() for k, v in embs.items()}
-            ep[key][idx] += eps
-            em[key][idx] -= eps
-            fd = (value(masks, ep) - value(masks, em)) / (2 * eps)
-            assert fd == pytest.approx(g[idx], rel=1e-4, abs=1e-7)
+    for b, block in enumerate(masks):
+        for slot in block:
+            g = mask_grads[b][slot]
+            for idx in [(0, 0), (1, 2), (2, 3)]:
+                mp, mm = copy(masks), copy(masks)
+                mp[b][slot][idx] += eps
+                mm[b][slot][idx] -= eps
+                fd = (value(mp, embs) - value(mm, embs)) / (2 * eps)
+                assert fd == pytest.approx(g[idx], rel=1e-4, abs=1e-7)
+    assert [sorted(g) for g in res.emb_grads] == [sorted(block) for block in embs]
+    for b, block in enumerate(embs):
+        for slot in block:
+            g = res.emb_grads[b][slot]
+            for idx in (0, 3):
+                ep, em = copy(embs), copy(embs)
+                ep[b][slot][idx] += eps
+                em[b][slot][idx] -= eps
+                fd = (value(masks, ep) - value(masks, em)) / (2 * eps)
+                assert fd == pytest.approx(g[idx], rel=1e-4, abs=1e-7)
 
 
 @pytest.mark.parametrize("seed", [21, 22, 23])

@@ -47,11 +47,14 @@ def test_config_validation():
             TrainConfig(learning_rate=bad)
     # batch_size=2.5 once stepped Adam once per epoch on 4 samples, not twice;
     # epochs=2.5 failed inside train
-    # and True once stood for 1
+    # and True once stood for 1; a seed of -1 or 1.5 failed inside train's
+    # SeedSequence, and True trained as seed 1
     for name, bad in (("batch_size", 2.5), ("epochs", 2.5), ("batch_size", np.nan),
-                      ("epochs", True), ("batch_size", True)):
+                      ("epochs", True), ("batch_size", True), ("seed", -1),
+                      ("seed", 1.5), ("seed", True)):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             TrainConfig(**{name: bad})
+    assert TrainConfig(seed=np.int64(3)).seed == 3
 
 
 def test_build_train_sample_structure():
@@ -128,12 +131,12 @@ def test_unroll_one_source_identity_permutation():
     # loss matches the masked MSE computed directly from the network's masks
     expected = 0.0
     for b in range(2):
-        est_mag = result.masks[(b, 1)] * sample.mags[b]
+        est_mag = result.masks[b][1] * sample.mags[b]
         expected += float(np.sum((est_mag - sample.truth[b].source_mags["solo"]) ** 2))
     expected /= 2  # two (slot, block) instances
     noise_term = 0.0
     for b in range(2):
-        est_mag = result.masks[(b, 0)] * sample.mags[b]
+        est_mag = result.masks[b][0] * sample.mags[b]
         noise_term += float(np.sum((est_mag - sample.truth[b].noise_mag) ** 2))
     noise_term /= 2
     assert result.loss.mmse == pytest.approx(expected + noise_term, rel=1e-9)
@@ -216,7 +219,23 @@ def test_unroll_holds_each_training_tensor_once():
     assert all(not t.flags.writeable and not t.any() for t in silent)
     # the backward adds the block's rebuilt residuals and a few temporaries
     assert backward_peak <= 3.5 * block_array
-    assert result.loss.block_grads == [None] * 3 and result.loss.mask_grads == {}
+    assert result.loss.block_grads == [None] * 3
+    # a consumed result is refused before any backward runs: a second call
+    # once ran block 2's backward on a None gradient, then raised KeyError
+    with pytest.raises(ValueError, match="already backpropagated"):
+        unroll_backward(result, net)
+
+
+def test_unroll_backward_refuses_a_partly_consumed_result(monkeypatch):
+    sample, cfg = make_synthetic_sample(8), tiny_config()
+    net = MaskNet(tiny_params())
+    result = unroll(sample, net, cfg)
+    result.loss.block_grads[0] = None
+    calls = []
+    monkeypatch.setattr(net, "backward", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="already backpropagated"):
+        unroll_backward(result, net)
+    assert calls == []
 
 
 def test_train_holds_one_sample_unroll_at_a_time():
@@ -374,7 +393,7 @@ def _per_slot_reference(sample, net, lockstep, weights):
     clip(R - M, 0, 1) in a fresh array: the loop the lockstep path replaced.
     Reads only the slot order and targets of ``lockstep``.  Also returns, per
     block, the float64 residual each slot read."""
-    masks, embeddings, caches = {}, {}, {}
+    masks, embeddings, caches = [], [], []
     slot_source, prev_z, orders, residuals = {}, {}, [], []
     for b in range(sample.n_blocks):
         truth = sample.truth[b]
@@ -385,17 +404,18 @@ def _per_slot_reference(sample, net, lockstep, weights):
         static_pre = net.prepare_block(sample.mags[b], sample.ipds[b])
         residual = np.ones_like(sample.mags[b])
         residuals.append([])
+        for per_block in (masks, embeddings, caches):
+            per_block.append({})
         for slot in order:
             residuals[-1].append(residual)
-            key = (b, slot)
-            masks[key], embeddings[key], caches[key] = net.forward(
+            masks[b][slot], embeddings[b][slot], caches[b][slot] = net.forward(
                 static_pre, residual, prev_z.get(slot, np.zeros(net.embed_dim)))
             if slot == 0:
                 residual = np.clip(residual - truth.noise_irm.values, 0.0, 1.0)
             elif slot_source[slot] in truth.active:
                 residual = np.clip(residual - truth.irms[slot_source[slot]].values,
                                    0.0, 1.0)
-        prev_z = {slot: embeddings[(b, slot)] for slot in order}
+        prev_z = embeddings[b]
         orders.append(order)
     # few enough triplets that the generator draws nothing
     loss = total_loss(masks, sample.mags, lockstep.targets, embeddings, weights,
@@ -405,10 +425,10 @@ def _per_slot_reference(sample, net, lockstep, weights):
     for b in reversed(range(sample.n_blocks)):
         d_static_pre = 0.0
         z_here = {}
+        mask_grads = dict(zip(orders[b], loss.block_grads[b]))
         for slot, residual in reversed(list(zip(orders[b], residuals[b]))):
-            key = (b, slot)
-            d_z = loss.emb_grads.get(key, np.zeros(net.embed_dim)) + z_next.get(slot, 0.0)
-            z_here[slot], d_pre = net.backward(caches[key], residual, loss.mask_grads[key],
+            d_z = loss.emb_grads[b].get(slot, np.zeros(net.embed_dim)) + z_next.get(slot, 0.0)
+            z_here[slot], d_pre = net.backward(caches[b][slot], residual, mask_grads[slot],
                                                d_z, grads)
             d_static_pre += d_pre
         net.finish_block_backward(sample.mags[b], sample.ipds[b], d_static_pre, grads)
@@ -441,11 +461,13 @@ def test_lockstep_unroll_equals_a_per_slot_reference(dtype, tol):
     def rel(x, ref):
         return np.max(np.abs(x - ref)) / max(np.max(np.abs(ref)), 1e-300)
 
-    assert sorted(result.masks) == sorted(masks)
-    for key in masks:
-        assert result.masks[key].dtype == dtype
-        assert rel(result.masks[key], masks[key]) <= tol, key
-        assert rel(result.embeddings[key], embeddings[key]) <= tol, key
+    assert [list(block) for block in result.masks] == [list(block) for block in masks]
+    assert [list(block) for block in result.embeddings] == [list(block) for block in masks]
+    for b, block in enumerate(masks):
+        for slot in block:
+            assert result.masks[b][slot].dtype == dtype
+            assert rel(result.masks[b][slot], masks[b][slot]) <= tol, (b, slot)
+            assert rel(result.embeddings[b][slot], embeddings[b][slot]) <= tol, (b, slot)
     assert result.loss.assignment == loss.assignment
     for term in ("total", "mmse", "resmask", "triplet"):
         assert getattr(result.loss, term) == pytest.approx(getattr(loss, term),

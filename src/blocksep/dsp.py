@@ -362,14 +362,16 @@ def read_wav(path) -> AudioSignal:
 def write_wav(path, signal: AudioSignal) -> None:
     """Write a signal as 16-bit PCM little-endian WAV.
 
-    Samples are clipped to [-1, 1]; a NaN or infinite sample is rejected.
+    Samples are scaled by 32768, the inverse of ``read_wav``'s scale, and
+    clipped to the 16-bit range, so every k / 32768 with k in [-32768, 32767]
+    reads back exactly and 1.0 saturates at 32767 / 32768.  A NaN or infinite
+    sample is rejected.
     """
     if signal.n_channels not in (1, 2):
         raise ValueError("only mono or 2-channel WAV output is supported")
     if not np.isfinite(signal.samples).all():
         raise ValueError("WAV output holds a NaN or infinite sample")
-    clipped = np.clip(signal.samples, -1.0, 1.0)
-    pcm = np.round(clipped * 32767.0).astype("<i2")
+    pcm = np.round(np.clip(signal.samples * 32768.0, -32768.0, 32767.0)).astype("<i2")
     with wave.open(str(path), "wb") as fh:
         fh.setnchannels(signal.n_channels)
         fh.setsampwidth(2)

@@ -16,15 +16,23 @@ expectation.
 
 Everything is deterministic given (profile, length, pool, seed); each call
 derives its own RNG streams from the seed.
+
+``render`` transforms each speaker's dry signal once and convolves that one
+spectrum with both of the speaker's room impulse responses.  It renders the
+speakers concurrently, on a thread pool that lives only for the call.  Each
+speaker and the noise draw from streams of their own, spawned up front, so
+the rendered bytes do not depend on the pool size or on task order.
 """
 
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import fftconvolve, lfilter
+from scipy.fft import irfftn, next_fast_len, rfftn
+from scipy.signal import lfilter
 
-from .dsp import DEFAULT_SAMPLE_RATE, AudioSignal, read_wav
+from .dsp import DEFAULT_SAMPLE_RATE, AudioSignal, check_positive_whole, read_wav
 from .rttm import Segment, Timeline
 
 HEAD_LEN_S = 5.0
@@ -306,6 +314,58 @@ def shaped_noise(n, fs, rng):
     return shaped / np.sqrt(np.mean(shaped**2))
 
 
+def _usable_cpus():
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _reverberate(dry, rirs):
+    """Each RIR convolved with ``dry``, cut to its length: one row per RIR.
+
+    These are ``fftconvolve``'s own transforms, so each row has its bytes,
+    but ``dry`` is transformed once for all RIRs, which share one length.
+    Each row is transformed on its own: a batched transform differs in the
+    last digit.
+    """
+    n = dry.size
+    nf = next_fast_len(n + len(rirs[0]) - 1, True)
+    dry_spec = rfftn(dry, [nf], axes=[0])
+    out = np.empty((len(rirs), n))
+    for row, h in zip(out, rirs):
+        h_spec = rfftn(h, [nf], axes=[0])
+        # both operands named: numpy computes `a * temporary` in the
+        # temporary as `temporary * a`, and the complex product is not
+        # commutative bit for bit
+        row[:] = irfftn(dry_spec * h_spec, [nf], axes=[0])[:n]
+    return out
+
+
+def _render_speaker(scenario, spk, n, fs, streams):
+    """One speaker's (2, n) reverberant image, from its own two streams."""
+    spec = next(s for s in scenario.sources if s.speaker_id == spk)
+    voice_rng = np.random.default_rng(streams[0])
+    rir_rng = np.random.default_rng(streams[1])
+    dry = np.zeros(n)
+    for seg in scenario.timeline.for_speaker(spk):
+        i0 = int(round(seg.start * fs))
+        i1 = min(int(round(seg.end * fs)), n)
+        if i1 <= i0:
+            continue
+        dry[i0:i1] = synth_utterance(spec, (i1 - i0) / fs, fs, voice_rng)
+    drr = float(rir_rng.uniform(2.0, 6.0))
+    rirs = _rir_pair(scenario.rt60_s, scenario.mic_delays[spk], fs, rir_rng, drr)
+    return _reverberate(dry, rirs)
+
+
+def _render_noise(n, fs, stream):
+    """The (2, n) noise, RMS 1 per channel, from its own stream."""
+    rng = np.random.default_rng(stream)
+    return np.stack([shaped_noise(n, fs, rng) for _ in range(2)])
+
+
 def render(scenario: MeetingScenario, sample_rate: int = DEFAULT_SAMPLE_RATE) -> RenderedMeeting:
     """Render a scenario to audio.
 
@@ -313,35 +373,30 @@ def render(scenario: MeetingScenario, sample_rate: int = DEFAULT_SAMPLE_RATE) ->
     noise reference, per channel, exactly (they are built that way).  Noise is
     scaled so the speech/noise power ratio over active samples matches the
     scenario SNR; a non-empty timeline that covers no sample is rejected.
+
+    Each speaker is rendered from one spectrum of its dry signal, shared by
+    both mic channels.  The speakers are rendered concurrently, on a thread
+    pool as large as the usable CPUs (at most one thread per speaker) that
+    ends before this returns.  Every speaker and the noise draw from streams
+    of their own, so the bytes do not depend on the pool size or on the order
+    in which the tasks run.  ``sample_rate`` must be a positive whole number;
+    the signals carry it as an ``int``.
     """
-    fs = sample_rate
+    check_positive_whole("sample_rate", sample_rate)
+    fs = int(sample_rate)
     n = int(round(scenario.length_s * fs))
     root = np.random.SeedSequence([scenario.seed, 0x52454E44])
     spk_ids = scenario.timeline.speakers()
     streams = root.spawn(len(spk_ids) * 2 + 1)
-    noise_rng = np.random.default_rng(streams[-1])
 
-    references = {}
-    for i, spk in enumerate(spk_ids):
-        spec = next(s for s in scenario.sources if s.speaker_id == spk)
-        voice_rng = np.random.default_rng(streams[2 * i])
-        rir_rng = np.random.default_rng(streams[2 * i + 1])
-        dry = np.zeros(n)
-        for seg in scenario.timeline.for_speaker(spk):
-            i0 = int(round(seg.start * fs))
-            i1 = min(int(round(seg.end * fs)), n)
-            if i1 <= i0:
-                continue
-            dry[i0:i1] = synth_utterance(spec, (i1 - i0) / fs, fs, voice_rng)
-        drr = float(rir_rng.uniform(2.0, 6.0))
-        h1, h2 = _rir_pair(
-            scenario.rt60_s, scenario.mic_delays[spk], fs, rir_rng, drr
-        )
-        ch1 = fftconvolve(dry, h1)[:n]
-        ch2 = fftconvolve(dry, h2)[:n]
-        references[spk] = AudioSignal(fs, np.stack([ch1, ch2]))
-
-    noise = np.stack([shaped_noise(n, fs, noise_rng) for _ in range(2)])
+    workers = max(1, min(_usable_cpus(), len(spk_ids)))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        images = [pool.submit(_render_speaker, scenario, spk, n, fs, streams[2 * i : 2 * i + 2])
+                  for i, spk in enumerate(spk_ids)]
+        noise_task = pool.submit(_render_noise, n, fs, streams[-1])
+        references = {spk: AudioSignal(fs, image.result())
+                      for spk, image in zip(spk_ids, images)}
+        noise = noise_task.result()
 
     timeline = scenario.timeline
     if len(timeline) > 0:
@@ -364,11 +419,10 @@ def render(scenario: MeetingScenario, sample_rate: int = DEFAULT_SAMPLE_RATE) ->
     peak = np.max(np.abs(mixture))
     if peak > 0:
         g = 0.9 / peak
-        mixture = mixture * g
-        noise = noise * g
-        references = {
-            spk: AudioSignal(fs, sig.samples * g) for spk, sig in references.items()
-        }
+        mixture *= g
+        noise *= g
+        for sig in references.values():
+            sig.samples *= g
 
     return RenderedMeeting(
         mixture=AudioSignal(fs, mixture),

@@ -774,6 +774,25 @@ def test_rejected_increase_restores_pre_block_embeddings():
     assert state.iteration_counts == [2, 3]  # block 1 counts the rejected probe
 
 
+
+def test_a_speaker_rejected_once_is_locked_out_of_every_later_block():
+    # "b" talks in all 3 blocks but block 0's probe loop misses it; its
+    # re-decoded mask in block 0 (0.3) reaches t_resmask, so block 1 rejects
+    # it, and block 2 re-decodes both block 0 and block 1, where it is
+    # present too, and rejects it again: it never gets a slot
+    levels = [{"a": 0.6, "b": 0.3}, {"a": 0.4, "b": 0.3}, {"a": 0.4, "b": 0.3}]
+    est = BlockScriptedEstimator(levels=levels, probes=[["a"], ["b"], ["b"]])
+    cfg = DecoderConfig(block_len_s=1.0)
+    assert levels[0]["b"] >= cfg.t_resmask
+    fs = 8000
+    mixture = AudioSignal(fs, np.random.default_rng(0).normal(size=(2, 3 * fs)))
+    outputs, result = _pushed(mixture, est, cfg, STFT)
+    assert result.consistency_log == [(1, False), (2, False)]
+    assert [out.accepted for out in outputs] == [None, False, False]
+    assert [sorted(out.masks) for out in outputs] == [[0, 1]] * 3
+    assert result.per_block_counts == [1, 1, 1]
+    assert sorted(result.streams) == [0, 1]
+
 def _pushed(mixture, estimator, cfg, stft_cfg):
     """Push a mixture block by block: (each push's output, the result)."""
     session = Session(estimator, cfg, stft_cfg, mixture.sample_rate, mixture.n_samples)

@@ -430,6 +430,19 @@ def test_wav_roundtrip(tmp_path):
     assert np.max(np.abs(back.samples - sig.samples)) < 1.0 / 16384
 
 
+
+def test_wav_roundtrip_is_exact_on_the_16_bit_grid(tmp_path):
+    # every k / 32768 for k in [-32768, 32767] reads back as written, and
+    # samples beyond the 16-bit range saturate at its ends
+    grid = np.arange(-32768, 32768) / 32768.0
+    path = tmp_path / "x.wav"
+    write_wav(path, AudioSignal(8000, np.stack([grid, grid[::-1]])))
+    back = read_wav(path)
+    assert np.array_equal(back.samples, np.stack([grid, grid[::-1]]))
+    write_wav(path, AudioSignal(8000, np.array([1.0, -1.0, 2.0, -2.0])))
+    assert np.array_equal(read_wav(path).channel(0),
+                          np.array([32767, -32768, 32767, -32768]) / 32768.0)
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_wav_write_rejects_non_finite_samples(tmp_path, bad):
     samples = np.zeros((2, 100))

@@ -1,8 +1,12 @@
 import dataclasses
+import threading
+import warnings
 
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve
 
+from blocksep import simulate
 from blocksep.dsp import AudioSignal, write_wav
 from blocksep.rttm import Segment
 from blocksep.simulate import (
@@ -163,6 +167,107 @@ def test_render_determinism(pool):
     m2 = render(sc)
     assert np.array_equal(m1.mixture.samples, m2.mixture.samples)
 
+
+
+def _reference_render(scenario, fs):
+    """``render`` written plainly: one speaker after the other, each mic
+    channel convolved on its own by ``fftconvolve``, every scaling a copy."""
+    n = int(round(scenario.length_s * fs))
+    spk_ids = scenario.timeline.speakers()
+    streams = np.random.SeedSequence([scenario.seed, 0x52454E44]).spawn(2 * len(spk_ids) + 1)
+    references = {}
+    for i, spk in enumerate(spk_ids):
+        spec = next(s for s in scenario.sources if s.speaker_id == spk)
+        voice_rng = np.random.default_rng(streams[2 * i])
+        rir_rng = np.random.default_rng(streams[2 * i + 1])
+        dry = np.zeros(n)
+        for seg in scenario.timeline.for_speaker(spk):
+            i0, i1 = int(round(seg.start * fs)), min(int(round(seg.end * fs)), n)
+            if i1 > i0:
+                dry[i0:i1] = synth_utterance(spec, (i1 - i0) / fs, fs, voice_rng)
+        drr = float(rir_rng.uniform(2.0, 6.0))
+        h1, h2 = simulate._rir_pair(scenario.rt60_s, scenario.mic_delays[spk], fs,
+                                    rir_rng, drr)
+        references[spk] = np.stack([fftconvolve(dry, h1)[:n], fftconvolve(dry, h2)[:n]])
+    noise_rng = np.random.default_rng(streams[-1])
+    noise = np.stack([simulate.shaped_noise(n, fs, noise_rng) for _ in range(2)])
+    speech = np.zeros(noise.shape)
+    for ref in references.values():
+        speech += ref
+    active = np.zeros(n, dtype=bool)
+    for seg in scenario.timeline:
+        active[int(seg.start * fs) : int(seg.end * fs)] = True
+    p_speech = np.mean(speech[:, active] ** 2)
+    p_noise = np.mean(noise[:, active] ** 2)
+    noise = noise * np.sqrt(p_speech / (p_noise * 10.0 ** (scenario.snr_db / 10.0)))
+    mixture = speech + noise
+    g = 0.9 / np.max(np.abs(mixture))
+    return mixture * g, noise * g, {spk: ref * g for spk, ref in references.items()}
+
+
+def _assert_same_meeting(meeting, mixture, noise, references):
+    assert np.array_equal(meeting.mixture.samples, mixture)
+    assert np.array_equal(meeting.noise.samples, noise)
+    assert list(meeting.references) == list(references)
+    for spk, ref in references.items():
+        assert np.array_equal(meeting.references[spk].samples, ref)
+
+
+@pytest.mark.parametrize("seed", [7, 3])
+def test_render_equals_the_plain_reference_render(pool, seed):
+    sc = _scenario_fixture(pool, seed=seed)
+    assert 2 <= len(sc.timeline.speakers()) <= 3
+    _assert_same_meeting(render(sc), *_reference_render(sc, 8000))
+
+
+@pytest.mark.parametrize("cpus", [1, 8])
+def test_render_does_not_depend_on_the_pool_size(pool, monkeypatch, cpus):
+    sc = _scenario_fixture(pool)
+    default = render(sc)
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: cpus)
+    _assert_same_meeting(render(sc), default.mixture.samples, default.noise.samples,
+                         {spk: sig.samples for spk, sig in default.references.items()})
+
+
+def test_render_leaves_no_thread_running(pool):
+    before = threading.active_count()
+    render(_scenario_fixture(pool))
+    assert threading.active_count() == before
+
+
+def test_an_error_in_a_speaker_task_reaches_the_caller(pool, monkeypatch):
+    sc = _scenario_fixture(pool)
+    failing = sc.timeline.speakers()[-1]
+    error = RuntimeError("synthesis failed")
+
+    def synth(spec, *args):
+        if spec.speaker_id == failing:
+            raise error
+        return synth_utterance(spec, *args)
+
+    monkeypatch.setattr(simulate, "synth_utterance", synth)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as caught:
+        render(sc)
+    assert caught.value is error
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("rate", [0, -8000, 8000.5, np.nan, np.inf, True, "8000"])
+def test_render_rejects_a_sample_rate_that_is_not_a_positive_whole_number(pool, rate):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="sample_rate must be a positive whole number"):
+            render(_scenario_fixture(pool), rate)
+
+
+def test_render_keeps_a_whole_float_sample_rate_as_an_int(pool):
+    sc = sample_scenario("A", 6.0, pool, seed=2)
+    meeting = render(sc, 16000.0)
+    rates = [meeting.mixture.sample_rate, meeting.noise.sample_rate]
+    rates += [sig.sample_rate for sig in meeting.references.values()]
+    assert all(type(rate) is int and rate == 16000 for rate in rates)
+    assert meeting.mixture.n_samples == 6 * 16000
 
 def test_references_silent_outside_segments(pool):
     sc = _scenario_fixture(pool)

@@ -5,16 +5,17 @@ rule, and consistency-check decoding for count increases.
 A session is strictly sequential over blocks (state-carrying); separate
 sessions can decode concurrently with shared read-only estimator parameters.
 Each block is decoded and checked without changing the session, then joins
-it and has its streams synthesized; past blocks stay only as re-decode handles.
+it; past blocks stay only as re-decode handles.  A session keeps no audio:
+the caller synthesizes each pushed block's chunks and keeps what it needs.
 """
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dsp import (AudioSignal, IpdFeature, StftConfig, apply_mask, block_samples,
-                  blocks, check_positive_whole, check_real_samples, ipd, istft, stft)
+                  blocks, check_positive_whole, check_real_samples, ipd, is_integer,
+                  istft, stft)
 from .estimators import SILENT_MASK_MEAN, CheckedMask, check_model_stft
 
 
@@ -32,7 +33,7 @@ class DecoderConfig:
         if not 0 < self.block_len_s < np.inf:
             raise ValueError("block length must be positive and finite")
         cap = self.max_iterations
-        if not isinstance(cap, numbers.Integral) or isinstance(cap, bool) or cap < 1:
+        if not is_integer(cap) or cap < 1:
             raise ValueError(f"max_iterations must be an integer of at least 1, not {cap!r}")
         if not isinstance(self.consistency_check, bool):
             raise ValueError(f"consistency_check must be a bool, not {self.consistency_check!r}")
@@ -73,8 +74,9 @@ class SessionState:
     Slot 0 is reserved for noise.  Slot order never permutes, and slots
     never close.  ``cache`` holds one estimator handle per decoded block, so
     that a consistency check can re-decode past blocks; the blocks'
-    features, spectra and masks are not kept.  A finished session empties
-    it.  :meth:`commit` is the one place a block joins the state.
+    features, spectra and masks are not kept.  :func:`decode_session`
+    empties it when the decode ends.  :meth:`commit` is the one place a
+    block joins the state.
     """
 
     embeddings: list
@@ -178,7 +180,7 @@ def decode_block(features: BlockFeatures, state: SessionState, estimator,
     each non-silent mask the residual is updated in place as
     R <- clip(R - M, 0, 1); a mask whose mean falls below ``t_silent`` is
     replaced by the block's one read-only zero record and leaves the
-    residual untouched; :class:`Session` synthesizes no chunk for it.
+    residual untouched; :func:`decode_session` synthesizes no chunk for it.
     Probing continues while the mean residual is at least ``t_resmask`` and
     the iteration cap allows; a probe that comes back silent ends the block
     without creating a slot.  Each ``estimate`` call is held to the
@@ -247,11 +249,24 @@ class DecodeResult:
 
 @dataclass
 class BlockOutput:
-    masks: dict  # slot -> CheckedMask of (T, F) values, after the consistency verdict
-    # slot -> the block's samples of that slot's stream (a view); a silent
-    # slot's chunk holds the zeros its stream was allocated with
-    chunks: dict
+    """One pushed block: its masks after the consistency verdict, and the
+    block's reference spectrogram, from which :meth:`chunk` synthesizes."""
+
+    masks: dict  # slot -> CheckedMask of (T, F) values
+    active: list  # sorted slots whose mask mean is at least t_silent
     accepted: bool | None  # consistency verdict; None when no check ran
+    spec: np.ndarray  # (T, F) reference-channel spectrogram
+    stft_cfg: StftConfig
+    block_n: int
+
+    def chunk(self, slot) -> np.ndarray:
+        """The block's ``(block_n,)`` samples of ``slot``'s stream, in a new
+        array that the caller owns: the iSTFT of the masked spectrogram,
+        zero-padded where its frames do not reach the block's end."""
+        samples = istft(apply_mask(self.masks[slot], self.spec), self.stft_cfg)
+        if samples.size < self.block_n:
+            samples = np.concatenate((samples, np.zeros(self.block_n - samples.size)))
+        return samples
 
 
 def block_features(block_samples: np.ndarray, stft_cfg: StftConfig) -> BlockFeatures:
@@ -261,26 +276,16 @@ def block_features(block_samples: np.ndarray, stft_cfg: StftConfig) -> BlockFeat
 
 
 class Session:
-    """A two-channel session of ``n_samples`` decoded block by block.
+    """A two-channel session decoded block by block.
 
-    Each :meth:`push` decodes one block and synthesizes its stream chunks at
-    once: a block's masks are final after its consistency verdict, and later
-    blocks change only the embeddings.  The session then keeps only the
-    estimator's handle for the block, so apart from the output streams its
-    memory does not grow with the session length.  Each slot's stream is
-    allocated at full session length, as zeros, when the slot opens.  Within
-    a push, the block's reference spectrogram is held until its chunks are
-    synthesized, while |X|, the second channel's spectrum and the IPD live
-    only inside the estimator's ``begin_block`` (see :class:`BlockFeatures`).
-
-    Only a block's active slots (mask mean at least ``t_silent``, the rule
-    of ``activity``) are synthesized.  A silent slot's mask is all zero (see
-    :func:`decode_block`), so synthesizing it would write only +0.0: the
-    masked spectrum is ±0, overlap-adding ±0 into zeros gives +0 + ±0 = +0,
-    and +0 divided by the positive window sum stays +0.  Its chunk keeps the
-    zeros it was allocated with, the same bytes.  An active slot's record
-    goes to :func:`~blocksep.dsp.apply_mask` as it is, which does not scan
-    its range again.
+    Each :meth:`push` decodes one block: a block's masks are final after its
+    consistency verdict, and later blocks change only the embeddings.  The
+    session then keeps only the estimator's handle for the block, so its
+    memory grows by one handle per block and by nothing else: it keeps no
+    audio.  A push returns the block's masks and reference spectrogram, and
+    the caller synthesizes the chunks it wants (see :meth:`BlockOutput.chunk`).
+    Within a push, |X|, the second channel's spectrum and the IPD live only
+    inside the estimator's ``begin_block`` (see :class:`BlockFeatures`).
 
     The estimator is held to the estimator contract (see
     :mod:`blocksep.estimators`).  A push that raises leaves the session
@@ -291,51 +296,36 @@ class Session:
     A model (an estimator with ``params``) whose recorded STFT settings
     differ from ``stft_cfg`` is rejected with ``ValueError``; a model that
     records none is not checked.  So is an STFT whose window and hop violate
-    overlap-add, a ``sample_rate`` or ``n_samples`` that is not a positive
-    whole number, a block shorter than the STFT window, or a session shorter
-    than one window.  :meth:`push` checks each block before the estimator
-    sees it.
+    overlap-add, a ``sample_rate`` that is not a positive whole number, or a
+    block shorter than the STFT window.  :meth:`push` checks each block
+    before the estimator sees it.
     """
 
     def __init__(self, estimator, cfg: DecoderConfig, stft_cfg: StftConfig,
-                 sample_rate: int, n_samples: int):
+                 sample_rate: int):
         check_model_stft(getattr(estimator, "params", None), stft_cfg, "decode")
         if not stft_cfg.cola_ok():
             raise ValueError("window/hop violates overlap-add")
         check_positive_whole("sample_rate", sample_rate)
-        check_positive_whole("n_samples", n_samples)
         self.block_n = block_samples(cfg.block_len_s, sample_rate)
         if self.block_n < stft_cfg.window_len:
             raise ValueError(f"block of {self.block_n} samples is shorter than the "
                              f"{stft_cfg.window_len}-sample STFT window")
-        if n_samples < stft_cfg.window_len:
-            raise ValueError("input too short")
         self.estimator = estimator
         self.cfg = cfg
         self.stft_cfg = stft_cfg
-        self.sample_rate = sample_rate
-        self.n_samples = int(n_samples)  # a whole float such as 16000.0 passes the check
         self.state = new_session_state(estimator.embed_dim)
-        self.streams = {}  # slot -> (n_samples,) samples
         self.activity = []
         self.consistency_log = []
-        self._finished = False
 
     def push(self, block_samples: np.ndarray) -> BlockOutput:
-        """Decode the next (2, block_n) block; the last one is zero-padded.
+        """Decode the next (2, block_n) block.
 
-        Raises ``ValueError`` after :meth:`finish`, past the session's end,
-        and for a block of another shape, of complex or boolean samples, or
-        with a NaN or infinite sample.
+        Raises ``ValueError`` for a block of another shape, of samples that
+        are not integers or floats, or with a NaN or infinite sample.
         """
         state, cfg = self.state, self.cfg
         b = state.n_blocks
-        start = b * self.block_n
-        stop = min(start + self.block_n, self.n_samples)
-        if self._finished:
-            raise ValueError(f"block {b} pushed after the session finished")
-        if start >= self.n_samples:
-            raise ValueError(f"block {b} starts after the session's end")
         if np.shape(block_samples) != (2, self.block_n):
             raise ValueError(f"block {b} has shape {np.shape(block_samples)}, "
                              f"not (2, {self.block_n})")
@@ -355,44 +345,54 @@ class Session:
 
         active = sorted(slot for slot, rec in result.masks.items()
                         if rec.mean >= cfg.t_silent)
-        chunks = {}
-        for slot, rec in result.masks.items():
-            if slot not in self.streams:
-                self.streams[slot] = np.zeros(self.n_samples)
-            chunk = chunks[slot] = self.streams[slot][start:stop]
-            if slot in active:  # a silent slot's chunk keeps its exact zeros
-                out = istft(apply_mask(rec, feats.spec), self.stft_cfg)[: stop - start]
-                chunk[: out.size] = out
         self.activity.append(active)
-        return BlockOutput(result.masks, chunks, accepted)
-
-    def finish(self) -> DecodeResult:
-        """End the session: nothing re-decodes its blocks any more, so their
-        handles go."""
-        self._finished = True
-        self.state.cache.clear()
-        streams = {slot: AudioSignal(self.sample_rate, samples)
-                   for slot, samples in self.streams.items()}
-        per_block_counts = [sum(slot > 0 for slot in active) for active in self.activity]
-        return DecodeResult(streams, self.activity, per_block_counts,
-                            self.state.speaker_count, self.consistency_log, self.state)
+        return BlockOutput(result.masks, active, accepted, feats.spec, self.stft_cfg,
+                           self.block_n)
 
 
 def decode_session(mixture: AudioSignal, estimator, cfg: DecoderConfig,
                    stft_cfg: StftConfig) -> DecodeResult:
     """Decode a whole two-channel session block by block with a
-    :class:`Session`.
+    :class:`Session`, and assemble each slot's stream from the chunks.
 
     Blocks are disjoint in time and cut by :func:`~blocksep.dsp.blocks` one
     at a time, as they are pushed: a whole block is a view of the mixture,
     and only the trailing partial block, if any, is copied, zero-padded; its
-    chunks are trimmed to the session length.  So the decode never copies
+    chunks are trimmed to the mixture's length.  So the decode never copies
     the whole mixture.  Every block goes through :meth:`Session.push`, so a
     mixture that is not two-channel, or holds a NaN or infinite sample,
     raises ``ValueError`` at the first such block, as do the settings
-    :class:`Session` rejects.
+    :class:`Session` rejects and a mixture shorter than one STFT window.
+
+    A slot's stream is allocated as zeros when the slot first appears in a
+    block's masks, and only a block's active slots are synthesized into it.
+    A silent slot's mask is all zero (see :func:`decode_block`), so
+    synthesizing it would write only +0.0: the masked spectrum is ±0,
+    overlap-adding ±0 into zeros gives +0 + ±0 = +0, and +0 divided by the
+    positive window sum stays +0.  Its part of the stream keeps the zeros it
+    was allocated with, the same bytes.  An active slot's record goes to
+    :func:`~blocksep.dsp.apply_mask` as it is, which does not scan its range
+    again.  The block handles go when the decode ends: nothing re-decodes
+    its blocks any more.
     """
-    session = Session(estimator, cfg, stft_cfg, mixture.sample_rate, mixture.n_samples)
-    for block in blocks(mixture.samples, session.block_n):
-        session.push(block)
-    return session.finish()
+    session = Session(estimator, cfg, stft_cfg, mixture.sample_rate)
+    n, block_n = mixture.n_samples, session.block_n
+    if n < stft_cfg.window_len:
+        raise ValueError("input too short")
+    streams = {}  # slot -> (n,) samples
+    for b, block in enumerate(blocks(mixture.samples, block_n)):
+        start = b * block_n
+        stop = min(start + block_n, n)
+        out = session.push(block)
+        for slot in out.masks:
+            if slot not in streams:
+                streams[slot] = np.zeros(n)
+        for slot in out.active:
+            streams[slot][start:stop] = out.chunk(slot)[: stop - start]
+        del out  # its spectrogram goes before the next block's
+    session.state.cache.clear()
+    per_block_counts = [sum(slot > 0 for slot in active) for active in session.activity]
+    return DecodeResult({slot: AudioSignal(mixture.sample_rate, samples)
+                         for slot, samples in streams.items()},
+                        session.activity, per_block_counts, session.state.speaker_count,
+                        session.consistency_log, session.state)

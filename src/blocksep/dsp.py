@@ -33,11 +33,18 @@ def check_positive_whole(name: str, value) -> None:
         raise ValueError(f"{name} must be a positive whole number, not {value!r}")
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is an integer: any ``numbers.Integral`` but a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def check_real_samples(name: str, samples) -> None:
-    """Reject complex or boolean ``samples``, naming their dtype: taken as
-    float64 they would keep only the real part, or read as 0 and 1."""
+    """Reject ``samples`` that are not integers or floats, naming their
+    dtype: taken as float64, complex ones would keep only the real part,
+    booleans would read as 0 and 1, strings would be parsed and datetimes
+    read as counts."""
     dtype = np.asarray(samples).dtype
-    if dtype.kind in "bc":
+    if dtype.kind not in "iuf":
         raise ValueError(f"{name} must be real numbers, not {dtype}")
 
 
@@ -92,7 +99,7 @@ class StftConfig:
     def __post_init__(self):
         for name in ("window_len", "hop"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            if not is_integer(value):
                 raise ValueError(f"{name} must be an integer, not {value!r}")
         if not (0 < self.hop <= self.window_len):
             raise ValueError("hop must satisfy 0 < hop <= window_len")
@@ -322,22 +329,15 @@ def check_mask(mask) -> CheckedMask:
     return CheckedMask(mask, mean)
 
 
-def apply_mask(mask, mix: np.ndarray) -> np.ndarray:
-    """Scale mixture magnitudes by a [0, 1] mask, keeping the mixture phase.
+def apply_mask(mask: CheckedMask, mix: np.ndarray) -> np.ndarray:
+    """Scale mixture magnitudes by a checked mask, keeping the mixture phase.
 
-    A :class:`CheckedMask` is taken as it is: :func:`check_mask` already
-    checked its range.  A bare array is range-checked here."""
-    if isinstance(mask, CheckedMask):
-        mask = mask.values
-    else:
-        mask = np.asarray(mask)
-        # written so that a NaN bin, which fails every comparison, is rejected
-        if not (mask.min() >= -1e-9 and mask.max() <= 1.0 + 1e-9):
-            raise ValueError("mask values must lie in [0, 1]")
+    The record is taken as it is: :func:`check_mask` already checked its
+    range."""
     mix = np.asarray(mix)
-    if mask.shape != mix.shape:
+    if mask.values.shape != mix.shape:
         raise ValueError("mask/spectrogram dimensions do not match")
-    return mask * mix
+    return mask.values * mix
 
 
 def read_wav(path) -> AudioSignal:

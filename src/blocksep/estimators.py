@@ -36,7 +36,6 @@ at each call:
 
 import hashlib
 import json
-import numbers
 import struct
 from dataclasses import asdict, dataclass, field
 
@@ -47,7 +46,7 @@ from . import kernels
 # ``CheckedMask`` and ``check_mask`` live with the masking in ``dsp``; the
 # estimator contract names them from here.
 from .dsp import (CheckedMask, IpdFeature, StftConfig, block_samples, blocks, check_mask,
-                  stft)
+                  is_integer, stft)
 
 CHECKPOINT_MAGIC = b"BSPK"
 CHECKPOINT_VERSION = 1
@@ -230,10 +229,9 @@ class OracleMaskEstimator:
 
 def param_shapes(bins: int, embed_dim: int, hidden: int, proj: int) -> dict:
     """Name -> shape of every parameter tensor, in checkpoint order.  Every
-    size must be a positive integer: any ``numbers.Integral`` but a bool."""
+    size must be a positive integer (see :func:`~blocksep.dsp.is_integer`)."""
     f, d, h, p = sizes = bins, embed_dim, hidden, proj
-    if not all(isinstance(n, numbers.Integral) and not isinstance(n, bool) and n > 0
-               for n in sizes):
+    if not all(is_integer(n) and n > 0 for n in sizes):
         raise ValueError(f"network sizes must be positive integers, not {sizes}")
     return {
         "w_static": (3 * f, p), "b_static": (p,), "w_res": (f, p),

@@ -14,14 +14,13 @@ lockstep: one batched forward and one batched backward per block, kept as
 one record.
 """
 
-import numbers
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .decoding import _subtract_mask, block_features
-from .dsp import StftConfig, block_samples, blocks
+from .dsp import StftConfig, block_samples, blocks, is_integer
 # Only for the benchmark, which wraps these names; features run through ``decoding``.
 from .dsp import ipd, stft  # noqa: F401
 from .estimators import (MaskNet, ModelParams, check_model_stft, init_params,
@@ -51,8 +50,7 @@ class TrainConfig:
             raise ValueError("learning rate must be non-negative and finite")
         for name, least in (("epochs", 0), ("batch_size", 1), ("seed", 0)):
             value = getattr(self, name)
-            if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
-                    or value < least):
+            if not is_integer(value) or value < least:
                 raise ValueError(f"bad training configuration: {name} must be "
                                  f"an integer of at least {least}, not {value!r}")
 

@@ -153,8 +153,7 @@ def pushed_masks(item, estimator, stft_cfg):
     """Per block, {slot: mask values} after the verdict: the ``.values`` of
     each ``CheckedMask`` record that ``Session.push`` returns."""
     mixture = item.rendered.mixture
-    session = decoding.Session(estimator, workloads.DECODER, stft_cfg,
-                               mixture.sample_rate, mixture.n_samples)
+    session = decoding.Session(estimator, workloads.DECODER, stft_cfg, mixture.sample_rate)
     return [{slot: rec.values for slot, rec in session.push(block).masks.items()}
             for block in blocks(mixture.samples, session.block_n)]
 

@@ -99,6 +99,12 @@ class BlockTruth:
     silent: CheckedMask  # (T, F) zeros, a view that holds no memory
     active: list  # sorted source ids
 
+    def strongest_first(self, sources) -> list:
+        """``sources`` by descending ideal-mask mean, of equal means the
+        larger id first: the order in which the oracle's probes find them
+        and in which training opens slots for them."""
+        return sorted(sources, key=lambda s: (self.irms[s].mean, s), reverse=True)
+
 
 def block_truth(noise_mag, source_mags) -> BlockTruth:
     """The ground-truth record of one block; the mask denominator adds the
@@ -160,7 +166,8 @@ class OracleMaskEstimator:
     block's all-zero record.
     ``begin_block`` reads none of the block's features, so an oracle decode
     never computes |X|, the second channel's STFT or the IPD; a block's
-    handle is its index.  A probe ranks sources by the records' means.
+    handle is its index.  A probe takes the first source of
+    :meth:`BlockTruth.strongest_first`.
     """
 
     embed_dim = DEFAULT_EMBED_DIM
@@ -213,12 +220,11 @@ class OracleMaskEstimator:
                 return blk.silent, self._fallback if spk is None else self.embeddings[spk]
             self._emitted.add(spk)
             return blk.irms[spk], self.embeddings[spk]
-        # zero embedding: probe for the strongest active source not yet
-        # extracted; of equal mask means, the last in id order
+        # zero embedding: probe for the strongest active source not yet extracted
         left = [s for s in blk.active if s not in self._emitted]
         if not left:
             return blk.silent, self._fallback
-        best = max(reversed(left), key=lambda s: blk.irms[s].mean)
+        best = blk.strongest_first(left)[0]
         self._emitted.add(best)
         return blk.irms[best], self.embeddings[best]
 

@@ -1,23 +1,28 @@
-"""Training losses: masked-magnitude MSE with partial permutation invariance,
-the permutation-variant noise term, the residual hinge that drives source
-counting, and the cosine triplet loss over speaker embeddings.
+"""Training losses: the masked-magnitude MSE of each slot against its
+target, the residual hinge that drives source counting, and the cosine
+triplet loss over speaker embeddings.
+
+No term searches over permutations.  Training is teacher-forced, so the
+unroll has already decided which source each slot takes: a new source takes
+the strongest-first order (:meth:`~blocksep.estimators.BlockTruth.strongest_first`)
+that the teacher-forced residual of each new slot assumes, and a slot keeps
+its source for the whole sample.  The targets come keyed by slot, and a
+slot is its own speaker label in the triplet term.
 
 :func:`total_loss` returns the weighted loss together with analytic
 gradients with respect to its direct inputs, the masks and embeddings.
 Inputs and gradients share one per-block layout: per block a ``{slot:
 array}`` dict, slot 0 the noise slot and slots >= 1 speaker slots.  It runs
-one block at a time, composing the per-block pieces :func:`mmse_partial_pit`
-(the speaker targets) and :func:`resmask_loss` (the hinge) with the
-permutation-variant noise term.  Each block's mask gradients are written
-into one (B, T, F) stack in the masks' dtype, one row per mask in the order
-the block's masks were given, each row once; no other per-mask array
-outlives its block.  The hinge subgradient at the kink is 0 (one-sided).
+one block at a time, taking the speaker, noise and hinge
+(:func:`resmask_loss`) terms together.  Each block's mask gradients are
+written into one (B, T, F) stack in the masks' dtype, one row per mask in
+the order the block's masks were given, each row once; no other per-mask
+array outlives its block.  The hinge subgradient at the kink is 0 (one-sided).
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 # Most triplets ``triplet_loss`` sums; beyond it a uniform sample is drawn.
 TRIPLET_CAP = 512
@@ -38,58 +43,16 @@ class LossWeights:
 
 @dataclass
 class BlockTargets:
-    """Targets for one block: noise magnitude, per-known-slot magnitudes
-    (for a silent slot a read-only zero view, which holds no memory), and
-    reference magnitudes for sources that appear for the first time in this
-    block."""
+    """Targets for one block: the noise magnitude and one magnitude per
+    speaker slot (for a silent slot a read-only zero view, which holds no
+    memory)."""
 
     noise: np.ndarray
-    known: dict = field(default_factory=dict)  # slot -> (T, F) target
-    new_sources: list = field(default_factory=list)  # (source_id, (T, F) target)
+    speakers: dict = field(default_factory=dict)  # slot -> (T, F) target
 
 
 def _sq(err):
     return float(np.sum(err * err))
-
-
-def mmse_partial_pit(masks, mix, tgt):
-    """One block's speaker targets, permutation-invariant only for newly
-    appearing sources.
-
-    Args:
-        masks: {slot: (T, F)} the block's speaker masks, slots >= 1 (the
-            noise slot's target is always the block's noise magnitude).
-        mix: the block's mixture magnitude.
-        tgt: the block's :class:`BlockTargets`.  Known slots keep their
-            targets and are never re-permuted, matching the slot-persistence
-            rule; the block's new slots and new sources must match in number.
-    Returns:
-        (assignment, targets): the source id of each new slot, and a
-        (slot, target magnitude) pair per speaker slot, known slots first,
-        each group in slot order: the order the loss sums their errors.  The
-        new-source assignment minimizes the summed squared error by a linear
-        assignment.
-    """
-    slots = sorted(masks)
-    new_slots = [s for s in slots if s not in tgt.known]
-    if len(tgt.new_sources) > len(new_slots):
-        raise ValueError("more new sources than free slots")
-    if len(tgt.new_sources) < len(new_slots):
-        raise ValueError("more new slots than new sources")
-    targets = [(s, tgt.known[s]) for s in slots if s in tgt.known]
-    assignment = {}
-    if new_slots:
-        cost = np.empty((len(new_slots), len(tgt.new_sources)))
-        for i, s in enumerate(new_slots):
-            est = masks[s] * mix
-            cost[i] = [_sq(est - ref) for _, ref in tgt.new_sources]
-        # A non-finite cost would stop the solver; the loss stays non-finite.
-        rows, cols = linear_sum_assignment(np.where(np.isfinite(cost), cost, 0.0))
-        for i, j in zip(rows, cols):
-            src_id, ref = tgt.new_sources[j]
-            assignment[new_slots[i]] = src_id
-            targets.append((new_slots[i], ref))
-    return assignment, targets
 
 
 def resmask_loss(masks):
@@ -192,7 +155,6 @@ class TotalLoss:
     mmse: float  # speaker term + noise term combined
     resmask: float
     triplet: float
-    assignment: dict
     emb_grads: list  # per block: {slot: (D,) gradient}
     block_grads: list  # per block: (B, T, F) stack; None once unroll_backward took it
 
@@ -202,17 +164,18 @@ def total_loss(masks, mixes, targets, embeddings, weights: LossWeights, rng):
 
     ``masks`` and ``embeddings`` hold one ``{slot: array}`` dict per block,
     as ``mixes`` (float64) and ``targets`` hold one entry per block; a
-    block-count mismatch raises ``ValueError``.  Runs block by block: each
-    block's speaker targets (:func:`mmse_partial_pit`), noise term (slot 0
-    against the block's noise magnitude) and hinge (:func:`resmask_loss`,
-    in sorted slot order) are taken together, and each of its masks gets its
-    whole gradient at once, alpha * hinge + (2/n)|X| * err, computed in
-    float64 and written into its row of the block's gradient stack (see
-    :class:`TotalLoss`).  n is the block count for the noise slot and the
-    speaker-mask count for a speaker slot.  Speaker slots take their triplet
-    labels from the permutation-invariant assignment.  Noise-slot embeddings
-    are excluded from the triplet term; ``rng`` samples its triplets beyond
-    ``TRIPLET_CAP``.  Every mask gets a gradient.
+    block-count mismatch raises ``ValueError``, as does a block whose speaker
+    masks and targets name different slots.  Runs block by block: each
+    block's speaker terms (each speaker slot against its target, in slot
+    order), noise term (slot 0 against the block's noise magnitude) and
+    hinge (:func:`resmask_loss`, in sorted slot order) are taken together,
+    and each of its masks gets its whole gradient at once, alpha * hinge +
+    (2/n)|X| * err, computed in float64 and written into its row of the
+    block's gradient stack (see :class:`TotalLoss`).  n is the block count
+    for the noise slot and the speaker-mask count for a speaker slot.  Each
+    speaker slot's embeddings carry the slot as their triplet label;
+    noise-slot embeddings are excluded from the triplet term.  ``rng``
+    samples its triplets beyond ``TRIPLET_CAP``.  Every mask gets a gradient.
     """
     n_blocks = len(mixes)
     for name, per_block in (("block targets", targets), ("mask blocks", masks),
@@ -222,17 +185,18 @@ def total_loss(masks, mixes, targets, embeddings, weights: LossWeights, rng):
     n_spk = sum(slot >= 1 for block in masks for slot in block)
     # running float sums, not sum(): it compensates from Python 3.12 on
     sq_spk = sq_noise = l_res = 0.0
-    assignment, block_grads = {}, []
+    block_grads = []
     for b, (block, mix, tgt) in enumerate(zip(masks, mixes, targets)):
         if not block:
             raise ValueError(f"block {b} has no masks")
-        new, spk_targets = mmse_partial_pit(
-            {slot: m for slot, m in block.items() if slot >= 1}, mix, tgt)
+        spk_slots = sorted(slot for slot in block if slot >= 1)
+        if spk_slots != sorted(tgt.speakers):
+            raise ValueError(f"block {b} has speaker masks for slots {spk_slots} "
+                             f"but targets for slots {sorted(tgt.speakers)}")
         if 0 not in block:
             raise ValueError(f"missing noise mask for block {b}")
         if tgt.noise is None:
             raise ValueError(f"missing noise target for block {b}")
-        assignment.update(new)
         loss, hinge = resmask_loss([block[slot] for slot in sorted(block)])
         l_res += loss
         hinge *= weights.alpha
@@ -242,22 +206,23 @@ def total_loss(masks, mixes, targets, embeddings, weights: LossWeights, rng):
         rows = dict(zip(block, stack))  # slot -> its row, in the order given
         scale = (2.0 / n_blocks) * mix
         sq_noise += _mask_grad(block[0], mix, tgt.noise, scale, hinge, rows[0])
-        if spk_targets:  # the speaker scale takes the noise scale's buffer
+        if spk_slots:  # the speaker scale takes the noise scale's buffer
             np.multiply(2.0 / n_spk, mix, out=scale)
-        for slot, target in spk_targets:
-            sq_spk += _mask_grad(block[slot], mix, target, scale, hinge, rows[slot])
+        for slot in spk_slots:
+            sq_spk += _mask_grad(block[slot], mix, tgt.speakers[slot], scale, hinge,
+                                 rows[slot])
     l_spk = sq_spk / n_spk if n_spk else 0.0
     l_noise = sq_noise / n_blocks
 
-    # triplet_loss pairs embeddings across blocks, so it takes (block, slot) keys
+    # triplet_loss pairs embeddings across blocks, so it takes (block, slot)
+    # keys; a slot is one source for the whole sample, so it is the label
     emb_labeled = {(b, slot): z for b, block in enumerate(embeddings)
-                   for slot, z in block.items() if slot >= 1 and slot in assignment}
-    key_labels = {k: assignment[k[1]] for k in emb_labeled}
-    l_trip, g_trip = triplet_loss(emb_labeled, key_labels, weights.delta, rng)
+                   for slot, z in block.items() if slot >= 1}
+    l_trip, g_trip = triplet_loss(emb_labeled, {k: k[1] for k in emb_labeled},
+                                  weights.delta, rng)
 
     total = l_spk + l_noise + weights.alpha * l_res + weights.beta * l_trip
     emb_grads = [{} for _ in embeddings]
     for (b, slot), g in g_trip.items():
         emb_grads[b][slot] = weights.beta * g
-    return TotalLoss(total, l_spk + l_noise, l_res, l_trip, assignment,
-                     emb_grads, block_grads)
+    return TotalLoss(total, l_spk + l_noise, l_res, l_trip, emb_grads, block_grads)

@@ -108,6 +108,13 @@ class MeetingScenario:
     def __post_init__(self):
         if self.rt60_s <= 0:
             raise ValueError("rt60 must be positive")
+        entries = {"sources": {s.speaker_id for s in self.sources},
+                   "mic_delays": self.mic_delays}
+        for spk in self.timeline.speakers():
+            for name, ids in entries.items():
+                if spk not in ids:
+                    raise ValueError(f"speaker {spk!r} of the segments is missing "
+                                     f"from {name}")
 
     @property
     def timeline(self) -> Timeline:

@@ -2,12 +2,15 @@
 
 The network is unrolled over a meeting's blocks and extraction iterations:
 iteration 0 of every block targets the noise magnitude, known speaker slots
-keep their fixed targets (a zero view while the speaker is silent), and newly
-appearing sources are matched to the remaining iterations by the
-permutation-invariant loss.  The residual recursion is teacher-forced: it
+keep their sources (a zero target while the speaker is silent), and newly
+appearing sources open new slots in strongest-first order
+(:meth:`~blocksep.estimators.BlockTruth.strongest_first`), the order the
+oracle's probes find them in.  The residual recursion is teacher-forced: it
 takes the decoder's residual step, but with the ideal ratio masks of the
-references, not the network's own estimates.  Embeddings chain across
-blocks.
+references, not the network's own estimates, so each new slot's residual
+no longer holds the sources ordered before it.  That order is the one
+decision of which source a slot takes: the loss reads its targets by slot
+and searches no permutation.  Embeddings chain across blocks.
 
 No slot of a block then depends on another, so a block's slots run in
 lockstep: one batched forward and one batched backward per block, kept as
@@ -150,10 +153,6 @@ class UnrollResult:
     records: list  # per block: _IterationRecord
 
 
-def _new_source_order(truth, new_sources):
-    return sorted(new_sources, key=lambda s: (-truth.irms[s].mean, s))
-
-
 def _teacher_forced_residuals(truth, order, slot_source, dtype):
     """The residual each slot of ``order`` reads under teacher forcing, as
     (len(order), T, F) in ``dtype``: ones, minus the ideal masks of the
@@ -196,34 +195,19 @@ def unroll(sample: TrainSample, net: MaskNet, cfg: TrainConfig) -> UnrollResult:
     dt = net.params.dtype
     masks, embeddings = [], []
     records, targets = [], []
-    slot_source = {}  # speaker slot -> source id (grows block by block)
+    slot_source = {}  # speaker slot -> source id, in slot order (grows block by block)
     prev_z = {}  # slot -> embedding emitted in the previous block
     zero_z = np.zeros(net.embed_dim)  # z_prev of a slot new in this block
-    next_slot = 1
 
     for b in range(sample.n_blocks):
         mag, feat, truth = sample.mags[b], sample.ipds[b], sample.truth[b]
-        known_slots = sorted(slot_source)
-        new_sources = _new_source_order(
-            truth, [s for s in truth.active if s not in slot_source.values()])
-        new_slots = list(range(next_slot, next_slot + len(new_sources)))
-        next_slot += len(new_sources)
-        order = [0] + known_slots + new_slots
-
-        known_targets = {}
-        for slot in known_slots:
-            src = slot_source[slot]
-            if src in truth.active:
-                known_targets[slot] = truth.source_mags[src]
-            else:
-                known_targets[slot] = np.broadcast_to(0.0, mag.shape)
-        targets.append(BlockTargets(
-            noise=truth.noise_mag,
-            known=known_targets,
-            new_sources=[(s, truth.source_mags[s]) for s in new_sources],
-        ))
-        for slot, src in zip(new_slots, new_sources):
-            slot_source[slot] = src
+        new_sources = truth.strongest_first(
+            [s for s in truth.active if s not in slot_source.values()])
+        slot_source.update(enumerate(new_sources, start=len(slot_source) + 1))
+        order = [0, *slot_source]
+        targets.append(BlockTargets(noise=truth.noise_mag, speakers={
+            slot: truth.source_mags[src] if src in truth.active else truth.silent.values
+            for slot, src in slot_source.items()}))
 
         z_prevs = np.array([prev_z.get(slot, zero_z) for slot in order], dtype=dt)
         residuals = _teacher_forced_residuals(truth, order, slot_source, dt)

@@ -1,6 +1,5 @@
 """Shared helpers: synthetic unroll instances and finite-difference checks."""
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,26 +79,11 @@ def tiny_train_params(cfg, hidden=5, proj=6):
 
 
 def instance_is_safe(result, margin=1e-3):
-    """Reject instances whose loss sits within ``margin`` of a hinge kink or
-    a permutation tie, where finite differences are undefined."""
+    """Reject instances whose loss sits within ``margin`` of a hinge kink,
+    where finite differences are undefined."""
     for block in result.masks:
         total = sum(block.values())
         if np.any(np.abs(1.0 - total) < margin):
-            return False
-    # permutation tie: best vs runner-up assignment cost for new sources
-    for b, (block, tgt) in enumerate(zip(result.masks, result.targets)):
-        if len(tgt.new_sources) < 2:
-            continue
-        slots = sorted(s for s in block if s >= 1 and s not in tgt.known)
-        costs = []
-        for perm in itertools.permutations(range(len(tgt.new_sources))):
-            c = 0.0
-            for slot, idx in zip(slots, perm):
-                est = block[slot] * result.loss_mix[b]
-                c += float(np.sum((est - tgt.new_sources[idx][1]) ** 2))
-            costs.append(c)
-        costs.sort()
-        if len(costs) > 1 and costs[1] - costs[0] < margin:
             return False
     # triplet hinge margins
     for m in result.triplet_margins:
@@ -124,22 +108,21 @@ def run_unroll(sample, params, cfg):
     net = MaskNet(params)
     result = unroll(sample, net, cfg)
     grads = unroll_backward(result, net)
-    result.loss_mix = sample.mags
     result.triplet_margins = _triplet_margins(result, cfg)
     return result, grads
 
 
 def _triplet_margins(result, cfg):
-    labels = dict(result.loss.assignment)
+    # a speaker slot is its own triplet label
     keys = sorted((b, s) for b, block in enumerate(result.embeddings)
-                  for s in block if s >= 1 and s in labels)
+                  for s in block if s >= 1)
     margins = []
     for a in keys:
         for p in keys:
-            if p == a or labels[p[1]] != labels[a[1]]:
+            if p == a or p[1] != a[1]:
                 continue
             for n in keys:
-                if labels[n[1]] == labels[a[1]]:
+                if n[1] == a[1]:
                     continue
                 ea, ep, en = (result.embeddings[b][s] for b, s in (a, p, n))
 

@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import tracemalloc
 
 import numpy as np
@@ -10,7 +9,6 @@ from blocksep.losses import (
     BlockTargets,
     LossWeights,
     _cosine_with_grads,
-    mmse_partial_pit,
     resmask_loss,
     total_loss,
     triplet_loss,
@@ -40,14 +38,14 @@ def _speaker_term(spk_masks, mixes, targets):
     """``total_loss`` reduced to its speaker term: each block's noise mask
     is all ones and its noise target the mixture, so the noise error is 0,
     and the hinge and triplet weights are 0.  ``spk_masks`` holds a
-    ``{slot: mask}`` dict per block.  Returns (loss, assignment, per block
-    the speaker-mask gradients by slot)."""
+    ``{slot: mask}`` dict per block.  Returns (loss, per block the
+    speaker-mask gradients by slot)."""
     masks = [{**block, 0: np.ones_like(mix)} for block, mix in zip(spk_masks, mixes)]
     targets = [dataclasses.replace(t, noise=mix.copy()) for t, mix in zip(targets, mixes)]
     res = total_loss(masks, mixes, targets, [{} for _ in mixes], _NO_HINGE_NO_TRIPLET,
                      _rng())
-    return (res.mmse, res.assignment,
-            [{s: g for s, g in grads.items() if s >= 1} for grads in _grads_by_slot(masks, res)])
+    return res.mmse, [{s: g for s, g in grads.items() if s >= 1}
+                      for grads in _grads_by_slot(masks, res)]
 
 
 def test_weights_validation():
@@ -65,58 +63,60 @@ def test_mmse_zero_when_masks_reproduce_targets():
     rng = np.random.default_rng(0)
     mix = rng.uniform(0.1, 1.0, (T, F))
     mask = rng.uniform(0, 1, (T, F))
-    targets = [BlockTargets(noise=_mk(0), known={}, new_sources=[("a", mask * mix)])]
-    loss, assign, grads = _speaker_term([{1: mask}], [mix], targets)
+    targets = [BlockTargets(noise=_mk(0), speakers={1: mask * mix})]
+    loss, grads = _speaker_term([{1: mask}], [mix], targets)
     assert loss == pytest.approx(0.0, abs=1e-12)
-    assert assign == {1: "a"}
     assert np.allclose(grads[0][1], 0.0)
 
 
-def test_mmse_picks_swapped_permutation():
+def test_new_slots_take_their_teacher_forced_sources_not_a_better_fitting_swap():
+    # block 0 opens slots 1 and 2 for sources the unroll ordered "a", "b",
+    # and block 1 keeps them.  The masks fit the swapped pairing exactly, so
+    # a permutation-invariant loss would pair slot 1 with "b" at zero error;
+    # the loss keeps the slot order, and a slot is its own triplet label
     rng = np.random.default_rng(1)
-    mix = rng.uniform(0.5, 1.0, (T, F))
-    m1 = rng.uniform(0, 1, (T, F))
-    m2 = rng.uniform(0, 1, (T, F))
-    # targets swapped relative to slot order: best assignment is the swap
-    targets = [BlockTargets(
-        noise=_mk(0), known={},
-        new_sources=[("a", m2 * mix), ("b", m1 * mix)],
-    )]
-    loss, assign, _ = _speaker_term([{1: m1, 2: m2}], [mix], targets)
-    assert assign == {1: "b", 2: "a"}
-    # loss equals the swapped-assignment MSE, brute-forced independently
-    costs = []
-    for perm in itertools.permutations([0, 1]):
-        c = np.sum((m1 * mix - targets[0].new_sources[perm[0]][1]) ** 2)
-        c += np.sum((m2 * mix - targets[0].new_sources[perm[1]][1]) ** 2)
-        costs.append(c)
-    assert loss == pytest.approx(min(costs) / 2)
+    mixes = [rng.uniform(0.5, 1.0, (T, F)) for _ in range(2)]
+    m1, m2 = rng.uniform(0, 1, (T, F)), rng.uniform(0, 1, (T, F))
+    refs = [{"a": m2 * mix, "b": m1 * mix} for mix in mixes]
+    targets = [BlockTargets(noise=_mk(0), speakers={1: ref["a"], 2: ref["b"]})
+               for ref in refs]
+    spk_masks = [{1: m1, 2: m2}] * 2
+    loss, _ = _speaker_term(spk_masks, mixes, targets)
+    teacher = sum(np.sum((m1 * mix - ref["a"]) ** 2) + np.sum((m2 * mix - ref["b"]) ** 2)
+                  for mix, ref in zip(mixes, refs))
+    assert loss == pytest.approx(teacher / 4) and loss > 0
+    embs = [{s: rng.normal(size=4) for s in (1, 2)} for _ in range(2)]
+    res = total_loss([{**block, 0: _mk(1.0)} for block in spk_masks], mixes, targets, embs,
+                     LossWeights(alpha=0.0, beta=1.0, delta=0.9), _rng())
+    keys = [(b, s) for b in range(2) for s in (1, 2)]
+    expected, _ = triplet_loss({k: embs[k[0]][k[1]] for k in keys}, {k: k[1] for k in keys},
+                               0.9, _rng())
+    assert res.triplet == expected > 0
 
 
 def test_mmse_silent_known_slot_contributes_zero():
     mix = _mk(0.8)
-    targets = [BlockTargets(noise=_mk(0), known={1: np.zeros((T, F))})]
-    loss, _, grads = _speaker_term([{1: np.zeros((T, F))}], [mix], targets)
+    targets = [BlockTargets(noise=_mk(0), speakers={1: np.zeros((T, F))})]
+    loss, grads = _speaker_term([{1: np.zeros((T, F))}], [mix], targets)
     assert loss == 0.0
     assert np.allclose(grads[0][1], 0.0)
 
 
 def test_mmse_too_many_new_sources():
+    # targets for a slot no mask covers
     mix = _mk(1.0)
-    targets = [BlockTargets(noise=_mk(0), known={},
-                            new_sources=[("a", mix), ("b", mix)])]
-    with pytest.raises(ValueError, match="more new sources"):
-        mmse_partial_pit({1: _mk(0.5)}, mix, targets[0])
-    with pytest.raises(ValueError, match="more new sources than free slots"):
+    targets = [BlockTargets(noise=_mk(0), speakers={1: mix, 2: mix})]
+    with pytest.raises(ValueError, match=r"block 0 has speaker masks for slots \[1\] "
+                                         r"but targets for slots \[1, 2\]"):
         _speaker_term([{1: _mk(0.5)}], [mix], targets)
 
 
 def test_mmse_too_few_new_sources():
+    # a mask for a slot no target covers
     mix = _mk(1.0)
-    targets = [BlockTargets(noise=_mk(0), known={}, new_sources=[("a", mix)])]
-    with pytest.raises(ValueError, match="more new slots"):
-        mmse_partial_pit({1: _mk(0.5), 2: _mk(0.3)}, mix, targets[0])
-    with pytest.raises(ValueError, match="more new slots than new sources"):
+    targets = [BlockTargets(noise=_mk(0), speakers={1: mix})]
+    with pytest.raises(ValueError, match=r"block 0 has speaker masks for slots \[1, 2\] "
+                                         r"but targets for slots \[1\]"):
         _speaker_term([{1: _mk(0.5), 2: _mk(0.3)}], [mix], targets)
 
 
@@ -125,40 +125,13 @@ def test_mmse_slot_persistence_across_blocks():
     mix = rng.uniform(0.5, 1.0, (T, F))
     ref_a, ref_b = 0.7 * mix, 0.2 * mix
     masks = [{1: _mk(0.7), 2: _mk(0.2)}, {1: _mk(0.2), 2: _mk(0.7)}]
-    targets = [
-        BlockTargets(noise=_mk(0), known={},
-                     new_sources=[("a", ref_a), ("b", ref_b)]),
-        # block 1 slots are known: slot 1 still targets "a" even though its
-        # mask now matches "b" better
-        BlockTargets(noise=_mk(0), known={1: ref_a, 2: ref_b}),
-    ]
-    _, assign, _ = _speaker_term(masks, [mix, mix], targets)
-    assert assign == {1: "a", 2: "b"}
-
-
-def test_permutation_optimality_exhaustive():
-    rng = np.random.default_rng(3)
-    for n in (2, 3, 4):
-        mix = rng.uniform(0.3, 1.0, (T, F))
-        masks = {i + 1: rng.uniform(0, 1, (T, F)) for i in range(n)}
-        refs = [(f"s{i}", rng.uniform(0, 1, (T, F)) * mix) for i in range(n)]
-        targets = [BlockTargets(noise=_mk(0), known={}, new_sources=refs)]
-        loss, assign, _ = _speaker_term([masks], [mix], targets)
-        ref_by_id = dict(refs)
-        best = min(
-            sum(
-                float(np.sum((masks[i + 1] * mix
-                              - ref_by_id[f"s{p[i]}"]) ** 2))
-                for i in range(n)
-            )
-            for p in itertools.permutations(range(n))
-        )
-        assert loss * n == pytest.approx(best)
-        chosen = sum(
-            float(np.sum((masks[s] * mix - ref_by_id[assign[s]]) ** 2))
-            for s in assign
-        )
-        assert chosen == pytest.approx(best)
+    # block 1: slot 1 still targets "a" even though its mask now matches
+    # "b" better
+    targets = [BlockTargets(noise=_mk(0), speakers={1: ref_a, 2: ref_b})] * 2
+    loss, _ = _speaker_term(masks, [mix, mix], targets)
+    block1 = np.sum((0.2 * mix - ref_a) ** 2) + np.sum((0.7 * mix - ref_b) ** 2)
+    assert block1 > 0
+    assert loss == pytest.approx(block1 / 4)
 
 
 def _noise_term(mask, mix, noise):
@@ -192,7 +165,7 @@ def test_total_loss_reaches_every_term_error():
     two_targets = [BlockTargets(noise=mix), BlockTargets(noise=mix)]
     with pytest.raises(ValueError, match="missing noise mask for block 1"):
         total_loss([{0: _mk(0.5)}, {1: _mk(0.5)}], [mix, mix],
-                   [BlockTargets(noise=mix), BlockTargets(noise=mix, known={1: mix})],
+                   [BlockTargets(noise=mix), BlockTargets(noise=mix, speakers={1: mix})],
                    [{}, {}], weights, _rng())
     with pytest.raises(ValueError, match="block 1 has no masks"):
         total_loss([{0: _mk(0.5)}, {}], [mix, mix], two_targets, [{}, {}], weights, _rng())
@@ -223,24 +196,22 @@ def test_resmask_cases():
 
 
 def _masks_and_targets(rng, dtype):
-    """Two blocks of three slots: block 0 opens slot 2 for source "x",
-    block 1 knows slots 1 and 2.  The first frame of each mixture is 0, so
-    its errors are scaled to signed zeros."""
+    """Two blocks of three slots, each slot with a target in both.  The
+    first frame of each mixture is 0, so its errors are scaled to signed
+    zeros."""
     masks = [{s: rng.uniform(0, 0.6, (T, F)).astype(dtype) for s in range(3)}
              for _ in range(2)]
     mixes = [rng.uniform(0.5, 1, (T, F)) for _ in range(2)]
     for mix in mixes:
         mix[0] = 0.0
     targets = [BlockTargets(noise=rng.uniform(0, 1, (T, F)),
-                            known={1: rng.uniform(0, 1, (T, F))},
-                            new_sources=[("x", rng.uniform(0, 1, (T, F)))]),
-               BlockTargets(noise=rng.uniform(0, 1, (T, F)),
-                            known={1: rng.uniform(0, 1, (T, F)),
-                                   2: rng.uniform(0, 1, (T, F))})]
+                            speakers={1: rng.uniform(0, 1, (T, F)),
+                                      2: rng.uniform(0, 1, (T, F))})
+               for _ in range(2)]
     return masks, mixes, targets
 
 
-def _float64_mask_grads(masks, mixes, targets, assignment, alpha):
+def _float64_mask_grads(masks, mixes, targets, alpha):
     """alpha * g_res + (2/n)|X| * err per mask in float64, then cast to the
     mask's dtype: g_res is -1 where the block's mask sum (in the masks'
     dtype) is below 1, n is the block count for the noise slot and the
@@ -255,14 +226,12 @@ def _float64_mask_grads(masks, mixes, targets, assignment, alpha):
         for slot in slots:
             mask_sum = mask_sum + block[slot]
         g_res = np.where(1.0 - mask_sum > 0, -1.0, 0.0)
-        sources = dict(tgt.new_sources)
         grads.append({})
         for slot in slots:
             if slot == 0:
                 target, n = tgt.noise, len(mixes)
             else:
-                target = tgt.known[slot] if slot in tgt.known else sources[assignment[slot]]
-                n = n_spk
+                target, n = tgt.speakers[slot], n_spk
             err = block[slot] * mix - target
             grads[-1][slot] = (alpha * g_res + (2.0 / n) * mix * err).astype(block[slot].dtype)
     return grads
@@ -277,8 +246,7 @@ def test_total_loss_mask_grads_are_the_float64_formula_in_the_mask_dtype(dtype, 
     embs = [{s: np.random.default_rng((b, s)).normal(size=4) for s in block}
             for b, block in enumerate(masks)]
     res = total_loss(masks, mixes, targets, embs, LossWeights(alpha=alpha), _rng())
-    assert res.assignment == {2: "x"}
-    ref = _float64_mask_grads(masks, mixes, targets, res.assignment, alpha)
+    ref = _float64_mask_grads(masks, mixes, targets, alpha)
     got = _grads_by_slot(masks, res)
     assert [stack.dtype for stack in res.block_grads] == [dtype, dtype]
     assert [list(g) for g in got] == [list(g) for g in ref] == [[0, 1, 2]] * 2
@@ -300,9 +268,10 @@ def test_total_loss_stack_rows_follow_the_given_slot_order():
     masks = [{0: m0, 2: m2, 1: m1}]
     mixes = [rng.uniform(0.5, 1, (T, F))]
     targets = [BlockTargets(noise=rng.uniform(0, 1, (T, F)),
-                            known={1: rng.uniform(0, 1, (T, F)), 2: rng.uniform(0, 1, (T, F))})]
+                            speakers={1: rng.uniform(0, 1, (T, F)),
+                                      2: rng.uniform(0, 1, (T, F))})]
     res = total_loss(masks, mixes, targets, [{}], LossWeights(alpha=0.3, beta=0.0), _rng())
-    ref = _float64_mask_grads(masks, mixes, targets, {}, 0.3)[0]
+    ref = _float64_mask_grads(masks, mixes, targets, 0.3)[0]
     assert res.block_grads[0].shape == (3, T, F)
     for row, slot in zip(res.block_grads[0], (0, 2, 1)):
         assert row.tobytes() == ref[slot].tobytes(), slot
@@ -310,17 +279,16 @@ def test_total_loss_stack_rows_follow_the_given_slot_order():
 
 
 def _slots_sample(n_slots, t=200, f=129, dtype=np.float32):
-    """Two blocks of ``n_slots`` slots: every speaker source is new in
-    block 0 and known in block 1; embeddings are non-zero."""
+    """Two blocks of ``n_slots`` slots, each speaker slot with the same
+    target in both; embeddings are non-zero."""
     rng = np.random.default_rng(n_slots)
     spk = range(1, n_slots)
     masks = [{s: rng.uniform(0, 0.3, (t, f)).astype(dtype) for s in range(n_slots)}
              for _ in range(2)]
     mixes = [rng.uniform(0.1, 1, (t, f)) for _ in range(2)]
     sources = {s: rng.uniform(0, 1, (t, f)) for s in spk}
-    targets = [BlockTargets(noise=rng.uniform(0, 1, (t, f)),
-                            new_sources=[(f"s{s}", sources[s]) for s in spk]),
-               BlockTargets(noise=rng.uniform(0, 1, (t, f)), known=sources)]
+    targets = [BlockTargets(noise=rng.uniform(0, 1, (t, f)), speakers=sources)
+               for _ in range(2)]
     embs = [{s: rng.normal(size=8) for s in block} for block in masks]
     return masks, mixes, targets, embs
 
@@ -434,13 +402,11 @@ def _random_instance(seed):
     targets = [
         BlockTargets(
             noise=rng.uniform(0, 0.5, (T, F)),
-            known={},
-            new_sources=[("a", rng.uniform(0, 1, (T, F))),
-                         ("b", rng.uniform(0, 1, (T, F)))],
+            speakers={1: rng.uniform(0, 1, (T, F)), 2: rng.uniform(0, 1, (T, F))},
         ),
         BlockTargets(
             noise=rng.uniform(0, 0.5, (T, F)),
-            known={1: rng.uniform(0, 1, (T, F)), 2: np.zeros((T, F))},
+            speakers={1: rng.uniform(0, 1, (T, F)), 2: np.zeros((T, F))},
         ),
     ]
     return masks, mixes, targets, embs
@@ -451,13 +417,10 @@ def test_total_loss_weight_zero_reduces_to_mmse():
     w0 = LossWeights(alpha=0.0, beta=0.0)
     res = total_loss(masks, mixes, targets, embs, w0, _rng())
     assert res.total == pytest.approx(res.mmse)
-    # speaker errors against the assigned or known targets, averaged over
-    # the 4 speaker masks; noise errors averaged over the 2 blocks
-    refs = dict(targets[0].new_sources)
-    spk_targets = {(0, s): refs[res.assignment[s]] for s in (1, 2)}
-    spk_targets.update({(1, s): t for s, t in targets[1].known.items()})
+    # speaker errors against the slots' targets, averaged over the 4
+    # speaker masks; noise errors averaged over the 2 blocks
     l_spk = sum(np.sum((masks[b][s] * mixes[b] - t) ** 2)
-                for (b, s), t in spk_targets.items()) / 4
+                for b in range(2) for s, t in targets[b].speakers.items()) / 4
     l_noise = sum(np.sum((masks[b][0] * mixes[b] - targets[b].noise) ** 2)
                   for b in range(2)) / 2
     assert res.mmse == pytest.approx(l_spk + l_noise)
@@ -471,8 +434,7 @@ def test_total_loss_all_zero_components():
     masks = [{0: np.ones((T, F)), 1: np.ones((T, F))}]
     v = np.ones(4) / 2.0
     embs = [{1: v}]
-    targets = [BlockTargets(noise=mix.copy(), known={},
-                            new_sources=[("a", mix.copy())])]
+    targets = [BlockTargets(noise=mix.copy(), speakers={1: mix.copy()})]
     res = total_loss(masks, mixes=[mix], targets=targets, embeddings=embs,
                      weights=LossWeights(), rng=_rng())
     assert res.total == pytest.approx(0.0)

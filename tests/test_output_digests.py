@@ -12,17 +12,17 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.fixture
-def output_digests(monkeypatch):
-    """The tool's module, imported with its settings undone afterwards: it
-    pins BLAS through the environment and puts ``src`` and ``benchmarks`` on
-    the import path."""
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        monkeypatch.setenv(var, os.environ.get(var, "1"))
+def _import_tool(monkeypatch):
+    """The tool's module, imported afresh, with the import path restored
+    afterwards: it puts ``src`` and ``benchmarks`` on it."""
     monkeypatch.setattr(sys, "path", [str(ROOT / "tools")] + sys.path)
-    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
     monkeypatch.delitem(sys.modules, "output_digests", raising=False)
     return importlib.import_module("output_digests")
+
+
+@pytest.fixture
+def output_digests(monkeypatch):
+    return _import_tool(monkeypatch)
 
 
 def test_the_digest_tool_digests_the_tiny_decode_meetings(output_digests, tmp_path):
@@ -40,3 +40,27 @@ def test_the_digest_tool_digests_the_tiny_decode_meetings(output_digests, tmp_pa
             f"decode.{name}" for name in ("streams", "masks", "embeddings", "counts",
                                           "consistency_log", "scores")]
         assert all(re.fullmatch("[0-9a-f]{64}", value) for value in lines.values())
+
+
+def test_importing_the_digest_tool_leaves_blas_and_bytecode_settings_alone(monkeypatch):
+    # the tool once pinned BLAS and stopped bytecode for its importer too
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    for var in blas:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setattr(sys, "dont_write_bytecode", False)
+    _import_tool(monkeypatch)
+    assert not any(var in os.environ for var in blas)
+    assert sys.dont_write_bytecode is False
+
+
+def test_the_digest_tool_digests_the_tiny_train_meeting(output_digests, tmp_path):
+    # a change to the training API would otherwise break the tool unseen
+    workload = output_digests.workloads.TINY["train"]
+    (seed,) = workload.meeting_seeds
+    lines = {name: output_digests.digest(value) for name, value in
+             output_digests.meeting_outputs(workload, seed, tmp_path, None)}
+    assert list(lines) == ["scenario", "audio", "train_sample", "trained_params",
+                           "epoch_losses"] + [
+        f"decode.{name}" for name in ("streams", "masks", "embeddings", "counts",
+                                      "consistency_log", "scores")]
+    assert all(re.fullmatch("[0-9a-f]{64}", value) for value in lines.values())

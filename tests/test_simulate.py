@@ -161,6 +161,19 @@ def test_render_timeline_covering_no_sample_rejected(pool):
         render(sc)
 
 
+def test_scenario_rejects_a_segment_speaker_without_source_or_mic_delay(pool):
+    a, b = pool[0], pool[1]
+    segments = [Segment(a.speaker_id, 0.0, 2.0), Segment(b.speaker_id, 1.0, 3.0)]
+    common = dict(profile="B", length_s=8.0, segments=segments, snr_db=15.0, rt60_s=0.3,
+                  seed=1)
+    with pytest.raises(ValueError, match=f"speaker '{b.speaker_id}' .* missing from sources"):
+        MeetingScenario(**common, mic_delays={a.speaker_id: 0.0, b.speaker_id: 1.0},
+                        sources=[a])
+    with pytest.raises(ValueError,
+                       match=f"speaker '{a.speaker_id}' .* missing from mic_delays"):
+        MeetingScenario(**common, mic_delays={b.speaker_id: 1.0}, sources=[a, b])
+
+
 def test_render_determinism(pool):
     sc = _scenario_fixture(pool)
     m1 = render(sc)

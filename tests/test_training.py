@@ -19,7 +19,8 @@ from synthutil import (
 
 from blocksep.decoding import block_features
 from blocksep.dsp import IpdFeature, StftConfig, blocks
-from blocksep.estimators import MaskNet, OracleMaskEstimator, init_params, save_params
+from blocksep.estimators import (MaskNet, OracleMaskEstimator, block_truth, init_params,
+                                 save_params)
 from blocksep.losses import total_loss
 from blocksep.simulate import make_pool, render, sample_scenario
 from blocksep.training import (
@@ -115,19 +116,18 @@ def test_unroll_target_assembly_invariant():
         order = [slot for slot, _ in slot_residuals(result, b)]
         tgt = result.targets[b]
         assert order[0] == 0  # noise first, always
-        n_targets = 1 + len(tgt.known) + len(tgt.new_sources)
-        assert n_targets == len(order)
+        assert [0, *tgt.speakers] == order
     # block 1: both slots known, source "b" silent -> zero target
-    assert set(result.targets[1].known) == {1, 2}
-    silent_slot = next(s for s, src in result.loss.assignment.items() if src == "b")
-    assert np.all(result.targets[1].known[silent_slot] == 0)
+    assert set(result.targets[1].speakers) == {1, 2}
+    silent_slot = next(s for s, src in result.records[1].slot_source.items() if src == "b")
+    assert np.all(result.targets[1].speakers[silent_slot] == 0)
 
 
 def test_unroll_one_source_identity_permutation():
     sample = make_synthetic_sample(1, sources=("solo",))
     cfg = tiny_config()
     result = unroll(sample, MaskNet(tiny_params()), cfg)
-    assert result.loss.assignment == {1: "solo"}
+    assert result.records[1].slot_source == {1: "solo"}
     # loss matches the masked MSE computed directly from the network's masks
     expected = 0.0
     for b in range(2):
@@ -140,6 +140,26 @@ def test_unroll_one_source_identity_permutation():
         noise_term += float(np.sum((est_mag - sample.truth[b].noise_mag) ** 2))
     noise_term /= 2
     assert result.loss.mmse == pytest.approx(expected + noise_term, rel=1e-9)
+
+
+def test_unroll_opens_tied_sources_in_the_oracle_probe_order():
+    # "ann" and "bob" have equal magnitudes, so equal mask means: the unroll
+    # once opened a slot for "ann" first, while the oracle probes "bob" first
+    rng = np.random.default_rng(0)
+    s = rng.uniform(0.2, 1.0, (4, 8))
+    noise = rng.uniform(0.1, 0.5, (4, 8))
+    truth = block_truth(noise, {"ann": s, "bob": s.copy(), "cid": 0.5 * s})
+    theta = rng.uniform(-np.pi, np.pi, (4, 8))
+    sample = TrainSample("tie", [noise + 2.5 * s], [IpdFeature(np.cos(theta), np.sin(theta))],
+                         [truth])
+    result = unroll(sample, MaskNet(tiny_params()), tiny_config())
+    oracle = OracleMaskEstimator([truth])
+    oracle.begin_block(0, None)
+    z_zero = np.zeros(oracle.embed_dim)
+    oracle.estimate(np.ones((4, 8)), z_zero)  # the noise slot
+    probes = [oracle.match_speaker(oracle.estimate(np.ones((4, 8)), z_zero)[1])
+              for _ in truth.active]
+    assert list(result.records[0].slot_source.values()) == probes == ["bob", "ann", "cid"]
 
 
 def test_unroll_slot_cap():
@@ -214,7 +234,7 @@ def test_unroll_holds_each_training_tensor_once():
     stacks = sum(len(rec.slots) * one_tf for rec in result.records)
     assert 0 <= (left - entry) - needed - stacks < one_tf
     slot_b = {src: slot for slot, src in result.records[0].slot_source.items()}["b"]
-    silent = [tgt.known[slot_b] for tgt in result.targets[1:]]
+    silent = [tgt.speakers[slot_b] for tgt in result.targets[1:]]
     assert [t.strides for t in silent] == [(0, 0), (0, 0)]
     assert all(not t.flags.writeable and not t.any() for t in silent)
     # the backward adds the block's rebuilt residuals and a few temporaries
@@ -265,7 +285,7 @@ def test_unroll_gradients_match_finite_differences(seed):
     params = tiny_params(seed=seed)
     result, _ = run_unroll(sample, params, cfg)
     if not instance_is_safe(result):
-        pytest.skip("instance too close to a hinge kink or permutation tie")
+        pytest.skip("instance too close to a hinge kink")
     assert fd_max_rel_err(sample, params, cfg) < 1e-4
 
 
@@ -399,7 +419,8 @@ def _per_slot_reference(sample, net, lockstep, weights):
         truth = sample.truth[b]
         order = lockstep.records[b].slots
         fresh = [s for s in truth.active if s not in slot_source.values()]
-        fresh.sort(key=lambda s: (-float(truth.irms[s].values.mean()), s))
+        # strongest first, of equal means the larger id first
+        fresh.sort(key=lambda s: (float(truth.irms[s].values.mean()), s), reverse=True)
         slot_source.update(zip([s for s in order if s and s not in slot_source], fresh))
         static_pre = net.prepare_block(sample.mags[b], sample.ipds[b])
         residual = np.ones_like(sample.mags[b])
@@ -468,7 +489,6 @@ def test_lockstep_unroll_equals_a_per_slot_reference(dtype, tol):
             assert result.masks[b][slot].dtype == dtype
             assert rel(result.masks[b][slot], masks[b][slot]) <= tol, (b, slot)
             assert rel(result.embeddings[b][slot], embeddings[b][slot]) <= tol, (b, slot)
-    assert result.loss.assignment == loss.assignment
     for term in ("total", "mmse", "resmask", "triplet"):
         assert getattr(result.loss, term) == pytest.approx(getattr(loss, term),
                                                            rel=tol, abs=0.0), term

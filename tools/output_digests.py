@@ -31,24 +31,26 @@ Then it hashes ``sample_scenario`` draws, one line per (profile, pool size,
 length) over ``SAMPLER_SEEDS`` seeds, so that a change to the scenario
 sampler shows even where no benchmark meeting reaches it.
 
-BLAS is pinned to one thread before numpy is imported, so that matrix
-products sum in the same order on every run.
+Run as a script, it pins BLAS to one thread before numpy is imported, so
+that matrix products sum in the same order on every run, and writes no
+bytecode.  Imported, it leaves the process's settings alone.
 """
 
 import os
+import sys
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+if __name__ == "__main__":
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[_var] = "1"
+    sys.dont_write_bytecode = True
 
 import argparse  # noqa: E402
 import dataclasses  # noqa: E402
 import hashlib  # noqa: E402
-import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.dont_write_bytecode = True
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]
 
 import numpy as np  # noqa: E402

@@ -13,9 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dsp import (AudioSignal, IpdFeature, StftConfig, apply_mask, block_samples,
-                  blocks, check_positive_whole, check_real_samples, ipd, is_integer,
-                  istft, stft)
+from .dsp import (AudioSignal, IpdFeature, StftConfig, block_samples, blocks,
+                  check_positive_whole, check_real_samples, ipd, is_integer, istft,
+                  stft, synthesis_length)
+# Only for the benchmark, which wraps this name; ``istft`` masks as it goes.
+from .dsp import apply_mask  # noqa: F401
 from .estimators import SILENT_MASK_MEAN, CheckedMask, check_model_stft
 
 
@@ -223,10 +225,14 @@ def consistency_check(state: SessionState, result: BlockResult, estimator,
     is not retroactively present.  The first block of a session has no past,
     so an increase there is vacuously accepted.  Each past block is re-entered
     through its handle in ``state.cache``, at the (T, F) of ``result``, and
-    re-decoded by :func:`_extract`, as :func:`decode_block` runs known slots.
+    re-decoded by :func:`_extract`, as :func:`decode_block` runs known slots,
+    except that :func:`_extract` is not resumed after the last slot: the
+    residual step it would take there feeds no further ``estimate``, and
+    the check reads only masks.
     """
     n_known = len(state.embeddings)
     embeddings = state.embeddings + [result.embeddings[s] for s in result.new_slots]
+    last = len(embeddings) - 1
     residual = np.empty(result.masks[0].values.shape)  # refilled for each past block
     for b in range(state.n_blocks):
         _call_estimator(b, "enter_block", estimator.enter_block, state.cache[b])
@@ -234,6 +240,8 @@ def consistency_check(state: SessionState, result: BlockResult, estimator,
         for i, (mask, _) in enumerate(_extract(estimator, residual, embeddings, b, cfg)):
             if i >= n_known and mask.mean >= cfg.t_resmask:
                 return False
+            if i == last:
+                break
     return True
 
 
@@ -261,11 +269,12 @@ class BlockOutput:
 
     def chunk(self, slot) -> np.ndarray:
         """The block's ``(block_n,)`` samples of ``slot``'s stream, in a new
-        array that the caller owns: the iSTFT of the masked spectrogram,
-        zero-padded where its frames do not reach the block's end."""
-        samples = istft(apply_mask(self.masks[slot], self.spec), self.stft_cfg)
-        if samples.size < self.block_n:
-            samples = np.concatenate((samples, np.zeros(self.block_n - samples.size)))
+        array that the caller owns: :func:`~blocksep.dsp.istft` of the
+        spectrogram under the slot's mask, written into the array's head,
+        and zeros where its frames do not reach the block's end."""
+        samples = np.zeros(self.block_n)
+        n = synthesis_length(len(self.spec), self.stft_cfg)
+        istft(self.spec, self.stft_cfg, self.masks[slot], samples[:n])
         return samples
 
 
@@ -366,14 +375,17 @@ def decode_session(mixture: AudioSignal, estimator, cfg: DecoderConfig,
 
     A slot's stream is allocated as zeros when the slot first appears in a
     block's masks, and only a block's active slots are synthesized into it.
-    A silent slot's mask is all zero (see :func:`decode_block`), so
-    synthesizing it would write only +0.0: the masked spectrum is ±0,
-    overlap-adding ±0 into zeros gives +0 + ±0 = +0, and +0 divided by the
-    positive window sum stays +0.  Its part of the stream keeps the zeros it
-    was allocated with, the same bytes.  An active slot's record goes to
-    :func:`~blocksep.dsp.apply_mask` as it is, which does not scan its range
-    again.  The block handles go when the decode ends: nothing re-decodes
-    its blocks any more.
+    A whole block is synthesized by :func:`~blocksep.dsp.istft` straight
+    into its slice of the stream, as :meth:`BlockOutput.chunk` would make
+    it; the trailing partial block goes through ``chunk``, trimmed.  A
+    silent slot's mask is all zero (see :func:`decode_block`), so
+    synthesizing it would write only +0.0: ``istft``'s masked spectrum is
+    ±0, overlap-adding ±0 into zeros gives +0 + ±0 = +0, and +0 divided by
+    the positive window sum stays +0.  Its part of the stream keeps the
+    zeros it was allocated with, the same bytes.  An active slot's record
+    goes to ``istft`` as it is, which does not scan its range again.  The
+    block handles go when the decode ends: nothing re-decodes its blocks
+    any more.
     """
     session = Session(estimator, cfg, stft_cfg, mixture.sample_rate)
     n, block_n = mixture.n_samples, session.block_n
@@ -387,8 +399,13 @@ def decode_session(mixture: AudioSignal, estimator, cfg: DecoderConfig,
         for slot in out.masks:
             if slot not in streams:
                 streams[slot] = np.zeros(n)
+        synthesized = synthesis_length(len(out.spec), stft_cfg)
         for slot in out.active:
-            streams[slot][start:stop] = out.chunk(slot)[: stop - start]
+            if stop - start == block_n:
+                istft(out.spec, stft_cfg, out.masks[slot],
+                      streams[slot][start:start + synthesized])
+            else:
+                streams[slot][start:stop] = out.chunk(slot)[: stop - start]
         del out  # its spectrogram goes before the next block's
     session.state.cache.clear()
     per_block_counts = [sum(slot > 0 for slot in active) for active in session.activity]

@@ -2,9 +2,16 @@
 (with the checked mask record every estimator returns), and 16-bit PCM WAV
 I/O.
 
+:func:`stft`, :func:`istft` and :func:`ipd` work ``CHUNK_FRAMES`` frames at
+a time through buffers of that many rows that each call allocates once, so
+none builds a (T, window_len) frame matrix or a (T, F) temporary; each gives
+the bytes a single pass over all frames gives.  :func:`istft` masks as it
+goes and may write into a destination the caller hands it.
+
 Everything here is a pure function over immutable arrays, but for
-:func:`check_mask`, which makes the array it keeps read-only; there is no
-shared state, so all of it is safe to call from parallel workers.
+:func:`check_mask`, which makes the array it keeps read-only, and
+:func:`istft`, which writes only its destination; there is no shared state,
+so all of it is safe to call from parallel workers.
 """
 
 import numbers
@@ -19,8 +26,9 @@ DEFAULT_SAMPLE_RATE = 8000
 # inter-channel phase feature.
 _PHASE_EPS = 1e-12
 COLA_TOL = 1e-8  # relative spread allowed in the overlap-added squared window
-# Frames that stft and istft transform at a time: a 10 s block's 1247
-# frames at the default STFT would be a 2.55 MB (T, window_len) matrix.
+# Frames that stft, istft and ipd work on at a time: a 10 s block's 1247
+# frames at the default STFT would be a 2.55 MB (T, window_len) matrix, and
+# its (T, F) planes miss the cache where 128-frame chunks do not.
 CHUNK_FRAMES = 128
 
 
@@ -157,13 +165,19 @@ def frame_count(n_samples: int, cfg: StftConfig) -> int:
     return (n_samples - cfg.window_len) // cfg.hop + 1
 
 
+def synthesis_length(n_frames: int, cfg: StftConfig) -> int:
+    """The samples :func:`istft` makes of ``n_frames`` frames."""
+    return (n_frames - 1) * cfg.hop + cfg.window_len
+
+
 def stft(samples: np.ndarray, cfg: StftConfig) -> np.ndarray:
     """Short-time Fourier transform of one channel.
 
     Returns a (T, F) complex array with T = floor((n - window)/hop) + 1 and
     F = window_len/2 + 1.  No padding or centering is applied.  Frames are
-    windowed and transformed ``CHUNK_FRAMES`` at a time into the output, so
-    no (T, window_len) matrix is built; each frame's transform is the one a
+    windowed ``CHUNK_FRAMES`` at a time into one reused buffer and
+    transformed from it straight into their rows of the output, so no
+    (T, window_len) matrix is built; each frame's transform is the one a
     single call over all frames gives, byte for byte.
     """
     x = np.asarray(samples, dtype=np.float64)
@@ -178,54 +192,83 @@ def stft(samples: np.ndarray, cfg: StftConfig) -> np.ndarray:
     )
     win = cfg.window_array()
     out = np.empty((n_frames, cfg.n_bins), dtype=np.complex128)
+    windowed = np.empty((min(n_frames, CHUNK_FRAMES), cfg.window_len))
     for start in range(0, n_frames, CHUNK_FRAMES):
         rows = slice(start, start + CHUNK_FRAMES)
-        out[rows] = np.fft.rfft(frames[rows] * win, axis=1)
+        chunk = np.multiply(frames[rows], win, out=windowed[: len(frames[rows])])
+        np.fft.rfft(chunk, axis=1, out=out[rows])
     return out
 
 
-def istft(spec: np.ndarray, cfg: StftConfig) -> np.ndarray:
-    """Weighted overlap-add inverse of :func:`stft`.
+def istft(spec: np.ndarray, cfg: StftConfig, mask: "CheckedMask | None" = None,
+          out: np.ndarray | None = None) -> np.ndarray:
+    """Weighted overlap-add inverse of :func:`stft`, of ``spec`` masked by
+    ``mask`` when one is given.
 
-    Output length is (T-1)*hop + window_len; a spectrogram needs at least one
-    frame.  Requires a config whose squared window overlap-adds to a
-    constant, which makes interior reconstruction exact up to floating point.
+    Output length is :func:`synthesis_length`, (T-1)*hop + window_len; a
+    spectrogram needs at least one frame.  Requires a config whose squared
+    window overlap-adds to a constant, which makes interior reconstruction
+    exact up to floating point.  The samples go into ``out`` when given, a
+    writeable C-contiguous float64 array of that length whose old contents
+    are overwritten, and into a new array otherwise; either is returned.
+
+    Frames are masked, inverted, windowed and overlap-added
+    ``CHUNK_FRAMES`` at a time: each chunk's masked spectrum is the
+    product ``mask.values * spec`` of :func:`apply_mask`, made into one
+    reused (CHUNK_FRAMES, F) buffer, and is inverse-transformed into one
+    reused frame buffer.  So no (T, F) masked spectrum and no
+    (T, window_len) matrix is built, and the bytes are those of
+    ``istft(apply_mask(mask, spec), cfg)``.  Chunks run in frame order, so
+    each sample sums its frames in increasing frame order.
 
     The output is normalized one hop-long period at a time, by the squared
     window summed over the frames that overlap the period, in frame order,
     and zeroed where that sum is at most 1e-10.  Every frame overlaps each
     interior period, so they all share one divisor of ``hop`` values; only
     the k-1 leading and k-1 trailing periods, k = ceil(window_len / hop),
-    get divisors of their own.  No full-length window sum is built, and
-    frames are inverted, windowed and overlap-added ``CHUNK_FRAMES`` at a
-    time, so no (T, window_len) matrix is built either; chunks run in frame
-    order, so each sample still sums its frames in increasing frame order.
+    get divisors of their own.  No full-length window sum is built.
     """
     if not cfg.cola_ok():
         raise ValueError("window/hop violates overlap-add")
     spec = np.asarray(spec, dtype=np.complex128)  # float64 frames below
     if spec.ndim != 2 or spec.shape[1] != cfg.n_bins:
         raise ValueError("spectrogram bins inconsistent with config")
+    if mask is not None and mask.values.shape != spec.shape:
+        raise ValueError("mask/spectrogram dimensions do not match")
     n_frames = spec.shape[0]
     if n_frames == 0:
         raise ValueError("spectrogram has no frames")
+    length = synthesis_length(n_frames, cfg)
+    if out is None:
+        out = np.zeros(length)
+    elif not (isinstance(out, np.ndarray) and out.dtype == np.float64
+              and out.shape == (length,) and out.flags.c_contiguous
+              and out.flags.writeable):
+        raise ValueError(f"destination must be a writeable contiguous float64 "
+                         f"array of shape ({length},)")
+    else:
+        out.fill(0.0)
     hop, win = cfg.hop, cfg.window_array()
     # Overlap-add as k = ceil(window_len / hop) strided adds per chunk: column
-    # slab j of a chunk's frames (up to hop samples wide) lands in
-    # out[(first + j)*hop : (first + j + rows)*hop] viewed as (rows, hop).
+    # slab j of a chunk's frames (up to hop samples wide) lands on the
+    # (rows, width) view of out whose row r starts at (first + j + r)*hop.
     # Running j downward sums each sample's frames of the chunk in
     # increasing frame order, as a per-frame loop would.
     k = -(-cfg.window_len // hop)
-    out = np.zeros((n_frames + k - 1) * hop)
+    chunk_rows = min(n_frames, CHUNK_FRAMES)
+    masked = None if mask is None else np.empty((chunk_rows, cfg.n_bins), np.complex128)
+    frames = np.empty((chunk_rows, cfg.window_len))
     for first in range(0, n_frames, CHUNK_FRAMES):
-        frames = np.fft.irfft(spec[first:first + CHUNK_FRAMES], n=cfg.window_len, axis=1)
-        frames *= win
-        span = len(frames) * hop
+        chunk = spec[first:first + CHUNK_FRAMES]
+        rows = len(chunk)
+        if mask is not None:
+            chunk = np.multiply(mask.values[first:first + rows], chunk, out=masked[:rows])
+        windowed = np.fft.irfft(chunk, n=cfg.window_len, axis=1, out=frames[:rows])
+        windowed *= win
         for j in range(k - 1, -1, -1):
             cols = slice(j * hop, min((j + 1) * hop, cfg.window_len))
             width = cols.stop - cols.start
-            start = (first + j) * hop
-            out[start : start + span].reshape(len(frames), hop)[:, :width] += frames[:, cols]
+            _hop_rows(out, (first + j) * hop, rows, width, hop)[...] += windowed[:, cols]
     # w² zero-padded to k slabs of hop: adding a padding +0.0 to a sum of
     # squares leaves it unchanged, so each period's divisor equals the
     # per-frame loop's window sum there, bit for bit
@@ -241,12 +284,27 @@ def istft(spec: np.ndarray, cfg: StftConfig) -> np.ndarray:
                 row += slabs[j]
         return d
 
-    periods = out.reshape(n_frames + k - 1, hop)
+    # the periods that start before ``length``; the last may be cut short
     trail = max(n_frames, k - 1)  # the first trailing period
-    _normalize(periods[: k - 1], divisors(range(k - 1)))
-    _normalize(periods[k - 1 : trail], divisors([k - 1])[0])  # interior: one divisor
-    _normalize(periods[trail:], divisors(range(trail, len(periods))))
-    return out[: (n_frames - 1) * hop + cfg.window_len]
+    _normalize(out[: (k - 1) * hop].reshape(-1, hop), divisors(range(k - 1)))
+    _normalize(out[(k - 1) * hop : trail * hop].reshape(-1, hop),
+               divisors([k - 1])[0])  # interior: one divisor
+    tail = out[trail * hop:]
+    _normalize(tail, divisors(range(trail, n_frames + k - 1)).reshape(-1)[: tail.size])
+    return out
+
+
+def _hop_rows(x, start, rows, width, hop):
+    """The (rows, width) view of contiguous 1-D ``x`` whose row r starts at
+    ``x[start + r*hop]``; ``width`` is at most ``hop``, so rows never
+    overlap.  Where ``x`` ends less than a hop after the last row's start,
+    as under a hop that does not divide the window, the view is strided by
+    hand."""
+    span = x[start:start + rows * hop]
+    if span.size == rows * hop:
+        return span.reshape(rows, hop)[:, :width]
+    step = x.itemsize
+    return np.lib.stride_tricks.as_strided(span, (rows, width), (hop * step, step))
 
 
 def _normalize(rows, divisor):
@@ -270,31 +328,46 @@ def ipd(spec_ch1: np.ndarray, spec_ch2: np.ndarray) -> IpdFeature:
 
     Bins where either channel has magnitude below 1e-12 are mapped to zero
     phase difference (cos=1, sin=0) so the feature stays finite everywhere.
-    The cross spectrum is conj(b)·a, in that operand order, computed in
-    place of the conjugate; the sine plane is divided in place of the
-    magnitudes.  So besides the two planes only the cross spectrum and one
-    boolean plane are held at once.
+    The planes take the real dtype of the channels' common complex dtype.
+    The cross spectrum is conj(b)·a, in that operand order.  The planes
+    are computed ``CHUNK_FRAMES`` frames at a time, every product and
+    quotient into a reused chunk buffer or straight into its rows of the
+    planes, so besides the two planes only chunk-sized arrays are held.
     """
     a = np.asarray(spec_ch1)
     b = np.asarray(spec_ch2)
     if a.shape != b.shape:
         raise ValueError("spectrogram dimensions do not match")
-    degenerate = np.abs(a) < _PHASE_EPS
-    degenerate |= np.abs(b) < _PHASE_EPS
-    # the complex product is not commutative bit for bit, so its order is
-    # fixed here, not left to numpy's in-place reuse of temporaries
-    cross = np.conj(b, dtype=np.result_type(a, b))
-    cross *= a
-    # set in place: np.where would allocate another (T, F) array per plane
-    safe = np.abs(cross)
-    tiny = safe < _PHASE_EPS * _PHASE_EPS
-    tiny |= degenerate
-    safe[tiny] = 1.0
-    del tiny
-    cos = np.real(cross) / safe
-    cos[degenerate] = 1.0
-    sin = np.divide(np.imag(cross), safe, out=safe)
-    sin[degenerate] = 0.0
+    ctype = np.result_type(a, b, np.complex64)
+    rtype = np.finfo(ctype).dtype
+    cos = np.empty(a.shape, dtype=rtype)
+    sin = np.empty(a.shape, dtype=rtype)
+    shape = (min(len(a), CHUNK_FRAMES),) + a.shape[1:]
+    cross_buf = np.empty(shape, dtype=ctype)
+    safe_buf = np.empty(shape, dtype=rtype)
+    degenerate_buf = np.empty(shape, dtype=bool)
+    tiny_buf = np.empty(shape, dtype=bool)
+    for start in range(0, len(a), CHUNK_FRAMES):
+        rows = slice(start, start + CHUNK_FRAMES)
+        ca, cb = a[rows], b[rows]
+        n = len(ca)
+        cross, safe = cross_buf[:n], safe_buf[:n]
+        degenerate, tiny = degenerate_buf[:n], tiny_buf[:n]
+        np.less(np.abs(ca), _PHASE_EPS, out=degenerate)
+        degenerate |= np.abs(cb) < _PHASE_EPS
+        # the complex product is not commutative bit for bit, so its
+        # operands are named in this order, not left to numpy's in-place
+        # reuse of temporaries
+        np.conjugate(cb, out=cross)
+        np.multiply(cross, ca, out=cross)
+        np.abs(cross, out=safe)
+        np.less(safe, _PHASE_EPS * _PHASE_EPS, out=tiny)
+        tiny |= degenerate
+        safe[tiny] = 1.0
+        cos_rows = np.divide(cross.real, safe, out=cos[rows])
+        cos_rows[degenerate] = 1.0
+        sin_rows = np.divide(cross.imag, safe, out=sin[rows])
+        sin_rows[degenerate] = 0.0
     return IpdFeature(cos=cos, sin=sin)
 
 

@@ -901,7 +901,9 @@ def test_a_written_chunk_changes_neither_a_second_call_nor_the_streams(monkeypat
 
     monkeypatch.setattr(decoding.BlockOutput, "chunk", recorded)
     result = decode_session(mixture, _HalfMasks(), DecoderConfig(block_len_s=1.0), STFT)
-    assert len(handed_out) == 6
+    # whole blocks are synthesized straight into the streams; only the
+    # trailing half block's two slots are handed out as chunks
+    assert len(handed_out) == 2
     for samples in handed_out:
         samples[:] = 7.0
     assert sorted(result.streams) == sorted(clean.streams) == [0, 1]
@@ -1122,6 +1124,57 @@ def test_every_loop_updates_the_residual_as_clip_of_residual_minus_mask():
                 clipped[loop] += bool((residual - mask < 0).any())
     assert session.consistency_log == [(1, True)]
     assert all(clipped.values()), clipped
+
+
+def _consistency_check_stepping_after_every_slot(state, result, estimator, cfg):
+    """The consistency check as it was: it resumes ``_extract`` after each
+    past block's last slot too, stepping the residual once more."""
+    n_known = len(state.embeddings)
+    embeddings = state.embeddings + [result.embeddings[s] for s in result.new_slots]
+    for b in range(state.n_blocks):
+        estimator.enter_block(state.cache[b])
+        residual = np.ones(result.masks[0].values.shape)
+        for i, (mask, _) in enumerate(decoding._extract(estimator, residual, embeddings,
+                                                        b, cfg)):
+            if i >= n_known and mask.mean >= cfg.t_resmask:
+                return False
+    return True
+
+
+def test_the_consistency_check_skips_only_a_step_that_no_estimate_reads(monkeypatch):
+    # speakers c and d talk quietly in blocks 0-2, under a and b, and the
+    # next block opened slots for both.  Re-decoded, each past block's masks
+    # for c and d stay under t_resmask but reach t_silent, so the last slot
+    # (d) would step the residual once more in every past block
+    rng = np.random.default_rng(5)
+    levels = {"a": 0.3, "b": 0.25, "c": 0.1, "d": 0.1}
+    truths = [block_truth(rng.uniform(0.05, 0.15, (T, F)),
+                          {spk: level * rng.uniform(0.5, 1.5, (T, F))
+                           for spk, level in levels.items()})
+              for _ in range(3)]
+    oracle = OracleMaskEstimator(truths)
+    state = SessionState(embeddings=[oracle.noise_embedding] + [oracle.embeddings[s]
+                                                                for s in "ab"],
+                         iteration_counts=[3] * 3, cache=[0, 1, 2])
+    result = BlockResult(3, {slot: check_mask(np.zeros((T, F))) for slot in range(5)},
+                         state.embeddings + [oracle.embeddings[s] for s in "cd"], [3, 4], 5)
+    steps = []
+    step = decoding._subtract_mask
+    monkeypatch.setattr(decoding, "_subtract_mask",
+                        lambda residual, mask: steps.append(1) or step(residual, mask))
+    reference = _ResidualRecorder(OracleMaskEstimator(truths))
+    assert _consistency_check_stepping_after_every_slot(state, result, reference, CFG)
+    reference_steps = len(steps)
+    checked = _ResidualRecorder(OracleMaskEstimator(truths))
+    assert consistency_check(state, result, checked, CFG)
+    assert reference_steps - (len(steps) - reference_steps) == 3  # one per past block
+    assert [kind for kind, _ in checked.passes] == ["redecode"] * 3
+    for (_, calls), (_, expected) in zip(checked.passes, reference.passes, strict=True):
+        assert len(calls) == len(expected) == 5
+        for (residual, _), (reference_residual, _) in zip(calls, expected):
+            assert residual.tobytes() == reference_residual.tobytes()
+        assert CFG.t_silent <= calls[-1][1].mean() < CFG.t_resmask
+        assert 0.0 < calls[2][0].mean() < 1.0  # the residual b read
 
 
 @pytest.mark.parametrize("seed", range(4))

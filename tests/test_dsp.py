@@ -237,6 +237,58 @@ def test_istft_across_chunks_matches_per_frame_overlap_add(hop, n_frames):
     assert istft(spec, cfg).tobytes() == _istft_per_frame_loop(spec, cfg).tobytes()
 
 
+def _mask_and_spectrum(n_frames, seed):
+    """A random (n_frames, 129) spectrum and a checked mask over it, with
+    bins at exactly 0 and 1."""
+    rng = np.random.default_rng(seed)
+    shape = (n_frames, 129)
+    spec = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    mask = rng.uniform(0.0, 1.0, shape)
+    mask[rng.random(shape) < 0.1] = 0.0
+    mask[rng.random(shape) < 0.1] = 1.0
+    return check_mask(mask), spec
+
+
+@pytest.mark.parametrize("hop", [64, 128])
+@pytest.mark.parametrize("n_frames", [1, CHUNK_FRAMES - 1, CHUNK_FRAMES, CHUNK_FRAMES + 1,
+                                      1247])
+def test_istft_masks_as_it_goes_bytewise(hop, n_frames):
+    # istft masks each chunk into one buffer and may write into a
+    # destination; either way the bytes are those of masking the whole
+    # spectrum first
+    cfg = StftConfig(256, hop)
+    mask, spec = _mask_and_spectrum(n_frames, seed=n_frames + hop)
+    expected = istft(apply_mask(mask, spec), cfg).tobytes()
+    assert istft(spec, cfg, mask).tobytes() == expected
+    dest = np.full((n_frames - 1) * hop + 256, np.nan)  # overwritten, not added to
+    assert istft(spec, cfg, mask, dest) is dest
+    assert dest.tobytes() == expected
+
+
+@pytest.mark.parametrize("cfg", [StftConfig(256, 3, "hann"), StftConfig(256, 256, "rect")])
+def test_istft_into_a_destination_when_the_hop_does_not_divide_the_window(cfg):
+    # the last overlap-add slab is partly padding (hop 3), or there is one
+    # frame per sample (hop 256): the destination holds only the samples
+    rng = np.random.default_rng(4)
+    spec = stft(rng.normal(size=2000), cfg)
+    dest = np.full((spec.shape[0] - 1) * cfg.hop + 256, np.nan)
+    istft(spec, cfg, out=dest)
+    assert dest.tobytes() == _istft_per_frame_loop(spec, cfg).tobytes()
+
+
+def test_istft_rejects_a_destination_of_another_shape_or_dtype():
+    cfg = StftConfig()
+    mask, spec = _mask_and_spectrum(10, seed=0)
+    length = 9 * 64 + 256
+    for bad in (np.zeros(length + 1), np.zeros(length - 1), np.zeros((1, length)),
+                np.zeros(length, dtype=np.float32), np.zeros(length, dtype=complex),
+                np.zeros(2 * length)[::2], np.broadcast_to(0.0, (length,)), [0.0] * length):
+        with pytest.raises(ValueError, match="destination"):
+            istft(spec, cfg, mask, bad)
+    with pytest.raises(ValueError, match="dimensions"):
+        istft(spec[:9], cfg, mask)
+
+
 def _interior_roundtrip_error(x, cfg):
     y = istft(stft(x, cfg), cfg)
     w = cfg.window_len
@@ -319,14 +371,13 @@ def _ipd_by_where(a, b):
     return cos, sin
 
 
-@pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
-def test_ipd_equals_the_where_formula_bytewise(dtype):
-    rng = np.random.default_rng(8)
-    shape = (40, 33)
+def _near_degenerate_spectra(shape, dtype, seed):
+    """Two spectra of magnitudes from zero across the 1e-12 threshold, up to
+    order one, each with bins where only it is zero."""
+    rng = np.random.default_rng(seed)
 
     def spectrum():
         spec = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        # magnitudes from zero across the 1e-12 threshold, up to order one
         scale = 10.0 ** rng.uniform(-14, 0, shape)
         scale[rng.random(shape) < 0.1] = 0.0
         near = rng.random(shape) < 0.1
@@ -336,6 +387,10 @@ def test_ipd_equals_the_where_formula_bytewise(dtype):
     a, b = spectrum(), spectrum()
     assert ((np.abs(a) == 0) & (np.abs(b) > 0)).any()
     assert ((np.abs(b) == 0) & (np.abs(a) > 0)).any()
+    return a, b
+
+
+def _assert_ipd_is_the_where_formula(a, b):
     feat = ipd(a, b)
     cos, sin = _ipd_by_where(a, b)
     assert feat.cos.dtype == cos.dtype and feat.sin.dtype == sin.dtype
@@ -343,11 +398,29 @@ def test_ipd_equals_the_where_formula_bytewise(dtype):
     assert feat.sin.tobytes() == sin.tobytes()
 
 
-@pytest.mark.parametrize("shape", [(10, 129), (1247, 129)])
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+def test_ipd_equals_the_where_formula_bytewise(dtype):
+    _assert_ipd_is_the_where_formula(*_near_degenerate_spectra((40, 33), dtype, seed=8))
+
+
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+def test_ipd_equals_the_where_formula_across_chunks(dtype):
+    # 300 frames: two whole chunks and a short one, each with degenerate
+    # bins; complex64 planes stay float32
+    a, b = _near_degenerate_spectra((300, 129), dtype, seed=11)
+    degenerate = (np.abs(a) < 1e-12) | (np.abs(b) < 1e-12)
+    for start in range(0, 300, CHUNK_FRAMES):
+        assert degenerate[start:start + CHUNK_FRAMES].any()
+    assert ipd(a, b).cos.dtype == np.finfo(dtype).dtype
+    _assert_ipd_is_the_where_formula(a, b)
+
+
+@pytest.mark.parametrize("shape", [(10, 129), (CHUNK_FRAMES, 129), (1247, 129)])
 def test_ipd_takes_the_cross_spectrum_as_conj_b_times_a(shape):
     # the complex product is not commutative bit for bit: a * conj(b) once
     # gave conj(b) * a above numpy's 256 KB temporary-elision threshold, as
-    # at (1247, 129), and a * conj(b) below it, as at (10, 129)
+    # at (1247, 129), and a * conj(b) below it, as at (10, 129); one
+    # complex128 chunk of 128 frames is 264 KB, just above it
     rng = np.random.default_rng(9)
     a, b = (rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(2))
     cross = np.multiply(np.conj(b), a)
@@ -393,8 +466,10 @@ def test_istft_of_a_zero_mask_is_positive_zero(n_frames, seed):
     shape = (n_frames, cfg.n_bins)
     spec = -rng.uniform(0, 1e3, shape) - 1j * rng.uniform(0, 1e3, shape)
     spec[rng.random(shape) < 0.2] *= -1  # some positive parts too
-    out = istft(apply_mask(check_mask(np.zeros(shape)), spec), cfg)
-    assert np.all(out == 0) and not np.signbit(out).any()
+    for out in (istft(spec, cfg, check_mask(np.zeros(shape))),
+                istft(spec, cfg, CheckedMask(np.broadcast_to(0.0, shape), 0.0)),
+                istft(apply_mask(check_mask(np.zeros(shape)), spec), cfg)):
+        assert np.all(out == 0) and not np.signbit(out).any()
 
 
 @settings(max_examples=20, deadline=None)

@@ -37,8 +37,8 @@ def test_the_digest_tool_digests_the_tiny_decode_meetings(output_digests, tmp_pa
                  output_digests.meeting_outputs(workload, seed, tmp_path, checkpoint)}
         inputs = "block_inputs" if workload.estimator == "net" else "oracle_irms"
         assert list(lines) == ["scenario", "audio", inputs] + [
-            f"decode.{name}" for name in ("streams", "masks", "embeddings", "counts",
-                                          "consistency_log", "scores")]
+            f"decode.{name}" for name in ("streams", "masks", "chunks", "embeddings",
+                                          "counts", "consistency_log", "scores")]
         assert all(re.fullmatch("[0-9a-f]{64}", value) for value in lines.values())
 
 
@@ -61,6 +61,6 @@ def test_the_digest_tool_digests_the_tiny_train_meeting(output_digests, tmp_path
              output_digests.meeting_outputs(workload, seed, tmp_path, None)}
     assert list(lines) == ["scenario", "audio", "train_sample", "trained_params",
                            "epoch_losses"] + [
-        f"decode.{name}" for name in ("streams", "masks", "embeddings", "counts",
-                                      "consistency_log", "scores")]
+        f"decode.{name}" for name in ("streams", "masks", "chunks", "embeddings",
+                                      "counts", "consistency_log", "scores")]
     assert all(re.fullmatch("[0-9a-f]{64}", value) for value in lines.values())

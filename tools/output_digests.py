@@ -21,11 +21,13 @@ script only imports.  Per meeting it hashes:
 * train meetings: the ``TrainSample`` arrays, in the flat layout of
   :class:`TrainSample` below, then one epoch's params and losses, and the
   decode by the trained network;
-* every decode: the streams, the per-block masks, the final embeddings,
-  the counts, the consistency log and the DER/SDR/counting scores.  The
-  masks are the values of the records ``Session.push`` returns for each
-  block after its verdict, from a second decode of the meeting; everything
-  else is read from the ``decode_session`` result.
+* every decode: the streams, the per-block masks and chunks, the final
+  embeddings, the counts, the consistency log and the DER/SDR/counting
+  scores.  The masks are the values of the records ``Session.push``
+  returns for each block after its verdict, and the chunks are
+  ``BlockOutput.chunk(slot)`` of each active slot of each pushed block,
+  both from a second decode of the meeting; everything else is read from
+  the ``decode_session`` result.
 
 Then it hashes ``sample_scenario`` draws, one line per (profile, pool size,
 length) over ``SAMPLER_SEEDS`` seeds, so that a change to the scenario
@@ -151,20 +153,27 @@ def net_block_inputs(item, stft_cfg):
     return out
 
 
-def pushed_masks(item, estimator, stft_cfg):
-    """Per block, {slot: mask values} after the verdict: the ``.values`` of
-    each ``CheckedMask`` record that ``Session.push`` returns."""
+def pushed_blocks(item, estimator, stft_cfg):
+    """Per block, {slot: mask values} after the verdict, the ``.values`` of
+    each ``CheckedMask`` record that ``Session.push`` returns, and {slot:
+    chunk} of each active slot, as ``BlockOutput.chunk`` synthesizes it."""
     mixture = item.rendered.mixture
     session = decoding.Session(estimator, workloads.DECODER, stft_cfg, mixture.sample_rate)
-    return [{slot: rec.values for slot, rec in session.push(block).masks.items()}
-            for block in blocks(mixture.samples, session.block_n)]
+    masks, chunks = [], []
+    for block in blocks(mixture.samples, session.block_n):
+        out = session.push(block)
+        masks.append({slot: rec.values for slot, rec in out.masks.items()})
+        chunks.append({slot: out.chunk(slot) for slot in out.active})
+    return masks, chunks
 
 
-def decode_outputs(result, masks, item, workdir):
+def decode_outputs(result, pushed, item, workdir):
     state = result.state
+    masks, chunks = pushed
     return {
         "streams": {slot: sig.samples for slot, sig in result.streams.items()},
         "masks": masks,
+        "chunks": chunks,
         "embeddings": state.embeddings,
         "counts": {"activity": result.activity,
                    "per_block": result.per_block_counts,
@@ -194,8 +203,8 @@ def meeting_outputs(workload, seed, workdir, checkpoint):
             yield "block_inputs", net_block_inputs(item, stft_cfg)
         estimator = item.estimator
     result = workloads.decode(item, estimator, stft_cfg)
-    masks = pushed_masks(item, estimator, stft_cfg)
-    for name, value in decode_outputs(result, masks, item, workdir).items():
+    pushed = pushed_blocks(item, estimator, stft_cfg)
+    for name, value in decode_outputs(result, pushed, item, workdir).items():
         yield f"decode.{name}", value
 
 

@@ -376,7 +376,7 @@ class CheckedMask:
     """A mask that :func:`check_mask` passed: read-only float64 ``values`` in
     [0, 1] and their ``mean``, the one mask type of the estimator contract
     (see :mod:`blocksep.estimators`).  The decoder takes ``mean`` as it is,
-    and :func:`apply_mask` the ``values``, so a record comes from
+    and :func:`istft` and :func:`apply_mask` the ``values``, so a record comes from
     :func:`check_mask`; the ones made by hand are all-zero records of
     silent slots, a read-only zero view of mean 0."""
 

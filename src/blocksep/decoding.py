@@ -3,7 +3,10 @@ speaker counting, embedding-based tracking across blocks, the silent-speaker
 rule, and consistency-check decoding for count increases.
 
 A session is strictly sequential over blocks (state-carrying); separate
-sessions can decode concurrently with shared read-only estimator parameters.
+sessions can decode concurrently with shared read-only estimator parameters
+(say, two :class:`~blocksep.estimators.MaskNet` on one ``ModelParams``), one
+estimator per session: an estimator's current block handle is per-instance
+state, which another session's ``begin_block`` would replace.
 Each block is decoded and checked without changing the session, then joins
 it; past blocks stay only as re-decode handles.  A session keeps no audio:
 the caller synthesizes each pushed block's chunks and keeps what it needs.

@@ -23,7 +23,10 @@ at each call:
   ``begin_block`` does.  An estimator reads only the features it needs
   (:class:`MaskNet` ``features.ipd``, then ``features.mag``; the oracle
   none).  |X| and the IPD are computed when read, not kept past
-  ``begin_block``.
+  ``begin_block``.  The current handle is per-instance state, so an
+  estimator serves one session at a time; sessions that decode
+  concurrently each take their own (two ``MaskNet`` may share one
+  :class:`ModelParams`, which they only read).
 * Each extraction iteration calls ``estimate(residual, z_prev)``; a zero
   ``z_prev`` probes for a new speaker.  It returns ``(mask, embedding)``:
   a :class:`CheckedMask` of the residual's shape, made by
@@ -174,7 +177,7 @@ class OracleMaskEstimator:
 
     def __init__(self, blocks):
         # The records keep their magnitudes (about 110 MB per 120 s meeting)
-        # although only training reads them; see ROADMAP item 1.
+        # although only training reads them; see ROADMAP item 16.
         self.blocks = blocks
         self.speakers = sorted({s for blk in blocks for s in blk.source_mags})
         self.embeddings = {s: speaker_embedding(s) for s in self.speakers}

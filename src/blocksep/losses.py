@@ -6,21 +6,22 @@ No term searches over permutations.  Training is teacher-forced, so the
 unroll has already decided which source each slot takes: a new source takes
 the strongest-first order (:meth:`~blocksep.estimators.BlockTruth.strongest_first`)
 that the teacher-forced residual of each new slot assumes, and a slot keeps
-its source for the whole sample.  The targets come keyed by slot, and a
+its source for the whole sample.  The targets come in slot order, and a
 slot is its own speaker label in the triplet term.
 
 :func:`total_loss` returns the weighted loss together with analytic
 gradients with respect to its direct inputs, the masks and embeddings.
-Inputs and gradients share one per-block layout: per block a ``{slot:
-array}`` dict, slot 0 the noise slot and slots >= 1 speaker slots.  It runs
-one block at a time, taking the speaker, noise and hinge
-(:func:`resmask_loss`) terms together.  Each block's mask gradients are
-written into one (B, T, F) stack in the masks' dtype, one row per mask in
-the order the block's masks were given, each row once; no other per-mask
+Inputs and gradients share one per-block layout, by position: row s of a
+block's (B, T, F) mask stack, of its (B, D) embedding stack and of their
+gradient stacks, and entry s of its target list, belong to slot s, slot 0
+the noise slot and slots >= 1 speaker slots.  It runs one block at a time,
+taking the noise, speaker and hinge (:func:`resmask_loss`) terms together,
+and writes each mask's gradient straight into its row of the block's
+gradient stack, in the masks' dtype, each row once; no other per-mask
 array outlives its block.  The hinge subgradient at the kink is 0 (one-sided).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,16 +40,6 @@ class LossWeights:
             raise ValueError("loss weights must be non-negative and finite")
         if not 0 < self.delta < np.inf:
             raise ValueError("triplet margin must be positive and finite")
-
-
-@dataclass
-class BlockTargets:
-    """Targets for one block: the noise magnitude and one magnitude per
-    speaker slot (for a silent slot a read-only zero view, which holds no
-    memory)."""
-
-    noise: np.ndarray
-    speakers: dict = field(default_factory=dict)  # slot -> (T, F) target
 
 
 def _sq(err):
@@ -147,82 +138,75 @@ class TotalLoss:
     """The weighted loss, its terms and its gradients, per block.
 
     A block's mask gradients are one (B, T, F) stack in its masks' dtype
-    (float32 for the default network), its rows in the order the block's
-    masks were given; its embedding gradients are a ``{slot: gradient}``
-    dict over the slots the triplet term labels."""
+    (float32 for the default network) and its embedding gradients one
+    (B, D) stack in its embeddings' dtype, row s for slot s; the noise
+    slot's embedding row is zero, since the triplet term leaves it out."""
 
     total: float
     mmse: float  # speaker term + noise term combined
     resmask: float
     triplet: float
-    emb_grads: list  # per block: {slot: (D,) gradient}
+    emb_grads: list  # per block: (B, D) stack
     block_grads: list  # per block: (B, T, F) stack; None once unroll_backward took it
 
 
 def total_loss(masks, mixes, targets, embeddings, weights: LossWeights, rng):
     """Weighted multi-task objective over one unrolled sample.
 
-    ``masks`` and ``embeddings`` hold one ``{slot: array}`` dict per block,
-    as ``mixes`` (float64) and ``targets`` hold one entry per block; a
-    block-count mismatch raises ``ValueError``, as does a block whose speaker
-    masks and targets name different slots.  Runs block by block: each
-    block's speaker terms (each speaker slot against its target, in slot
-    order), noise term (slot 0 against the block's noise magnitude) and
-    hinge (:func:`resmask_loss`, in sorted slot order) are taken together,
-    and each of its masks gets its whole gradient at once, alpha * hinge +
-    (2/n)|X| * err, computed in float64 and written into its row of the
-    block's gradient stack (see :class:`TotalLoss`).  n is the block count
-    for the noise slot and the speaker-mask count for a speaker slot.  Each
-    speaker slot's embeddings carry the slot as their triplet label;
-    noise-slot embeddings are excluded from the triplet term.  ``rng``
-    samples its triplets beyond ``TRIPLET_CAP``.  Every mask gets a gradient.
+    Per block, ``masks`` holds the (B, T, F) mask stack, ``targets`` a list
+    of B (T, F) targets (the noise magnitude first), ``embeddings`` the (B,
+    D) embedding stack and ``mixes`` the float64 mixture magnitude; row s is
+    slot s, slot 0 the noise slot.  A block-count mismatch raises
+    ``ValueError``, as does a block without masks or with a mask count other
+    than its target count.  Runs block by block: each block's noise term
+    (slot 0 against the block's noise magnitude), speaker terms (each
+    speaker slot against its target, in slot order) and hinge
+    (:func:`resmask_loss`, in slot order) are taken together, and each of
+    its masks gets its whole gradient at once, alpha * hinge + (2/n)|X| *
+    err, computed in float64 and written into its row of the block's
+    gradient stack (see :class:`TotalLoss`).  n is the block count for the
+    noise slot and the speaker-mask count for a speaker slot.  Each speaker
+    slot's embeddings carry the slot as their triplet label; noise-slot
+    embeddings are excluded from the triplet term.  ``rng`` samples its
+    triplets beyond ``TRIPLET_CAP``.  Every mask gets a gradient.
     """
     n_blocks = len(mixes)
     for name, per_block in (("block targets", targets), ("mask blocks", masks),
                             ("embedding blocks", embeddings)):
         if len(per_block) != n_blocks:
             raise ValueError(f"{len(per_block)} {name} for {n_blocks} blocks")
-    n_spk = sum(slot >= 1 for block in masks for slot in block)
+    n_spk = sum(len(block) - 1 for block in masks)
     # running float sums, not sum(): it compensates from Python 3.12 on
     sq_spk = sq_noise = l_res = 0.0
     block_grads = []
     for b, (block, mix, tgt) in enumerate(zip(masks, mixes, targets)):
-        if not block:
+        if not len(block):
             raise ValueError(f"block {b} has no masks")
-        spk_slots = sorted(slot for slot in block if slot >= 1)
-        if spk_slots != sorted(tgt.speakers):
-            raise ValueError(f"block {b} has speaker masks for slots {spk_slots} "
-                             f"but targets for slots {sorted(tgt.speakers)}")
-        if 0 not in block:
-            raise ValueError(f"missing noise mask for block {b}")
-        if tgt.noise is None:
-            raise ValueError(f"missing noise target for block {b}")
-        loss, hinge = resmask_loss([block[slot] for slot in sorted(block)])
+        if len(block) != len(tgt):
+            raise ValueError(f"block {b} has {len(block)} masks but {len(tgt)} targets")
+        loss, hinge = resmask_loss(block)
         l_res += loss
         hinge *= weights.alpha
-        stack = np.empty((len(block),) + mix.shape,
-                         dtype=np.result_type(*block.values()))
+        stack = np.empty_like(block)
         block_grads.append(stack)
-        rows = dict(zip(block, stack))  # slot -> its row, in the order given
         scale = (2.0 / n_blocks) * mix
-        sq_noise += _mask_grad(block[0], mix, tgt.noise, scale, hinge, rows[0])
-        if spk_slots:  # the speaker scale takes the noise scale's buffer
+        sq_noise += _mask_grad(block[0], mix, tgt[0], scale, hinge, stack[0])
+        if len(block) > 1:  # the speaker scale takes the noise scale's buffer
             np.multiply(2.0 / n_spk, mix, out=scale)
-        for slot in spk_slots:
-            sq_spk += _mask_grad(block[slot], mix, tgt.speakers[slot], scale, hinge,
-                                 rows[slot])
+        for mask, target, row in zip(block[1:], tgt[1:], stack[1:]):
+            sq_spk += _mask_grad(mask, mix, target, scale, hinge, row)
     l_spk = sq_spk / n_spk if n_spk else 0.0
     l_noise = sq_noise / n_blocks
 
     # triplet_loss pairs embeddings across blocks, so it takes (block, slot)
     # keys; a slot is one source for the whole sample, so it is the label
-    emb_labeled = {(b, slot): z for b, block in enumerate(embeddings)
-                   for slot, z in block.items() if slot >= 1}
+    emb_labeled = {(b, slot): block[slot] for b, block in enumerate(embeddings)
+                   for slot in range(1, len(block))}
     l_trip, g_trip = triplet_loss(emb_labeled, {k: k[1] for k in emb_labeled},
                                   weights.delta, rng)
 
     total = l_spk + l_noise + weights.alpha * l_res + weights.beta * l_trip
-    emb_grads = [{} for _ in embeddings]
+    emb_grads = [np.zeros_like(block) for block in embeddings]
     for (b, slot), g in g_trip.items():
         emb_grads[b][slot] = weights.beta * g
     return TotalLoss(total, l_spk + l_noise, l_res, l_trip, emb_grads, block_grads)

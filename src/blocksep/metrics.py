@@ -25,10 +25,14 @@ def power_vad(stream: AudioSignal, threshold_dbfs: float,
     Non-overlapping frames of ``VAD_FRAME_S`` are compared against an
     absolute dBFS threshold (full scale = amplitude 1.0).  Active runs
     shorter than ``VAD_MIN_DUR_S`` are removed and gaps shorter than
-    ``VAD_MIN_DUR_S`` are merged.
+    ``VAD_MIN_DUR_S`` are merged.  A sample rate whose frame rounds to 0
+    samples (1-20 Hz) raises ``ValueError``.
     """
     x = stream.channel(0)
     frame = int(round(VAD_FRAME_S * stream.sample_rate))
+    if frame == 0:
+        raise ValueError(f"sample rate {stream.sample_rate} Hz is too low for power_vad: "
+                         f"its {VAD_FRAME_S * 1000:g} ms frame rounds to 0 samples")
     n_frames = x.size // frame
     if n_frames == 0:
         return Timeline()

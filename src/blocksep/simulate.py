@@ -131,7 +131,16 @@ class RenderedMeeting:
 
 
 def sample_scenario(profile: str, length_s: float, pool, seed: int) -> MeetingScenario:
-    """Draw a meeting activity plan, SNR, RT60 and inter-mic delays."""
+    """Draw a meeting activity plan, SNR, RT60 and inter-mic delays.
+
+    Each speaker's inter-mic delay is uniform in +-4 samples, redrawn until
+    it lies at least 0.8 samples from every delay drawn before it, at most
+    64 times; the 64th draw is kept even when it lies closer.  So the
+    spacing holds only while the delays fit: in 200 scenarios of 600 s
+    (profiles A and B, seeds 0-99) it holds for every pool of 4-6
+    speakers, but breaks in 11 with pools of 7 and 93 with pools of 8.
+    Profile A, ``make_pool(8)``, 120 s, seed 5 has two delays 0.006 apart.
+    """
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}")
     prof = PROFILES[profile]

@@ -13,8 +13,12 @@ decision of which source a slot takes: the loss reads its targets by slot
 and searches no permutation.  Embeddings chain across blocks.
 
 No slot of a block then depends on another, so a block's slots run in
-lockstep: one batched forward and one batched backward per block, kept as
-one record.
+lockstep: one batched forward and one batched backward per block.  Slots
+never close and every known slot runs in every block, so block b's slots
+are 0 .. B_b - 1 and every per-block value is positional: row s of the
+block's mask, embedding and gradient stacks and entry s of its targets is
+slot s.  One list, the sample's ``sources``, names the source of each
+speaker slot; a block reads its prefix.
 """
 
 import time
@@ -28,7 +32,7 @@ from .dsp import StftConfig, block_samples, blocks, is_integer
 from .dsp import ipd, stft  # noqa: F401
 from .estimators import (MaskNet, ModelParams, check_model_stft, init_params,
                          reference_blocks)
-from .losses import BlockTargets, LossWeights, TotalLoss, total_loss
+from .losses import LossWeights, TotalLoss, total_loss
 
 # Most blocks ``unroll`` accepts in one sample (60 s at the default block length).
 MAX_BLOCKS = 6
@@ -132,45 +136,32 @@ def check_sample(sample: TrainSample, bins: int):
 
 
 @dataclass
-class _IterationRecord:
-    """A block's one ``net.forward`` call: its slots, in order, are the rows
-    of the call's slot axis.  The residuals the call read are not kept; the
-    sample's truth of the block and its slots' sources rebuild them,
-    byte-equal, with :func:`_teacher_forced_residuals`."""
-
-    slots: list
-    slot_source: dict  # speaker slot -> source id, for every speaker slot of the block
-    cache: object  # MaskNet.IterationCache
-
-
-@dataclass
 class UnrollResult:
     sample: TrainSample  # a reference, no memory: unroll_backward reads its blocks
     loss: TotalLoss
-    masks: list  # per block: {slot: (T, F) mask}, in the record's slot order
-    embeddings: list  # per block: {slot: (D,) embedding}, likewise
-    targets: list
-    records: list  # per block: _IterationRecord
+    sources: list  # speaker slot s's source id at index s - 1, for every slot opened
+    caches: list  # per block: the MaskNet.IterationCache of its one forward
 
 
-def _teacher_forced_residuals(truth, order, slot_source, dtype):
-    """The residual each slot of ``order`` reads under teacher forcing, as
-    (len(order), T, F) in ``dtype``: ones, minus the ideal masks of the
-    noise and of each active source extracted before it, one float64 (T, F)
-    buffer stepped in place by the decoder's R <- clip(R - M, 0, 1).  Ideal
-    masks lie in [0, 1] and are never -0.0, which that step's floor-only
-    form needs.  Built by :func:`unroll` for a block's forward and again by
-    :func:`unroll_backward` for its backward, about 0.5 ms per 10 s block."""
+def _teacher_forced_residuals(truth, sources, dtype):
+    """The residual each slot of a block reads under teacher forcing, as
+    (1 + len(sources), T, F) in ``dtype``, ``sources`` the source ids of
+    the block's speaker slots in slot order: ones, minus the ideal masks of
+    the noise and of each active source extracted before it, one float64
+    (T, F) buffer stepped in place by the decoder's R <- clip(R - M, 0, 1).
+    Ideal masks lie in [0, 1] and are never -0.0, which that step's
+    floor-only form needs.  Built by :func:`unroll` for a block's forward
+    and again by :func:`unroll_backward` for its backward, about 0.5 ms per
+    10 s block."""
     shape = truth.noise_mag.shape
-    out = np.empty((len(order),) + shape, dtype=dtype)
+    out = np.empty((1 + len(sources),) + shape, dtype=dtype)
     residual = np.ones(shape)
-    for i, slot in enumerate(order):
-        out[i] = residual
-        if slot == 0:
-            _subtract_mask(residual, truth.noise_irm.values)
-        elif slot_source[slot] in truth.active:
-            # a silent source leaves the residual
-            _subtract_mask(residual, truth.irms[slot_source[slot]].values)
+    out[0] = residual
+    _subtract_mask(residual, truth.noise_irm.values)
+    for row, src in zip(out[1:], sources):
+        row[...] = residual
+        if src in truth.active:  # a silent source leaves the residual
+            _subtract_mask(residual, truth.irms[src].values)
     return out
 
 
@@ -182,60 +173,53 @@ def unroll(sample: TrainSample, net: MaskNet, cfg: TrainConfig) -> UnrollResult:
     A slot's residual comes from the ground truth and its ``z_prev`` from
     the previous block, so no slot of a block waits for another: the block's
     residuals are built first and all its slots run in one batched
-    ``net.forward``, kept as the block's one record.
+    ``net.forward``, whose cache is all the result keeps of the block.
 
     What the result holds until it is dropped, for :func:`unroll_backward`:
-    per block its record's forward cache, whose rows the block's mask and
-    embedding dicts view, and its (B, T, F) stack of mask gradients in the
-    loss.  The block's (T, P) static projection and the residuals live only
-    for the block's forward; a silent known slot's target is a read-only
-    zero view.  A sample that :func:`check_sample` rejects raises ``ValueError``.
+    per block its forward cache and its (B, T, F) stack of mask gradients
+    in the loss.  The block's (T, P) static projection, the residuals and
+    the targets live only for the block's forward or the loss; a silent
+    known slot's target is a read-only zero view.  A sample that
+    :func:`check_sample` rejects raises ``ValueError``.
     """
     check_sample(sample, net.params.bins)
     dt = net.params.dtype
-    masks, embeddings = [], []
-    records, targets = [], []
-    slot_source = {}  # speaker slot -> source id, in slot order (grows block by block)
-    prev_z = {}  # slot -> embedding emitted in the previous block
-    zero_z = np.zeros(net.embed_dim)  # z_prev of a slot new in this block
-
+    sources, caches, targets = [], [], []
     for b in range(sample.n_blocks):
         mag, feat, truth = sample.mags[b], sample.ipds[b], sample.truth[b]
-        new_sources = truth.strongest_first(
-            [s for s in truth.active if s not in slot_source.values()])
-        slot_source.update(enumerate(new_sources, start=len(slot_source) + 1))
-        order = [0, *slot_source]
-        targets.append(BlockTargets(noise=truth.noise_mag, speakers={
-            slot: truth.source_mags[src] if src in truth.active else truth.silent.values
-            for slot, src in slot_source.items()}))
-
-        z_prevs = np.array([prev_z.get(slot, zero_z) for slot in order], dtype=dt)
-        residuals = _teacher_forced_residuals(truth, order, slot_source, dt)
+        sources += truth.strongest_first([s for s in truth.active if s not in sources])
+        targets.append([truth.noise_mag, *(truth.source_mags[src] if src in truth.active
+                                           else truth.silent.values for src in sources)])
+        # a slot new in this block reads a zero z_prev
+        z_prevs = np.zeros((1 + len(sources), net.embed_dim), dtype=dt)
+        if caches:
+            z_prevs[:len(caches[-1].z_out)] = caches[-1].z_out
+        residuals = _teacher_forced_residuals(truth, sources, dt)
         _, _, cache = net.forward(net.prepare_block(mag, feat), residuals, z_prevs)
         del residuals
-        records.append(_IterationRecord(order, dict(slot_source), cache))
-        masks.append(dict(zip(order, cache.mask)))
-        prev_z = dict(zip(order, cache.z_out))
-        embeddings.append(prev_z)
+        caches.append(cache)
 
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x54524950]))
-    loss = total_loss(masks, sample.mags, targets, embeddings, cfg.weights, rng=rng)
-    return UnrollResult(sample, loss, masks, embeddings, targets, records)
+    loss = total_loss([c.mask for c in caches], sample.mags, targets,
+                      [c.z_out for c in caches], cfg.weights, rng=rng)
+    return UnrollResult(sample, loss, sources, caches)
 
 
 def unroll_backward(result: UnrollResult, net: MaskNet) -> dict:
     """Backpropagate the unrolled loss into parameter gradients.
 
     Walks the blocks in reverse, one ``net.backward`` per block.  A block's
-    mask gradients are the loss's (B, T, F) stack for the block, whose rows
-    :func:`unroll` gave in its record's slot order, in the network dtype;
-    ``backward`` takes it as it is.  From ``result.sample`` and the record,
-    the block's residuals are rebuilt for that call and its static features
-    for ``finish_block_backward``; each lives only as long as its call.
-    Embedding gradients chain across blocks by slot: every slot known before
+    mask gradients are the loss's (B, T, F) stack for the block, in slot
+    order and the network dtype; ``backward`` takes it as it is.  From
+    ``result.sample`` and ``result.sources``, the block's residuals are
+    rebuilt for that call and its static features for
+    ``finish_block_backward``; each lives only as long as its call.
+    Embedding gradients chain across blocks by row: every slot known before
     a block runs in it, so a slot's ``z_prev`` in block b is its embedding
-    from block b - 1.  The residuals come from the ground truth, so no
-    gradient flows into them.
+    from block b - 1, and the first B rows of block b + 1's ``z_prev``
+    gradient add to block b's embedding gradient (zeros after the last
+    block).  The residuals come from the ground truth, so no gradient flows
+    into them.
 
     The result's mask gradients are consumed: once a block's ``backward``
     has run, its stack is dropped.  So a result is backpropagated once; a
@@ -247,19 +231,18 @@ def unroll_backward(result: UnrollResult, net: MaskNet) -> dict:
     dt = net.params.dtype
     grads = net.params.zeros_like()
     sample = result.sample
-    z_next = {}  # slot -> gradient w.r.t. its embedding, from the next block
-    for b in range(len(result.records) - 1, -1, -1):
-        rec = result.records[b]
-        d_z = np.zeros((len(rec.slots), net.embed_dim), dtype=dt)
-        for row, slot in zip(d_z, rec.slots):
-            row[...] = result.loss.emb_grads[b].get(slot, 0.0) + z_next.get(slot, 0.0)
-        residuals = _teacher_forced_residuals(sample.truth[b], rec.slots, rec.slot_source, dt)
-        d_z_prev, d_static_pre = net.backward(rec.cache, residuals,
-                                              result.loss.block_grads[b], d_z, grads)
+    z_next = np.zeros_like(result.loss.emb_grads[-1])
+    for b in range(len(result.caches) - 1, -1, -1):
+        cache = result.caches[b]
+        n_slots = len(cache.mask)
+        d_z = result.loss.emb_grads[b] + z_next[:n_slots]
+        residuals = _teacher_forced_residuals(sample.truth[b], result.sources[:n_slots - 1],
+                                              dt)
+        z_next, d_static_pre = net.backward(cache, residuals, result.loss.block_grads[b],
+                                            d_z, grads)
         del residuals
         result.loss.block_grads[b] = None
         net.finish_block_backward(sample.mags[b], sample.ipds[b], d_static_pre, grads)
-        z_next = dict(zip(rec.slots, d_z_prev))
     return grads
 
 

@@ -81,9 +81,8 @@ def tiny_train_params(cfg, hidden=5, proj=6):
 def instance_is_safe(result, margin=1e-3):
     """Reject instances whose loss sits within ``margin`` of a hinge kink,
     where finite differences are undefined."""
-    for block in result.masks:
-        total = sum(block.values())
-        if np.any(np.abs(1.0 - total) < margin):
+    for cache in result.caches:
+        if np.any(np.abs(1.0 - cache.mask.sum(axis=0)) < margin):
             return False
     # triplet hinge margins
     for m in result.triplet_margins:
@@ -93,14 +92,13 @@ def instance_is_safe(result, margin=1e-3):
 
 
 def slot_residuals(result, b):
-    """(slot, residual it read) for each slot of block ``b`` of an unroll, in
-    the order the slots ran, in the network dtype: the residuals that
-    ``unroll_backward`` rebuilds from the block's record, by the helper
-    ``unroll`` builds them with."""
-    rec = result.records[b]
-    residuals = _teacher_forced_residuals(result.sample.truth[b], rec.slots,
-                                          rec.slot_source, rec.cache.mask.dtype)
-    return list(zip(rec.slots, residuals))
+    """The (B, T, F) stack of the residuals the slots of block ``b`` of an
+    unroll read, row s slot s's, in the network dtype: the residuals that
+    ``unroll_backward`` rebuilds from the sample's truth and the block's
+    prefix of ``result.sources``, by the helper ``unroll`` builds them with."""
+    mask = result.caches[b].mask
+    return _teacher_forced_residuals(result.sample.truth[b], result.sources[:len(mask) - 1],
+                                     mask.dtype)
 
 
 def run_unroll(sample, params, cfg):
@@ -114,8 +112,8 @@ def run_unroll(sample, params, cfg):
 
 def _triplet_margins(result, cfg):
     # a speaker slot is its own triplet label
-    keys = sorted((b, s) for b, block in enumerate(result.embeddings)
-                  for s in block if s >= 1)
+    embeddings = [cache.z_out for cache in result.caches]
+    keys = [(b, s) for b, block in enumerate(embeddings) for s in range(1, len(block))]
     margins = []
     for a in keys:
         for p in keys:
@@ -124,7 +122,7 @@ def _triplet_margins(result, cfg):
             for n in keys:
                 if n[1] == a[1]:
                     continue
-                ea, ep, en = (result.embeddings[b][s] for b, s in (a, p, n))
+                ea, ep, en = (embeddings[b][s] for b, s in (a, p, n))
 
                 def cos(x, y):
                     return float(x @ y / (np.linalg.norm(x) * np.linalg.norm(y)))

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -1399,3 +1400,29 @@ def test_decode_streams_do_not_depend_on_the_blas_thread_count():
     one, two = _decode_digests(1), _decode_digests(2)
     assert len(one) >= 2
     assert one == two
+
+
+def test_separate_sessions_decode_concurrently_byte_equal_to_serial():
+    # MaskNets that share one ModelParams, each serving its own session: on
+    # more threads than cores, switching often, their streams equal serial
+    # decodes, and the shared parameters are only read
+    params = init_params(bins=129, seed=3, stft_cfg=STFT)
+    before = copy.deepcopy(params.arrays)
+    meetings = [_fixture_meeting(seed, length=20.0) for seed in (0, 1, 2)]
+
+    def decode(meeting):
+        return decode_session(meeting.mixture, MaskNet(params), CFG, STFT).streams
+
+    serial = [decode(meeting) for meeting in meetings]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=len(meetings)) as pool:
+            for _ in range(2):
+                for got, ref in zip(pool.map(decode, meetings, timeout=120), serial):
+                    assert sorted(got) == sorted(ref)
+                    for slot, sig in ref.items():
+                        assert got[slot].samples.tobytes() == sig.samples.tobytes(), slot
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(np.array_equal(params.arrays[k], before[k]) for k in before)

@@ -1,4 +1,3 @@
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -6,7 +5,6 @@ import pytest
 
 from blocksep.losses import (
     TRIPLET_CAP,
-    BlockTargets,
     LossWeights,
     _cosine_with_grads,
     resmask_loss,
@@ -28,24 +26,24 @@ def _mk(val):
 _NO_HINGE_NO_TRIPLET = LossWeights(alpha=0.0, beta=0.0)
 
 
-def _grads_by_slot(masks, res):
-    """Per block, {slot: its row of the block's gradient stack}: the rows
-    follow the order the block's masks were given."""
-    return [dict(zip(block, stack)) for block, stack in zip(masks, res.block_grads)]
+def _ones_embeddings(n_slots, d=4):
+    """A (B, D) embedding stack of ones: no speaker row is zero, as the
+    triplet term requires."""
+    return np.ones((n_slots, d))
 
 
-def _speaker_term(spk_masks, mixes, targets):
+def _speaker_term(spk_masks, mixes, spk_targets):
     """``total_loss`` reduced to its speaker term: each block's noise mask
     is all ones and its noise target the mixture, so the noise error is 0,
-    and the hinge and triplet weights are 0.  ``spk_masks`` holds a
-    ``{slot: mask}`` dict per block.  Returns (loss, per block the
-    speaker-mask gradients by slot)."""
-    masks = [{**block, 0: np.ones_like(mix)} for block, mix in zip(spk_masks, mixes)]
-    targets = [dataclasses.replace(t, noise=mix.copy()) for t, mix in zip(targets, mixes)]
-    res = total_loss(masks, mixes, targets, [{} for _ in mixes], _NO_HINGE_NO_TRIPLET,
-                     _rng())
-    return res.mmse, [{s: g for s, g in grads.items() if s >= 1}
-                      for grads in _grads_by_slot(masks, res)]
+    and the hinge and triplet weights are 0.  ``spk_masks`` and
+    ``spk_targets`` hold per block the speaker slots' masks and targets, in
+    slot order.  Returns (loss, per block the speaker rows of the gradient
+    stack)."""
+    masks = [np.stack([np.ones_like(mix), *block]) for block, mix in zip(spk_masks, mixes)]
+    targets = [[mix.copy(), *block] for block, mix in zip(spk_targets, mixes)]
+    res = total_loss(masks, mixes, targets, [_ones_embeddings(len(m)) for m in masks],
+                     _NO_HINGE_NO_TRIPLET, _rng())
+    return res.mmse, [stack[1:] for stack in res.block_grads]
 
 
 def test_weights_validation():
@@ -63,10 +61,9 @@ def test_mmse_zero_when_masks_reproduce_targets():
     rng = np.random.default_rng(0)
     mix = rng.uniform(0.1, 1.0, (T, F))
     mask = rng.uniform(0, 1, (T, F))
-    targets = [BlockTargets(noise=_mk(0), speakers={1: mask * mix})]
-    loss, grads = _speaker_term([{1: mask}], [mix], targets)
+    loss, grads = _speaker_term([[mask]], [mix], [[mask * mix]])
     assert loss == pytest.approx(0.0, abs=1e-12)
-    assert np.allclose(grads[0][1], 0.0)
+    assert np.allclose(grads[0][0], 0.0)
 
 
 def test_new_slots_take_their_teacher_forced_sources_not_a_better_fitting_swap():
@@ -78,15 +75,14 @@ def test_new_slots_take_their_teacher_forced_sources_not_a_better_fitting_swap()
     mixes = [rng.uniform(0.5, 1.0, (T, F)) for _ in range(2)]
     m1, m2 = rng.uniform(0, 1, (T, F)), rng.uniform(0, 1, (T, F))
     refs = [{"a": m2 * mix, "b": m1 * mix} for mix in mixes]
-    targets = [BlockTargets(noise=_mk(0), speakers={1: ref["a"], 2: ref["b"]})
-               for ref in refs]
-    spk_masks = [{1: m1, 2: m2}] * 2
-    loss, _ = _speaker_term(spk_masks, mixes, targets)
+    spk_targets = [[ref["a"], ref["b"]] for ref in refs]
+    loss, _ = _speaker_term([[m1, m2]] * 2, mixes, spk_targets)
     teacher = sum(np.sum((m1 * mix - ref["a"]) ** 2) + np.sum((m2 * mix - ref["b"]) ** 2)
                   for mix, ref in zip(mixes, refs))
     assert loss == pytest.approx(teacher / 4) and loss > 0
-    embs = [{s: rng.normal(size=4) for s in (1, 2)} for _ in range(2)]
-    res = total_loss([{**block, 0: _mk(1.0)} for block in spk_masks], mixes, targets, embs,
+    embs = [np.vstack([np.zeros(4), rng.normal(size=(2, 4))]) for _ in range(2)]
+    res = total_loss([np.stack([_mk(1.0), m1, m2])] * 2, mixes,
+                     [[_mk(0), *block] for block in spk_targets], embs,
                      LossWeights(alpha=0.0, beta=1.0, delta=0.9), _rng())
     keys = [(b, s) for b in range(2) for s in (1, 2)]
     expected, _ = triplet_loss({k: embs[k[0]][k[1]] for k in keys}, {k: k[1] for k in keys},
@@ -96,39 +92,33 @@ def test_new_slots_take_their_teacher_forced_sources_not_a_better_fitting_swap()
 
 def test_mmse_silent_known_slot_contributes_zero():
     mix = _mk(0.8)
-    targets = [BlockTargets(noise=_mk(0), speakers={1: np.zeros((T, F))})]
-    loss, grads = _speaker_term([{1: np.zeros((T, F))}], [mix], targets)
+    loss, grads = _speaker_term([[np.zeros((T, F))]], [mix], [[np.zeros((T, F))]])
     assert loss == 0.0
-    assert np.allclose(grads[0][1], 0.0)
+    assert np.allclose(grads[0][0], 0.0)
 
 
 def test_mmse_too_many_new_sources():
     # targets for a slot no mask covers
     mix = _mk(1.0)
-    targets = [BlockTargets(noise=_mk(0), speakers={1: mix, 2: mix})]
-    with pytest.raises(ValueError, match=r"block 0 has speaker masks for slots \[1\] "
-                                         r"but targets for slots \[1, 2\]"):
-        _speaker_term([{1: _mk(0.5)}], [mix], targets)
+    with pytest.raises(ValueError, match="block 0 has 2 masks but 3 targets"):
+        _speaker_term([[_mk(0.5)]], [mix], [[mix, mix]])
 
 
 def test_mmse_too_few_new_sources():
     # a mask for a slot no target covers
     mix = _mk(1.0)
-    targets = [BlockTargets(noise=_mk(0), speakers={1: mix})]
-    with pytest.raises(ValueError, match=r"block 0 has speaker masks for slots \[1, 2\] "
-                                         r"but targets for slots \[1\]"):
-        _speaker_term([{1: _mk(0.5), 2: _mk(0.3)}], [mix], targets)
+    with pytest.raises(ValueError, match="block 0 has 3 masks but 2 targets"):
+        _speaker_term([[_mk(0.5), _mk(0.3)]], [mix], [[mix]])
 
 
 def test_mmse_slot_persistence_across_blocks():
     rng = np.random.default_rng(2)
     mix = rng.uniform(0.5, 1.0, (T, F))
     ref_a, ref_b = 0.7 * mix, 0.2 * mix
-    masks = [{1: _mk(0.7), 2: _mk(0.2)}, {1: _mk(0.2), 2: _mk(0.7)}]
+    masks = [[_mk(0.7), _mk(0.2)], [_mk(0.2), _mk(0.7)]]
     # block 1: slot 1 still targets "a" even though its mask now matches
     # "b" better
-    targets = [BlockTargets(noise=_mk(0), speakers={1: ref_a, 2: ref_b})] * 2
-    loss, _ = _speaker_term(masks, [mix, mix], targets)
+    loss, _ = _speaker_term(masks, [mix, mix], [[ref_a, ref_b]] * 2)
     block1 = np.sum((0.2 * mix - ref_a) ** 2) + np.sum((0.7 * mix - ref_b) ** 2)
     assert block1 > 0
     assert loss == pytest.approx(block1 / 4)
@@ -137,7 +127,7 @@ def test_mmse_slot_persistence_across_blocks():
 def _noise_term(mask, mix, noise):
     """``total_loss`` of one block holding only its noise mask, hinge and
     triplet weights 0: (loss, gradient)."""
-    res = total_loss([{0: mask}], [mix], [BlockTargets(noise=noise)], [{}],
+    res = total_loss([mask[None]], [mix], [[noise]], [np.zeros((1, 4))],
                      _NO_HINGE_NO_TRIPLET, _rng())
     return res.mmse, res.block_grads[0][0]
 
@@ -155,29 +145,30 @@ def test_noise_mmse_cases():
 
 
 def test_noise_mmse_missing_target():
-    with pytest.raises(ValueError, match="missing noise target for block 0"):
-        _noise_term(_mk(1.0), _mk(1.0), None)
+    # a block with no target at all, not even the noise's
+    with pytest.raises(ValueError, match="block 0 has 1 masks but 0 targets"):
+        total_loss([_mk(1.0)[None]], [_mk(1.0)], [[]], [np.zeros((1, 4))],
+                   _NO_HINGE_NO_TRIPLET, _rng())
 
 
 def test_total_loss_reaches_every_term_error():
     mix = _mk(1.0)
     weights = LossWeights()
-    two_targets = [BlockTargets(noise=mix), BlockTargets(noise=mix)]
-    with pytest.raises(ValueError, match="missing noise mask for block 1"):
-        total_loss([{0: _mk(0.5)}, {1: _mk(0.5)}], [mix, mix],
-                   [BlockTargets(noise=mix), BlockTargets(noise=mix, speakers={1: mix})],
-                   [{}, {}], weights, _rng())
+    two_targets = [[mix], [mix]]
+    noise_only, embs = np.full((1, T, F), 0.5), [np.zeros((1, 4))] * 2
+    with pytest.raises(ValueError, match="block 1 has 1 masks but 2 targets"):
+        total_loss([noise_only] * 2, [mix, mix], [[mix], [mix, mix]], embs, weights, _rng())
     with pytest.raises(ValueError, match="block 1 has no masks"):
-        total_loss([{0: _mk(0.5)}, {}], [mix, mix], two_targets, [{}, {}], weights, _rng())
+        total_loss([noise_only, noise_only[:0]], [mix, mix], two_targets, embs, weights,
+                   _rng())
     with pytest.raises(ValueError, match="1 block targets for 2 blocks"):
         # the second block's masks once got no MSE gradient
-        total_loss([{0: _mk(0.5)}, {0: _mk(0.5)}], [mix, mix],
-                   [BlockTargets(noise=mix)], [{}, {}], weights, _rng())
+        total_loss([noise_only] * 2, [mix, mix], [[mix]], embs, weights, _rng())
     # a third block of masks once raised "mask (2, 0) lies outside the 2 blocks"
     with pytest.raises(ValueError, match="3 mask blocks for 2 blocks"):
-        total_loss([{0: _mk(0.5)}] * 3, [mix, mix], two_targets, [{}, {}], weights, _rng())
+        total_loss([noise_only] * 3, [mix, mix], two_targets, embs, weights, _rng())
     with pytest.raises(ValueError, match="1 embedding blocks for 2 blocks"):
-        total_loss([{0: _mk(0.5)}] * 2, [mix, mix], two_targets, [{}], weights, _rng())
+        total_loss([noise_only] * 2, [mix, mix], two_targets, embs[:1], weights, _rng())
 
 
 def test_resmask_cases():
@@ -199,15 +190,12 @@ def _masks_and_targets(rng, dtype):
     """Two blocks of three slots, each slot with a target in both.  The
     first frame of each mixture is 0, so its errors are scaled to signed
     zeros."""
-    masks = [{s: rng.uniform(0, 0.6, (T, F)).astype(dtype) for s in range(3)}
+    masks = [np.stack([rng.uniform(0, 0.6, (T, F)).astype(dtype) for _ in range(3)])
              for _ in range(2)]
     mixes = [rng.uniform(0.5, 1, (T, F)) for _ in range(2)]
     for mix in mixes:
         mix[0] = 0.0
-    targets = [BlockTargets(noise=rng.uniform(0, 1, (T, F)),
-                            speakers={1: rng.uniform(0, 1, (T, F)),
-                                      2: rng.uniform(0, 1, (T, F))})
-               for _ in range(2)]
+    targets = [[rng.uniform(0, 1, (T, F)) for _ in range(3)] for _ in range(2)]
     return masks, mixes, targets
 
 
@@ -216,24 +204,20 @@ def _float64_mask_grads(masks, mixes, targets, alpha):
     mask's dtype: g_res is -1 where the block's mask sum (in the masks'
     dtype) is below 1, n is the block count for the noise slot and the
     speaker-mask count for a speaker slot, err = mask * |X| - target.  The
-    mask sum runs in sorted slot order.  Returns a {slot: gradient} dict per
-    block."""
-    n_spk = sum(slot >= 1 for block in masks for slot in block)
+    mask sum runs in slot order.  Returns per block a list of the slots'
+    gradients."""
+    n_spk = sum(len(block) - 1 for block in masks)
     grads = []
     for block, mix, tgt in zip(masks, mixes, targets):
-        slots = sorted(block)
-        mask_sum = np.zeros_like(block[slots[0]])
-        for slot in slots:
-            mask_sum = mask_sum + block[slot]
+        mask_sum = np.zeros_like(block[0])
+        for mask in block:
+            mask_sum = mask_sum + mask
         g_res = np.where(1.0 - mask_sum > 0, -1.0, 0.0)
-        grads.append({})
-        for slot in slots:
-            if slot == 0:
-                target, n = tgt.noise, len(mixes)
-            else:
-                target, n = tgt.speakers[slot], n_spk
-            err = block[slot] * mix - target
-            grads[-1][slot] = (alpha * g_res + (2.0 / n) * mix * err).astype(block[slot].dtype)
+        grads.append([])
+        for slot, (mask, target) in enumerate(zip(block, tgt)):
+            n = len(mixes) if slot == 0 else n_spk
+            err = mask * mix - target
+            grads[-1].append((alpha * g_res + (2.0 / n) * mix * err).astype(mask.dtype))
     return grads
 
 
@@ -243,37 +227,36 @@ def test_total_loss_mask_grads_are_the_float64_formula_in_the_mask_dtype(dtype, 
     # each gradient is built once, in place, in its mask's dtype; its bytes
     # are those of the formula summed in float64, then cast
     masks, mixes, targets = _masks_and_targets(np.random.default_rng(4), dtype)
-    embs = [{s: np.random.default_rng((b, s)).normal(size=4) for s in block}
-            for b, block in enumerate(masks)]
+    embs = [np.stack([np.random.default_rng((b, s)).normal(size=4) for s in range(3)])
+            for b in range(2)]
     res = total_loss(masks, mixes, targets, embs, LossWeights(alpha=alpha), _rng())
     ref = _float64_mask_grads(masks, mixes, targets, alpha)
-    got = _grads_by_slot(masks, res)
-    assert [stack.dtype for stack in res.block_grads] == [dtype, dtype]
-    assert [list(g) for g in got] == [list(g) for g in ref] == [[0, 1, 2]] * 2
+    got = res.block_grads
+    assert [stack.dtype for stack in got] == [dtype, dtype]
+    assert [stack.shape for stack in got] == [(3, T, F)] * 2
     for b, block in enumerate(ref):
-        for slot, g in block.items():
+        for slot, g in enumerate(block):
             assert got[b][slot].tobytes() == g.tobytes(), (b, slot)
     # the signed zeros the first frames hold are the formula's
     assert np.signbit(got[1][1][0]).any() == np.signbit(ref[1][1][0]).any()
 
 
 def test_total_loss_stack_rows_follow_the_given_slot_order():
-    # a block given as slots 0, 2, 1: row i of its stack is the gradient of
-    # the i-th slot given, while the hinge sums the masks in slot order 0,
-    # 1, 2, which rounds otherwise in float32 at some bins near a sum of 1
+    # row i of the gradient stack is the gradient of mask row i, and the
+    # hinge sums the masks in row order 0, 1, 2, which rounds otherwise in
+    # float32 at some bins near a sum of 1
     rng = np.random.default_rng(9)
     m0, m2 = (rng.uniform(0.2, 0.4, (T, F)).astype(np.float32) for _ in range(2))
     m1 = (1.0 - m0 - m2 + rng.uniform(-1e-7, 1e-7, (T, F))).astype(np.float32)
     assert np.any(((m0 + m1) + m2 < 1) != ((m0 + m2) + m1 < 1))
-    masks = [{0: m0, 2: m2, 1: m1}]
+    masks = [np.stack([m0, m1, m2])]
     mixes = [rng.uniform(0.5, 1, (T, F))]
-    targets = [BlockTargets(noise=rng.uniform(0, 1, (T, F)),
-                            speakers={1: rng.uniform(0, 1, (T, F)),
-                                      2: rng.uniform(0, 1, (T, F))})]
-    res = total_loss(masks, mixes, targets, [{}], LossWeights(alpha=0.3, beta=0.0), _rng())
+    targets = [[rng.uniform(0, 1, (T, F)) for _ in range(3)]]
+    res = total_loss(masks, mixes, targets, [_ones_embeddings(3)],
+                     LossWeights(alpha=0.3, beta=0.0), _rng())
     ref = _float64_mask_grads(masks, mixes, targets, 0.3)[0]
     assert res.block_grads[0].shape == (3, T, F)
-    for row, slot in zip(res.block_grads[0], (0, 2, 1)):
+    for slot, row in enumerate(res.block_grads[0]):
         assert row.tobytes() == ref[slot].tobytes(), slot
     assert res.resmask == resmask_loss([m0, m1, m2])[0]
 
@@ -282,14 +265,12 @@ def _slots_sample(n_slots, t=200, f=129, dtype=np.float32):
     """Two blocks of ``n_slots`` slots, each speaker slot with the same
     target in both; embeddings are non-zero."""
     rng = np.random.default_rng(n_slots)
-    spk = range(1, n_slots)
-    masks = [{s: rng.uniform(0, 0.3, (t, f)).astype(dtype) for s in range(n_slots)}
+    masks = [np.stack([rng.uniform(0, 0.3, (t, f)).astype(dtype) for _ in range(n_slots)])
              for _ in range(2)]
     mixes = [rng.uniform(0.1, 1, (t, f)) for _ in range(2)]
-    sources = {s: rng.uniform(0, 1, (t, f)) for s in spk}
-    targets = [BlockTargets(noise=rng.uniform(0, 1, (t, f)), speakers=sources)
-               for _ in range(2)]
-    embs = [{s: rng.normal(size=8) for s in block} for block in masks]
+    sources = [rng.uniform(0, 1, (t, f)) for _ in range(1, n_slots)]
+    targets = [[rng.uniform(0, 1, (t, f)), *sources] for _ in range(2)]
+    embs = [rng.normal(size=(n_slots, 8)) for _ in masks]
     return masks, mixes, targets, embs
 
 
@@ -391,25 +372,19 @@ def test_triplet_cap_is_deterministic():
 def _random_instance(seed):
     rng = np.random.default_rng(seed)
     mixes = [rng.uniform(0.3, 1.0, (T, F)) for _ in range(2)]
-    masks = [{}, {}]
-    embs = [{}, {}]
+    masks = np.empty((2, 3, T, F))  # per block: slot 0 noise, slots 1..2 speakers
+    embs = np.zeros((2, 3, 5))
     for b in range(2):
-        for s in range(3):  # slot 0 noise, slots 1..2 speakers
-            masks[b][s] = rng.uniform(0.05, 0.95, (T, F))
+        for s in range(3):
+            masks[b, s] = rng.uniform(0.05, 0.95, (T, F))
             if s >= 1:
                 v = rng.normal(size=5)
-                embs[b][s] = v / np.linalg.norm(v) * rng.uniform(0.8, 1.2)
+                embs[b, s] = v / np.linalg.norm(v) * rng.uniform(0.8, 1.2)
     targets = [
-        BlockTargets(
-            noise=rng.uniform(0, 0.5, (T, F)),
-            speakers={1: rng.uniform(0, 1, (T, F)), 2: rng.uniform(0, 1, (T, F))},
-        ),
-        BlockTargets(
-            noise=rng.uniform(0, 0.5, (T, F)),
-            speakers={1: rng.uniform(0, 1, (T, F)), 2: np.zeros((T, F))},
-        ),
+        [rng.uniform(0, 0.5, (T, F)), rng.uniform(0, 1, (T, F)), rng.uniform(0, 1, (T, F))],
+        [rng.uniform(0, 0.5, (T, F)), rng.uniform(0, 1, (T, F)), np.zeros((T, F))],
     ]
-    return masks, mixes, targets, embs
+    return list(masks), mixes, targets, list(embs)
 
 
 def test_total_loss_weight_zero_reduces_to_mmse():
@@ -419,9 +394,9 @@ def test_total_loss_weight_zero_reduces_to_mmse():
     assert res.total == pytest.approx(res.mmse)
     # speaker errors against the slots' targets, averaged over the 4
     # speaker masks; noise errors averaged over the 2 blocks
-    l_spk = sum(np.sum((masks[b][s] * mixes[b] - t) ** 2)
-                for b in range(2) for s, t in targets[b].speakers.items()) / 4
-    l_noise = sum(np.sum((masks[b][0] * mixes[b] - targets[b].noise) ** 2)
+    l_spk = sum(np.sum((masks[b][s] * mixes[b] - targets[b][s]) ** 2)
+                for b in range(2) for s in (1, 2)) / 4
+    l_noise = sum(np.sum((masks[b][0] * mixes[b] - targets[b][0]) ** 2)
                   for b in range(2)) / 2
     assert res.mmse == pytest.approx(l_spk + l_noise)
     # the weights leave the terms alone
@@ -431,10 +406,9 @@ def test_total_loss_weight_zero_reduces_to_mmse():
 
 def test_total_loss_all_zero_components():
     mix = _mk(0.5)
-    masks = [{0: np.ones((T, F)), 1: np.ones((T, F))}]
-    v = np.ones(4) / 2.0
-    embs = [{1: v}]
-    targets = [BlockTargets(noise=mix.copy(), speakers={1: mix.copy()})]
+    masks = [np.ones((2, T, F))]
+    embs = [np.full((2, 4), 0.5)]
+    targets = [[mix.copy(), mix.copy()]]
     res = total_loss(masks, mixes=[mix], targets=targets, embeddings=embs,
                      weights=LossWeights(), rng=_rng())
     assert res.total == pytest.approx(0.0)
@@ -450,23 +424,24 @@ def _fd_check(seed):
         return total_loss(m, mixes, targets, e, weights, _rng()).total
 
     def copy(per_block):
-        return [{s: v.copy() for s, v in block.items()} for block in per_block]
+        return [block.copy() for block in per_block]
 
     res = total_loss(masks, mixes, targets, embs, weights, _rng())
-    mask_grads = _grads_by_slot(masks, res)
     eps = 1e-6
     for b, block in enumerate(masks):
-        for slot in block:
-            g = mask_grads[b][slot]
+        for slot in range(len(block)):
+            g = res.block_grads[b][slot]
             for idx in [(0, 0), (1, 2), (2, 3)]:
                 mp, mm = copy(masks), copy(masks)
                 mp[b][slot][idx] += eps
                 mm[b][slot][idx] -= eps
                 fd = (value(mp, embs) - value(mm, embs)) / (2 * eps)
                 assert fd == pytest.approx(g[idx], rel=1e-4, abs=1e-7)
-    assert [sorted(g) for g in res.emb_grads] == [sorted(block) for block in embs]
+    # one row per slot, in the embeddings' dtype; the noise row is zero
+    assert [(g.shape, g.dtype) for g in res.emb_grads] == [(e.shape, e.dtype) for e in embs]
+    assert all(not g[0].any() for g in res.emb_grads)
     for b, block in enumerate(embs):
-        for slot in block:
+        for slot in range(1, len(block)):
             g = res.emb_grads[b][slot]
             for idx in (0, 3):
                 ep, em = copy(embs), copy(embs)

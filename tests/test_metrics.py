@@ -97,6 +97,14 @@ def test_vad_silent_stream_empty_timeline():
     assert len(power_vad(sig, threshold_dbfs=-40.0)) == 0
 
 
+def test_vad_rejects_a_rate_whose_frame_rounds_to_no_samples():
+    # 1-20 Hz once raised a bare ZeroDivisionError; 21 Hz is one sample a frame
+    for rate in (1, 20):
+        with pytest.raises(ValueError, match=f"sample rate {rate} Hz is too low"):
+            power_vad(AudioSignal(rate, np.ones(100)), -35.0)
+    assert len(power_vad(AudioSignal(21, np.ones(100)), -35.0)) == 1
+
+
 def test_vad_full_scale_tone_single_segment():
     t = np.arange(FS * 3)
     sig = AudioSignal(FS, np.sin(2 * np.pi * 440 * t / FS))

@@ -313,6 +313,26 @@ def test_two_channel_output_and_delays(pool):
         assert b - a >= 0.8 - 1e-9
 
 
+def _min_delay_gap(scenario):
+    delays = sorted(scenario.mic_delays.values())
+    return min(b - a for a, b in zip(delays, delays[1:]))
+
+
+def test_mic_delays_keep_their_spacing_up_to_six_speakers_but_not_at_eight():
+    # the sampler redraws a delay at most 64 times and then keeps it: with
+    # up to 6 speakers the 0.8-sample spacing holds in 600 s scenarios, but
+    # 8 delays often do not fit by redrawing
+    for n in (4, 5, 6):
+        speakers = make_pool(n)
+        for profile in "AB":
+            for seed in range(100):
+                sc = sample_scenario(profile, 600.0, speakers, seed=seed)
+                assert _min_delay_gap(sc) >= 0.8, (n, profile, seed)
+    crowded = sample_scenario("A", 120.0, make_pool(8), seed=5)
+    assert len(crowded.mic_delays) == 8
+    assert _min_delay_gap(crowded) == pytest.approx(0.006, abs=5e-4)
+
+
 def _clip_pool(pool, clip_dir):
     return [dataclasses.replace(spec, clip_dir=str(clip_dir)) for spec in pool]
 

@@ -17,6 +17,7 @@ from synthutil import (
     tiny_train_params,
 )
 
+from blocksep import training
 from blocksep.decoding import block_features
 from blocksep.dsp import IpdFeature, StftConfig, blocks
 from blocksep.estimators import (MaskNet, OracleMaskEstimator, block_truth, init_params,
@@ -107,36 +108,42 @@ def test_train_sample_and_oracle_read_the_same_truth():
             assert all(np.array_equal(a[s], b[s]) for s in a)
 
 
-def test_unroll_target_assembly_invariant():
+def test_unroll_target_assembly_invariant(monkeypatch):
     sample = make_synthetic_sample(0, silent=((1, "b"),))
-    cfg = tiny_config()
-    params = tiny_params()
-    result = unroll(sample, MaskNet(params), cfg)
-    for b in range(len(result.records)):
-        order = [slot for slot, _ in slot_residuals(result, b)]
-        tgt = result.targets[b]
-        assert order[0] == 0  # noise first, always
-        assert [0, *tgt.speakers] == order
-    # block 1: both slots known, source "b" silent -> zero target
-    assert set(result.targets[1].speakers) == {1, 2}
-    silent_slot = next(s for s, src in result.records[1].slot_source.items() if src == "b")
-    assert np.all(result.targets[1].speakers[silent_slot] == 0)
+    seen = []
+
+    def spy(masks, mixes, targets, embeddings, weights, rng):
+        seen.append(targets)
+        return total_loss(masks, mixes, targets, embeddings, weights, rng)
+
+    monkeypatch.setattr(training, "total_loss", spy)
+    result = unroll(sample, MaskNet(tiny_params()), tiny_config())
+    [targets] = seen
+    for b, (cache, tgt) in enumerate(zip(result.caches, targets)):
+        # one target per slot, the noise first, always
+        assert len(tgt) == len(cache.mask) == len(slot_residuals(result, b)) == 3
+        assert tgt[0] is sample.truth[b].noise_mag
+    assert sorted(result.sources) == ["a", "b"]
+    # block 1: both slots known, source "b" silent -> a read-only zero view,
+    # which holds no memory
+    silent = targets[1][1 + result.sources.index("b")]
+    assert silent.strides == (0, 0) and not silent.flags.writeable and not silent.any()
 
 
 def test_unroll_one_source_identity_permutation():
     sample = make_synthetic_sample(1, sources=("solo",))
     cfg = tiny_config()
     result = unroll(sample, MaskNet(tiny_params()), cfg)
-    assert result.records[1].slot_source == {1: "solo"}
+    assert result.sources == ["solo"]
     # loss matches the masked MSE computed directly from the network's masks
     expected = 0.0
     for b in range(2):
-        est_mag = result.masks[b][1] * sample.mags[b]
+        est_mag = result.caches[b].mask[1] * sample.mags[b]
         expected += float(np.sum((est_mag - sample.truth[b].source_mags["solo"]) ** 2))
     expected /= 2  # two (slot, block) instances
     noise_term = 0.0
     for b in range(2):
-        est_mag = result.masks[b][0] * sample.mags[b]
+        est_mag = result.caches[b].mask[0] * sample.mags[b]
         noise_term += float(np.sum((est_mag - sample.truth[b].noise_mag) ** 2))
     noise_term /= 2
     assert result.loss.mmse == pytest.approx(expected + noise_term, rel=1e-9)
@@ -159,7 +166,7 @@ def test_unroll_opens_tied_sources_in_the_oracle_probe_order():
     oracle.estimate(np.ones((4, 8)), z_zero)  # the noise slot
     probes = [oracle.match_speaker(oracle.estimate(np.ones((4, 8)), z_zero)[1])
               for _ in truth.active]
-    assert list(result.records[0].slot_source.values()) == probes == ["bob", "ann", "cid"]
+    assert result.sources == probes == ["bob", "ann", "cid"]
 
 
 def test_unroll_slot_cap():
@@ -184,8 +191,7 @@ def test_teacher_forcing_residuals_independent_of_params():
     r1 = unroll(sample, MaskNet(tiny_params(seed=1)), cfg)
     r2 = unroll(sample, MaskNet(tiny_params(seed=2)), cfg)
     for b in range(2):
-        for (_, res1), (_, res2) in zip(slot_residuals(r1, b), slot_residuals(r2, b)):
-            assert np.array_equal(res1, res2)
+        assert np.array_equal(slot_residuals(r1, b), slot_residuals(r2, b))
 
 
 def _wide_sample(seed):
@@ -224,19 +230,15 @@ def test_unroll_holds_each_training_tensor_once():
     finally:
         tracemalloc.stop()
     # what the backward reads: the forward caches and the loss's gradient
-    # stacks, one per block in the record's slot order; the block's static
-    # features and projection are not held
+    # stacks, one per block in slot order; the block's static features and
+    # projection are not held, nor are its targets
     needed = _array_bytes(
-        [getattr(rec.cache, f) for rec in result.records
+        [getattr(cache, f) for cache in result.caches
          for f in ("z_prev", "p", "states", "mask", "z_out", "inv_norm")])
     one_tf = 100 * 129 * 4  # one float32 (T, F) array
     block_array = 4 * one_tf  # one block's (B, T, F) float32 array, B = 4
-    stacks = sum(len(rec.slots) * one_tf for rec in result.records)
+    stacks = sum(len(cache.mask) * one_tf for cache in result.caches)
     assert 0 <= (left - entry) - needed - stacks < one_tf
-    slot_b = {src: slot for slot, src in result.records[0].slot_source.items()}["b"]
-    silent = [tgt.speakers[slot_b] for tgt in result.targets[1:]]
-    assert [t.strides for t in silent] == [(0, 0), (0, 0)]
-    assert all(not t.flags.writeable and not t.any() for t in silent)
     # the backward adds the block's rebuilt residuals and a few temporaries
     assert backward_peak <= 3.5 * block_array
     assert result.loss.block_grads == [None] * 3
@@ -410,18 +412,22 @@ def test_train_names_a_sample_of_another_bin_count():
 def _per_slot_reference(sample, net, lockstep, weights):
     """Teacher-forced unroll and backward one slot at a time, each slot its
     own single-iteration ``forward``/``backward``, its residual stepped as
-    clip(R - M, 0, 1) in a fresh array: the loop the lockstep path replaced.
-    Reads only the slot order and targets of ``lockstep``.  Also returns, per
-    block, the float64 residual each slot read."""
-    masks, embeddings, caches = [], [], []
+    clip(R - M, 0, 1) in a fresh array, slots and targets kept by slot in
+    dicts: the loop the lockstep path replaced.  Reads only the slot counts
+    of ``lockstep``.  Also returns each speaker slot's source, in slot
+    order, and per block the float64 residual each slot read."""
+    masks, embeddings, caches, targets = [], [], [], []
     slot_source, prev_z, orders, residuals = {}, {}, [], []
     for b in range(sample.n_blocks):
         truth = sample.truth[b]
-        order = lockstep.records[b].slots
+        order = list(range(len(lockstep.caches[b].mask)))
         fresh = [s for s in truth.active if s not in slot_source.values()]
         # strongest first, of equal means the larger id first
         fresh.sort(key=lambda s: (float(truth.irms[s].values.mean()), s), reverse=True)
         slot_source.update(zip([s for s in order if s and s not in slot_source], fresh))
+        targets.append([truth.noise_mag] + [
+            truth.source_mags[slot_source[s]] if slot_source[s] in truth.active
+            else np.zeros_like(truth.noise_mag) for s in order[1:]])
         static_pre = net.prepare_block(sample.mags[b], sample.ipds[b])
         residual = np.ones_like(sample.mags[b])
         residuals.append([])
@@ -439,22 +445,22 @@ def _per_slot_reference(sample, net, lockstep, weights):
         prev_z = embeddings[b]
         orders.append(order)
     # few enough triplets that the generator draws nothing
-    loss = total_loss(masks, sample.mags, lockstep.targets, embeddings, weights,
-                      rng=np.random.default_rng(0))
+    loss = total_loss([np.stack(list(block.values())) for block in masks], sample.mags,
+                      targets, [np.stack(list(block.values())) for block in embeddings],
+                      weights, rng=np.random.default_rng(0))
     grads = net.params.zeros_like()
     z_next = {}
     for b in reversed(range(sample.n_blocks)):
         d_static_pre = 0.0
         z_here = {}
-        mask_grads = dict(zip(orders[b], loss.block_grads[b]))
         for slot, residual in reversed(list(zip(orders[b], residuals[b]))):
-            d_z = loss.emb_grads[b].get(slot, np.zeros(net.embed_dim)) + z_next.get(slot, 0.0)
-            z_here[slot], d_pre = net.backward(caches[b][slot], residual, mask_grads[slot],
-                                               d_z, grads)
+            d_z = loss.emb_grads[b][slot] + z_next.get(slot, 0.0)
+            z_here[slot], d_pre = net.backward(caches[b][slot], residual,
+                                               loss.block_grads[b][slot], d_z, grads)
             d_static_pre += d_pre
         net.finish_block_backward(sample.mags[b], sample.ipds[b], d_static_pre, grads)
         z_next = z_here
-    return masks, embeddings, loss, grads, residuals
+    return masks, embeddings, loss, grads, list(slot_source.values()), residuals
 
 
 @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
@@ -467,28 +473,29 @@ def test_lockstep_unroll_equals_a_per_slot_reference(dtype, tol):
     net = MaskNet(tiny_params(seed=3, dtype=dtype))
     result = unroll(sample, net, cfg)
     grads = unroll_backward(result, net)
-    # one record, and one forward call, per block
-    assert [len(rec.slots) for rec in result.records] == [3, 4, 4]
-    masks, embeddings, loss, ref_grads, residuals = _per_slot_reference(
+    # one cache, and one forward call, per block
+    assert [len(cache.mask) for cache in result.caches] == [3, 4, 4]
+    masks, embeddings, loss, ref_grads, sources, residuals = _per_slot_reference(
         sample, net, result, cfg.weights)
+    assert result.sources == sources
     # the in-place residual step reads as the clip, byte for byte
     for b, block_residuals in enumerate(residuals):
         got = slot_residuals(result, b)
         assert len(got) == len(block_residuals)
-        for (slot, res), ref in zip(got, block_residuals):
+        for slot, (res, ref) in enumerate(zip(got, block_residuals)):
             assert res.dtype == dtype
             assert res.tobytes() == ref.astype(dtype).tobytes(), (b, slot)
 
     def rel(x, ref):
         return np.max(np.abs(x - ref)) / max(np.max(np.abs(ref)), 1e-300)
 
-    assert [list(block) for block in result.masks] == [list(block) for block in masks]
-    assert [list(block) for block in result.embeddings] == [list(block) for block in masks]
     for b, block in enumerate(masks):
+        cache = result.caches[b]
+        assert list(block) == list(range(len(cache.mask))) == list(range(len(cache.z_out)))
         for slot in block:
-            assert result.masks[b][slot].dtype == dtype
-            assert rel(result.masks[b][slot], masks[b][slot]) <= tol, (b, slot)
-            assert rel(result.embeddings[b][slot], embeddings[b][slot]) <= tol, (b, slot)
+            assert cache.mask.dtype == dtype
+            assert rel(cache.mask[slot], masks[b][slot]) <= tol, (b, slot)
+            assert rel(cache.z_out[slot], embeddings[b][slot]) <= tol, (b, slot)
     for term in ("total", "mmse", "resmask", "triplet"):
         assert getattr(result.loss, term) == pytest.approx(getattr(loss, term),
                                                            rel=tol, abs=0.0), term
